@@ -8,9 +8,20 @@
 Exit codes: 0 success, 2 configuration or validation error, 3 runtime or
 I/O error.  The environment variable DMIRS_SEED overrides the config seed;
 an explicit --seed flag wins over both.
+
+A start:stop:step range may hold at most MAX_RANGE_VALUES values and a
+heatmap grid at most MAX_GRID_CELLS cells; larger requests exit 2 before
+anything is allocated.
+
+`main(argv)` may be called any number of times in one process.  It builds
+the argument parser on its first call and reuses it: parsing never changes
+the parser, and each command reads the environment and its config file
+when it runs.
 """
 
 import argparse
+import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -20,34 +31,41 @@ from .scenario import ConfigError, Scenario, parse_config
 from .secrecy import AN_MODES, secrecy_metrics
 from .sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
 
+MAX_RANGE_VALUES = 10_000
+MAX_GRID_CELLS = 1_000_000
+
 
 def _parse_values(spec: str, kind: str):
     """Parse '10:200:10' (inclusive range) or '10,15' (list) into floats."""
     spec = spec.strip()
     try:
-        if ":" in spec:
-            parts = [float(p) for p in spec.split(":")]
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, step = parts
-            if step <= 0 or stop < start:
-                raise ValueError
-            count = int(round((stop - start) / step))
-            values = [start + i * step for i in range(count + 1)]
-            return [v for v in values if v <= stop + 1e-9]
-        return [float(p) for p in spec.split(",") if p.strip() != ""]
+        if ":" not in spec:
+            return [float(p) for p in spec.split(",") if p.strip() != ""]
+        start, stop, step = (float(p) for p in spec.split(":"))
+        if step <= 0 or stop < start:
+            raise ValueError
     except ValueError:
         raise ConfigError(
             f"could not parse {kind} values {spec!r}; use start:stop:step or a comma list"
         ) from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"{kind} range {spec!r} must have finite start, stop and step")
+    steps = (stop - start) / step  # may overflow to inf, which the bound rejects
+    if steps + 1 > MAX_RANGE_VALUES:
+        raise ConfigError(f"{kind} range {spec!r} has more than {MAX_RANGE_VALUES} values")
+    values = [start + i * step for i in range(round(steps) + 1)]
+    return [v for v in values if v <= stop + 1e-9]
 
 
 def _parse_grid(spec: str):
     try:
         w, h = spec.lower().split("x")
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
         raise ConfigError(f"could not parse grid {spec!r}; expected WxH like 181x181") from None
+    if w * h > MAX_GRID_CELLS:
+        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_CELLS} cells")
+    return w, h
 
 
 def _parse_point(spec: str) -> Position:
@@ -159,9 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # covers ConfigError and GeometryError

@@ -324,3 +324,81 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert out.startswith("gamma_b=")
+
+    @pytest.mark.parametrize(
+        "spec", ["10:inf:10", "nan:20:10", "10:20:inf", "-inf:20:1", "0:1e308:1e-308", "-1e308:1e308:1"]
+    )
+    def test_non_finite_or_overflowing_range_exits_2_with_one_line(self, config_file, tmp_path, capsys, spec):
+        code = cli.main(
+            ["sweep-nr", "--config", config_file, f"--nr={spec}", "--pt", "10",
+             "--out", str(tmp_path / "o.csv")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dmirs: error: nr range") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_range_length_bound(self, monkeypatch):
+        assert cli.MAX_RANGE_VALUES == 10_000
+        monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 5)
+        assert cli._parse_values("1:5:1", "nr") == [1.0, 2.0, 3.0, 4.0, 5.0]
+        for spec in ("1:6:1", "0:1:0.1"):
+            with pytest.raises(ConfigError, match="more than 5 values"):
+                cli._parse_values(spec, "nr")
+
+    def test_grid_cell_bound_exits_2_before_the_heatmap_runs(self, config_file, tmp_path, monkeypatch, capsys):
+        assert cli.MAX_GRID_CELLS == 1_000_000
+        assert cli._parse_grid("1000x1000") == (1000, 1000)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("run_heatmap called for an over-long grid")
+
+        monkeypatch.setattr(cli, "run_heatmap", must_not_run)
+        for grid in ("1001x1000", "1000000000x1000000000"):
+            code = cli.main(
+                ["heatmap", "--config", config_file, "--grid", grid, "--out", str(tmp_path / "o.csv")]
+            )
+            assert code == 2
+            assert "more than 1000000 cells" in capsys.readouterr().err
+
+    def test_repeated_calls_reuse_one_parser_and_carry_nothing_over(self, tmp_path, monkeypatch, capsys):
+        good = tmp_path / "good.json"
+        good.write_text('{"mc_samples": 50}')
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"alpha": 2.0}')
+        csv = tmp_path / "hm.csv"
+        heatmap = ["heatmap", "--config", str(good), "--grid", "3x3", "--out", str(csv)]
+        sequence = [
+            ["metrics"],  # usage error: --config is required
+            ["metrics", "--config", str(bad)],
+            ["metrics", "--config", str(good), "--an-mode", "instantaneous"],
+            ["metrics", "--config", str(good)],
+            heatmap + ["--seed", "9"],
+            heatmap,
+        ]
+
+        def run(argv):
+            csv.unlink(missing_ok=True)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, csv.read_bytes() if csv.exists() else None
+
+        build_parser, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        together = [run(argv) for argv in sequence]
+        assert len(built) == 1
+
+        alone = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            alone.append(run(argv))
+        cli._parser.cache_clear()
+
+        assert [r[0] for r in together] == [2, 2, 0, 0, 0, 0]
+        assert together == alone
+        assert together[2][1] != together[3][1]  # --an-mode instantaneous changes ber_probe
+        assert b"# seed = 9" in together[4][3] and b"# seed = 0" in together[5][3]
