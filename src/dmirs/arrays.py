@@ -14,6 +14,7 @@ identity, which makes the tuned reflect path add up coherently element by
 element.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,10 +56,23 @@ def phase_shift(n: int, spec: ArraySpec, phi: float) -> float:
     return -spec.spacing_wavelengths * (n - (spec.n_elements - 1) / 2.0) * math.cos(phi)
 
 
+@functools.lru_cache(maxsize=8)
+def _centred_offsets(n_elements: int, spacing_wavelengths: float) -> np.ndarray:
+    """Read-only -(d/lambda) * (n - (N-1)/2) for every element n.
+
+    Keyed by the spec's two numbers rather than the spec, since callers
+    build a fresh ArraySpec per evaluation.  Eight entries cover an array
+    and a reflector per scene with room to spare; a 1e6-element reflector
+    holds 8 MB, so the cache stays bounded.
+    """
+    offsets = -spacing_wavelengths * (np.arange(n_elements) - (n_elements - 1) / 2.0)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def element_cycles(spec: ArraySpec, phi: float) -> np.ndarray:
     """Vector of per-element phase advances in cycles."""
-    n = np.arange(spec.n_elements)
-    return -spec.spacing_wavelengths * (n - (spec.n_elements - 1) / 2.0) * math.cos(phi)
+    return _centred_offsets(spec.n_elements, spec.spacing_wavelengths) * math.cos(phi)
 
 
 def steering_vector(spec: ArraySpec, phi: float) -> np.ndarray:

@@ -5,6 +5,9 @@
     dmirs sweep-nr  --config PATH --nr 10:200:10 --pt 10,15 --out PATH
     dmirs sweep-dab --config PATH --dab 10:50:1 --pt 10,15 --out PATH
 
+A probe with a negative X is written `--eve=-5,3`: argparse reads a
+separate `-5,3` as an option.
+
 Exit codes: 0 success, 2 configuration or validation error, 3 runtime or
 I/O error.  The environment variable DMIRS_SEED overrides the config seed;
 an explicit --seed flag wins over both.
@@ -148,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser("metrics", help="print link metrics for one probe position")
     metrics.add_argument("--config", required=True, help="scenario JSON file")
-    metrics.add_argument("--eve", help="probe position X,Y (overrides config)")
+    metrics.add_argument(
+        "--eve", help="probe position X,Y (overrides config); write --eve=-5,3 for a negative X"
+    )
     metrics.add_argument("--an-mode", choices=AN_MODES, dest="an_mode")
     metrics.set_defaults(func=_cmd_metrics)
 
@@ -163,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_nr = sub.add_parser("sweep-nr", help="secrecy rate vs IRS element count, CSV")
     sweep_nr.add_argument("--config", required=True)
     sweep_nr.add_argument("--nr", required=True, help="element counts, start:stop:step or list")
-    sweep_nr.add_argument("--pt", required=True, help="transmit powers in dBm, comma list")
+    sweep_nr.add_argument("--pt", required=True, help="transmit powers in dBm, start:stop:step or list")
     sweep_nr.add_argument("--out", required=True)
     sweep_nr.set_defaults(func=_cmd_sweep_nr)
 
     sweep_dab = sub.add_parser("sweep-dab", help="secrecy rate vs receiver distance, CSV")
     sweep_dab.add_argument("--config", required=True)
     sweep_dab.add_argument("--dab", required=True, help="distances in m, start:stop:step or list")
-    sweep_dab.add_argument("--pt", required=True, help="transmit powers in dBm, comma list")
+    sweep_dab.add_argument("--pt", required=True, help="transmit powers in dBm, start:stop:step or list")
     sweep_dab.add_argument("--out", required=True)
     sweep_dab.set_defaults(func=_cmd_sweep_dab)
 

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SQRT2 = math.sqrt(2.0)
+
 
 def q_function(u: float) -> float:
     """Tail probability of the standard normal distribution.
@@ -18,7 +20,7 @@ def q_function(u: float) -> float:
     """
     if not math.isfinite(u):
         raise ValueError(f"q_function requires a finite argument, got {u!r}")
-    return 0.5 * math.erfc(u / math.sqrt(2.0))
+    return 0.5 * math.erfc(u / _SQRT2)
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -15,6 +15,17 @@ typo cannot silently fall back to a default.
       "an_mode": "expected",
       "seed": 0, "mc_samples": 1000
     }
+
+Sizes are bounded so that a typo fails validation instead of exhausting
+memory; each bound keeps the largest array it sizes in the hundreds of MiB
+at most (complex values take 16 bytes):
+
+  * na <= MAX_NA (1024): the noise projector holds na*na complex values
+    (16 MiB),
+  * nr <= MAX_NR (1,000,000): the IRS phase diagonal holds nr complex
+    values (15 MiB),
+  * mc_samples <= MAX_MC_SAMPLES (10,000): one heatmap cell draws
+    mc_samples*na complex noise values (156 MiB at na = MAX_NA).
 """
 
 import json
@@ -24,6 +35,11 @@ from dataclasses import dataclass, fields
 from .arrays import ArraySpec
 from .geometry import PATH_LOSS_RULES, GeometryError, Position
 from .secrecy import AN_MODES
+
+
+MAX_NA = 1024
+MAX_NR = 1_000_000
+MAX_MC_SAMPLES = 10_000
 
 
 class ConfigError(ValueError):
@@ -54,8 +70,12 @@ class Scenario:
     def __post_init__(self):
         if self.na < 2:
             raise ConfigError(f"na must be at least 2 (noise projection needs it), got {self.na}")
+        if self.na > MAX_NA:
+            raise ConfigError(f"na must be at most {MAX_NA}, got {self.na}")
         if self.nr < 1:
             raise ConfigError(f"nr must be at least 1, got {self.nr}")
+        if self.nr > MAX_NR:
+            raise ConfigError(f"nr must be at most {MAX_NR}, got {self.nr}")
         for name in ("alice_spacing_wavelengths", "irs_spacing_wavelengths", "d0_m"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
@@ -71,8 +91,8 @@ class Scenario:
             )
         if self.an_mode not in AN_MODES:
             raise ConfigError(f"an_mode must be one of {AN_MODES}, got {self.an_mode!r}")
-        if self.mc_samples < 1:
-            raise ConfigError(f"mc_samples must be at least 1, got {self.mc_samples}")
+        if not 1 <= self.mc_samples <= MAX_MC_SAMPLES:
+            raise ConfigError(f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {self.mc_samples}")
         ref = {"alice": self.alice, "bob": self.bob, "irs": self.irs}
         named = list(ref.items())
         for i, (name_a, pos_a) in enumerate(named):

@@ -134,6 +134,13 @@ def probe_amplitude(scenario, budget: LinkBudget, precoders: Precoders, include_
     return complex(amplitude)
 
 
+def probe_signal(scenario, budget: LinkBudget, precoders: Precoders, include_irs=True) -> float:
+    """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2."""
+    return scenario.alpha * scenario.pt_mw * abs(
+        probe_amplitude(scenario, budget, precoders, include_irs)
+    ) ** 2
+
+
 def an_leak_row(budget: LinkBudget, alice: ArraySpec, projector: AnProjector) -> np.ndarray:
     """Probe steering row propagated through the noise projector."""
     h_ae = steering_vector(alice, budget.phi_ae)
@@ -158,17 +165,25 @@ def sinr_eve(
     """
     if an_mode not in AN_MODES:
         raise ValueError(f"an_mode must be one of {AN_MODES}, got {an_mode!r}")
-    signal = scenario.alpha * scenario.pt_mw * abs(
-        probe_amplitude(scenario, budget, precoders, include_irs)
-    ) ** 2
+    signal = probe_signal(scenario, budget, precoders, include_irs)
     row = an_leak_row(budget, scenario.alice_array(), projector)
+    return leak_sinr(scenario, signal, row, an_mode, z)
+
+
+def leak_sinr(scenario, signal_mw: float, row: np.ndarray, an_mode: str = "expected", z=None) -> float:
+    """SINR from the probe's signal power and its noise leak row (see sinr_eve)."""
     if an_mode == "expected":
         an_power = float(np.linalg.norm(row) ** 2)
     else:
         if z is None:
             raise ValueError("instantaneous mode needs an artificial-noise draw z")
         an_power = abs(np.dot(row, z)) ** 2
-    return signal / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
+    return _sinr(scenario, signal_mw, an_power)
+
+
+def _sinr(scenario, signal_mw, an_power):
+    """signal / (leaked noise + thermal noise); elementwise over an array of ``an_power``."""
+    return signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
 
 
 def probe_setup(scenario, probe):
@@ -238,18 +253,19 @@ def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, samples: int, 
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
     draws = complex_normal(np.random.default_rng(seed), (samples, scenario.na))
-    an_power = np.abs(draws @ leak_row) ** 2
-    gammas = signal_mw / (
-        (1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw
-    )
-    return float(np.mean([ber_from_snr(g, 4) for g in gammas]))
+    gammas = _sinr(scenario, signal_mw, np.abs(draws @ leak_row) ** 2)
+    bad = ~(np.isfinite(gammas) & (gammas >= 0.0))
+    if bad.any():
+        raise ValueError(f"SNR must be non-negative and finite, got {float(gammas[bad][0])!r}")
+    # ber_from_snr(g, 4) bit for bit: its factor 2/log2(4) is exactly 1 and
+    # sqrt is correctly rounded, so only the per-sample Q calls stay scalar.
+    u = np.sqrt(2.0 * gammas) * math.sin(math.pi / 4)
+    return float(np.fromiter(map(q_function, u.tolist()), float, samples).mean())
 
 
 def mc_ber(scenario, probe, samples: int, seed) -> float:
     """Monte-Carlo QPSK BER at a probe position under per-draw artificial noise."""
     _, probe_budget, precoders, projector = probe_setup(scenario, probe)
-    signal = scenario.alpha * scenario.pt_mw * abs(
-        probe_amplitude(scenario, probe_budget, precoders)
-    ) ** 2
+    signal = probe_signal(scenario, probe_budget, precoders)
     row = an_leak_row(probe_budget, scenario.alice_array(), projector)
     return mc_mean_ber(scenario, signal, row, samples, seed)

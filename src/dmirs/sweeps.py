@@ -14,17 +14,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .geometry import Position, link_budget
+from .geometry import LinkBudget, Position, link_budget
 from .scenario import Scenario, scenario_to_dict
 from .secrecy import (
     an_leak_row,
     ber_from_snr,
     benchmark_no_irs,
+    leak_sinr,
     mc_mean_ber,
-    probe_amplitude,
     probe_setup,
+    probe_signal,
     secrecy_metrics,
-    sinr_eve,
 )
 
 HEATMAP_COLUMNS = ("phi_deg", "theta_deg", "sinr_db", "ber")
@@ -71,6 +71,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
     bob_budget, _, precoders, projector = probe_setup(scenario, scenario.bob)
+    fixed = {k: v for k, v in vars(bob_budget).items() if k not in ("phi_ae", "theta_e")}
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
 
@@ -78,17 +79,13 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     index = 0
     for phi in phi_deg:
         for theta in theta_deg:
-            cell = replace(bob_budget, phi_ae=math.radians(phi), theta_e=math.radians(theta))
-            gamma = sinr_eve(scenario, cell, precoders, projector, "expected")
+            cell = LinkBudget(**fixed, phi_ae=math.radians(phi), theta_e=math.radians(theta))
+            signal = probe_signal(scenario, cell, precoders)
+            leak = an_leak_row(cell, alice, projector)
+            gamma = leak_sinr(scenario, signal, leak)
             if mc:
-                signal = scenario.alpha * scenario.pt_mw * abs(
-                    probe_amplitude(scenario, cell, precoders)
-                ) ** 2
                 seed = np.random.SeedSequence([scenario.seed, index])
-                ber = mc_mean_ber(
-                    scenario, signal, an_leak_row(cell, alice, projector),
-                    scenario.mc_samples, seed,
-                )
+                ber = mc_mean_ber(scenario, signal, leak, scenario.mc_samples, seed)
             else:
                 ber = ber_from_snr(gamma, 4)
             rows.append(

@@ -66,9 +66,17 @@ def an_projector(h_ab: np.ndarray) -> AnProjector:
     return AnProjector(matrix=p / fro)
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian samples, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian samples, unit variance per entry.
+
+    Real parts are the generator's first prod(shape) normals, imaginary
+    parts the next prod(shape); one draw of both fills them in that order.
+    """
+    re_im = rng.standard_normal((2, *shape))
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = re_im
+    z /= math.sqrt(2.0)
+    return z
 
 
 def sample_an(n: int, rng_seed) -> np.ndarray:

@@ -131,3 +131,31 @@ def bob_snr_oracle(
     noise = 10.0 ** (noise_dbm / 10.0)
     amp = math.sqrt(b["l_ab"]) + (math.sqrt(b["l_arb"]) * nr if with_irs else 0.0)
     return alpha * pt * amp ** 2 / noise
+
+
+def complex_normal_two_draws(rng, shape):
+    """Complex normals as two separate real draws joined by complex arithmetic."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+
+def qpsk_ber_scalar(gamma):
+    """Gray-coded QPSK BER, one scalar expression per call, as (2/log2 M) * Q(.)."""
+    if gamma < 0.0:
+        raise ValueError(f"SNR must be non-negative, got {gamma!r}")
+    u = math.sqrt(2.0 * gamma) * math.sin(math.pi / 4)
+    if not math.isfinite(u):
+        raise ValueError(f"Q requires a finite argument, got {u!r}")
+    return (2.0 / math.log2(4)) * (0.5 * math.erfc(u / math.sqrt(2.0)))
+
+
+def mc_mean_ber_per_sample(scenario, signal_mw, leak_row, samples, seed):
+    """Monte-Carlo QPSK BER with one scalar BER call per noise draw.
+
+    ``scenario`` supplies alpha, pt_mw, noise_mw and na.  The draws come
+    from the same seeded stream as the production path, so the two must
+    agree exactly.
+    """
+    draws = complex_normal_two_draws(np.random.default_rng(seed), (samples, scenario.na))
+    an_power = np.abs(draws @ leak_row) ** 2
+    gammas = signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
+    return float(np.mean([qpsk_ber_scalar(g) for g in gammas]))

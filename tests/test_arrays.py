@@ -9,6 +9,7 @@ from dmirs.arrays import (
     ArraySpec,
     assemble_channel,
     cascade_matrix,
+    element_cycles,
     irs_phase_diagonal,
     irs_phase_matrix,
     phase_shift,
@@ -70,6 +71,23 @@ class TestSteeringVector:
     def test_matches_elementwise_oracle(self):
         v = steering_vector(ArraySpec(16, 0.5), 0.6435011087932844)
         np.testing.assert_allclose(v, steering_oracle(16, 0.5, 0.6435011087932844), atol=1e-14)
+
+
+class TestElementCycles:
+    @given(
+        st.integers(min_value=1, max_value=256),
+        st.floats(min_value=1e-3, max_value=2.0),
+        st.floats(min_value=0.0, max_value=math.pi),
+    )
+    def test_same_bits_as_the_per_call_formula(self, n, spacing, phi):
+        want = -spacing * (np.arange(n) - (n - 1) / 2.0) * math.cos(phi)
+        assert np.array_equal(element_cycles(ArraySpec(n, spacing), phi), want)
+
+    def test_result_is_a_fresh_array(self):
+        spec = ArraySpec(5, 0.5)
+        first = element_cycles(spec, 0.0)
+        first[:] = 99.0
+        np.testing.assert_array_equal(element_cycles(spec, 0.0), [1.0, 0.5, 0.0, -0.5, -1.0])
 
 
 class TestCascadeMatrix:

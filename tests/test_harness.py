@@ -5,9 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmirs import cli
+from dmirs import cli, sweeps
 from dmirs.geometry import GeometryError, Position
-from dmirs.scenario import ConfigError, Scenario, parse_config, serialize_config
+from dmirs.scenario import (
+    MAX_MC_SAMPLES,
+    MAX_NA,
+    MAX_NR,
+    ConfigError,
+    Scenario,
+    parse_config,
+    serialize_config,
+)
 from dmirs.secrecy import benchmark_no_irs, probe_setup, secrecy_metrics, sinr_eve
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
 
@@ -77,6 +85,16 @@ class TestParseConfig:
             Scenario(path_loss_combine="mean")
         with pytest.raises(ConfigError, match="an_mode"):
             Scenario(an_mode="typical")
+
+    def test_size_bounds(self):
+        """Validation only: building a Scenario allocates no array of these sizes."""
+        assert (MAX_NA, MAX_NR, MAX_MC_SAMPLES) == (1024, 1_000_000, 10_000)
+        Scenario(na=MAX_NA, nr=MAX_NR, mc_samples=MAX_MC_SAMPLES)
+        for field, limit in (("na", MAX_NA), ("nr", MAX_NR), ("mc_samples", MAX_MC_SAMPLES)):
+            with pytest.raises(ConfigError, match=f"{field} must .*{limit}"):
+                Scenario(**{field: limit + 1})
+        with pytest.raises(ConfigError, match="na must be at most 1024"):
+            parse_config('{"mc_samples": 1000000000000, "na": 10000000}')
 
 
 class TestRunHeatmap:
@@ -360,6 +378,47 @@ class TestCli:
             )
             assert code == 2
             assert "more than 1000000 cells" in capsys.readouterr().err
+
+    def test_size_bounds_exit_2_before_anything_is_evaluated(self, config_file, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("evaluated a scenario over the size bounds")
+
+        monkeypatch.setattr(cli, "secrecy_metrics", must_not_run)
+        monkeypatch.setattr(cli, "run_heatmap", must_not_run)
+        monkeypatch.setattr(sweeps, "secrecy_metrics", must_not_run)
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"na": 10000000}')
+        out = str(tmp_path / "o.csv")
+        runs = [
+            (["metrics", "--config", str(huge)], "na must be at most"),
+            (["sweep-nr", "--config", config_file, "--nr", "1e12:1e12:1", "--pt", "10", "--out", out],
+             "nr must be at most"),
+            (["heatmap", "--config", config_file, "--grid", "3x3", "--mc-samples", "1000000000000",
+              "--out", out], "mc_samples must lie in"),
+        ]
+        for argv, message in runs:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-nr", "sweep-dab"])
+    def test_pt_help_names_both_forms(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--pt PT transmit powers in dBm, start:stop:step or list" in help_text
+
+    def test_negative_probe_coordinate_with_equals_form(self, config_file, tmp_path, capsys):
+        assert cli.main(["metrics", "--config", config_file, "--eve=-5,3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split("=")[0] for l in lines] == [
+            "gamma_b", "gamma_e", "rate_b", "rate_e", "rate_s", "ber_b", "ber_probe"
+        ]
+        moved = tmp_path / "moved.json"
+        moved.write_text('{"eve": [-5, 3]}')
+        assert cli.main(["metrics", "--config", str(moved)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_repeated_calls_reuse_one_parser_and_carry_nothing_over(self, tmp_path, monkeypatch, capsys):
         good = tmp_path / "good.json"

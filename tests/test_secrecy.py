@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import Position, link_budget
@@ -14,6 +16,7 @@ from dmirs.secrecy import (
     cascaded_gain_bruteforce,
     cascaded_gain_closed,
     mc_ber,
+    mc_mean_ber,
     probe_setup,
     rate_bits,
     secrecy_metrics,
@@ -22,7 +25,7 @@ from dmirs.secrecy import (
     snr_bob,
 )
 from dmirs.transmitter import complex_normal
-from oracles import bob_snr_oracle, eve_sinr_oracle, q_via_integration
+from oracles import bob_snr_oracle, eve_sinr_oracle, mc_mean_ber_per_sample, q_via_integration
 
 EVE = Position(30.0, 20.0)
 
@@ -300,3 +303,26 @@ class TestMcBer:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             mc_ber(Scenario(), EVE, 0, 1)
+
+
+@st.composite
+def mc_inputs(draw):
+    na = draw(st.integers(2, 32))
+    scenario = Scenario(na=na, alpha=draw(st.floats(0.0, 1.0)))
+    signal_mw = 10.0 ** draw(st.floats(-9.0, 3.0))
+    part = st.floats(-1.0, 1.0)
+    row = np.array([complex(draw(part), draw(part)) for _ in range(na)]) * 10.0 ** draw(st.floats(-3.0, 1.0))
+    return scenario, signal_mw, row, draw(st.integers(1, 2000)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestMcMeanBer:
+    @settings(max_examples=60, deadline=None)
+    @given(mc_inputs())
+    def test_equals_per_sample_oracle_exactly(self, inputs):
+        assert mc_mean_ber(*inputs) == mc_mean_ber_per_sample(*inputs)
+
+    @pytest.mark.parametrize("signal_mw", [-1e-6, -2.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_signal(self, signal_mw):
+        row = np.full(16, 0.1 + 0.05j)
+        with pytest.raises(ValueError, match="SNR"):
+            mc_mean_ber(Scenario(), signal_mw, row, 10, 1)

@@ -13,6 +13,7 @@ from dmirs.transmitter import (
     sample_an,
     synthesize_tx,
 )
+from oracles import complex_normal_two_draws
 
 
 @pytest.fixture
@@ -77,6 +78,16 @@ class TestAnProjector:
             quad = np.vdot(v, p @ v)
             assert abs(quad.imag) < 1e-12
             assert quad.real >= -1e-12
+
+
+class TestComplexNormal:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1000, 16), (3, 4, 5)])
+    def test_same_bits_as_two_separate_draws(self, shape):
+        for seed in (0, 1, 2**32 - 1):
+            got = complex_normal(np.random.default_rng(seed), shape)
+            want = complex_normal_two_draws(np.random.default_rng(seed), shape)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(float), want.view(float))
 
 
 class TestSampleAn:
