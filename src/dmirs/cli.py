@@ -5,6 +5,8 @@
     dmirs sweep-nr  --config PATH --nr 10:200:10 --pt 10,15 --out PATH
     dmirs sweep-dab --config PATH --dab 10:50:1 --pt 10,15 --out PATH
 
+`python -m dmirs ...` runs the same commands.
+
 A probe with a negative X is written `--eve=-5,3`: argparse reads a
 separate `-5,3` as an option.
 

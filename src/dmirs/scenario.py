@@ -28,6 +28,7 @@ at most (complex values take 16 bytes):
     mc_samples*na complex noise values (156 MiB at na = MAX_NA).
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -83,8 +84,15 @@ class Scenario:
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         for name in ("pt_dbm", "noise_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            try:
+                mw = 10.0 ** (value / 10.0)  # as pt_mw and noise_mw compute it
+            except OverflowError:
+                mw = math.inf
+            if not 0.0 < mw < math.inf:
+                raise ConfigError(f"{name} = {value!r} dBm is not a finite, nonzero power in mW")
         if self.path_loss_combine not in PATH_LOSS_RULES:
             raise ConfigError(
                 f"path_loss_combine must be one of {PATH_LOSS_RULES}, got {self.path_loss_combine!r}"
@@ -105,10 +113,10 @@ class Scenario:
                 raise GeometryError(f"eve and {name} coincide at {self.eve}")
 
     def alice_array(self) -> ArraySpec:
-        return ArraySpec(self.na, self.alice_spacing_wavelengths)
+        return _array_spec(self.na, self.alice_spacing_wavelengths)
 
     def irs_array(self) -> ArraySpec:
-        return ArraySpec(self.nr, self.irs_spacing_wavelengths)
+        return _array_spec(self.nr, self.irs_spacing_wavelengths)
 
     @property
     def pt_mw(self) -> float:
@@ -117,6 +125,16 @@ class Scenario:
     @property
     def noise_mw(self) -> float:
         return 10.0 ** (self.noise_dbm / 10.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _array_spec(n_elements: int, spacing_wavelengths: float) -> ArraySpec:
+    """The (immutable) spec of an array, built once per element count and spacing.
+
+    Every probe evaluation asks its scenario for both arrays; eight entries
+    cover a transmitter and a reflector per scene with room to spare.
+    """
+    return ArraySpec(n_elements, spacing_wavelengths)
 
 
 _INT_FIELDS = {"na", "nr", "seed", "mc_samples"}

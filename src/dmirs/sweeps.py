@@ -5,6 +5,10 @@ immutable inputs, and lists its rows lexicographically by grid index, so
 the output is identical however cells are scheduled.  Randomized cells
 derive their generator seed from (scenario seed, cell index), never from
 shared state.
+
+A result holds one read-only numpy array per column (8 bytes a cell), and
+the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
+Python object per cell.
 """
 
 import json
@@ -30,21 +34,32 @@ from .secrecy import (
 HEATMAP_COLUMNS = ("phi_deg", "theta_deg", "sinr_db", "ber")
 NR_SWEEP_COLUMNS = ("nr", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
+# Rows formatted and written per sink.write call: bounds the writer's
+# working set (a few hundred KiB) whatever the grid size.
+CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered sweep output: named axes, one row dict per grid cell, metadata."""
+    """Ordered sweep output: named axes, metadata, and ``values``, one
+    read-only 1-D array per column, each in grid order."""
 
     axes: dict
     columns: tuple
-    rows: list
+    values: dict
     metadata: dict
 
     def __post_init__(self):
         expected = math.prod(len(v) for v in self.axes.values())
-        if len(self.rows) != expected:
-            raise ValueError(f"row count {len(self.rows)} does not match grid size {expected}")
+        if set(self.values) != set(self.columns):
+            raise ValueError(f"value columns {sorted(self.values)} do not match {self.columns}")
+        for name in self.columns:
+            column = self.values[name]
+            if column.ndim != 1 or len(column) != expected:
+                raise ValueError(
+                    f"column {name} has shape {column.shape}, grid size is {expected}"
+                )
+            column.flags.writeable = False
 
 
 def _metadata(scenario: Scenario, **extra) -> dict:
@@ -75,27 +90,21 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
 
-    rows = []
+    sinr_db = np.empty(n_phi * n_theta)
+    ber = np.empty(n_phi * n_theta)
     index = 0
-    for phi in phi_deg:
-        for theta in theta_deg:
+    for phi in phi_deg.tolist():
+        for theta in theta_deg.tolist():
             cell = LinkBudget(**fixed, phi_ae=math.radians(phi), theta_e=math.radians(theta))
             signal = probe_signal(scenario, cell, precoders)
             leak = an_leak_row(cell, alice, projector)
             gamma = leak_sinr(scenario, signal, leak)
             if mc:
                 seed = np.random.SeedSequence([scenario.seed, index])
-                ber = mc_mean_ber(scenario, signal, leak, scenario.mc_samples, seed)
+                ber[index] = mc_mean_ber(scenario, signal, leak, scenario.mc_samples, seed)
             else:
-                ber = ber_from_snr(gamma, 4)
-            rows.append(
-                {
-                    "phi_deg": phi,
-                    "theta_deg": theta,
-                    "sinr_db": 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf,
-                    "ber": ber,
-                }
-            )
+                ber[index] = ber_from_snr(gamma, 4)
+            sinr_db[index] = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
             index += 1
     meta = _metadata(
         scenario,
@@ -104,7 +113,12 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     return SweepResult(
         axes={"phi_deg": list(phi_deg), "theta_deg": list(theta_deg)},
         columns=HEATMAP_COLUMNS,
-        rows=rows,
+        values={
+            "phi_deg": np.repeat(phi_deg, n_theta),
+            "theta_deg": np.tile(theta_deg, n_phi),
+            "sinr_db": sinr_db,
+            "ber": ber,
+        },
         metadata=meta,
     )
 
@@ -119,24 +133,19 @@ def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:
     pt_values = [float(v) for v in pt_dbm_values]
     if not nr_values or not pt_values:
         raise ValueError("nr and pt sweeps need at least one value each")
-    rows = []
-    for nr in nr_values:
-        for pt in pt_values:
-            sc = replace(scenario, nr=nr, pt_dbm=pt)
-            proposed = secrecy_metrics(sc, sc.eve, "expected")
-            benchmark = benchmark_no_irs(sc, sc.eve, "expected")
-            rows.append(
-                {
-                    "nr": nr,
-                    "pt_dbm": pt,
-                    "rs_proposed_bits": proposed.rate_s,
-                    "rs_benchmark_bits": benchmark.rate_s,
-                }
-            )
+    proposed, benchmark = _rate_columns(
+        replace(scenario, nr=nr, pt_dbm=pt) for nr in nr_values for pt in pt_values
+    )
     return SweepResult(
         axes={"nr": nr_values, "pt_dbm": pt_values},
         columns=NR_SWEEP_COLUMNS,
-        rows=rows,
+        values={
+            # built after the rates: a scenario rejects an out-of-range nr first
+            "nr": np.repeat(np.array(nr_values, dtype=np.int64), len(pt_values)),
+            "pt_dbm": np.tile(np.array(pt_values), len(nr_values)),
+            "rs_proposed_bits": proposed,
+            "rs_benchmark_bits": benchmark,
+        },
         metadata=_metadata(scenario),
     )
 
@@ -157,33 +166,35 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
     baseline = link_budget(scenario, scenario.bob)
     ux = (scenario.bob.x - scenario.alice.x) / baseline.d_ab
     uy = (scenario.bob.y - scenario.alice.y) / baseline.d_ab
-    rows = []
-    for dab in dab_values:
-        bob = Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy)
-        for pt in pt_values:
-            sc = replace(scenario, bob=bob, pt_dbm=pt)
-            proposed = secrecy_metrics(sc, sc.eve, "expected")
-            benchmark = benchmark_no_irs(sc, sc.eve, "expected")
-            rows.append(
-                {
-                    "dab_m": dab,
-                    "pt_dbm": pt,
-                    "rs_proposed_bits": proposed.rate_s,
-                    "rs_benchmark_bits": benchmark.rate_s,
-                }
-            )
+    proposed, benchmark = _rate_columns(
+        replace(
+            scenario,
+            bob=Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy),
+            pt_dbm=pt,
+        )
+        for dab in dab_values
+        for pt in pt_values
+    )
     return SweepResult(
         axes={"dab_m": dab_values, "pt_dbm": pt_values},
         columns=DAB_SWEEP_COLUMNS,
-        rows=rows,
+        values={
+            "dab_m": np.repeat(np.array(dab_values), len(pt_values)),
+            "pt_dbm": np.tile(np.array(pt_values), len(dab_values)),
+            "rs_proposed_bits": proposed,
+            "rs_benchmark_bits": benchmark,
+        },
         metadata=_metadata(scenario),
     )
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return format(float(value), ".9g")
+def _rate_columns(scenarios):
+    """Proposed and no-IRS secrecy rates at each scenario's eavesdropper, as two arrays."""
+    proposed, benchmark = [], []
+    for sc in scenarios:
+        proposed.append(secrecy_metrics(sc, sc.eve, "expected").rate_s)
+        benchmark.append(benchmark_no_irs(sc, sc.eve, "expected").rate_s)
+    return np.array(proposed), np.array(benchmark)
 
 
 def write_csv(result: SweepResult, sink) -> int:
@@ -191,7 +202,8 @@ def write_csv(result: SweepResult, sink) -> int:
 
     A '#'-prefixed preamble echoes the scenario, seed, and artifact version
     so a result file is self-describing; identical inputs produce
-    byte-identical files.
+    byte-identical files.  Integer columns print as integers, the rest with
+    nine significant digits ("%.9g", the same text as format(x, ".9g")).
     """
     lines = []
     meta = result.metadata
@@ -204,8 +216,17 @@ def write_csv(result: SweepResult, sink) -> int:
     if "scenario" in meta:
         lines.append(f"# scenario = {json.dumps(meta['scenario'], sort_keys=True)}")
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_value(row[c]) for c in result.columns))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    sink.write(payload)
-    return len(payload)
+    head = ("\n".join(lines) + "\n").encode("utf-8")
+    sink.write(head)
+    written = len(head)
+
+    columns = [result.values[c] for c in result.columns]
+    row_format = ",".join(
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.9g" for c in columns
+    ) + "\n"
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        rows = zip(*(c[start : start + CSV_CHUNK_ROWS].tolist() for c in columns))
+        payload = "".join([row_format % row for row in rows]).encode("utf-8")
+        sink.write(payload)
+        written += len(payload)
+    return written

@@ -16,6 +16,8 @@ import numpy as np
 from .arrays import ArraySpec, steering_vector
 from .geometry import LinkBudget
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class Precoders:
@@ -70,12 +72,14 @@ def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples, unit variance per entry.
 
     Real parts are the generator's first prod(shape) normals, imaginary
-    parts the next prod(shape); one draw of both fills them in that order.
+    parts the next prod(shape).  Each half is scaled straight into the
+    result; the product by _INV_SQRT2 has the same bits as dividing the
+    complex value by sqrt(2), which numpy does by multiplying with the
+    reciprocal.
     """
-    re_im = rng.standard_normal((2, *shape))
     z = np.empty(shape, dtype=complex)
-    z.real, z.imag = re_im
-    z /= math.sqrt(2.0)
+    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=z.real)
+    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=z.imag)
     return z
 
 

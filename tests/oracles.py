@@ -5,6 +5,7 @@ quantity from first principles (numeric integration, naive loops, explicit
 per-symbol formulas) so test expectations are not circular.
 """
 
+import json
 import math
 
 import numpy as np
@@ -159,3 +160,40 @@ def mc_mean_ber_per_sample(scenario, signal_mw, leak_row, samples, seed):
     an_power = np.abs(draws @ leak_row) ** 2
     gammas = signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
     return float(np.mean([qpsk_ber_scalar(g) for g in gammas]))
+
+
+def result_rows(result):
+    """A sweep result as one {column: value} dict per grid cell, in grid order."""
+    columns = [result.values[c].tolist() for c in result.columns]
+    return [dict(zip(result.columns, row)) for row in zip(*columns)]
+
+
+def _format_value(value) -> str:
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return str(int(value))
+    return format(float(value), ".9g")
+
+
+def write_csv_per_row(result, sink) -> int:
+    """The CSV writer formatting one value at a time and writing one payload.
+
+    Preamble as the production writer's; every row is joined from
+    per-value format calls, and the whole file is built in memory.
+    """
+    lines = []
+    meta = result.metadata
+    lines.append(f"# {meta.get('artifact', 'dmirs')}")
+    lines.append(f"# seed = {meta.get('seed')}")
+    for key in sorted(meta):
+        if key in ("artifact", "seed", "scenario"):
+            continue
+        lines.append(f"# {key} = {meta[key]}")
+    if "scenario" in meta:
+        lines.append(f"# scenario = {json.dumps(meta['scenario'], sort_keys=True)}")
+    lines.append(",".join(result.columns))
+    n_rows = len(result.values[result.columns[0]])
+    for i in range(n_rows):
+        lines.append(",".join(_format_value(result.values[c][i]) for c in result.columns))
+    payload = ("\n".join(lines) + "\n").encode("utf-8")
+    sink.write(payload)
+    return len(payload)

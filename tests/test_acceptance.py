@@ -114,8 +114,8 @@ def full_heatmap():
     start = time.perf_counter()
     result = run_heatmap(Scenario(), grid=(181, 181))
     elapsed = time.perf_counter() - start
-    sinr = np.array([r["sinr_db"] for r in result.rows]).reshape(181, 181)
-    ber = np.array([r["ber"] for r in result.rows]).reshape(181, 181)
+    sinr = result.values["sinr_db"].reshape(181, 181)
+    ber = result.values["ber"].reshape(181, 181)
     return sinr, ber, elapsed
 
 
@@ -201,7 +201,7 @@ def test_beam_band_check_fails_without_artificial_noise():
     # with all power on the symbol, nothing masks the sidelobes
     scenario = Scenario(alpha=1.0)
     result = run_heatmap(scenario, grid=(61, 61))
-    ber = np.array([r["ber"] for r in result.rows]).reshape(61, 61)
+    ber = result.values["ber"].reshape(61, 61)
     assert _low_ber_outside_bands(scenario, ber).sum() > 0
 
 
@@ -209,8 +209,8 @@ def test_secrecy_rate_scaling_with_elements():
     with criterion("secrecy rate grows with element count; benchmark flat", budget_seconds=5.0):
         for pt in (10.0, 15.0):
             result = run_sweep_nr(Scenario(), list(range(10, 201, 10)), [pt])
-            proposed = [r["rs_proposed_bits"] for r in result.rows]
-            benchmark = [r["rs_benchmark_bits"] for r in result.rows]
+            proposed = result.values["rs_proposed_bits"].tolist()
+            benchmark = result.values["rs_benchmark_bits"].tolist()
             assert all(a < b for a, b in zip(proposed, proposed[1:]))
             assert all(b == benchmark[0] for b in benchmark)
             gaps = [p - b for p, b in zip(proposed, benchmark)]
@@ -228,8 +228,8 @@ def test_secrecy_rate_vs_distance():
         gaps_at_50 = {}
         for pt in (10.0, 15.0):
             result = run_sweep_dab(scenario, distances, [pt])
-            proposed = [r["rs_proposed_bits"] for r in result.rows]
-            benchmark = [r["rs_benchmark_bits"] for r in result.rows]
+            proposed = result.values["rs_proposed_bits"].tolist()
+            benchmark = result.values["rs_benchmark_bits"].tolist()
             assert all(a > b for a, b in zip(proposed, proposed[1:]))
             assert all(a > b for a, b in zip(benchmark, benchmark[1:]))
             assert all(p >= b for p, b in zip(proposed, benchmark))

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dmirs import cli, sweeps
+from dmirs import scenario as scenario_module
+from dmirs.arrays import ArraySpec
 from dmirs.geometry import GeometryError, Position
 from dmirs.scenario import (
     MAX_MC_SAMPLES,
@@ -18,6 +24,7 @@ from dmirs.scenario import (
 )
 from dmirs.secrecy import benchmark_no_irs, probe_setup, secrecy_metrics, sinr_eve
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
+from oracles import result_rows
 
 
 class TestParseConfig:
@@ -86,6 +93,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="an_mode"):
             Scenario(an_mode="typical")
 
+    @pytest.mark.parametrize(
+        "field, value", [("pt_dbm", 5000.0), ("pt_dbm", 3083.0), ("noise_dbm", -5000.0), ("noise_dbm", -3300.0)]
+    )
+    def test_power_level_must_be_a_finite_nonzero_mw_value(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} = {value!r} dBm is not a finite, nonzero power"):
+            Scenario(**{field: value})
+        edge = 3080.0 if field == "pt_dbm" else -3230.0
+        mw = getattr(Scenario(**{field: edge}), field.replace("dbm", "mw"))
+        assert 0.0 < mw < math.inf
+
     def test_size_bounds(self):
         """Validation only: building a Scenario allocates no array of these sizes."""
         assert (MAX_NA, MAX_NR, MAX_MC_SAMPLES) == (1024, 1_000_000, 10_000)
@@ -100,21 +117,21 @@ class TestParseConfig:
 class TestRunHeatmap:
     def test_row_count_and_lexicographic_order(self):
         result = run_heatmap(Scenario(), grid=(7, 5))
-        assert len(result.rows) == 35
-        coords = [(r["phi_deg"], r["theta_deg"]) for r in result.rows]
+        assert all(len(result.values[c]) == 35 for c in result.columns)
+        coords = list(zip(result.values["phi_deg"], result.values["theta_deg"]))
         assert coords == sorted(coords)
         assert result.columns == ("phi_deg", "theta_deg", "sinr_db", "ber")
 
     def test_minimum_sits_at_receiver_cell_on_coarse_grid(self):
         result = run_heatmap(Scenario(), grid=(19, 19))  # includes 0 and 90 degrees
-        best = max(result.rows, key=lambda r: r["sinr_db"])
+        best = max(result_rows(result), key=lambda r: r["sinr_db"])
         assert (best["phi_deg"], best["theta_deg"]) == (0.0, 90.0)
 
     def test_cells_match_probe_sinr_route(self):
         scenario = Scenario()
         result = run_heatmap(scenario, grid=(7, 7))
         bob_budget, _, precoders, projector = probe_setup(scenario, scenario.bob)
-        for row in result.rows[::5]:
+        for row in result_rows(result)[::5]:
             cell = replace(
                 bob_budget,
                 phi_ae=math.radians(row["phi_deg"]),
@@ -127,7 +144,7 @@ class TestRunHeatmap:
         result = run_heatmap(Scenario(), grid=(19, 19))
         off = [
             r["ber"]
-            for r in result.rows
+            for r in result_rows(result)
             if r["phi_deg"] > 10.0 and abs(r["theta_deg"] - 90.0) > 10.0
             and r["phi_deg"] < 170.0
         ]
@@ -137,21 +154,36 @@ class TestRunHeatmap:
         scenario = Scenario(an_mode="instantaneous", mc_samples=50, seed=3)
         a = run_heatmap(scenario, grid=(4, 4))
         b = run_heatmap(scenario, grid=(4, 4))
-        assert a.rows == b.rows
+        assert result_rows(a) == result_rows(b)
         c = run_heatmap(replace(scenario, seed=4), grid=(4, 4))
-        assert a.rows != c.rows
+        assert result_rows(a) != result_rows(c)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             run_heatmap(Scenario(), grid=(1, 5))
 
+    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
+    def test_array_specs_are_built_once_per_run_not_per_cell(self, an_mode, monkeypatch):
+        built = []
+        post_init = ArraySpec.__post_init__
+        monkeypatch.setattr(ArraySpec, "__post_init__", lambda spec: built.append(1) or post_init(spec))
+        scenario = Scenario(an_mode=an_mode, mc_samples=5)
+        counts = []
+        for grid in ((2, 2), (6, 7)):
+            scenario_module._array_spec.cache_clear()
+            built.clear()
+            run_heatmap(scenario, grid=grid)
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 2
+
 
 class TestRunSweepNr:
     def test_shape_and_columns(self):
         result = run_sweep_nr(Scenario(), [10, 20], [10.0, 15.0])
-        assert len(result.rows) == 4
+        assert all(len(result.values[c]) == 4 for c in result.columns)
         assert result.columns == ("nr", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
-        assert [(r["nr"], r["pt_dbm"]) for r in result.rows] == [
+        assert result.values["nr"].dtype.kind == "i"
+        assert [(r["nr"], r["pt_dbm"]) for r in result_rows(result)] == [
             (10, 10.0), (10, 15.0), (20, 10.0), (20, 15.0)
         ]
 
@@ -159,13 +191,13 @@ class TestRunSweepNr:
         scenario = Scenario()
         result = run_sweep_nr(scenario, [30], [12.0])
         sc = replace(scenario, nr=30, pt_dbm=12.0)
-        assert result.rows[0]["rs_proposed_bits"] == secrecy_metrics(sc, sc.eve).rate_s
-        assert result.rows[0]["rs_benchmark_bits"] == benchmark_no_irs(sc, sc.eve).rate_s
+        assert result.values["rs_proposed_bits"][0] == secrecy_metrics(sc, sc.eve).rate_s
+        assert result.values["rs_benchmark_bits"][0] == benchmark_no_irs(sc, sc.eve).rate_s
 
     def test_proposed_grows_benchmark_constant(self):
         result = run_sweep_nr(Scenario(), [10, 50, 100, 200], [10.0])
-        proposed = [r["rs_proposed_bits"] for r in result.rows]
-        benchmark = [r["rs_benchmark_bits"] for r in result.rows]
+        proposed = result.values["rs_proposed_bits"].tolist()
+        benchmark = result.values["rs_benchmark_bits"].tolist()
         assert all(a < b for a, b in zip(proposed, proposed[1:]))
         assert len(set(benchmark)) == 1
 
@@ -177,25 +209,25 @@ class TestRunSweepNr:
 class TestRunSweepDab:
     def test_example_grid_size(self):
         result = run_sweep_dab(Scenario(), list(range(10, 51, 5)), [10.0, 15.0])
-        assert len(result.rows) == 18
+        assert all(len(result.values[c]) == 18 for c in result.columns)
 
     def test_receiver_moves_along_the_original_ray(self):
         scenario = Scenario()
         result = run_sweep_dab(scenario, [35.0], [25.0])
         moved = replace(scenario, bob=Position(35.0, 0.0))
-        assert result.rows[0]["rs_proposed_bits"] == secrecy_metrics(moved, moved.eve).rate_s
+        assert result.values["rs_proposed_bits"][0] == secrecy_metrics(moved, moved.eve).rate_s
 
     def test_decreasing_under_product_combine_rule(self):
         scenario = Scenario(path_loss_combine="product")
         result = run_sweep_dab(scenario, list(range(10, 51, 5)), [10.0])
-        values = [r["rs_proposed_bits"] for r in result.rows]
+        values = result.values["rs_proposed_bits"].tolist()
         assert all(a > b for a, b in zip(values, values[1:]))
-        bench = [r["rs_benchmark_bits"] for r in result.rows]
+        bench = result.values["rs_benchmark_bits"].tolist()
         assert all(a > b for a, b in zip(bench, bench[1:]))
 
     def test_proposed_at_least_benchmark(self):
         result = run_sweep_dab(Scenario(), [10.0, 25.0, 40.0], [10.0, 15.0])
-        assert all(r["rs_proposed_bits"] >= r["rs_benchmark_bits"] for r in result.rows)
+        assert all(result.values["rs_proposed_bits"] >= result.values["rs_benchmark_bits"])
 
     def test_rejects_non_positive_distance(self):
         with pytest.raises(ValueError):
@@ -234,7 +266,7 @@ class TestWriteCsv:
             write_csv(result, fh)
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         rs_proposed = body[1].split(",")[2]
-        assert rs_proposed == format(result.rows[0]["rs_proposed_bits"], ".9g")
+        assert rs_proposed == format(result.values["rs_proposed_bits"][0], ".9g")
         assert len(rs_proposed.replace(".", "").replace("-", "").lstrip("0")) <= 9
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -419,6 +451,33 @@ class TestCli:
         moved.write_text('{"eve": [-5, 3]}')
         assert cli.main(["metrics", "--config", str(moved)]) == 0
         assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("config", ['{"pt_dbm": 5000}', '{"noise_dbm": -5000}'])
+    def test_power_level_out_of_float_range_exits_2_with_one_line(self, tmp_path, capsys, config):
+        path = tmp_path / "power.json"
+        path.write_text(config)
+        assert cli.main(["metrics", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dmirs: error: ") and "dBm is not a finite, nonzero power" in err
+        assert err.count("\n") == 1
+
+    def test_sweep_power_out_of_float_range_exits_2(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["sweep-nr", "--config", config_file, "--nr", "10", "--pt", "5000", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "pt_dbm = 5000.0 dBm is not a finite, nonzero power" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_python_dash_m_runs_the_cli(self, config_file):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmirs", "metrics", "--config", config_file],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("gamma_b=") and proc.stderr == ""
 
     def test_repeated_calls_reuse_one_parser_and_carry_nothing_over(self, tmp_path, monkeypatch, capsys):
         good = tmp_path / "good.json"

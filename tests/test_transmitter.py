@@ -89,6 +89,12 @@ class TestComplexNormal:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got.view(float), want.view(float))
 
+    def test_same_bits_on_many_seeds_at_heatmap_cell_size(self):
+        for seed in range(200):
+            got = complex_normal(np.random.default_rng(seed), (1000, 16))
+            want = complex_normal_two_draws(np.random.default_rng(seed), (1000, 16))
+            assert np.array_equal(got.view(float), want.view(float)), seed
+
 
 class TestSampleAn:
     def test_deterministic_per_seed(self):
