@@ -4,58 +4,48 @@ secrecy rates from scene geometry, plus CSV experiment sweeps."""
 
 __version__ = "0.1.0"
 
-from .arrays import ArraySpec, ChannelRow
+from .arrays import ArraySpec
 from .geometry import GeometryError, LinkBudget, Position, link_budget
-from .numerics import PowerLevel, dbm_to_mw, mw_to_dbm, q_function
+from .numerics import dbm_to_mw, q_function
 from .scenario import ConfigError, Scenario, parse_config, serialize_config
 from .secrecy import (
     SecrecyMetrics,
     ber_from_snr,
     benchmark_no_irs,
-    cascaded_gain_bruteforce,
     cascaded_gain_closed,
-    mc_ber,
     secrecy_metrics,
     sinr_eve,
     snr_bob,
 )
 from .sweeps import SweepResult, run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from .transmitter import AnProjector, Precoders, TxSignal, an_projector, make_precoders, sample_an, synthesize_tx
+from .transmitter import AnProjector, Precoders, an_projector, make_precoders
 
 __all__ = [
     "ArraySpec",
     "AnProjector",
-    "ChannelRow",
     "ConfigError",
     "GeometryError",
     "LinkBudget",
     "Position",
-    "PowerLevel",
     "Precoders",
     "Scenario",
     "SecrecyMetrics",
     "SweepResult",
-    "TxSignal",
     "an_projector",
     "ber_from_snr",
     "benchmark_no_irs",
-    "cascaded_gain_bruteforce",
     "cascaded_gain_closed",
     "dbm_to_mw",
     "link_budget",
     "make_precoders",
-    "mc_ber",
-    "mw_to_dbm",
     "parse_config",
     "q_function",
     "run_heatmap",
     "run_sweep_dab",
     "run_sweep_nr",
-    "sample_an",
     "secrecy_metrics",
     "serialize_config",
     "sinr_eve",
     "snr_bob",
-    "synthesize_tx",
     "write_csv",
 ]

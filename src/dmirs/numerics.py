@@ -1,13 +1,9 @@
-"""Scalar special functions, dB unit conversions, and small complex-array helpers.
+"""Scalar special functions: the normal tail probability and dBm to mW.
 
-Everything here is pure and operates on plain floats or numpy arrays; the
-rest of the library builds channel vectors and matrices on top of these.
+Both are pure functions of plain floats.
 """
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -24,50 +20,11 @@ def q_function(u: float) -> float:
 
 
 def dbm_to_mw(dbm: float) -> float:
-    """Convert a dBm power level to linear milliwatts."""
+    """Convert a dBm power level to linear milliwatts.
+
+    Raises OverflowError when the result exceeds the float range (above
+    about 3082 dBm).
+    """
     if not math.isfinite(dbm):
         raise ValueError(f"dbm_to_mw requires a finite argument, got {dbm!r}")
     return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    """Convert linear milliwatts to dBm."""
-    if not (math.isfinite(mw) and mw > 0.0):
-        raise ValueError(f"mw_to_dbm requires a positive finite argument, got {mw!r}")
-    return 10.0 * math.log10(mw)
-
-
-@dataclass(frozen=True)
-class PowerLevel:
-    """A power value carried in both dBm and linear milliwatts."""
-
-    dbm: float
-    mw: float
-
-    @classmethod
-    def from_dbm(cls, dbm: float) -> "PowerLevel":
-        return cls(dbm=dbm, mw=dbm_to_mw(dbm))
-
-    @classmethod
-    def from_mw(cls, mw: float) -> "PowerLevel":
-        return cls(dbm=mw_to_dbm(mw), mw=mw)
-
-
-def inner(v: np.ndarray, w: np.ndarray) -> complex:
-    """Hermitian inner product; the first argument is conjugated."""
-    return complex(np.vdot(v, w))
-
-
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector, or Frobenius norm of a matrix."""
-    return float(np.linalg.norm(v))
-
-
-def hermitian(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense matrix-vector product."""
-    return np.asarray(m) @ np.asarray(v)

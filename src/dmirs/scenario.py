@@ -35,6 +35,7 @@ from dataclasses import dataclass, fields
 
 from .arrays import ArraySpec
 from .geometry import PATH_LOSS_RULES, GeometryError, Position
+from .numerics import dbm_to_mw
 from .secrecy import AN_MODES
 
 
@@ -88,7 +89,7 @@ class Scenario:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
             try:
-                mw = 10.0 ** (value / 10.0)  # as pt_mw and noise_mw compute it
+                mw = dbm_to_mw(value)
             except OverflowError:
                 mw = math.inf
             if not 0.0 < mw < math.inf:
@@ -120,11 +121,11 @@ class Scenario:
 
     @property
     def pt_mw(self) -> float:
-        return 10.0 ** (self.pt_dbm / 10.0)
+        return dbm_to_mw(self.pt_dbm)
 
     @property
     def noise_mw(self) -> float:
-        return 10.0 ** (self.noise_dbm / 10.0)
+        return dbm_to_mw(self.noise_dbm)
 
 
 @functools.lru_cache(maxsize=8)

@@ -18,18 +18,20 @@ noise draw (``instantaneous`` mode).  Rates are log2(1+gamma) bits per
 channel use and the secrecy rate is the clamped difference.
 """
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArraySpec, element_cycles, irs_phase_diagonal, steering_vector
+from .arrays import ArraySpec, irs_phase_diagonal, steering_vector
 from .geometry import LinkBudget, link_budget
 from .numerics import q_function
 from .transmitter import AnProjector, Precoders, an_projector, complex_normal, make_precoders
 
 AN_MODES = ("expected", "instantaneous")
+# ber_from_snr doubles the SNR, so half the float range is the largest it takes
+MAX_SNR = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True)
@@ -43,31 +45,6 @@ class SecrecyMetrics:
     rate_s: float
     ber_b: float
     ber_probe: float
-
-
-def cascaded_gain_bruteforce(
-    theta_e: float, theta_b: float, alice: ArraySpec, irs: ArraySpec, phi_ar: float
-) -> complex:
-    """Reflect-path gain as the literal double sum over transmit and IRS elements.
-
-    Sums exp(2j*pi*(psi1 + psi2)) over every (antenna k, element l) pair and
-    divides by the antenna count.  psi1 is the transmit-side cycle difference
-    at the IRS departure angle, identically zero because the IRS beam is
-    matched to that angle; psi2 is the negated element cycle difference
-    applied by the IRS phase matrix.  Kept deliberately naive: this is the
-    oracle the closed form is checked against.
-    """
-    n_a = alice.n_elements
-    cyc_ar = element_cycles(alice, phi_ar)
-    cyc_e = element_cycles(irs, theta_e)
-    cyc_b = element_cycles(irs, theta_b)
-    total = 0.0 + 0.0j
-    for k in range(n_a):
-        psi1 = cyc_ar[k] - cyc_ar[k]
-        for l in range(irs.n_elements):
-            psi2 = -(cyc_e[l] - cyc_b[l])
-            total += cmath.exp(2j * math.pi * (psi1 + psi2))
-    return total / n_a
 
 
 def cascaded_gain_closed(
@@ -103,16 +80,24 @@ def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
     return max(0.0, rate_bits(gamma_b) - rate_bits(gamma_e))
 
 
-def ber_from_snr(gamma: float, m: int = 4) -> float:
-    """Bit error rate of Gray-coded M-PSK at linear SNR ``gamma``.
+def ber_from_snr(gamma: float) -> float:
+    """Bit error rate of Gray-coded QPSK at linear SNR ``gamma``, Q(sqrt(gamma)).
 
-    (2/log2(M)) * Q(sqrt(2*gamma) * sin(pi/M)); at M=4 this is Q(sqrt(gamma)).
+    Evaluated as the M-PSK form (2/log2(M)) * Q(sqrt(2*gamma) * sin(pi/M))
+    at M = 4, whose leading factor is exactly 1.
     """
     if gamma < 0.0:
         raise ValueError(f"SNR must be non-negative, got {gamma!r}")
-    if m < 2 or (m & (m - 1)) != 0:
-        raise ValueError(f"constellation order must be a power of two >= 2, got {m}")
-    return (2.0 / math.log2(m)) * q_function(math.sqrt(2.0 * gamma) * math.sin(math.pi / m))
+    return q_function(math.sqrt(2.0 * gamma) * math.sin(math.pi / 4))
+
+
+def check_snr(scenario, *gammas) -> None:
+    """Reject SNRs beyond MAX_SNR, naming the power levels that produced them."""
+    if not all(g <= MAX_SNR for g in gammas):
+        raise ValueError(
+            f"pt_dbm = {scenario.pt_dbm!r} and noise_dbm = {scenario.noise_dbm!r} give an SNR "
+            "too large to evaluate; lower pt_dbm or raise noise_dbm"
+        )
 
 
 def snr_bob(scenario, budget: LinkBudget) -> float:
@@ -196,15 +181,16 @@ def probe_setup(scenario, probe):
     return bob_budget, probe_budget, precoders, projector
 
 
-def _metrics_from_gammas(gamma_b: float, gamma_e: float) -> SecrecyMetrics:
+def _metrics_from_gammas(scenario, gamma_b: float, gamma_e: float) -> SecrecyMetrics:
+    check_snr(scenario, gamma_b, gamma_e)
     return SecrecyMetrics(
         gamma_b=gamma_b,
         gamma_e=gamma_e,
         rate_b=rate_bits(gamma_b),
         rate_e=rate_bits(gamma_e),
         rate_s=secrecy_rate(gamma_b, gamma_e),
-        ber_b=ber_from_snr(gamma_b, 4),
-        ber_probe=ber_from_snr(gamma_e, 4),
+        ber_b=ber_from_snr(gamma_b),
+        ber_probe=ber_from_snr(gamma_e),
     )
 
 
@@ -224,7 +210,7 @@ def secrecy_metrics(scenario, probe, an_mode: str = "expected", z=None) -> Secre
     z = _resolve_an_draw(scenario, an_mode, z)
     gamma_b = snr_bob(scenario, bob_budget)
     gamma_e = sinr_eve(scenario, probe_budget, precoders, projector, an_mode, z)
-    return _metrics_from_gammas(gamma_b, gamma_e)
+    return _metrics_from_gammas(scenario, gamma_b, gamma_e)
 
 
 def benchmark_no_irs(scenario, probe, an_mode: str = "expected", z=None) -> SecrecyMetrics:
@@ -240,7 +226,7 @@ def benchmark_no_irs(scenario, probe, an_mode: str = "expected", z=None) -> Secr
     gamma_e = sinr_eve(
         scenario, probe_budget, precoders, projector, an_mode, z, include_irs=False
     )
-    return _metrics_from_gammas(gamma_b, gamma_e)
+    return _metrics_from_gammas(scenario, gamma_b, gamma_e)
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, samples: int, seed) -> float:
@@ -257,15 +243,7 @@ def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, samples: int, 
     bad = ~(np.isfinite(gammas) & (gammas >= 0.0))
     if bad.any():
         raise ValueError(f"SNR must be non-negative and finite, got {float(gammas[bad][0])!r}")
-    # ber_from_snr(g, 4) bit for bit: its factor 2/log2(4) is exactly 1 and
-    # sqrt is correctly rounded, so only the per-sample Q calls stay scalar.
+    # ber_from_snr(g) bit for bit: the same expression, and sqrt is correctly
+    # rounded, so only the per-sample Q calls stay scalar.
     u = np.sqrt(2.0 * gammas) * math.sin(math.pi / 4)
     return float(np.fromiter(map(q_function, u.tolist()), float, samples).mean())
-
-
-def mc_ber(scenario, probe, samples: int, seed) -> float:
-    """Monte-Carlo QPSK BER at a probe position under per-draw artificial noise."""
-    _, probe_budget, precoders, projector = probe_setup(scenario, probe)
-    signal = probe_signal(scenario, probe_budget, precoders)
-    row = an_leak_row(probe_budget, scenario.alice_array(), projector)
-    return mc_mean_ber(scenario, signal, row, samples, seed)

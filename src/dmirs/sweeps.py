@@ -24,11 +24,13 @@ from .secrecy import (
     an_leak_row,
     ber_from_snr,
     benchmark_no_irs,
+    check_snr,
     leak_sinr,
     mc_mean_ber,
     probe_setup,
     probe_signal,
     secrecy_metrics,
+    snr_bob,
 )
 
 HEATMAP_COLUMNS = ("phi_deg", "theta_deg", "sinr_db", "ber")
@@ -86,6 +88,8 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
     bob_budget, _, precoders, projector = probe_setup(scenario, scenario.bob)
+    # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
+    check_snr(scenario, snr_bob(scenario, bob_budget))
     fixed = {k: v for k, v in vars(bob_budget).items() if k not in ("phi_ae", "theta_e")}
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
@@ -103,7 +107,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
                 seed = np.random.SeedSequence([scenario.seed, index])
                 ber[index] = mc_mean_ber(scenario, signal, leak, scenario.mc_samples, seed)
             else:
-                ber[index] = ber_from_snr(gamma, 4)
+                ber[index] = ber_from_snr(gamma)
             sinr_db[index] = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
             index += 1
     meta = _metadata(

@@ -1,11 +1,13 @@
-"""Transmit-side construction: beamformers, the noise projector, and signals.
+"""Transmit-side construction: beamformers, the noise projector, and noise draws.
 
 The transmitter runs two beams carrying the same unit-power symbol: one
 steered straight at the intended receiver, one steered at the IRS.  On top
 of the direct beam it radiates artificial noise projected into the
 orthogonal complement of the direct-path steering vector, so the noise can
 never reach the intended receiver's direct path while degrading every other
-direction.
+direction.  The direct beam carries sqrt(alpha) of the symbol plus
+sqrt(1-alpha) of the projected noise; the IRS beam carries sqrt(alpha) of
+the symbol only.
 """
 
 import math
@@ -32,15 +34,6 @@ class AnProjector:
     """Artificial-noise shaping matrix, unit Frobenius norm, annihilates the direct path."""
 
     matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class TxSignal:
-    """One composite transmit snapshot for the two beams."""
-
-    x_a: np.ndarray
-    x_r: np.ndarray
-    alpha: float
 
 
 def make_precoders(budget: LinkBudget, alice: ArraySpec) -> Precoders:
@@ -81,32 +74,3 @@ def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=z.real)
     np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=z.imag)
     return z
-
-
-def sample_an(n: int, rng_seed) -> np.ndarray:
-    """Draw one artificial-noise vector of ``n`` entries, reproducible per seed."""
-    if n < 1:
-        raise ValueError(f"sample count must be at least 1, got {n}")
-    return complex_normal(np.random.default_rng(rng_seed), (n,))
-
-
-def synthesize_tx(
-    precoders: Precoders,
-    projector: AnProjector,
-    s: complex,
-    z: np.ndarray,
-    alpha: float,
-) -> TxSignal:
-    """Compose the two transmit vectors for symbol ``s`` and noise draw ``z``.
-
-    The direct beam carries sqrt(alpha) of the symbol plus sqrt(1-alpha) of
-    the projected noise; the IRS beam carries sqrt(alpha) of the symbol only.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"power split alpha must lie in [0, 1], got {alpha!r}")
-    return TxSignal(
-        x_a=math.sqrt(alpha) * precoders.w_a * s
-        + math.sqrt(1.0 - alpha) * (projector.matrix @ z),
-        x_r=math.sqrt(alpha) * precoders.w_r * s,
-        alpha=alpha,
-    )

@@ -5,6 +5,7 @@ quantity from first principles (numeric integration, naive loops, explicit
 per-symbol formulas) so test expectations are not circular.
 """
 
+import cmath
 import json
 import math
 
@@ -38,6 +39,73 @@ def steering_oracle(n, spacing, phi):
         cycles = -spacing * (k - (n - 1) / 2.0) * math.cos(phi)
         out.append(complex(math.cos(-2.0 * math.pi * cycles), math.sin(-2.0 * math.pi * cycles)))
     return np.array(out) / math.sqrt(n)
+
+
+def cascade_matrix(na, nr, spacing, phi_ar):
+    """Rank-one transmitter-to-IRS matrix: all-ones IRS receive vector times
+    the Hermitian steering row toward the IRS."""
+    return np.outer(np.ones(nr), steering_oracle(na, spacing, phi_ar).conj())
+
+
+def irs_phase_matrix(nr, spacing, theta, theta_b):
+    """Diagonal IRS phase matrix deflecting toward ``theta`` when tuned to ``theta_b``."""
+    cyc = lambda th: -spacing * (np.arange(nr) - (nr - 1) / 2.0) * math.cos(th)
+    return np.diag(np.exp(-2j * math.pi * (cyc(theta) - cyc(theta_b))))
+
+
+def channel_rows(budget, na, nr, deflection, spacing=0.5):
+    """Direct and reflect channel rows of a probe, by dense matrix products.
+
+    ``budget`` supplies phi_ae, phi_ar, theta_b, l_ae and l_are.  The direct
+    row is sqrt(l_ae) times the Hermitian steering row at the probe's
+    departure angle; the reflect row is sqrt(l_are) times the all-ones IRS
+    row through the phase matrix at ``deflection`` and the cascade matrix.
+    """
+    direct = math.sqrt(budget.l_ae) * steering_oracle(na, spacing, budget.phi_ae).conj()
+    reflect = math.sqrt(budget.l_are) * (
+        np.ones(nr)
+        @ irs_phase_matrix(nr, spacing, deflection, budget.theta_b)
+        @ cascade_matrix(na, nr, spacing, budget.phi_ar)
+    )
+    return direct, reflect
+
+
+def cascaded_gain_bruteforce(theta_e, theta_b, alice, irs, phi_ar):
+    """Reflect-path gain as the literal double sum over transmit and IRS elements.
+
+    ``alice`` and ``irs`` supply n_elements and spacing_wavelengths.  Sums
+    exp(2j*pi*(psi1 + psi2)) over every (antenna k, element l) pair and
+    divides by the antenna count.  psi1 is the transmit-side cycle
+    difference at the IRS departure angle, identically zero because the IRS
+    beam is matched to that angle; psi2 is the negated element cycle
+    difference applied by the IRS phase matrix.
+    """
+
+    def cycles(spec, phi):
+        n, d = spec.n_elements, spec.spacing_wavelengths
+        return [-d * (k - (n - 1) / 2.0) * math.cos(phi) for k in range(n)]
+
+    cyc_ar = cycles(alice, phi_ar)
+    cyc_e = cycles(irs, theta_e)
+    cyc_b = cycles(irs, theta_b)
+    total = 0.0 + 0.0j
+    for k in range(alice.n_elements):
+        psi1 = cyc_ar[k] - cyc_ar[k]
+        for l in range(irs.n_elements):
+            psi2 = -(cyc_e[l] - cyc_b[l])
+            total += cmath.exp(2j * math.pi * (psi1 + psi2))
+    return total / alice.n_elements
+
+
+def synthesize_tx(w_a, w_r, projector, s, z, alpha):
+    """The two transmit vectors for symbol ``s`` and noise draw ``z``.
+
+    The direct beam carries sqrt(alpha) of the symbol plus sqrt(1-alpha) of
+    the projected noise; the IRS beam carries sqrt(alpha) of the symbol only.
+    """
+    x_a = math.sqrt(alpha) * w_a * s + math.sqrt(1.0 - alpha) * (projector @ z)
+    x_r = math.sqrt(alpha) * w_r * s
+    return x_a, x_r
 
 
 def link_budget_oracle(alice, bob, irs, probe, d0=1.0, rule="sum-distance"):
@@ -103,9 +171,8 @@ def eve_sinr_oracle(
     amp = math.sqrt(b["l_ae"]) * np.vdot(h_ae, w_a)
     if include_irs:
         # full dense products: ones^H Theta G w_r
-        big_g = np.outer(np.ones(nr), g_t.conj())
-        cyc = lambda th: -spacing * (np.arange(nr) - (nr - 1) / 2.0) * math.cos(th)
-        theta = np.diag(np.exp(-2j * math.pi * (cyc(b["theta_e"]) - cyc(b["theta_b"]))))
+        theta = irs_phase_matrix(nr, spacing, b["theta_e"], b["theta_b"])
+        big_g = cascade_matrix(na, nr, spacing, b["phi_ar"])
         amp = amp + math.sqrt(b["l_are"]) * (np.ones(nr) @ theta @ big_g @ w_r)
 
     p = np.eye(na) - np.outer(h_ab, h_ab.conj())

@@ -26,9 +26,7 @@ from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     an_leak_row,
-    ber_from_snr,
     benchmark_no_irs,
-    cascaded_gain_bruteforce,
     cascaded_gain_closed,
     probe_setup,
     secrecy_metrics,
@@ -36,7 +34,7 @@ from dmirs.secrecy import (
 )
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr
 from dmirs.transmitter import an_projector, complex_normal, make_precoders
-from oracles import q_via_integration
+from oracles import cascaded_gain_bruteforce, q_via_integration
 
 
 @contextlib.contextmanager

@@ -5,43 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dmirs.arrays import (
-    ArraySpec,
-    assemble_channel,
-    cascade_matrix,
-    element_cycles,
-    irs_phase_diagonal,
-    irs_phase_matrix,
-    phase_shift,
-    steering_vector,
-)
+from dmirs.arrays import ArraySpec, element_cycles, irs_phase_diagonal, steering_vector
 from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
-from oracles import matvec_triple_loop, steering_oracle
+from dmirs.secrecy import probe_amplitude
+from dmirs.transmitter import make_precoders
+from oracles import cascade_matrix, channel_rows, irs_phase_matrix, matvec_triple_loop, steering_oracle
 
 
 class TestPhaseShift:
     def test_broadside_gives_zero(self):
-        spec = ArraySpec(8, 0.5)
-        for n in range(8):
-            assert phase_shift(n, spec, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(element_cycles(ArraySpec(8, 0.5), math.pi / 2), 0.0, atol=1e-12)
 
     def test_first_element_of_two_at_end_fire(self):
-        assert phase_shift(0, ArraySpec(2, 0.5), 0.0) == pytest.approx(0.25, abs=1e-15)
+        assert element_cycles(ArraySpec(2, 0.5), 0.0)[0] == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, 1.1, 2.8])
     def test_antisymmetric_about_array_center(self, phi):
-        spec = ArraySpec(9, 0.5)
-        for n in range(9):
-            assert phase_shift(n, spec, phi) == pytest.approx(
-                -phase_shift(spec.n_elements - 1 - n, spec, phi), abs=1e-15
-            )
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            phase_shift(4, ArraySpec(4, 0.5), 0.0)
-        with pytest.raises(ValueError):
-            phase_shift(-1, ArraySpec(4, 0.5), 0.0)
+        cycles = element_cycles(ArraySpec(9, 0.5), phi)
+        np.testing.assert_allclose(cycles, -cycles[::-1], rtol=0, atol=1e-15)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -91,11 +73,13 @@ class TestElementCycles:
 
 
 class TestCascadeMatrix:
+    """The dense matrix route of tests/oracles.py that the reflect gain is checked against."""
+
     def test_scalar_case(self):
-        np.testing.assert_allclose(cascade_matrix(ArraySpec(1), ArraySpec(1), 0.7), [[1.0 + 0j]])
+        np.testing.assert_allclose(cascade_matrix(1, 1, 0.5, 0.7), [[1.0 + 0j]])
 
     def test_rows_identical_rank_one(self):
-        g = cascade_matrix(ArraySpec(8), ArraySpec(5), 1.1)
+        g = cascade_matrix(8, 5, 0.5, 1.1)
         for row in g:
             np.testing.assert_allclose(row, g[0], atol=0)
         # all 2x2 minors vanish
@@ -105,10 +89,9 @@ class TestCascadeMatrix:
                 assert abs(minor) < 1e-12
 
     def test_forwarding_the_matched_beam_gives_all_ones(self):
-        alice, irs = ArraySpec(16), ArraySpec(50)
         phi_ar = 0.6435011087932844
-        g = cascade_matrix(alice, irs, phi_ar)
-        g_t = steering_vector(alice, phi_ar)
+        g = cascade_matrix(16, 50, 0.5, phi_ar)
+        g_t = steering_vector(ArraySpec(16), phi_ar)
         product = matvec_triple_loop(g.tolist(), g_t.tolist())
         np.testing.assert_allclose(product, np.ones(50), atol=1e-12)
 
@@ -116,9 +99,7 @@ class TestCascadeMatrix:
 class TestIrsPhaseMatrix:
     def test_tuned_deflection_is_identity(self):
         theta_b = math.pi / 2
-        np.testing.assert_array_equal(
-            irs_phase_matrix(ArraySpec(7), theta_b, theta_b), np.eye(7)
-        )
+        np.testing.assert_array_equal(irs_phase_diagonal(ArraySpec(7), theta_b, theta_b), np.ones(7))
 
     def test_unit_modulus_diagonal(self):
         d = irs_phase_diagonal(ArraySpec(50), 0.3, 1.9)
@@ -126,58 +107,47 @@ class TestIrsPhaseMatrix:
 
     @pytest.mark.parametrize("theta", [0.0, 0.4, 1.0, 2.5, math.pi])
     def test_unitary(self, theta):
-        m = irs_phase_matrix(ArraySpec(12), theta, 1.0)
+        m = np.diag(irs_phase_diagonal(ArraySpec(12), theta, 1.0))
         np.testing.assert_allclose(m.conj().T @ m, np.eye(12), atol=1e-12)
 
 
 class TestAssembleChannel:
+    """Probe channel rows by the dense matrix route of tests/oracles.py."""
+
     def test_receiver_row_cascade_product(self):
         scenario = Scenario()
         budget = link_budget(scenario, scenario.bob)
-        row = assemble_channel(budget, scenario.alice_array(), scenario.irs_array(), budget.theta_b)
-        w_r = steering_vector(scenario.alice_array(), budget.phi_ar)
-        assert row.cascaded @ w_r == pytest.approx(1.25, abs=1e-9)
-        assert len(row.direct) == scenario.na
-        assert len(row.cascaded) == scenario.na
+        direct, reflect = channel_rows(budget, scenario.na, scenario.nr, budget.theta_b)
+        w_r = make_precoders(budget, scenario.alice_array()).w_r
+        assert reflect @ w_r == pytest.approx(1.25, abs=1e-9)
+        assert len(direct) == scenario.na
+        assert len(reflect) == scenario.na
 
     def test_direct_block_norm_is_loss_amplitude(self):
         scenario = Scenario()
         budget = link_budget(scenario, Position(30.0, 20.0))
-        row = assemble_channel(budget, scenario.alice_array(), scenario.irs_array(), budget.theta_e)
-        assert np.linalg.norm(row.direct) == pytest.approx(math.sqrt(budget.l_ae), rel=1e-12)
+        direct, _ = channel_rows(budget, scenario.na, scenario.nr, budget.theta_e)
+        assert np.linalg.norm(direct) == pytest.approx(math.sqrt(budget.l_ae), rel=1e-12)
 
     def test_probe_row_matches_dense_matrix_oracle(self):
         scenario = Scenario()
+        bob_budget = link_budget(scenario, scenario.bob)
         budget = link_budget(scenario, Position(30.0, 20.0))
-        alice, irs = scenario.alice_array(), scenario.irs_array()
-        row = assemble_channel(budget, alice, irs, budget.theta_e)
-
-        h_ae = steering_oracle(scenario.na, 0.5, budget.phi_ae)
-        np.testing.assert_allclose(row.direct, math.sqrt(budget.l_ae) * h_ae.conj(), atol=1e-14)
-
-        theta = irs_phase_matrix(irs, budget.theta_e, budget.theta_b)
-        dense = math.sqrt(budget.l_are) * (
-            np.ones(scenario.nr) @ theta @ cascade_matrix(alice, irs, budget.phi_ar)
-        )
-        np.testing.assert_allclose(row.cascaded, dense, atol=1e-12)
-
-    def test_deflection_range_checked(self):
-        scenario = Scenario()
-        budget = link_budget(scenario, scenario.bob)
-        with pytest.raises(ValueError):
-            assemble_channel(budget, scenario.alice_array(), scenario.irs_array(), -0.1)
+        precoders = make_precoders(bob_budget, scenario.alice_array())
+        direct, reflect = channel_rows(budget, scenario.na, scenario.nr, budget.theta_e)
+        dense = direct @ precoders.w_a + reflect @ precoders.w_r
+        assert probe_amplitude(scenario, budget, precoders) == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
 
 class TestIrsPhaseProductValue:
     def test_dense_product_matches_kernel_at_small_offset(self):
         from dmirs.secrecy import cascaded_gain_closed
 
-        alice, irs = ArraySpec(16), ArraySpec(50)
         theta_b = math.pi / 2
         theta_e = math.acos(0.01)
-        theta = irs_phase_matrix(irs, theta_e, theta_b)
-        g = cascade_matrix(alice, irs, 0.6435011087932844)
-        w_r = steering_vector(alice, 0.6435011087932844)
+        theta = irs_phase_matrix(50, 0.5, theta_e, theta_b)
+        g = cascade_matrix(16, 50, 0.5, 0.6435011087932844)
+        w_r = steering_vector(ArraySpec(16), 0.6435011087932844)
         product = np.ones(50) @ theta @ g @ w_r
         assert product.real == pytest.approx(45.018, abs=1e-3)
         assert product.real == pytest.approx(cascaded_gain_closed(theta_e, theta_b, 50), abs=1e-9)
@@ -188,12 +158,11 @@ class TestTunedReflectPathIdentity:
     @pytest.mark.parametrize("nr", [1, 2, 7, 50, 128])
     def test_every_element_contributes_one_unit(self, nr):
         # brute-force double sum over antennas and elements at the tuned angle
-        alice, irs = ArraySpec(16), ArraySpec(nr)
         theta_b = math.pi / 2
         h_rb = np.ones(nr)
-        theta = irs_phase_matrix(irs, theta_b, theta_b)
-        g = cascade_matrix(alice, irs, 0.6435011087932844)
-        w_r = steering_vector(alice, 0.6435011087932844)
+        theta = irs_phase_matrix(nr, 0.5, theta_b, theta_b)
+        g = cascade_matrix(16, nr, 0.5, 0.6435011087932844)
+        w_r = steering_vector(ArraySpec(16), 0.6435011087932844)
         total = 0j
         for l in range(nr):
             for k in range(16):

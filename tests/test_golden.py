@@ -1,12 +1,14 @@
-"""Golden outputs: the CLI still writes the CSVs committed under tests/golden/.
+"""Golden outputs: the CLI still writes the files committed under tests/golden/.
 
-The files were written by the code before the per-cell heatmap changes
+The CSV files were written by the code before the per-cell heatmap changes
 (array-valued Monte-Carlo BER, cached element offsets, one signal and leak
-evaluation per cell), with the commands in GOLDEN.  They pin every later
+evaluation per cell), with the commands in CASES; the metrics_*.txt files
+hold `dmirs metrics` stdout from the code before the test-only helpers left
+the package, with the commands in METRICS_CASES.  They pin every later
 change to the same numbers; a deliberate change of output replaces them
 and says why.
 
-Tolerance: preamble lines and axis columns must match exactly.  Value
+Tolerance: preamble lines, axis columns and metrics keys must match exactly.  Value
 columns match at relative 1e-8, which is about one unit in the ninth and
 last printed digit, so a last-ulp difference in a host's libm cannot flip
 the result.  sinr_db is compared in the linear domain, |g - g0| <= 1e-8*g0
@@ -33,6 +35,12 @@ CASES = {
     ),
     "sweep_nr.csv": ("{}", ["sweep-nr", "--nr", "10:200:10", "--pt", "10,15"], ("nr", "pt_dbm")),
     "sweep_dab.csv": ("{}", ["sweep-dab", "--dab", "10:50:1", "--pt", "10,15"], ("dab_m", "pt_dbm")),
+}
+# file: (scenario JSON, metrics options)
+METRICS_CASES = {
+    "metrics_default.txt": ("{}", []),
+    "metrics_eve.txt": ("{}", ["--eve=-5,3"]),
+    "metrics_instantaneous.txt": ('{"seed": 7}', ["--an-mode", "instantaneous"]),
 }
 VALUE_RTOL = 1e-8
 SINR_ATOL = 1e-12
@@ -75,6 +83,22 @@ def test_cli_reproduces_golden_csv(tmp_path, name):
             if not ok:
                 mismatches.append(f"row {i} {column}: {g} != {w}")
     assert not mismatches, "\n".join(mismatches[:10])
+
+
+def _key_values(text):
+    return [(key, float(value)) for key, value in (line.split("=") for line in text.splitlines())]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_CASES))
+def test_cli_reproduces_golden_metrics(tmp_path, capsys, name):
+    config, options = METRICS_CASES[name]
+    (tmp_path / "scenario.json").write_text(config)
+    assert cli.main(["metrics", "--config", str(tmp_path / "scenario.json"), *options]) == 0
+    got = _key_values(capsys.readouterr().out)
+    want = _key_values((GOLDEN / name).read_text())
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (key, g), (_, w) in zip(got, want):
+        assert math.isclose(g, w, rel_tol=VALUE_RTOL, abs_tol=0.0), f"{key}: {g} != {w}"
 
 
 def test_sinr_comparison_tolerates_null_round_off_only():

@@ -469,6 +469,26 @@ class TestCli:
         assert "pt_dbm = 5000.0 dBm is not a finite, nonzero power" in err and err.count("\n") == 1
         assert not out.exists()
 
+    # 3060 dBm gives a finite SNR near 1e308, whose BER argument sqrt(2*SNR) overflows
+    @pytest.mark.parametrize("config", ['{"pt_dbm": 3080}', '{"noise_dbm": -3230}', '{"pt_dbm": 3060}'])
+    @pytest.mark.parametrize("command", ["metrics", "heatmap", "sweep-nr", "sweep-dab"])
+    def test_overflowing_snr_exits_2_naming_both_power_levels(self, tmp_path, capsys, config, command):
+        path = tmp_path / "power.json"
+        path.write_text(config)
+        out = tmp_path / "o.csv"
+        pt = str(json.loads(config).get("pt_dbm", 25.0))
+        options = {
+            "metrics": [],
+            "heatmap": ["--grid", "3x3", "--out", str(out)],
+            "sweep-nr": ["--nr", "50", "--pt", pt, "--out", str(out)],
+            "sweep-dab": ["--dab", "10:20:10", "--pt", pt, "--out", str(out)],
+        }[command]
+        assert cli.main([command, "--config", str(path), *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dmirs: error: pt_dbm = ") and " and noise_dbm = " in err
+        assert "SNR too large" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_python_dash_m_runs_the_cli(self, config_file):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmirs.numerics import (
-    PowerLevel,
-    dbm_to_mw,
-    hermitian,
-    inner,
-    matvec,
-    mw_to_dbm,
-    norm,
-    q_function,
-)
-from oracles import matvec_triple_loop, q_via_integration
+from dmirs.numerics import dbm_to_mw, q_function
+from oracles import q_via_integration
 
 
 class TestQFunction:
@@ -62,53 +53,10 @@ class TestUnitConversions:
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_round_trip(self, mw):
-        assert dbm_to_mw(mw_to_dbm(mw)) == pytest.approx(mw, rel=1e-12)
+        assert dbm_to_mw(10.0 * math.log10(mw)) == pytest.approx(mw, rel=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dbm_to_mw(math.inf)
         with pytest.raises(ValueError):
-            mw_to_dbm(0.0)
-
-    def test_power_level(self):
-        p = PowerLevel.from_dbm(25.0)
-        assert p.mw == pytest.approx(10 ** 2.5, rel=1e-15)
-        q = PowerLevel.from_mw(1.0)
-        assert q.dbm == pytest.approx(0.0, abs=1e-15)
-
-
-complex_elements = st.complex_numbers(
-    min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
-)
-
-
-class TestComplexHelpers:
-    @given(st.lists(complex_elements, min_size=1, max_size=32))
-    def test_self_inner_product_is_squared_norm(self, elements):
-        v = np.array(elements)
-        assert abs(inner(v, v)) == pytest.approx(norm(v) ** 2, rel=1e-12, abs=1e-9)
-
-    def test_inner_conjugates_first_argument(self):
-        v = np.array([1j, 0.0])
-        w = np.array([1.0, 0.0])
-        assert inner(v, w) == pytest.approx(-1j)
-
-    @pytest.mark.parametrize("size", [1, 3, 8, 17, 64])
-    def test_matvec_matches_triple_loop(self, size):
-        rng = np.random.default_rng(size)
-        m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        got = matvec(m, v)
-        want = matvec_triple_loop(m.tolist(), v.tolist())
-        np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_hermitian_is_an_involution_bit_exact(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        assert (hermitian(hermitian(m)) == m).all()
-
-    def test_hermitian_conjugates_and_transposes(self):
-        m = np.array([[1.0 + 2j, 3.0], [4j, 5.0 - 1j]])
-        h = hermitian(m)
-        assert h[0, 1] == 4j.conjugate()
-        assert h[1, 0] == (3.0 + 0j)
+            dbm_to_mw(math.nan)

@@ -10,22 +10,30 @@ from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
+    MAX_SNR,
     an_leak_row,
     ber_from_snr,
     benchmark_no_irs,
-    cascaded_gain_bruteforce,
     cascaded_gain_closed,
-    mc_ber,
+    check_snr,
     mc_mean_ber,
     probe_setup,
+    probe_signal,
     rate_bits,
     secrecy_metrics,
     secrecy_rate,
     sinr_eve,
     snr_bob,
 )
-from dmirs.transmitter import complex_normal
-from oracles import bob_snr_oracle, eve_sinr_oracle, mc_mean_ber_per_sample, q_via_integration
+from dmirs.transmitter import complex_normal, make_precoders
+from oracles import (
+    bob_snr_oracle,
+    cascaded_gain_bruteforce,
+    channel_rows,
+    eve_sinr_oracle,
+    mc_mean_ber_per_sample,
+    q_via_integration,
+)
 
 EVE = Position(30.0, 20.0)
 
@@ -109,15 +117,11 @@ class TestSnrBob:
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_matches_assembled_channel_route(self):
-        from dmirs.arrays import assemble_channel
-        from dmirs.transmitter import make_precoders
-
         scenario = Scenario()
         budget = link_budget(scenario, scenario.bob)
-        alice = scenario.alice_array()
-        row = assemble_channel(budget, alice, scenario.irs_array(), budget.theta_b)
-        p = make_precoders(budget, alice)
-        amp = row.direct @ p.w_a + row.cascaded @ p.w_r
+        direct, reflect = channel_rows(budget, scenario.na, scenario.nr, budget.theta_b)
+        p = make_precoders(budget, scenario.alice_array())
+        amp = direct @ p.w_a + reflect @ p.w_r
         via_channel = scenario.alpha * scenario.pt_mw * abs(amp) ** 2 / scenario.noise_mw
         assert snr_bob(scenario, budget) == pytest.approx(via_channel, rel=1e-12)
 
@@ -176,29 +180,38 @@ class TestSinrEve:
 
 class TestBerFromSnr:
     def test_zero_snr_is_coin_flip(self):
-        assert ber_from_snr(0.0, 4) == 0.5
+        assert ber_from_snr(0.0) == 0.5
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
     def test_qpsk_shortcut_equals_general_formula(self, gamma):
         from dmirs.numerics import q_function
 
-        assert ber_from_snr(gamma, 4) == pytest.approx(q_function(math.sqrt(gamma)), rel=1e-12)
+        assert ber_from_snr(gamma) == pytest.approx(q_function(math.sqrt(gamma)), rel=1e-12)
 
     def test_nine_snr_golden(self):
         expected = q_via_integration(3.0)
         assert expected == pytest.approx(1.3499e-3, abs=1e-7)
-        assert ber_from_snr(9.0, 4) == pytest.approx(expected, abs=1e-10)
+        assert ber_from_snr(9.0) == pytest.approx(expected, abs=1e-10)
 
     def test_strictly_decreasing(self):
         gammas = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-        bers = [ber_from_snr(g, 4) for g in gammas]
+        bers = [ber_from_snr(g) for g in gammas]
         assert all(a > b for a, b in zip(bers, bers[1:]))
 
-    def test_rejects_negative_snr_and_bad_order(self):
+    def test_rejects_negative_snr(self):
         with pytest.raises(ValueError):
-            ber_from_snr(-1.0, 4)
-        with pytest.raises(ValueError):
-            ber_from_snr(1.0, 3)
+            ber_from_snr(-1.0)
+
+
+class TestCheckSnr:
+    def test_largest_accepted_snr_still_has_a_ber(self):
+        check_snr(Scenario(), MAX_SNR, 0.0)
+        assert ber_from_snr(MAX_SNR) == 0.0
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, math.nextafter(MAX_SNR, math.inf)])
+    def test_rejects_larger_or_non_finite_naming_power_levels(self, gamma):
+        with pytest.raises(ValueError, match="pt_dbm = 25.0 and noise_dbm = -20.0 give an SNR"):
+            check_snr(Scenario(), 1.0, gamma)
 
 
 class TestRates:
@@ -265,11 +278,19 @@ class TestBenchmarkNoIrs:
         assert benchmark_no_irs(scenario, EVE).gamma_b == direct_only
 
 
+def mc_ber(scenario, probe, samples, seed):
+    """Monte-Carlo QPSK BER at a probe position, composed as a heatmap cell is."""
+    _, probe_budget, precoders, projector = probe_setup(scenario, probe)
+    signal = probe_signal(scenario, probe_budget, precoders)
+    row = an_leak_row(probe_budget, scenario.alice_array(), projector)
+    return mc_mean_ber(scenario, signal, row, samples, seed)
+
+
 class TestMcBer:
     def test_probe_at_receiver_matches_closed_form_every_draw(self):
         scenario = Scenario()
         budget = link_budget(scenario, scenario.bob)
-        expected = ber_from_snr(snr_bob(scenario, budget), 4)
+        expected = ber_from_snr(snr_bob(scenario, budget))
         for seed in (0, 1, 2):
             assert mc_ber(scenario, scenario.bob, 50, seed) == expected
 
@@ -295,7 +316,7 @@ class TestMcBer:
         z = complex_normal(np.random.default_rng(3), (10_000, 16))
         an_power = np.abs(z @ row) ** 2
         gammas = signal / ((1 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
-        bers = np.array([ber_from_snr(g, 4) for g in gammas])
+        bers = np.array([ber_from_snr(g) for g in gammas])
         standard_error = bers.std(ddof=1) / math.sqrt(len(bers))
 
         assert abs(estimate - long_run) <= 3.0 * standard_error
