@@ -18,11 +18,10 @@ from .secrecy import (
     snr_bob,
 )
 from .sweeps import SweepResult, run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from .transmitter import AnProjector, Precoders, an_projector, make_precoders
+from .transmitter import Precoders, an_projector, make_precoders
 
 __all__ = [
     "ArraySpec",
-    "AnProjector",
     "ConfigError",
     "GeometryError",
     "LinkBudget",

@@ -35,24 +35,18 @@ class ArraySpec:
         if not (self.spacing_wavelengths > 0.0 and math.isfinite(self.spacing_wavelengths)):
             raise ValueError(f"element spacing must be positive, got {self.spacing_wavelengths!r}")
 
-
-@functools.lru_cache(maxsize=8)
-def _centred_offsets(n_elements: int, spacing_wavelengths: float) -> np.ndarray:
-    """Read-only -(d/lambda) * (n - (N-1)/2) for every element n.
-
-    Keyed by the spec's two numbers rather than the spec, since callers
-    build a fresh ArraySpec per evaluation.  Eight entries cover an array
-    and a reflector per scene with room to spare; a 1e6-element reflector
-    holds 8 MB, so the cache stays bounded.
-    """
-    offsets = -spacing_wavelengths * (np.arange(n_elements) - (n_elements - 1) / 2.0)
-    offsets.flags.writeable = False
-    return offsets
+    @functools.cached_property
+    def _offsets(self) -> np.ndarray:
+        """Read-only -(d/lambda) * (n - (N-1)/2) for every element n, built once per spec."""
+        n = self.n_elements
+        offsets = -self.spacing_wavelengths * (np.arange(n) - (n - 1) / 2.0)
+        offsets.flags.writeable = False
+        return offsets
 
 
 def element_cycles(spec: ArraySpec, phi: float) -> np.ndarray:
     """Vector of per-element phase advances in cycles."""
-    return _centred_offsets(spec.n_elements, spec.spacing_wavelengths) * math.cos(phi)
+    return spec._offsets * math.cos(phi)
 
 
 def steering_vector(spec: ArraySpec, phi: float) -> np.ndarray:

@@ -107,8 +107,9 @@ def _cmd_metrics(args) -> int:
     scenario = _load_scenario(args)
     if args.eve is not None:
         scenario = replace(scenario, eve=_parse_point(args.eve))
-    an_mode = args.an_mode if args.an_mode is not None else scenario.an_mode
-    metrics = secrecy_metrics(scenario, scenario.eve, an_mode)
+    if args.an_mode is not None:
+        scenario = replace(scenario, an_mode=args.an_mode)
+    metrics = secrecy_metrics(scenario, scenario.eve)
     for key in ("gamma_b", "gamma_e", "rate_b", "rate_e", "rate_s", "ber_b", "ber_probe"):
         print(f"{key}={format(getattr(metrics, key), '.9g')}")
     return 0

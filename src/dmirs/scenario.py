@@ -138,21 +138,6 @@ def _array_spec(n_elements: int, spacing_wavelengths: float) -> ArraySpec:
     return ArraySpec(n_elements, spacing_wavelengths)
 
 
-_INT_FIELDS = {"na", "nr", "seed", "mc_samples"}
-_FLOAT_FIELDS = {
-    "alice_spacing_wavelengths",
-    "irs_spacing_wavelengths",
-    "pt_dbm",
-    "noise_dbm",
-    "alpha",
-    "d0_m",
-}
-_POSITION_FIELDS = {"alice", "bob", "irs", "eve"}
-_STRING_FIELDS = {"path_loss_combine", "an_mode"}
-_ALL_FIELDS = _INT_FIELDS | _FLOAT_FIELDS | _POSITION_FIELDS | _STRING_FIELDS
-assert _ALL_FIELDS == {f.name for f in fields(Scenario)}
-
-
 def _as_int(name, value):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -181,6 +166,10 @@ def _as_string(name, value):
     return value
 
 
+_COERCERS = {int: _as_int, float: _as_float, Position: _as_position, str: _as_string}
+_FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+
+
 def parse_config(text: str) -> Scenario:
     """Parse and validate a JSON scenario, applying defaults for absent fields."""
     try:
@@ -189,20 +178,12 @@ def parse_config(text: str) -> Scenario:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _ALL_FIELDS)
+    unknown = sorted(set(raw) - _FIELD_TYPES.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for name, value in raw.items():
-        if name in _INT_FIELDS:
-            kwargs[name] = _as_int(name, value)
-        elif name in _FLOAT_FIELDS:
-            kwargs[name] = _as_float(name, value)
-        elif name in _POSITION_FIELDS:
-            kwargs[name] = _as_position(name, value)
-        else:
-            kwargs[name] = _as_string(name, value)
-    return Scenario(**kwargs)
+    return Scenario(
+        **{name: _COERCERS[_FIELD_TYPES[name]](name, value) for name, value in raw.items()}
+    )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -210,7 +191,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     out = {}
     for f in fields(Scenario):
         value = getattr(scenario, f.name)
-        if f.name in _POSITION_FIELDS:
+        if f.type is Position:
             value = [value.x, value.y]
         out[f.name] = value
     return out

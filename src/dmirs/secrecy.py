@@ -14,8 +14,9 @@ cosine of its deflection angle, and additionally absorbs artificial noise:
 
 where A is the squared norm of the probe's steering row through the noise
 projector (``expected`` mode) or the squared magnitude of one projected
-noise draw (``instantaneous`` mode).  Rates are log2(1+gamma) bits per
-channel use and the secrecy rate is the clamped difference.
+noise draw (``instantaneous`` mode), as the scenario's an_mode says.  Rates
+are log2(1+gamma) bits per channel use and the secrecy rate is the clamped
+difference.
 """
 
 import math
@@ -27,7 +28,7 @@ import numpy as np
 from .arrays import ArraySpec, irs_phase_diagonal, steering_vector
 from .geometry import LinkBudget, link_budget
 from .numerics import q_function
-from .transmitter import AnProjector, Precoders, an_projector, complex_normal, make_precoders
+from .transmitter import Precoders, an_projector, complex_normal, make_precoders
 
 AN_MODES = ("expected", "instantaneous")
 # ber_from_snr doubles the SNR, so half the float range is the largest it takes
@@ -126,44 +127,37 @@ def probe_signal(scenario, budget: LinkBudget, precoders: Precoders, include_irs
     ) ** 2
 
 
-def an_leak_row(budget: LinkBudget, alice: ArraySpec, projector: AnProjector) -> np.ndarray:
+def an_leak_row(budget: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> np.ndarray:
     """Probe steering row propagated through the noise projector."""
     h_ae = steering_vector(alice, budget.phi_ae)
-    return h_ae.conj() @ projector.matrix
+    return h_ae.conj() @ projector
 
 
 def sinr_eve(
     scenario,
     budget: LinkBudget,
     precoders: Precoders,
-    projector: AnProjector,
-    an_mode: str = "expected",
-    z: np.ndarray | None = None,
+    projector: np.ndarray,
     include_irs: bool = True,
 ) -> float:
-    """SINR at the probe described by ``budget``.
+    """SINR at the probe described by ``budget``, in the scenario's an_mode.
 
     ``expected`` mode replaces the random projected-noise power by its mean
-    (the squared row norm); ``instantaneous`` mode requires a noise draw
-    ``z`` and uses that single realization.  ``include_irs=False`` drops the
-    reflect-path term for the no-IRS benchmark.
+    (the squared row norm); ``instantaneous`` mode uses one noise draw from
+    the scenario seed.  ``include_irs=False`` drops the reflect-path term
+    for the no-IRS benchmark.
     """
-    if an_mode not in AN_MODES:
-        raise ValueError(f"an_mode must be one of {AN_MODES}, got {an_mode!r}")
     signal = probe_signal(scenario, budget, precoders, include_irs)
     row = an_leak_row(budget, scenario.alice_array(), projector)
-    return leak_sinr(scenario, signal, row, an_mode, z)
+    if scenario.an_mode == "expected":
+        return leak_sinr(scenario, signal, row)
+    z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
+    return _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
 
 
-def leak_sinr(scenario, signal_mw: float, row: np.ndarray, an_mode: str = "expected", z=None) -> float:
-    """SINR from the probe's signal power and its noise leak row (see sinr_eve)."""
-    if an_mode == "expected":
-        an_power = float(np.linalg.norm(row) ** 2)
-    else:
-        if z is None:
-            raise ValueError("instantaneous mode needs an artificial-noise draw z")
-        an_power = abs(np.dot(row, z)) ** 2
-    return _sinr(scenario, signal_mw, an_power)
+def leak_sinr(scenario, signal_mw: float, row: np.ndarray) -> float:
+    """Expected-noise SINR from the probe's signal power and its noise leak row."""
+    return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
 
 
 def _sinr(scenario, signal_mw, an_power):
@@ -181,7 +175,28 @@ def probe_setup(scenario, probe):
     return bob_budget, probe_budget, precoders, projector
 
 
-def _metrics_from_gammas(scenario, gamma_b: float, gamma_e: float) -> SecrecyMetrics:
+def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
+    """Full pipeline from scene geometry to rates and BERs for one probe."""
+    return _metrics(scenario, probe, include_irs=True)
+
+
+def benchmark_no_irs(scenario, probe) -> SecrecyMetrics:
+    """Same pipeline with the reflect path removed everywhere.
+
+    The intended receiver keeps only the direct beam, the probe's numerator
+    keeps only the direct term; the artificial noise is unchanged.  The
+    result does not depend on the IRS element count at all.
+    """
+    return _metrics(scenario, probe, include_irs=False)
+
+
+def _metrics(scenario, probe, include_irs: bool) -> SecrecyMetrics:
+    bob_budget, probe_budget, precoders, projector = probe_setup(scenario, probe)
+    if include_irs:
+        gamma_b = snr_bob(scenario, bob_budget)
+    else:
+        gamma_b = scenario.alpha * scenario.pt_mw * bob_budget.l_ab / scenario.noise_mw
+    gamma_e = sinr_eve(scenario, probe_budget, precoders, projector, include_irs)
     check_snr(scenario, gamma_b, gamma_e)
     return SecrecyMetrics(
         gamma_b=gamma_b,
@@ -194,50 +209,14 @@ def _metrics_from_gammas(scenario, gamma_b: float, gamma_e: float) -> SecrecyMet
     )
 
 
-def _resolve_an_draw(scenario, an_mode: str, z):
-    if an_mode == "instantaneous" and z is None:
-        return complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
-    return z
-
-
-def secrecy_metrics(scenario, probe, an_mode: str = "expected", z=None) -> SecrecyMetrics:
-    """Full pipeline from scene geometry to rates and BERs for one probe.
-
-    In instantaneous mode a noise draw may be passed explicitly; otherwise
-    one is drawn deterministically from the scenario seed.
-    """
-    bob_budget, probe_budget, precoders, projector = probe_setup(scenario, probe)
-    z = _resolve_an_draw(scenario, an_mode, z)
-    gamma_b = snr_bob(scenario, bob_budget)
-    gamma_e = sinr_eve(scenario, probe_budget, precoders, projector, an_mode, z)
-    return _metrics_from_gammas(scenario, gamma_b, gamma_e)
-
-
-def benchmark_no_irs(scenario, probe, an_mode: str = "expected", z=None) -> SecrecyMetrics:
-    """Same pipeline with the reflect path removed everywhere.
-
-    The intended receiver keeps only the direct beam, the probe's numerator
-    keeps only the direct term; the artificial noise is unchanged.  The
-    result does not depend on the IRS element count at all.
-    """
-    bob_budget, probe_budget, precoders, projector = probe_setup(scenario, probe)
-    z = _resolve_an_draw(scenario, an_mode, z)
-    gamma_b = scenario.alpha * scenario.pt_mw * bob_budget.l_ab / scenario.noise_mw
-    gamma_e = sinr_eve(
-        scenario, probe_budget, precoders, projector, an_mode, z, include_irs=False
-    )
-    return _metrics_from_gammas(scenario, gamma_b, gamma_e)
-
-
-def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, samples: int, seed) -> float:
-    """Average QPSK BER over ``samples`` artificial-noise draws.
+def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:
+    """Average QPSK BER over the scenario's mc_samples artificial-noise draws.
 
     ``signal_mw`` is the received signal power, ``leak_row`` the projected
     steering row the noise leaks through.  Draws come from a dedicated
     generator, so the value is bit-reproducible for a given seed.
     """
-    if samples < 1:
-        raise ValueError(f"sample count must be at least 1, got {samples}")
+    samples = scenario.mc_samples
     draws = complex_normal(np.random.default_rng(seed), (samples, scenario.na))
     gammas = _sinr(scenario, signal_mw, np.abs(draws @ leak_row) ** 2)
     bad = ~(np.isfinite(gammas) & (gammas >= 0.0))

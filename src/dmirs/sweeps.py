@@ -105,7 +105,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
             gamma = leak_sinr(scenario, signal, leak)
             if mc:
                 seed = np.random.SeedSequence([scenario.seed, index])
-                ber[index] = mc_mean_ber(scenario, signal, leak, scenario.mc_samples, seed)
+                ber[index] = mc_mean_ber(scenario, signal, leak, seed)
             else:
                 ber[index] = ber_from_snr(gamma)
             sinr_db[index] = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
@@ -130,28 +130,13 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
 def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:
     """Secrecy rate against IRS element count, with and without the IRS.
 
-    The probe sits at the scenario's eavesdropper position.  Rates use the
-    expected-noise model so the curves are deterministic.
+    The probe sits at the scenario's eavesdropper position.
     """
     nr_values = [int(v) for v in nr_values]
     pt_values = [float(v) for v in pt_dbm_values]
     if not nr_values or not pt_values:
         raise ValueError("nr and pt sweeps need at least one value each")
-    proposed, benchmark = _rate_columns(
-        replace(scenario, nr=nr, pt_dbm=pt) for nr in nr_values for pt in pt_values
-    )
-    return SweepResult(
-        axes={"nr": nr_values, "pt_dbm": pt_values},
-        columns=NR_SWEEP_COLUMNS,
-        values={
-            # built after the rates: a scenario rejects an out-of-range nr first
-            "nr": np.repeat(np.array(nr_values, dtype=np.int64), len(pt_values)),
-            "pt_dbm": np.tile(np.array(pt_values), len(nr_values)),
-            "rs_proposed_bits": proposed,
-            "rs_benchmark_bits": benchmark,
-        },
-        metadata=_metadata(scenario),
-    )
+    return _rate_sweep(scenario, NR_SWEEP_COLUMNS, nr_values, pt_values, lambda nr: {"nr": nr})
 
 
 def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
@@ -170,35 +155,39 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
     baseline = link_budget(scenario, scenario.bob)
     ux = (scenario.bob.x - scenario.alice.x) / baseline.d_ab
     uy = (scenario.bob.y - scenario.alice.y) / baseline.d_ab
-    proposed, benchmark = _rate_columns(
-        replace(
-            scenario,
-            bob=Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy),
-            pt_dbm=pt,
-        )
-        for dab in dab_values
-        for pt in pt_values
+    return _rate_sweep(
+        scenario,
+        DAB_SWEEP_COLUMNS,
+        dab_values,
+        pt_values,
+        lambda dab: {"bob": Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy)},
     )
+
+
+def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResult:
+    """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
+
+    A row's scenario is ``scenario`` with ``changes(axis value)`` and the
+    row's pt_dbm applied.  Rates use the expected-noise model whatever the
+    scenario's an_mode, so the curves are deterministic; the preamble
+    echoes ``scenario`` as given.
+    """
+    proposed, benchmark = [], []
+    for value in axis_values:
+        for pt in pt_values:
+            sc = replace(scenario, **changes(value), pt_dbm=pt, an_mode="expected")
+            proposed.append(secrecy_metrics(sc, sc.eve).rate_s)
+            benchmark.append(benchmark_no_irs(sc, sc.eve).rate_s)
+    # the axis column is built after the rates: a scenario rejects an out-of-range nr first
+    axis_column = np.repeat(np.array(axis_values), len(pt_values))
+    pt_column = np.tile(np.array(pt_values), len(axis_values))
+    rates = (np.array(proposed), np.array(benchmark))
     return SweepResult(
-        axes={"dab_m": dab_values, "pt_dbm": pt_values},
-        columns=DAB_SWEEP_COLUMNS,
-        values={
-            "dab_m": np.repeat(np.array(dab_values), len(pt_values)),
-            "pt_dbm": np.tile(np.array(pt_values), len(dab_values)),
-            "rs_proposed_bits": proposed,
-            "rs_benchmark_bits": benchmark,
-        },
+        axes={columns[0]: axis_values, columns[1]: pt_values},
+        columns=columns,
+        values=dict(zip(columns, (axis_column, pt_column, *rates))),
         metadata=_metadata(scenario),
     )
-
-
-def _rate_columns(scenarios):
-    """Proposed and no-IRS secrecy rates at each scenario's eavesdropper, as two arrays."""
-    proposed, benchmark = [], []
-    for sc in scenarios:
-        proposed.append(secrecy_metrics(sc, sc.eve, "expected").rate_s)
-        benchmark.append(benchmark_no_irs(sc, sc.eve, "expected").rate_s)
-    return np.array(proposed), np.array(benchmark)
 
 
 def write_csv(result: SweepResult, sink) -> int:

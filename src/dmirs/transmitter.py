@@ -29,13 +29,6 @@ class Precoders:
     w_r: np.ndarray
 
 
-@dataclass(frozen=True)
-class AnProjector:
-    """Artificial-noise shaping matrix, unit Frobenius norm, annihilates the direct path."""
-
-    matrix: np.ndarray
-
-
 def make_precoders(budget: LinkBudget, alice: ArraySpec) -> Precoders:
     """Match each beam to its path: steering at phi_ab and at phi_ar."""
     return Precoders(
@@ -44,7 +37,7 @@ def make_precoders(budget: LinkBudget, alice: ArraySpec) -> Precoders:
     )
 
 
-def an_projector(h_ab: np.ndarray) -> AnProjector:
+def an_projector(h_ab: np.ndarray) -> np.ndarray:
     """Projector onto the complement of ``h_ab``, scaled to unit Frobenius norm.
 
     Needs at least two antennas; with one, the complement is empty and the
@@ -58,7 +51,7 @@ def an_projector(h_ab: np.ndarray) -> AnProjector:
     fro = np.linalg.norm(p)
     if fro == 0.0:
         raise ValueError("degenerate projector: the direct-path complement is empty")
-    return AnProjector(matrix=p / fro)
+    return p / fro
 
 
 def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:

@@ -216,14 +216,15 @@ def qpsk_ber_scalar(gamma):
     return (2.0 / math.log2(4)) * (0.5 * math.erfc(u / math.sqrt(2.0)))
 
 
-def mc_mean_ber_per_sample(scenario, signal_mw, leak_row, samples, seed):
+def mc_mean_ber_per_sample(scenario, signal_mw, leak_row, seed):
     """Monte-Carlo QPSK BER with one scalar BER call per noise draw.
 
-    ``scenario`` supplies alpha, pt_mw, noise_mw and na.  The draws come
-    from the same seeded stream as the production path, so the two must
-    agree exactly.
+    ``scenario`` supplies alpha, pt_mw, noise_mw, na and mc_samples.  The
+    draws come from the same seeded stream as the production path, so the
+    two must agree exactly.
     """
-    draws = complex_normal_two_draws(np.random.default_rng(seed), (samples, scenario.na))
+    shape = (scenario.mc_samples, scenario.na)
+    draws = complex_normal_two_draws(np.random.default_rng(seed), shape)
     an_power = np.abs(draws @ leak_row) ** 2
     gammas = signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
     return float(np.mean([qpsk_ber_scalar(g) for g in gammas]))

@@ -255,7 +255,7 @@ def test_artificial_noise_statistics():
         precoders = make_precoders(bob_budget, alice)
         z = complex_normal(rng, (100_000, scenario.na))
         noisy = math.sqrt(0.6) * precoders.w_a[None, :] + math.sqrt(0.4) * (
-            z @ projector.matrix.T
+            z @ projector.T
         )
         assert float(np.mean(np.sum(np.abs(noisy) ** 2, axis=1))) == pytest.approx(1.0, rel=0.015)
 

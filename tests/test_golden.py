@@ -4,7 +4,9 @@ The CSV files were written by the code before the per-cell heatmap changes
 (array-valued Monte-Carlo BER, cached element offsets, one signal and leak
 evaluation per cell), with the commands in CASES; the metrics_*.txt files
 hold `dmirs metrics` stdout from the code before the test-only helpers left
-the package, with the commands in METRICS_CASES.  They pin every later
+the package, with the commands in METRICS_CASES.  The *_instantaneous_config*
+and sweep_*_instantaneous files come from the code before the noise mode
+was read only from the scenario.  They pin every later
 change to the same numbers; a deliberate change of output replaces them
 and says why.
 
@@ -24,6 +26,7 @@ import pytest
 from dmirs import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+INSTANTANEOUS = '{"an_mode": "instantaneous", "seed": 3}'
 
 # file: (scenario JSON, argv after --config, axis columns)
 CASES = {
@@ -35,12 +38,26 @@ CASES = {
     ),
     "sweep_nr.csv": ("{}", ["sweep-nr", "--nr", "10:200:10", "--pt", "10,15"], ("nr", "pt_dbm")),
     "sweep_dab.csv": ("{}", ["sweep-dab", "--dab", "10:50:1", "--pt", "10,15"], ("dab_m", "pt_dbm")),
+    # the sweeps evaluate rates in expected mode whatever the config says,
+    # and their preamble echoes the config's instantaneous mode
+    "sweep_nr_instantaneous.csv": (
+        INSTANTANEOUS,
+        ["sweep-nr", "--nr", "10:50:10", "--pt", "10,15"],
+        ("nr", "pt_dbm"),
+    ),
+    "sweep_dab_instantaneous.csv": (
+        INSTANTANEOUS,
+        ["sweep-dab", "--dab", "10:20:5", "--pt", "10"],
+        ("dab_m", "pt_dbm"),
+    ),
 }
 # file: (scenario JSON, metrics options)
 METRICS_CASES = {
     "metrics_default.txt": ("{}", []),
     "metrics_eve.txt": ("{}", ["--eve=-5,3"]),
     "metrics_instantaneous.txt": ('{"seed": 7}', ["--an-mode", "instantaneous"]),
+    "metrics_instantaneous_config.txt": (INSTANTANEOUS, []),
+    "metrics_instantaneous_config_expected.txt": (INSTANTANEOUS, ["--an-mode", "expected"]),
 }
 VALUE_RTOL = 1e-8
 SINR_ATOL = 1e-12

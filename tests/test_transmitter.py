@@ -48,15 +48,15 @@ class TestAnProjector:
         h = complex_normal(rng, (8,))
         h = h / np.linalg.norm(h)
         p = an_projector(h)
-        assert np.linalg.norm(h.conj() @ p.matrix) <= 1e-12
+        assert np.linalg.norm(h.conj() @ p) <= 1e-12
 
     def test_unit_frobenius_norm(self):
         h = steering_vector(ArraySpec(16, 0.5), 0.0)
-        assert np.linalg.norm(an_projector(h).matrix) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(an_projector(h)) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_antenna_hand_case(self):
         p = an_projector(np.array([1.0 + 0j, 0.0]))
-        np.testing.assert_allclose(p.matrix, [[0.0, 0.0], [0.0, 1.0]], atol=0)
+        np.testing.assert_allclose(p, [[0.0, 0.0], [0.0, 1.0]], atol=0)
 
     def test_single_antenna_rejected(self):
         with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ class TestAnProjector:
 
     def test_hermitian_positive_semidefinite(self):
         h = steering_vector(ArraySpec(8, 0.5), 1.1)
-        p = an_projector(h).matrix
+        p = an_projector(h)
         np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -127,21 +127,21 @@ class TestSynthesizeTx:
     def test_full_power_to_symbol(self, scene):
         scenario, precoders, projector = self._parts(scene)
         z = sample_an(scenario.na, 5)
-        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector.matrix, 1.0, z, 1.0)
+        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector, 1.0, z, 1.0)
         np.testing.assert_allclose(x_a, precoders.w_a, atol=1e-15)
         np.testing.assert_allclose(x_r, precoders.w_r, atol=1e-15)
 
     def test_full_power_to_noise(self, scene):
         scenario, precoders, projector = self._parts(scene)
         z = sample_an(scenario.na, 5)
-        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector.matrix, 1.0, z, 0.0)
-        np.testing.assert_allclose(x_a, projector.matrix @ z, atol=1e-15)
+        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector, 1.0, z, 0.0)
+        np.testing.assert_allclose(x_a, projector @ z, atol=1e-15)
         np.testing.assert_allclose(x_r, np.zeros(scenario.na), atol=0)
 
     def test_split_powers_at_zero_noise(self, scene):
         scenario, precoders, projector = self._parts(scene)
         z = np.zeros(scenario.na)
-        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector.matrix, 1.0, z, 0.6)
+        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector, 1.0, z, 0.6)
         assert np.linalg.norm(x_a) ** 2 == pytest.approx(0.6, abs=1e-12)
         assert np.linalg.norm(x_r) ** 2 == pytest.approx(0.6, abs=1e-12)
 
@@ -150,7 +150,7 @@ class TestSynthesizeTx:
         rng = np.random.default_rng(17)
         draws = 100_000
         z = complex_normal(rng, (draws, scenario.na))
-        an_part = z @ projector.matrix.T
+        an_part = z @ projector.T
         powers = (
             np.abs(math.sqrt(0.6) * precoders.w_a[None, :] + math.sqrt(0.4) * an_part) ** 2
         ).sum(axis=1)
@@ -162,5 +162,5 @@ class TestSynthesizeTx:
         s = (1.0 + 1j) / math.sqrt(2.0)
         for seed in range(10):
             z = sample_an(scenario.na, seed)
-            x_a, _ = synthesize_tx(precoders.w_a, precoders.w_r, projector.matrix, s, z, 0.6)
+            x_a, _ = synthesize_tx(precoders.w_a, precoders.w_r, projector, s, z, 0.6)
             assert np.vdot(h_ab, x_a) == pytest.approx(math.sqrt(0.6) * s, abs=1e-12)
