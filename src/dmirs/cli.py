@@ -43,16 +43,22 @@ MAX_GRID_CELLS = 1_000_000
 def _parse_values(spec: str, kind: str):
     """Parse '10:200:10' (inclusive range) or '10,15' (list) into floats."""
     spec = spec.strip()
+    is_list = ":" not in spec
     try:
-        if ":" not in spec:
-            return [float(p) for p in spec.split(",") if p.strip() != ""]
-        start, stop, step = (float(p) for p in spec.split(":"))
-        if step <= 0 or stop < start:
-            raise ValueError
+        if is_list:
+            values = [float(p) for p in spec.split(",") if p.strip() != ""]
+        else:
+            start, stop, step = (float(p) for p in spec.split(":"))
+            if step <= 0 or stop < start:
+                raise ValueError
     except ValueError:
         raise ConfigError(
             f"could not parse {kind} values {spec!r}; use start:stop:step or a comma list"
         ) from None
+    if is_list:
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{kind} values {spec!r} must all be finite")
+        return values
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ConfigError(f"{kind} range {spec!r} must have finite start, stop and step")
     steps = (stop - start) / step  # may overflow to inf, which the bound rejects
@@ -90,9 +96,10 @@ def _load_scenario(args) -> Scenario:
     env_seed = os.environ.get("DMIRS_SEED")
     if env_seed is not None:
         try:
-            scenario = replace(scenario, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"DMIRS_SEED must be an integer, got {env_seed!r}") from None
+        scenario = replace(scenario, seed=seed)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     return scenario

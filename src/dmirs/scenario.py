@@ -100,6 +100,8 @@ class Scenario:
             )
         if self.an_mode not in AN_MODES:
             raise ConfigError(f"an_mode must be one of {AN_MODES}, got {self.an_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 1 <= self.mc_samples <= MAX_MC_SAMPLES:
             raise ConfigError(f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {self.mc_samples}")
         ref = {"alice": self.alice, "bob": self.bob, "irs": self.irs}

@@ -171,7 +171,8 @@ def probe_setup(scenario, probe):
     probe_budget = link_budget(scenario, probe)
     alice = scenario.alice_array()
     precoders = make_precoders(bob_budget, alice)
-    projector = an_projector(steering_vector(alice, bob_budget.phi_ab))
+    # w_a is the steering vector toward the intended receiver, the direction the noise avoids
+    projector = an_projector(precoders.w_a)
     return bob_budget, probe_budget, precoders, projector
 
 

@@ -54,7 +54,9 @@ def an_projector(h_ab: np.ndarray) -> np.ndarray:
     return p / fro
 
 
-def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+# The annotation is a string: evaluating np.random here would load numpy.random
+# (and hashlib with it) in every process, though only instantaneous noise draws use it.
+def complex_normal(rng: "np.random.Generator", shape: tuple) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples, unit variance per entry.
 
     Real parts are the generator's first prod(shape) normals, imaginary

@@ -92,6 +92,9 @@ class TestParseConfig:
             Scenario(path_loss_combine="mean")
         with pytest.raises(ConfigError, match="an_mode"):
             Scenario(an_mode="typical")
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            Scenario(seed=-1)
+        assert Scenario(seed=0).seed == 0
 
     @pytest.mark.parametrize(
         "field, value", [("pt_dbm", 5000.0), ("pt_dbm", 3083.0), ("noise_dbm", -5000.0), ("noise_dbm", -3300.0)]
@@ -434,6 +437,41 @@ class TestCli:
             assert message in err and err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, spec",
+        [("sweep-dab", "dab", "nan,10"), ("sweep-dab", "pt", "10,-inf"),
+         ("sweep-nr", "pt", "10,inf"), ("sweep-nr", "nr", "nan"), ("sweep-nr", "nr", "10,1e400")],
+    )
+    def test_non_finite_list_value_exits_2_naming_the_flag(self, config_file, tmp_path, capsys, command, flag, spec):
+        out = tmp_path / "o.csv"
+        values = {"dab": "10", "pt": "10", "nr": "10", flag: spec}
+        axis = "dab" if command == "sweep-dab" else "nr"
+        code = cli.main(
+            [command, "--config", config_file, f"--{axis}", values[axis], "--pt", values["pt"], "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"dmirs: error: {flag} values {spec!r} must all be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
+    @pytest.mark.parametrize("route", ["config", "env", "flag"])
+    def test_negative_seed_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys, route, an_mode):
+        config = {"an_mode": an_mode, "seed": -1} if route == "config" else {"an_mode": an_mode}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        if route == "env":
+            monkeypatch.setenv("DMIRS_SEED", "-1")
+        else:
+            monkeypatch.delenv("DMIRS_SEED", raising=False)
+        out = tmp_path / "hm.csv"
+        argv = ["heatmap", "--config", str(path), "--grid", "3x3", "--mc-samples", "10", "--out", str(out)]
+        if route == "flag":
+            argv += ["--seed", "-1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "dmirs: error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep-nr", "sweep-dab"])
     def test_pt_help_names_both_forms(self, command, capsys):
         with pytest.raises(SystemExit):
@@ -498,6 +536,35 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("gamma_b=") and proc.stderr == ""
+
+    def test_only_noise_draws_load_numpy_random(self, tmp_path):
+        """The closed-form commands run without numpy.random; an instantaneous draw loads it."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        config = tmp_path / "scenario.json"
+        config.write_text("{}")
+        script = f"""
+import sys
+import dmirs.cli
+cfg, out = {str(config)!r}, {str(tmp_path / "o.csv")!r}
+runs = [
+    ["metrics", "--config", cfg],
+    ["sweep-nr", "--config", cfg, "--nr", "10,20", "--pt", "10", "--out", out],
+    ["sweep-dab", "--config", cfg, "--dab", "10,20", "--pt", "10", "--out", out],
+    ["heatmap", "--config", cfg, "--grid", "3x3", "--out", out],
+]
+for argv in runs:
+    assert dmirs.cli.main(argv) == 0, argv
+    assert "numpy.random" not in sys.modules, argv
+assert dmirs.cli.main(["metrics", "--config", cfg, "--an-mode", "instantaneous"]) == 0
+assert "numpy.random" in sys.modules
+"""
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("DMIRS_SEED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_repeated_calls_reuse_one_parser_and_carry_nothing_over(self, tmp_path, monkeypatch, capsys):
         good = tmp_path / "good.json"

@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -75,6 +76,10 @@ class TestAnProjector:
 
 
 class TestComplexNormal:
+    def test_generator_annotation_resolves(self):
+        # quoted so that importing dmirs does not load numpy.random
+        assert typing.get_type_hints(complex_normal)["rng"] is np.random.Generator
+
     @pytest.mark.parametrize("shape", [(1,), (7,), (1000, 16), (3, 4, 5)])
     def test_same_bits_as_two_separate_draws(self, shape):
         for seed in (0, 1, 2**32 - 1):
