@@ -77,12 +77,19 @@ def angle_of(origin: Position, target: Position) -> float:
 
 
 def path_loss(d: float, d0: float) -> float:
-    """Free-space path-loss gain (d/d0)**-2."""
+    """Free-space path-loss gain (d/d0)**-2.
+
+    Raises GeometryError when the gain exceeds the float range, i.e. when d
+    is below about 1e-154 * d0.
+    """
     if not (d > 0.0 and math.isfinite(d)):
         raise GeometryError(f"distance must be positive and finite, got {d!r}")
     if not (d0 > 0.0 and math.isfinite(d0)):
         raise GeometryError(f"reference distance must be positive and finite, got {d0!r}")
-    return (d / d0) ** -2
+    try:
+        return (d / d0) ** -2
+    except (OverflowError, ZeroDivisionError):  # d/d0 below 1e-154, or underflowed to 0
+        raise GeometryError(_gain_overflow(f"distance {d!r} m", d0)) from None
 
 
 def combined_path_loss(d_first: float, d_second: float, d0: float, rule: str) -> float:
@@ -90,8 +97,18 @@ def combined_path_loss(d_first: float, d_second: float, d0: float, rule: str) ->
     if rule == "sum-distance":
         return path_loss(d_first + d_second, d0)
     if rule == "product":
-        return path_loss(d_first, d0) * path_loss(d_second, d0)
+        gain = path_loss(d_first, d0) * path_loss(d_second, d0)
+        if gain == math.inf:
+            raise GeometryError(_gain_overflow(f"distances {d_first!r} m and {d_second!r} m", d0))
+        return gain
     raise ValueError(f"unknown path_loss_combine rule {rule!r}; expected one of {PATH_LOSS_RULES}")
+
+
+def _gain_overflow(distances: str, d0: float) -> str:
+    return (
+        f"path-loss gain at {distances} with d0_m = {d0!r} exceeds the float range; "
+        "raise the distance or lower d0_m"
+    )
 
 
 def link_budget(scene, probe: Position) -> LinkBudget:

@@ -160,6 +160,22 @@ def leak_sinr(scenario, signal_mw: float, row: np.ndarray) -> float:
     return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
 
 
+def probe_block(scenario, amplitudes: np.ndarray, leak_rows: np.ndarray):
+    """Signal powers in mW and expected-noise SINRs of a block of probes.
+
+    ``amplitudes`` are probe_amplitude values, ``leak_rows`` the matching
+    an_leak_row rows.  Bit for bit the scalar probe_signal and leak_sinr
+    route: magnitudes are hypot, squares are pow(x, 2) as for Python floats,
+    and a row's squared norm is np.linalg.norm's sum of real and imaginary
+    dot products, square-rooted and squared again.
+    """
+    magnitudes = np.hypot(amplitudes.real, amplitudes.imag)
+    signal = scenario.alpha * scenario.pt_mw * np.float_power(magnitudes, 2.0)
+    re, im = leak_rows.real, leak_rows.imag
+    an_power = np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
+    return signal, _sinr(scenario, signal, an_power)
+
+
 def _sinr(scenario, signal_mw, an_power):
     """signal / (leaked noise + thermal noise); elementwise over an array of ``an_power``."""
     return signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
@@ -217,13 +233,18 @@ def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float
     steering row the noise leaks through.  Draws come from a dedicated
     generator, so the value is bit-reproducible for a given seed.
     """
-    samples = scenario.mc_samples
-    draws = complex_normal(np.random.default_rng(seed), (samples, scenario.na))
-    gammas = _sinr(scenario, signal_mw, np.abs(draws @ leak_row) ** 2)
+    draws = complex_normal(np.random.default_rng(seed), (scenario.mc_samples, scenario.na))
+    return float(ber_from_snrs(_sinr(scenario, signal_mw, np.abs(draws @ leak_row) ** 2)).mean())
+
+
+def ber_from_snrs(gammas: np.ndarray) -> np.ndarray:
+    """ber_from_snr of every SNR in a 1-D array, bit for bit.
+
+    The same expression, and sqrt is correctly rounded, so only the Q calls
+    stay scalar.  Rejects negative and non-finite SNRs.
+    """
     bad = ~(np.isfinite(gammas) & (gammas >= 0.0))
     if bad.any():
         raise ValueError(f"SNR must be non-negative and finite, got {float(gammas[bad][0])!r}")
-    # ber_from_snr(g) bit for bit: the same expression, and sqrt is correctly
-    # rounded, so only the per-sample Q calls stay scalar.
     u = np.sqrt(2.0 * gammas) * math.sin(math.pi / 4)
-    return float(np.fromiter(map(q_function, u.tolist()), float, samples).mean())
+    return np.fromiter(map(q_function, u.tolist()), float, len(u))

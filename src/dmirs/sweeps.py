@@ -1,16 +1,18 @@
 """Experiment sweeps and CSV emission.
 
-Every sweep walks an ordered grid, evaluates one cell at a time from
-immutable inputs, and lists its rows lexicographically by grid index, so
-the output is identical however cells are scheduled.  Randomized cells
-derive their generator seed from (scenario seed, cell index), never from
-shared state.
+Every sweep walks an ordered grid from immutable inputs and lists its rows
+lexicographically by grid index, so the output is identical however cells
+are scheduled.  The heatmap builds each cell's amplitude and noise-leak row
+in a Python loop, and evaluates SINR, dB and BER as arrays over a block of
+cells at a time.  Randomized cells derive their generator seed from
+(scenario seed, cell index), never from shared state.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
 Python object per cell.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -22,13 +24,13 @@ from .geometry import LinkBudget, Position, link_budget
 from .scenario import Scenario, scenario_to_dict
 from .secrecy import (
     an_leak_row,
-    ber_from_snr,
+    ber_from_snrs,
     benchmark_no_irs,
     check_snr,
-    leak_sinr,
     mc_mean_ber,
+    probe_amplitude,
+    probe_block,
     probe_setup,
-    probe_signal,
     secrecy_metrics,
     snr_bob,
 )
@@ -39,6 +41,10 @@ DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 # Rows formatted and written per sink.write call: bounds the writer's
 # working set (a few hundred KiB) whatever the grid size.
 CSV_CHUNK_ROWS = 4096
+# Complex values in the heatmap's buffer of noise-leak rows (1 MiB): a block
+# of max(1, HEATMAP_BLOCK_VALUES // na) cells is evaluated per array pass,
+# whatever the grid size.
+HEATMAP_BLOCK_VALUES = 65536
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,9 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     distances pinned to the intended receiver's, so only angular
     selectivity varies.  sinr_db is the expected-noise SINR in dB; ber is
     its QPSK error rate, or a Monte-Carlo average over noise draws when the
-    scenario requests instantaneous noise.
+    scenario requests instantaneous noise.  Values are bit for bit those of
+    the scalar per-probe functions, except that np.log10 may differ from
+    math.log10 by an ulp.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:
@@ -94,22 +102,31 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
 
-    sinr_db = np.empty(n_phi * n_theta)
-    ber = np.empty(n_phi * n_theta)
-    index = 0
-    for phi in phi_deg.tolist():
-        for theta in theta_deg.tolist():
-            cell = LinkBudget(**fixed, phi_ae=math.radians(phi), theta_e=math.radians(theta))
-            signal = probe_signal(scenario, cell, precoders)
-            leak = an_leak_row(cell, alice, projector)
-            gamma = leak_sinr(scenario, signal, leak)
-            if mc:
+    n_cells = n_phi * n_theta
+    sinr_db = np.empty(n_cells)
+    ber = np.empty(n_cells)
+    block = max(1, HEATMAP_BLOCK_VALUES // scenario.na)
+    amplitudes = np.empty(block, complex)
+    leak_rows = np.empty((block, scenario.na), complex)
+    phi_rad = [math.radians(p) for p in phi_deg.tolist()]
+    theta_rad = [math.radians(t) for t in theta_deg.tolist()]
+    cells = itertools.product(phi_rad, theta_rad)  # (phi, theta) in grid order
+    for start in range(0, n_cells, block):
+        stop = min(start + block, n_cells)
+        for slot, (phi, theta) in enumerate(itertools.islice(cells, stop - start)):
+            cell = LinkBudget(**fixed, phi_ae=phi, theta_e=theta)
+            amplitudes[slot] = probe_amplitude(scenario, cell, precoders)
+            leak_rows[slot] = an_leak_row(cell, alice, projector)
+        amps, rows = amplitudes[: stop - start], leak_rows[: stop - start]
+        signal, gammas = probe_block(scenario, amps, rows)
+        with np.errstate(divide="ignore"):  # log10(0) = -inf dB
+            sinr_db[start:stop] = 10.0 * np.log10(gammas)
+        if mc:
+            for index, signal_mw, row in zip(range(start, stop), signal.tolist(), rows):
                 seed = np.random.SeedSequence([scenario.seed, index])
-                ber[index] = mc_mean_ber(scenario, signal, leak, seed)
-            else:
-                ber[index] = ber_from_snr(gamma)
-            sinr_db[index] = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
-            index += 1
+                ber[index] = mc_mean_ber(scenario, signal_mw, row, seed)
+        else:
+            ber[start:stop] = ber_from_snrs(gammas)
     meta = _metadata(
         scenario,
         note="heatmap probes keep the intended receiver's path distances; only angles vary",

@@ -1,8 +1,10 @@
 """Independent reference implementations used to derive expected values.
 
-Nothing here imports the package under test.  Each oracle recomputes a
-quantity from first principles (numeric integration, naive loops, explicit
-per-symbol formulas) so test expectations are not circular.
+Each oracle recomputes a quantity from first principles (numeric
+integration, naive loops, explicit per-symbol formulas) so test
+expectations are not circular.  Only `heatmap_per_cell` calls the package
+under test: it chains the package's scalar per-probe functions one cell at
+a time, the reference for the heatmap's block evaluation.
 """
 
 import cmath
@@ -265,3 +267,44 @@ def write_csv_per_row(result, sink) -> int:
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     sink.write(payload)
     return len(payload)
+
+
+def heatmap_per_cell(scenario, grid):
+    """The heatmap's sinr_db and ber columns, one scalar pipeline per cell.
+
+    Each cell calls probe_signal, an_leak_row and leak_sinr, then
+    ber_from_snr or, in instantaneous mode, mc_mean_ber with the cell's
+    (seed, flat index) seed; sinr_db is math.log10 per cell.
+    """
+    from dmirs.geometry import LinkBudget
+    from dmirs.secrecy import (
+        an_leak_row, ber_from_snr, check_snr, leak_sinr, mc_mean_ber, probe_setup, probe_signal, snr_bob,
+    )
+
+    n_phi, n_theta = grid
+    phi_deg = np.linspace(0.0, 180.0, n_phi)
+    theta_deg = np.linspace(0.0, 180.0, n_theta)
+
+    bob_budget, _, precoders, projector = probe_setup(scenario, scenario.bob)
+    check_snr(scenario, snr_bob(scenario, bob_budget))
+    fixed = {k: v for k, v in vars(bob_budget).items() if k not in ("phi_ae", "theta_e")}
+    alice = scenario.alice_array()
+    mc = scenario.an_mode == "instantaneous"
+
+    sinr_db = np.empty(n_phi * n_theta)
+    ber = np.empty(n_phi * n_theta)
+    index = 0
+    for phi in phi_deg.tolist():
+        for theta in theta_deg.tolist():
+            cell = LinkBudget(**fixed, phi_ae=math.radians(phi), theta_e=math.radians(theta))
+            signal = probe_signal(scenario, cell, precoders)
+            leak = an_leak_row(cell, alice, projector)
+            gamma = leak_sinr(scenario, signal, leak)
+            if mc:
+                seed = np.random.SeedSequence([scenario.seed, index])
+                ber[index] = mc_mean_ber(scenario, signal, leak, seed)
+            else:
+                ber[index] = ber_from_snr(gamma)
+            sinr_db[index] = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
+            index += 1
+    return sinr_db, ber

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmirs import cli, sweeps
 from dmirs import scenario as scenario_module
@@ -24,7 +26,7 @@ from dmirs.scenario import (
 )
 from dmirs.secrecy import benchmark_no_irs, probe_setup, secrecy_metrics, sinr_eve
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from oracles import result_rows
+from oracles import heatmap_per_cell, result_rows
 
 
 class TestParseConfig:
@@ -164,6 +166,54 @@ class TestRunHeatmap:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             run_heatmap(Scenario(), grid=(1, 5))
+
+    @staticmethod
+    def _assert_matches_per_cell_loop(scenario, grid):
+        # np.log10 may differ from math.log10 by an ulp; the BER comes from the same SINR bits
+        result = run_heatmap(scenario, grid)
+        sinr_db, ber = heatmap_per_cell(scenario, grid)
+        np.testing.assert_allclose(result.values["sinr_db"], sinr_db, rtol=1e-14, atol=0.0)
+        if scenario.an_mode == "instantaneous":
+            assert result.values["ber"].tolist() == ber.tolist()
+        else:
+            np.testing.assert_allclose(result.values["ber"], ber, rtol=1e-14, atol=0.0)
+
+    # a block is 65536 // na cells (64 at na = 1024), so at large na the longer grids
+    # end mid-block after full ones; the examples make sure both modes do
+    @settings(max_examples=40, deadline=None)
+    @given(
+        na=st.integers(2, MAX_NA),
+        nr=st.integers(1, 200),
+        spacings=st.tuples(st.floats(0.3, 1.2), st.floats(0.3, 1.2)),
+        rule=st.sampled_from(["sum-distance", "product"]),
+        an_mode=st.sampled_from(["expected", "instantaneous"]),
+        grid=st.tuples(st.integers(2, 6), st.integers(2, 40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(na=1024, nr=7, spacings=(0.5, 1.2), rule="product", an_mode="expected", grid=(3, 50), seed=1)
+    @example(na=700, nr=200, spacings=(1.2, 0.3), rule="sum-distance", an_mode="instantaneous",
+             grid=(2, 95), seed=2)
+    def test_block_evaluation_matches_per_cell_loop(self, na, nr, spacings, rule, an_mode, grid, seed):
+        scenario = Scenario(
+            na=na, nr=nr, alice_spacing_wavelengths=spacings[0], irs_spacing_wavelengths=spacings[1],
+            path_loss_combine=rule, an_mode=an_mode, seed=seed, mc_samples=20,
+        )
+        self._assert_matches_per_cell_loop(scenario, grid)
+
+    def test_cells_whose_signal_underflows_read_minus_inf_db(self):
+        # at -3200 dBm some cells' signal power underflows to 0: log10(0) must not warn
+        scenario = Scenario(pt_dbm=-3200.0)
+        assert np.isneginf(run_heatmap(scenario, (3, 3)).values["sinr_db"]).sum() == 2
+        self._assert_matches_per_cell_loop(scenario, (3, 3))
+
+    # 5x5 = 25 cells at na = 16: one cell a block, blocks that do and do not divide the grid,
+    # exactly the grid, and more than the grid
+    @pytest.mark.parametrize("block_cells", [1, 3, 5, 24, 25, 26])
+    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
+    def test_every_block_size_gives_the_per_cell_values(self, block_cells, an_mode, monkeypatch):
+        monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 16 * block_cells)
+        scenario = Scenario(an_mode=an_mode, mc_samples=20, seed=4)
+        self._assert_matches_per_cell_loop(scenario, (5, 5))
 
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
     def test_array_specs_are_built_once_per_run_not_per_cell(self, an_mode, monkeypatch):
@@ -525,6 +575,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("dmirs: error: pt_dbm = ") and " and noise_dbm = " in err
         assert "SNR too large" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    # (d/d0)**-2 overflows below d/d0 ~ 1e-154 and raises ZeroDivisionError once d/d0 underflows to 0
+    @pytest.mark.parametrize(
+        "config, command, options",
+        [
+            *[('{"d0_m": 1e300}', c, []) for c in ("metrics", "heatmap", "sweep-nr", "sweep-dab")],
+            ('{"bob": [1e-300, 0]}', "metrics", []),
+            ('{"bob": [1e-300, 0]}', "heatmap", []),
+            ("{}", "metrics", ["--eve=1e-320,0"]),
+            ('{"d0_m": 10}', "metrics", ["--eve=5e-324,0"]),
+            ("{}", "sweep-dab", ["--dab", "1e-200"]),
+            ('{"d0_m": 1e100, "path_loss_combine": "product"}', "metrics", []),
+        ],
+    )
+    def test_overflowing_path_loss_exits_2_naming_the_distance(self, tmp_path, capsys, config, command, options):
+        path = tmp_path / "scenario.json"
+        path.write_text(config)
+        out = tmp_path / "o.csv"
+        defaults = {
+            "metrics": [],
+            "heatmap": ["--grid", "3x3", "--out", str(out)],
+            "sweep-nr": ["--nr", "50", "--pt", "10", "--out", str(out)],
+            "sweep-dab": ["--dab", "10:20:10", "--pt", "10", "--out", str(out)],
+        }[command]
+        assert cli.main([command, "--config", str(path), *defaults, *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dmirs: error: path-loss gain at distance") and err.count("\n") == 1
+        assert "with d0_m = " in err and "exceeds the float range" in err
         assert not out.exists()
 
     def test_python_dash_m_runs_the_cli(self, config_file):

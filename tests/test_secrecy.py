@@ -14,10 +14,13 @@ from dmirs.secrecy import (
     MAX_SNR,
     an_leak_row,
     ber_from_snr,
+    ber_from_snrs,
     benchmark_no_irs,
     cascaded_gain_closed,
     check_snr,
+    leak_sinr,
     mc_mean_ber,
+    probe_block,
     probe_setup,
     probe_signal,
     rate_bits,
@@ -191,6 +194,38 @@ class TestBerFromSnr:
     def test_rejects_negative_snr(self):
         with pytest.raises(ValueError):
             ber_from_snr(-1.0)
+
+    @given(st.lists(st.floats(0.0, MAX_SNR), max_size=50))
+    def test_array_form_equals_scalar_form_bit_for_bit(self, gammas):
+        assert ber_from_snrs(np.array(gammas, dtype=float)).tolist() == [ber_from_snr(g) for g in gammas]
+
+    @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
+    def test_array_form_rejects_negative_or_non_finite_snr(self, bad):
+        with pytest.raises(ValueError, match=f"SNR must be non-negative and finite, got {bad!r}"):
+            ber_from_snrs(np.array([1.0, bad, 3.0]))
+
+
+@st.composite
+def probe_blocks(draw):
+    na = draw(st.integers(2, 64))
+    cells = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-8.0, 3.0, (cells, 1))
+    amplitudes = (rng.standard_normal(cells) + 1j * rng.standard_normal(cells)) * scale[:, 0]
+    rows = rng.standard_normal((cells, na)) * scale + 1j * rng.standard_normal((cells, na))
+    scenario = Scenario(na=na, alpha=draw(st.floats(0.01, 1.0)), pt_dbm=draw(st.floats(-30.0, 60.0)))
+    return scenario, amplitudes, rows
+
+
+class TestProbeBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(probe_blocks())
+    def test_equals_scalar_signal_and_leak_sinr_bit_for_bit(self, inputs):
+        scenario, amplitudes, rows = inputs
+        signal, gammas = probe_block(scenario, amplitudes, rows)
+        expected = [scenario.alpha * scenario.pt_mw * abs(a) ** 2 for a in amplitudes.tolist()]
+        assert signal.tolist() == expected
+        assert gammas.tolist() == [leak_sinr(scenario, s, row) for s, row in zip(expected, rows)]
 
 
 class TestCheckSnr:

@@ -108,22 +108,33 @@ class _CountingSink:
         return len(payload)
 
 
-def _traced_peak(grid) -> int:
+def _traced_peak(scenario, grid) -> int:
     """Peak traced bytes above the start of one heatmap run and CSV write."""
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
-    write_csv(run_heatmap(Scenario(), grid=grid), _CountingSink())
+    write_csv(run_heatmap(scenario, grid=grid), _CountingSink())
     return tracemalloc.get_traced_memory()[1] - before
+
+
+def _bytes_per_cell(scenario, small, large) -> float:
+    """Marginal peak traced bytes per cell between a small and a large grid."""
+    tracemalloc.start()
+    try:
+        _traced_peak(scenario, (8, 8))  # warm caches and imports
+        peaks = [_traced_peak(scenario, grid) for grid in (small, large)]
+    finally:
+        tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (math.prod(large) - math.prod(small))
 
 
 def test_heatmap_and_csv_keep_under_64_bytes_per_cell():
     # row dicts of boxed floats plus a CSV built whole took 413 bytes a cell
-    tracemalloc.start()
-    try:
-        _traced_peak((8, 8))  # warm caches and imports
-        small = _traced_peak((61, 61))
-        large = _traced_peak((121, 121))
-    finally:
-        tracemalloc.stop()
-    per_cell = (large - small) / (121 * 121 - 61 * 61)
+    per_cell = _bytes_per_cell(Scenario(), (61, 61), (121, 121))
+    assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
+
+
+def test_long_theta_grids_keep_under_64_bytes_per_cell():
+    # At na = 256 a block (256 cells) is shorter than one phi row, so a noise-leak
+    # buffer that grew with the row or the map would cost 4096 bytes a cell here.
+    per_cell = _bytes_per_cell(Scenario(na=256), (2, 1000), (2, 3000))
     assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
