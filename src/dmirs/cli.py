@@ -82,9 +82,9 @@ def _parse_grid(spec: str):
 def _parse_point(spec: str) -> Position:
     try:
         x, y = (float(p) for p in spec.split(","))
-        return Position(x, y)
     except ValueError:
         raise ConfigError(f"could not parse position {spec!r}; expected X,Y") from None
+    return Position(x, y)
 
 
 def _load_scenario(args) -> Scenario:

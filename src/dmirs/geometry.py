@@ -35,7 +35,7 @@ class Position:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """All distances, angles, and path-loss gains one probe evaluation needs.
+    """The angles and path-loss gains one probe evaluation needs.
 
     ``phi_*`` are departure angles at the transmitter, ``theta_*`` are
     deflection angles at the IRS; ``l_*`` are linear path-loss gains.
@@ -43,11 +43,6 @@ class LinkBudget:
     ``theta_e`` / ``phi_ae`` / ``l_ae`` / ``l_are`` describe the probe.
     """
 
-    d_ab: float
-    d_ar: float
-    d_rb: float
-    d_ae: float
-    d_re: float
     phi_ab: float
     phi_ar: float
     phi_ae: float
@@ -112,7 +107,7 @@ def _gain_overflow(distances: str, d0: float) -> str:
 
 
 def link_budget(scene, probe: Position) -> LinkBudget:
-    """Assemble every distance, angle, and loss for a probe in the scene.
+    """Assemble every angle and loss for a probe in the scene.
 
     ``scene`` provides alice, bob, irs positions plus d0_m and
     path_loss_combine (a Scenario works).  The probe may coincide with bob
@@ -129,11 +124,6 @@ def link_budget(scene, probe: Position) -> LinkBudget:
     d_re = distance(irs, probe)
 
     return LinkBudget(
-        d_ab=d_ab,
-        d_ar=d_ar,
-        d_rb=d_rb,
-        d_ae=d_ae,
-        d_re=d_re,
         phi_ab=angle_of(alice, bob),
         phi_ar=angle_of(alice, irs),
         phi_ae=angle_of(alice, probe),

@@ -120,13 +120,6 @@ def probe_amplitude(scenario, budget: LinkBudget, precoders: Precoders, include_
     return complex(amplitude)
 
 
-def probe_signal(scenario, budget: LinkBudget, precoders: Precoders, include_irs=True) -> float:
-    """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2."""
-    return scenario.alpha * scenario.pt_mw * abs(
-        probe_amplitude(scenario, budget, precoders, include_irs)
-    ) ** 2
-
-
 def an_leak_row(budget: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> np.ndarray:
     """Probe steering row propagated through the noise projector."""
     h_ae = steering_vector(alice, budget.phi_ae)
@@ -147,27 +140,25 @@ def sinr_eve(
     the scenario seed.  ``include_irs=False`` drops the reflect-path term
     for the no-IRS benchmark.
     """
-    signal = probe_signal(scenario, budget, precoders, include_irs)
+    amplitude = probe_amplitude(scenario, budget, precoders, include_irs)
     row = an_leak_row(budget, scenario.alice_array(), projector)
-    if scenario.an_mode == "expected":
-        return leak_sinr(scenario, signal, row)
-    z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
-    return _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
+    signal, gamma = probe_block(scenario, amplitude, row)
+    if scenario.an_mode == "instantaneous":
+        z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
+        gamma = _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
+    return float(gamma)
 
 
-def leak_sinr(scenario, signal_mw: float, row: np.ndarray) -> float:
-    """Expected-noise SINR from the probe's signal power and its noise leak row."""
-    return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
+def probe_block(scenario, amplitudes, leak_rows: np.ndarray):
+    """Signal powers in mW and expected-noise SINRs of one probe or a block.
 
-
-def probe_block(scenario, amplitudes: np.ndarray, leak_rows: np.ndarray):
-    """Signal powers in mW and expected-noise SINRs of a block of probes.
-
-    ``amplitudes`` are probe_amplitude values, ``leak_rows`` the matching
-    an_leak_row rows.  Bit for bit the scalar probe_signal and leak_sinr
-    route: magnitudes are hypot, squares are pow(x, 2) as for Python floats,
-    and a row's squared norm is np.linalg.norm's sum of real and imaginary
-    dot products, square-rooted and squared again.
+    ``amplitudes`` are probe_amplitude values (one, or a 1-D array) and
+    ``leak_rows`` the matching an_leak_row rows (1-D, or one row each).  Bit
+    for bit the Python-float route alpha * Pt * abs(amplitude) ** 2 over
+    (1 - alpha) * Pt * np.linalg.norm(row) ** 2 + noise: magnitudes are
+    hypot, squares are pow(x, 2), and a row's squared norm is
+    np.linalg.norm's sum of real and imaginary dot products, square-rooted
+    and squared again.
     """
     magnitudes = np.hypot(amplitudes.real, amplitudes.imag)
     signal = scenario.alpha * scenario.pt_mw * np.float_power(magnitudes, 2.0)
@@ -181,15 +172,13 @@ def _sinr(scenario, signal_mw, an_power):
     return signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
 
 
-def probe_setup(scenario, probe):
-    """Budgets, precoders, and noise projector for one scenario and probe."""
+def probe_setup(scenario):
+    """The intended receiver's budget, the precoders, and the noise projector."""
     bob_budget = link_budget(scenario, scenario.bob)
-    probe_budget = link_budget(scenario, probe)
-    alice = scenario.alice_array()
-    precoders = make_precoders(bob_budget, alice)
+    precoders = make_precoders(bob_budget, scenario.alice_array())
     # w_a is the steering vector toward the intended receiver, the direction the noise avoids
     projector = an_projector(precoders.w_a)
-    return bob_budget, probe_budget, precoders, projector
+    return bob_budget, precoders, projector
 
 
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
@@ -208,7 +197,8 @@ def benchmark_no_irs(scenario, probe) -> SecrecyMetrics:
 
 
 def _metrics(scenario, probe, include_irs: bool) -> SecrecyMetrics:
-    bob_budget, probe_budget, precoders, projector = probe_setup(scenario, probe)
+    bob_budget, precoders, projector = probe_setup(scenario)
+    probe_budget = link_budget(scenario, probe)
     if include_irs:
         gamma_b = snr_bob(scenario, bob_budget)
     else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .geometry import LinkBudget, Position, link_budget
+from .geometry import LinkBudget, Position, distance
 from .scenario import Scenario, scenario_to_dict
 from .secrecy import (
     an_leak_row,
@@ -49,24 +49,20 @@ HEATMAP_BLOCK_VALUES = 65536
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered sweep output: named axes, metadata, and ``values``, one
-    read-only 1-D array per column, each in grid order."""
+    """Ordered sweep output: metadata and ``values``, one read-only 1-D
+    array per column, all of one length, each in grid order."""
 
-    axes: dict
     columns: tuple
     values: dict
     metadata: dict
 
     def __post_init__(self):
-        expected = math.prod(len(v) for v in self.axes.values())
         if set(self.values) != set(self.columns):
             raise ValueError(f"value columns {sorted(self.values)} do not match {self.columns}")
-        for name in self.columns:
-            column = self.values[name]
-            if column.ndim != 1 or len(column) != expected:
-                raise ValueError(
-                    f"column {name} has shape {column.shape}, grid size is {expected}"
-                )
+        shapes = [self.values[name].shape for name in self.columns]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"need at least one column, all 1-D of one length; got shapes {shapes}")
+        for column in self.values.values():
             column.flags.writeable = False
 
 
@@ -95,7 +91,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob_budget, _, precoders, projector = probe_setup(scenario, scenario.bob)
+    bob_budget, precoders, projector = probe_setup(scenario)
     # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
     check_snr(scenario, snr_bob(scenario, bob_budget))
     fixed = {k: v for k, v in vars(bob_budget).items() if k not in ("phi_ae", "theta_e")}
@@ -132,7 +128,6 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
         note="heatmap probes keep the intended receiver's path distances; only angles vary",
     )
     return SweepResult(
-        axes={"phi_deg": list(phi_deg), "theta_deg": list(theta_deg)},
         columns=HEATMAP_COLUMNS,
         values={
             "phi_deg": np.repeat(phi_deg, n_theta),
@@ -169,9 +164,9 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
         raise ValueError("dab and pt sweeps need at least one value each")
     if any(d <= 0.0 for d in dab_values):
         raise ValueError("dab values must be positive")
-    baseline = link_budget(scenario, scenario.bob)
-    ux = (scenario.bob.x - scenario.alice.x) / baseline.d_ab
-    uy = (scenario.bob.y - scenario.alice.y) / baseline.d_ab
+    d_ab = distance(scenario.alice, scenario.bob)
+    ux = (scenario.bob.x - scenario.alice.x) / d_ab
+    uy = (scenario.bob.y - scenario.alice.y) / d_ab
     return _rate_sweep(
         scenario,
         DAB_SWEEP_COLUMNS,
@@ -200,7 +195,6 @@ def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResu
     pt_column = np.tile(np.array(pt_values), len(axis_values))
     rates = (np.array(proposed), np.array(benchmark))
     return SweepResult(
-        axes={columns[0]: axis_values, columns[1]: pt_values},
         columns=columns,
         values=dict(zip(columns, (axis_column, pt_column, *rates))),
         metadata=_metadata(scenario),

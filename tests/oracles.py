@@ -2,9 +2,10 @@
 
 Each oracle recomputes a quantity from first principles (numeric
 integration, naive loops, explicit per-symbol formulas) so test
-expectations are not circular.  Only `heatmap_per_cell` calls the package
-under test: it chains the package's scalar per-probe functions one cell at
-a time, the reference for the heatmap's block evaluation.
+expectations are not circular.  Only the scalar probe route
+(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`) and `heatmap_per_cell`
+call the package under test: they evaluate one probe at a time in Python
+floats, the reference for the package's `probe_block` evaluation.
 """
 
 import cmath
@@ -269,6 +270,37 @@ def write_csv_per_row(result, sink) -> int:
     return len(payload)
 
 
+def probe_signal(scenario, budget, precoders, include_irs=True):
+    """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2."""
+    from dmirs.secrecy import probe_amplitude
+
+    return scenario.alpha * scenario.pt_mw * abs(
+        probe_amplitude(scenario, budget, precoders, include_irs)
+    ) ** 2
+
+
+def _sinr(scenario, signal_mw, an_power):
+    return signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
+
+
+def leak_sinr(scenario, signal_mw, row):
+    """Expected-noise SINR from the probe's signal power and its noise leak row."""
+    return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
+
+
+def sinr_eve_scalar(scenario, budget, precoders, projector, include_irs=True):
+    """Probe SINR from probe_signal and the leak row: leak_sinr in expected
+    mode, or one complex_normal_two_draws draw from the scenario seed."""
+    from dmirs.secrecy import an_leak_row
+
+    signal = probe_signal(scenario, budget, precoders, include_irs)
+    row = an_leak_row(budget, scenario.alice_array(), projector)
+    if scenario.an_mode == "expected":
+        return leak_sinr(scenario, signal, row)
+    z = complex_normal_two_draws(np.random.default_rng(scenario.seed), (scenario.na,))
+    return _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
+
+
 def heatmap_per_cell(scenario, grid):
     """The heatmap's sinr_db and ber columns, one scalar pipeline per cell.
 
@@ -277,15 +309,13 @@ def heatmap_per_cell(scenario, grid):
     (seed, flat index) seed; sinr_db is math.log10 per cell.
     """
     from dmirs.geometry import LinkBudget
-    from dmirs.secrecy import (
-        an_leak_row, ber_from_snr, check_snr, leak_sinr, mc_mean_ber, probe_setup, probe_signal, snr_bob,
-    )
+    from dmirs.secrecy import an_leak_row, ber_from_snr, check_snr, mc_mean_ber, probe_setup, snr_bob
 
     n_phi, n_theta = grid
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob_budget, _, precoders, projector = probe_setup(scenario, scenario.bob)
+    bob_budget, precoders, projector = probe_setup(scenario)
     check_snr(scenario, snr_bob(scenario, bob_budget))
     fixed = {k: v for k, v in vars(bob_budget).items() if k not in ("phi_ae", "theta_e")}
     alice = scenario.alice_array()

@@ -83,10 +83,11 @@ class TestPathLoss:
 
 class TestLinkBudget:
     def test_baseline_scene_with_probe_at_receiver(self):
-        budget = link_budget(Scenario(), BOB)
-        assert budget.d_ab == 20.0
-        assert budget.d_ar == 25.0
-        assert budget.d_rb == 15.0
+        scenario = Scenario()
+        budget = link_budget(scenario, BOB)
+        assert distance(scenario.alice, scenario.bob) == 20.0
+        assert distance(scenario.alice, scenario.irs) == 25.0
+        assert distance(scenario.irs, scenario.bob) == 15.0
         assert budget.l_ab == pytest.approx(2.5e-3, rel=1e-12)
         assert budget.l_arb == pytest.approx(6.25e-4, rel=1e-12)
         assert budget.theta_e == budget.theta_b
@@ -94,12 +95,18 @@ class TestLinkBudget:
         assert budget.phi_ae == budget.phi_ab
 
     def test_golden_probe_matches_independent_oracle(self):
-        budget = link_budget(Scenario(), Position(30.0, 20.0))
+        scenario, probe = Scenario(), Position(30.0, 20.0)
+        budget = link_budget(scenario, probe)
         want = link_budget_oracle((0, 0), (20, 0), (20, -15), (30, 20))
-        for name, value in want.items():
-            assert getattr(budget, name) == pytest.approx(value, rel=1e-12), name
+        for f in fields(budget):
+            assert getattr(budget, f.name) == pytest.approx(want[f.name], rel=1e-12), f.name
+        alice, bob, irs = scenario.alice, scenario.bob, scenario.irs
+        pairs = {"d_ab": (alice, bob), "d_ar": (alice, irs), "d_rb": (irs, bob), "d_ae": (alice, probe),
+                 "d_re": (irs, probe)}
+        for name, (a, b) in pairs.items():
+            assert distance(a, b) == pytest.approx(want[name], rel=1e-12), name
         # spot values pinned from the oracle run
-        assert budget.d_ae == pytest.approx(36.05551275463989, rel=1e-12)
+        assert distance(alice, probe) == pytest.approx(36.05551275463989, rel=1e-12)
         assert budget.theta_e == pytest.approx(1.2924966677897853, rel=1e-12)
         assert budget.l_are == pytest.approx(2.652500564895315e-4, rel=1e-12)
 

@@ -135,7 +135,7 @@ class TestRunHeatmap:
     def test_cells_match_probe_sinr_route(self):
         scenario = Scenario()
         result = run_heatmap(scenario, grid=(7, 7))
-        bob_budget, _, precoders, projector = probe_setup(scenario, scenario.bob)
+        bob_budget, precoders, projector = probe_setup(scenario)
         for row in result_rows(result)[::5]:
             cell = replace(
                 bob_budget,
@@ -490,18 +490,25 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, flag, spec",
         [("sweep-dab", "dab", "nan,10"), ("sweep-dab", "pt", "10,-inf"),
-         ("sweep-nr", "pt", "10,inf"), ("sweep-nr", "nr", "nan"), ("sweep-nr", "nr", "10,1e400")],
+         ("sweep-nr", "pt", "10,inf"), ("sweep-nr", "nr", "nan"), ("sweep-nr", "nr", "10,1e400"),
+         ("metrics", "eve", "nan,0"), ("metrics", "eve", "inf,0")],
     )
     def test_non_finite_list_value_exits_2_naming_the_flag(self, config_file, tmp_path, capsys, command, flag, spec):
         out = tmp_path / "o.csv"
-        values = {"dab": "10", "pt": "10", "nr": "10", flag: spec}
-        axis = "dab" if command == "sweep-dab" else "nr"
-        code = cli.main(
-            [command, "--config", config_file, f"--{axis}", values[axis], "--pt", values["pt"], "--out", str(out)]
-        )
-        err = capsys.readouterr().err
+        if command == "metrics":
+            argv = [command, "--config", config_file, f"--eve={spec}"]
+            x = spec.split(",")[0]
+            message = f"position coordinates must be finite, got Position(x={x}, y=0.0)"
+        else:
+            values = {"dab": "10", "pt": "10", "nr": "10", flag: spec}
+            axis = "dab" if command == "sweep-dab" else "nr"
+            argv = [command, "--config", config_file, f"--{axis}", values[axis], "--pt", values["pt"],
+                    "--out", str(out)]
+            message = f"{flag} values {spec!r} must all be finite"
+        code = cli.main(argv)
+        out_err = capsys.readouterr()
         assert code == 2
-        assert err == f"dmirs: error: {flag} values {spec!r} must all be finite\n"
+        assert out_err.err == f"dmirs: error: {message}\n" and out_err.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])

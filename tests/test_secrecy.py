@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmirs import secrecy
@@ -11,6 +11,7 @@ from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
+    AN_MODES,
     MAX_SNR,
     an_leak_row,
     ber_from_snr,
@@ -18,11 +19,10 @@ from dmirs.secrecy import (
     benchmark_no_irs,
     cascaded_gain_closed,
     check_snr,
-    leak_sinr,
     mc_mean_ber,
+    probe_amplitude,
     probe_block,
     probe_setup,
-    probe_signal,
     rate_bits,
     secrecy_metrics,
     secrecy_rate,
@@ -35,11 +35,19 @@ from oracles import (
     cascaded_gain_bruteforce,
     channel_rows,
     eve_sinr_oracle,
+    leak_sinr,
     mc_mean_ber_per_sample,
     q_via_integration,
+    sinr_eve_scalar,
 )
 
 EVE = Position(30.0, 20.0)
+
+
+def probe_inputs(scenario, probe):
+    """A probe's link budget with the scenario's precoders and noise projector."""
+    _, precoders, projector = probe_setup(scenario)
+    return link_budget(scenario, probe), precoders, projector
 
 
 class TestCascadedGainBruteforce:
@@ -133,8 +141,8 @@ class TestSnrBob:
 class TestSinrEve:
     def test_probe_at_receiver_equals_receiver_snr(self):
         scenario = Scenario()
-        bob_budget, probe_budget, precoders, projector = probe_setup(scenario, scenario.bob)
-        gamma_e = sinr_eve(scenario, probe_budget, precoders, projector)
+        bob_budget, precoders, projector = probe_setup(scenario)
+        gamma_e = sinr_eve(scenario, bob_budget, precoders, projector)
         assert gamma_e == pytest.approx(snr_bob(scenario, bob_budget), rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -147,14 +155,14 @@ class TestSinrEve:
 
     def test_golden_probe_matches_independent_oracle(self):
         scenario = Scenario()
-        _, probe_budget, precoders, projector = probe_setup(scenario, EVE)
+        probe_budget, precoders, projector = probe_inputs(scenario, EVE)
         gamma_e = sinr_eve(scenario, probe_budget, precoders, projector)
         assert gamma_e == pytest.approx(0.002270347638620266, rel=1e-9)
         assert gamma_e == pytest.approx(eve_sinr_oracle((30.0, 20.0)), rel=1e-12)
 
     def test_instantaneous_with_zero_draw_is_noise_limited(self, monkeypatch):
         scenario = Scenario()
-        _, probe_budget, precoders, projector = probe_setup(scenario, EVE)
+        probe_budget, precoders, projector = probe_inputs(scenario, EVE)
         monkeypatch.setattr(secrecy, "complex_normal", lambda rng, shape: np.zeros(shape, complex))
         gamma = sinr_eve(
             replace(scenario, an_mode="instantaneous"), probe_budget, precoders, projector
@@ -164,7 +172,7 @@ class TestSinrEve:
 
     def test_expected_an_power_matches_monte_carlo(self):
         scenario = Scenario()
-        _, probe_budget, _, projector = probe_setup(scenario, EVE)
+        probe_budget, _, projector = probe_inputs(scenario, EVE)
         row = an_leak_row(probe_budget, scenario.alice_array(), projector)
         z = complex_normal(np.random.default_rng(9), (100_000, 16))
         mc = float(np.mean(np.abs(z @ row) ** 2))
@@ -226,6 +234,33 @@ class TestProbeBlock:
         expected = [scenario.alpha * scenario.pt_mw * abs(a) ** 2 for a in amplitudes.tolist()]
         assert signal.tolist() == expected
         assert gammas.tolist() == [leak_sinr(scenario, s, row) for s, row in zip(expected, rows)]
+
+
+@st.composite
+def probe_scenes(draw):
+    scenario = Scenario(
+        na=draw(st.integers(2, 64)),
+        nr=draw(st.integers(1, 500)),
+        alpha=draw(st.floats(0.01, 1.0)),
+        pt_dbm=draw(st.floats(-30.0, 60.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    coordinate = st.floats(-100.0, 100.0)
+    probe = Position(draw(coordinate), draw(coordinate))
+    assume(all(math.hypot(probe.x - p.x, probe.y - p.y) > 1e-2 for p in (scenario.alice, scenario.irs)))
+    return scenario, probe
+
+
+class TestSinrEveRoute:
+    @pytest.mark.parametrize("include_irs", [True, False])
+    @pytest.mark.parametrize("an_mode", AN_MODES)
+    @settings(max_examples=25, deadline=None)
+    @given(probe_scenes())
+    def test_equals_scalar_oracle_route(self, an_mode, include_irs, inputs):
+        scenario, probe = inputs
+        scenario = replace(scenario, an_mode=an_mode)
+        args = (scenario, *probe_inputs(scenario, probe), include_irs)
+        assert sinr_eve(*args) == sinr_eve_scalar(*args)
 
 
 class TestCheckSnr:
@@ -307,10 +342,10 @@ def mc_ber(scenario, probe, samples, seed):
     """Monte-Carlo QPSK BER over ``samples`` draws at a probe position,
     composed as a heatmap cell is."""
     scenario = replace(scenario, mc_samples=samples)
-    _, probe_budget, precoders, projector = probe_setup(scenario, probe)
-    signal = probe_signal(scenario, probe_budget, precoders)
+    probe_budget, precoders, projector = probe_inputs(scenario, probe)
     row = an_leak_row(probe_budget, scenario.alice_array(), projector)
-    return mc_mean_ber(scenario, signal, row, seed)
+    signal, _ = probe_block(scenario, probe_amplitude(scenario, probe_budget, precoders), row)
+    return mc_mean_ber(scenario, float(signal), row, seed)
 
 
 class TestMcBer:
@@ -335,9 +370,7 @@ class TestMcBer:
         long_run = float(np.mean(runs))
 
         # spread of single-draw BERs, estimated from an auxiliary stream
-        _, probe_budget, precoders, projector = probe_setup(scenario, probe)
-        from dmirs.secrecy import probe_amplitude
-
+        probe_budget, precoders, projector = probe_inputs(scenario, probe)
         signal = scenario.alpha * scenario.pt_mw * abs(
             probe_amplitude(scenario, probe_budget, precoders)
         ) ** 2

@@ -8,7 +8,11 @@ attribute); imports, its own body and __init__.py do not count.  A
 defaulted parameter counts as passed when some call in src/dmirs/ to a
 callee of the function's name (as a name or an attribute) supplies it by
 position or keyword, or unpacks *args or **kwargs; otherwise only tests
-can set it, and the setting belongs in the Scenario or nowhere.
+can set it, and the setting belongs in the Scenario or nowhere.  Every
+field of a public dataclass counts as read when src/dmirs/ loads it as an
+attribute or names it in a string constant (as getattr(record, "name")
+does) outside the class's own __post_init__; a field nothing reads only
+costs its record memory and its builder's work.
 """
 
 import ast
@@ -30,6 +34,9 @@ ALLOWED_UNPASSED = {
     "main.argv": "the console entry point calls main() so that argparse reads sys.argv",
     "cascaded_gain_closed.spacing_wavelengths": "the function is allow-listed above as test-only",
 }
+
+# "Class.field": why it stays although the package never reads it
+ALLOWED_UNREAD = {}
 
 
 def _modules():
@@ -134,3 +141,53 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
 def test_unpassed_allow_list_names_only_unpassed_parameters():
     assert set(ALLOWED_UNPASSED) <= set(_unpassed_defaults())
     assert all(reason.strip() for reason in ALLOWED_UNPASSED.values())
+
+
+def _is_dataclass(node):
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _reads(node, owner, found):
+    """Add (owner, name) for each attribute load and string constant under ``node``;
+    the owner becomes a class's name inside that class's __post_init__."""
+    if isinstance(node, ast.ClassDef):
+        for stmt in node.body:
+            inner = node.name if getattr(stmt, "name", None) == "__post_init__" else owner
+            _reads(stmt, inner, found)
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        found.add((owner, node.attr))
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        found.add((owner, node.value))
+    for child in ast.iter_child_nodes(node):
+        _reads(child, owner, found)
+
+
+def _unread_fields():
+    trees = _modules().values()
+    found = set()
+    for tree in trees:
+        _reads(tree, None, found)
+    unread = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_") and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        name = stmt.target.id
+                        if not any(field == name and owner != node.name for owner, field in found):
+                            unread.append(f"{node.name}.{name}")
+    return sorted(unread)
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    unread = [q for q in _unread_fields() if q not in ALLOWED_UNREAD]
+    assert not unread, f"no code in src/dmirs reads these fields (delete them): {unread}"
+
+
+def test_unread_allow_list_names_only_unread_fields():
+    assert set(ALLOWED_UNREAD) <= set(_unread_fields())
+    assert all(reason.strip() for reason in ALLOWED_UNREAD.values())

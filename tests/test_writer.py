@@ -3,7 +3,7 @@
 The writer's bytes are checked against `oracles.write_csv_per_row`, which
 formats one value at a time, on drawn columns that include every float
 the "%.9g" format treats specially; row counts straddle the chunk size.
-The memory test pins what a heatmap keeps per cell.
+The memory tests pin what a heatmap keeps per cell.
 """
 
 import io
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmirs import sweeps
 from dmirs.scenario import Scenario
 from dmirs.sweeps import CSV_CHUNK_ROWS, SweepResult, run_heatmap, write_csv
 from oracles import write_csv_per_row
@@ -28,8 +29,7 @@ METADATA = {"artifact": "dmirs 0.1.0", "seed": 3, "note": "x = 1", "scenario": {
 
 
 def _result(columns: dict) -> SweepResult:
-    n = len(next(iter(columns.values())))
-    return SweepResult(axes={"cell": range(n)}, columns=tuple(columns), values=columns, metadata=METADATA)
+    return SweepResult(columns=tuple(columns), values=columns, metadata=METADATA)
 
 
 def _bytes(writer, result):
@@ -73,9 +73,7 @@ def test_every_special_float_survives_each_chunk_boundary(n):
 
 
 def test_zero_rows_write_preamble_and_header_only():
-    result = SweepResult(
-        axes={"cell": []}, columns=("a",), values={"a": np.empty(0)}, metadata=METADATA
-    )
+    result = SweepResult(columns=("a",), values={"a": np.empty(0)}, metadata=METADATA)
     assert _bytes(write_csv, result) == _bytes(write_csv_per_row, result)
 
 
@@ -85,11 +83,14 @@ def test_result_columns_are_read_only_and_sized_to_the_grid():
         assert result.values[name].shape == (12,)
         with pytest.raises(ValueError):
             result.values[name][0] = 1.0
-    with pytest.raises(ValueError, match="grid size is 6"):
-        SweepResult(axes={"a": [1, 2], "b": [1, 2, 3]}, columns=("x",), values={"x": np.zeros(5)},
-                    metadata={})
+    with pytest.raises(ValueError, match=r"one length; got shapes \[\(6,\), \(5,\)\]"):
+        SweepResult(columns=("x", "y"), values={"x": np.zeros(6), "y": np.zeros(5)}, metadata={})
+    with pytest.raises(ValueError, match=r"all 1-D of one length; got shapes \[\(2, 3\)\]"):
+        SweepResult(columns=("x",), values={"x": np.zeros((2, 3))}, metadata={})
+    with pytest.raises(ValueError, match=r"need at least one column.*got shapes \[\]"):
+        SweepResult(columns=(), values={}, metadata={})
     with pytest.raises(ValueError, match="do not match"):
-        SweepResult(axes={"a": [1]}, columns=("x", "y"), values={"x": np.zeros(1)}, metadata={})
+        SweepResult(columns=("x", "y"), values={"x": np.zeros(1)}, metadata={})
 
 
 def test_heatmap_axis_columns_are_the_grid_in_row_major_order():
@@ -127,10 +128,18 @@ def _bytes_per_cell(scenario, small, large) -> float:
     return (peaks[1] - peaks[0]) / (math.prod(large) - math.prod(small))
 
 
-def test_heatmap_and_csv_keep_under_64_bytes_per_cell():
+def test_heatmap_and_csv_keep_under_64_bytes_per_cell(monkeypatch):
     # row dicts of boxed floats plus a CSV built whole took 413 bytes a cell
     per_cell = _bytes_per_cell(Scenario(), (61, 61), (121, 121))
     assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
+    # At production sizes a 61x61 map fits in one block and one CSV chunk, so its
+    # temporaries grow with the map and the marginal above undercounts.  With small
+    # blocks and chunks both maps span many of each, and the marginal must hold the
+    # four 8-byte result columns.
+    monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 1024)
+    monkeypatch.setattr(sweeps, "CSV_CHUNK_ROWS", 64)
+    per_cell = _bytes_per_cell(Scenario(), (31, 31), (61, 61))
+    assert 30 <= per_cell < 64, f"{per_cell:.1f} traced bytes per cell past one block"
 
 
 def test_long_theta_grids_keep_under_64_bytes_per_cell():
