@@ -11,8 +11,10 @@ A probe with a negative X is written `--eve=-5,3`: argparse reads a
 separate `-5,3` as an option.
 
 Exit codes: 0 success, 2 configuration or validation error, 3 runtime or
-I/O error.  The environment variable DMIRS_SEED overrides the config seed;
-an explicit --seed flag wins over both.
+I/O error.  A command validates its config file as written, then applies
+DMIRS_SEED and its own flags in one step; a flag wins over DMIRS_SEED,
+which wins over the config.  DMIRS_SEED must be an integer, but a negative
+one that --seed replaces is not range-checked.
 
 A start:stop:step range may hold at most MAX_RANGE_VALUES values and a
 heatmap grid at most MAX_GRID_CELLS cells; larger requests exit 2 before
@@ -87,22 +89,22 @@ def _parse_point(spec: str) -> Position:
     return Position(x, y)
 
 
-def _load_scenario(args) -> Scenario:
+def _load_scenario(args, **flags) -> Scenario:
+    """The config file's Scenario with DMIRS_SEED and every flag that is not None applied."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             scenario = parse_config(fh.read())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}") from None
+    overrides = {}
     env_seed = os.environ.get("DMIRS_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            overrides["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"DMIRS_SEED must be an integer, got {env_seed!r}") from None
-        scenario = replace(scenario, seed=seed)
-    if getattr(args, "seed", None) is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
+    overrides.update((name, value) for name, value in flags.items() if value is not None)
+    return replace(scenario, **overrides) if overrides else scenario
 
 
 def _write_result(result, path) -> None:
@@ -111,11 +113,8 @@ def _write_result(result, path) -> None:
 
 
 def _cmd_metrics(args) -> int:
-    scenario = _load_scenario(args)
-    if args.eve is not None:
-        scenario = replace(scenario, eve=_parse_point(args.eve))
-    if args.an_mode is not None:
-        scenario = replace(scenario, an_mode=args.an_mode)
+    eve = None if args.eve is None else _parse_point(args.eve)
+    scenario = _load_scenario(args, eve=eve, an_mode=args.an_mode)
     metrics = secrecy_metrics(scenario, scenario.eve)
     for key in ("gamma_b", "gamma_e", "rate_b", "rate_e", "rate_s", "ber_b", "ber_probe"):
         print(f"{key}={format(getattr(metrics, key), '.9g')}")
@@ -123,9 +122,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    scenario = _load_scenario(args)
-    if args.mc_samples is not None:
-        scenario = replace(scenario, mc_samples=args.mc_samples)
+    scenario = _load_scenario(args, seed=args.seed, mc_samples=args.mc_samples)
     result = run_heatmap(scenario, _parse_grid(args.grid))
     _write_result(result, args.out)
     return 0

@@ -55,10 +55,12 @@ class LinkBudget:
 
 
 def distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two distinct points."""
+    """Euclidean distance between two distinct points; it must be finite."""
     d = math.hypot(b.x - a.x, b.y - a.y)
     if d == 0.0:
         raise GeometryError(f"coincident points {a} and {b}")
+    if d == math.inf:
+        raise GeometryError(f"points {a} and {b} are too far apart: their distance exceeds the float range")
     return d
 
 
@@ -90,6 +92,10 @@ def path_loss(d: float, d0: float) -> float:
 def combined_path_loss(d_first: float, d_second: float, d0: float, rule: str) -> float:
     """Two-hop reflect-path gain under the configured combine rule."""
     if rule == "sum-distance":
+        if d_first + d_second == math.inf:
+            raise GeometryError(
+                f"reflect-path hops of {d_first!r} m and {d_second!r} m add up beyond the float range"
+            )
         return path_loss(d_first + d_second, d0)
     if rule == "product":
         gain = path_loss(d_first, d0) * path_loss(d_second, d0)

@@ -15,7 +15,6 @@ lie inside the direct-beam band.
 import contextlib
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from dmirs.secrecy import (
     an_leak_row,
     benchmark_no_irs,
     cascaded_gain_closed,
-    probe_setup,
     secrecy_metrics,
     snr_bob,
 )

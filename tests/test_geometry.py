@@ -34,6 +34,13 @@ class TestDistance:
         with pytest.raises(GeometryError):
             distance(BOB, Position(20.0, 0.0))
 
+    def test_distance_beyond_the_float_range_names_both_points(self):
+        far = [Position(1e308, 0.0), Position(-1e308, 0.0)]
+        with pytest.raises(GeometryError, match=r"points Position\(x=1e\+308.* are too far apart"):
+            distance(*far)
+        with pytest.raises(GeometryError, match="too far apart"):
+            distance(Position(0.0, 0.0), Position(1.5e308, 1.5e308))
+
 
 class TestAngleOf:
     def test_along_axis(self):
@@ -79,6 +86,8 @@ class TestPathLoss:
         )
         with pytest.raises(ValueError):
             combined_path_loss(25.0, 15.0, 1.0, "geometric")
+        with pytest.raises(GeometryError, match="hops of 9e[+]307 m and 1e[+]308 m add up beyond"):
+            combined_path_loss(9e307, 1e308, 1.0, "sum-distance")
 
 
 class TestLinkBudget:

@@ -511,6 +511,44 @@ class TestCli:
         assert out_err.err == f"dmirs: error: {message}\n" and out_err.out == ""
         assert not out.exists()
 
+    def test_config_is_validated_as_written_then_overridden_in_one_step(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        validate, built = Scenario.__post_init__, []
+        monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(self) or validate(self))
+
+        def run(argv, env_seed=None):
+            if env_seed is None:
+                monkeypatch.delenv("DMIRS_SEED", raising=False)
+            else:
+                monkeypatch.setenv("DMIRS_SEED", env_seed)
+            built.clear()
+            code = cli.main(argv)
+            return code, len(built), capsys.readouterr().err
+
+        out = tmp_path / "o.csv"
+        metrics = ["metrics", "--config", config_file, "--eve=-5,3", "--an-mode", "expected"]
+        heatmap = ["heatmap", "--config", config_file, "--grid", "3x3", "--seed", "9", "--mc-samples", "10",
+                   "--out", str(out)]
+        sweep_nr = ["sweep-nr", "--config", config_file, "--nr", "10,20,30", "--pt", "10,15", "--out", str(out)]
+        # the file's Scenario, then one with DMIRS_SEED and every flag applied
+        assert run(metrics) == (0, 2, "")
+        assert run(metrics, "7") == (0, 2, "")
+        assert run(heatmap, "7") == (0, 2, "")
+        assert "# seed = 9" in out.read_text()
+        # a sweep takes no flag: the file's Scenario, then one per row
+        assert run(sweep_nr) == (0, 1 + 3 * 2, "")
+        # DMIRS_SEED must parse even when --seed replaces it, but only the seed used is range-checked
+        assert run(heatmap, "abc") == (2, 1, "dmirs: error: DMIRS_SEED must be an integer, got 'abc'\n")
+        assert run(heatmap, "-1")[:2] == (0, 2)
+        # the file is validated as written: its eve on alice exits 2 though --eve moves it
+        on_alice = tmp_path / "on_alice.json"
+        on_alice.write_text('{"eve": [0, 0]}')
+        metrics[2] = str(on_alice)
+        assert run(metrics) == (
+            2, 1, "dmirs: error: eve and alice coincide at Position(x=0.0, y=0.0)\n"
+        )
+
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
     @pytest.mark.parametrize("route", ["config", "env", "flag"])
     def test_negative_seed_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys, route, an_mode):
@@ -611,6 +649,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("dmirs: error: path-loss gain at distance") and err.count("\n") == 1
         assert "with d0_m = " in err and "exceeds the float range" in err
+        assert not out.exists()
+
+    # finite positions whose distance, or reflect-path hop sum, exceeds the float range
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ('{"alice": [1e308, 0], "bob": [-1e308, 0]}',
+             "points Position(x=1e+308, y=0.0) and Position(x=-1e+308, y=0.0) are too far apart"),
+            ('{"irs": [9e307, 0], "bob": [0, 9e307]}', "reflect-path hops of 9e+307 m and "),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["metrics", "heatmap", "sweep-nr", "sweep-dab"])
+    def test_points_too_far_apart_exit_2_naming_them(self, tmp_path, capsys, config, message, command):
+        path = tmp_path / "scenario.json"
+        path.write_text(config)
+        out = tmp_path / "o.csv"
+        options = {
+            "metrics": [],
+            "heatmap": ["--grid", "3x3", "--out", str(out)],
+            "sweep-nr": ["--nr", "50", "--pt", "10", "--out", str(out)],
+            "sweep-dab": ["--dab", "10", "--pt", "10", "--out", str(out)],
+        }[command]
+        assert cli.main([command, "--config", str(path), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"dmirs: error: {message}") and captured.err.count("\n") == 1
+        assert "float range" in captured.err and captured.out == ""
         assert not out.exists()
 
     def test_python_dash_m_runs_the_cli(self, config_file):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dmirs import secrecy
-from dmirs.arrays import ArraySpec, steering_vector
+from dmirs.arrays import ArraySpec
 from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (

@@ -13,6 +13,9 @@ field of a public dataclass counts as read when src/dmirs/ loads it as an
 attribute or names it in a string constant (as getattr(record, "name")
 does) outside the class's own __post_init__; a field nothing reads only
 costs its record memory and its builder's work.
+
+The test modules beside this one are held to one rule of their own: every
+name a test module imports is read somewhere in that module.
 """
 
 import ast
@@ -21,6 +24,7 @@ from pathlib import Path
 import dmirs
 
 PACKAGE = Path(dmirs.__file__).parent
+TESTS = Path(__file__).parent
 
 # name: why it stays although the package itself does not use it
 ALLOWED_UNUSED = {
@@ -191,3 +195,24 @@ def test_every_dataclass_field_is_read_by_the_package():
 def test_unread_allow_list_names_only_unread_fields():
     assert set(ALLOWED_UNREAD) <= set(_unread_fields())
     assert all(reason.strip() for reason in ALLOWED_UNREAD.values())
+
+
+def _unused_imports(tree):
+    """Names an import binds in ``tree`` that no name expression in it reads."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]  # `import a.b` binds a
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_name_a_test_module_imports_is_read():
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(TESTS.glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not unused, f"imported but never read (delete the import): {unused}"
