@@ -9,9 +9,13 @@ Conventions (fixed for the whole artifact):
     two-hop reflect path combines per ``path_loss_combine``: the default
     "sum-distance" rule applies the law to the total travelled distance,
     while "product" multiplies the two per-hop gains.
+
+A receiver (the intended one, an eavesdropper or a heatmap cell) is one
+LinkBudget: its departure and deflection angles and its two path gains.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 PATH_LOSS_RULES = ("sum-distance", "product")
@@ -35,23 +39,17 @@ class Position:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """The angles and path-loss gains one probe evaluation needs.
+    """One receiver's angles and linear path-loss gains.
 
-    ``phi_*`` are departure angles at the transmitter, ``theta_*`` are
-    deflection angles at the IRS; ``l_*`` are linear path-loss gains.
-    ``theta_b`` is the IRS-to-intended-receiver angle the IRS is tuned to,
-    ``theta_e`` / ``phi_ae`` / ``l_ae`` / ``l_are`` describe the probe.
+    ``phi`` is its departure angle at the transmitter and ``theta`` its
+    deflection angle at the IRS; ``l_direct`` is the transmitter-to-receiver
+    gain and ``l_reflect`` the two-hop gain through the IRS.
     """
 
-    phi_ab: float
-    phi_ar: float
-    phi_ae: float
-    theta_b: float
-    theta_e: float
-    l_ab: float
-    l_arb: float
-    l_ae: float
-    l_are: float
+    phi: float
+    theta: float
+    l_direct: float
+    l_reflect: float
 
 
 def distance(a: Position, b: Position) -> float:
@@ -76,17 +74,20 @@ def angle_of(origin: Position, target: Position) -> float:
 def path_loss(d: float, d0: float) -> float:
     """Free-space path-loss gain (d/d0)**-2.
 
-    Raises GeometryError when the gain exceeds the float range, i.e. when d
-    is below about 1e-154 * d0.
+    Raises GeometryError when the gain leaves the normal float range, i.e.
+    when d/d0 is below about 1e-154 or above about 6.7e153.
     """
     if not (d > 0.0 and math.isfinite(d)):
         raise GeometryError(f"distance must be positive and finite, got {d!r}")
     if not (d0 > 0.0 and math.isfinite(d0)):
         raise GeometryError(f"reference distance must be positive and finite, got {d0!r}")
     try:
-        return (d / d0) ** -2
+        gain = (d / d0) ** -2
     except (OverflowError, ZeroDivisionError):  # d/d0 below 1e-154, or underflowed to 0
-        raise GeometryError(_gain_overflow(f"distance {d!r} m", d0)) from None
+        gain = math.inf
+    if not sys.float_info.min <= gain < math.inf:
+        raise GeometryError(_gain_overflow(f"distance {d!r} m", d0, gain))
+    return gain
 
 
 def combined_path_loss(d_first: float, d_second: float, d0: float, rule: str) -> float:
@@ -99,44 +100,31 @@ def combined_path_loss(d_first: float, d_second: float, d0: float, rule: str) ->
         return path_loss(d_first + d_second, d0)
     if rule == "product":
         gain = path_loss(d_first, d0) * path_loss(d_second, d0)
-        if gain == math.inf:
-            raise GeometryError(_gain_overflow(f"distances {d_first!r} m and {d_second!r} m", d0))
+        if not sys.float_info.min <= gain < math.inf:
+            raise GeometryError(_gain_overflow(f"distances {d_first!r} m and {d_second!r} m", d0, gain))
         return gain
     raise ValueError(f"unknown path_loss_combine rule {rule!r}; expected one of {PATH_LOSS_RULES}")
 
 
-def _gain_overflow(distances: str, d0: float) -> str:
-    return (
-        f"path-loss gain at {distances} with d0_m = {d0!r} exceeds the float range; "
-        "raise the distance or lower d0_m"
-    )
+def _gain_overflow(distances: str, d0: float, gain: float) -> str:
+    """Message for a gain above the float range or, if ``gain`` < 1, below its normal range."""
+    if gain < 1.0:
+        limit, fix = "falls below the normal", "lower the distance or raise"
+    else:
+        limit, fix = "exceeds the", "raise the distance or lower"
+    return f"path-loss gain at {distances} with d0_m = {d0!r} {limit} float range; {fix} d0_m"
 
 
-def link_budget(scene, probe: Position) -> LinkBudget:
-    """Assemble every angle and loss for a probe in the scene.
+def link_budget(scene, receiver: Position) -> LinkBudget:
+    """The angles and path-loss gains of one receiver in the scene.
 
-    ``scene`` provides alice, bob, irs positions plus d0_m and
-    path_loss_combine (a Scenario works).  The probe may coincide with bob
-    (the intended receiver) but not with alice or the IRS.
+    ``scene`` provides the alice and irs positions plus d0_m and
+    path_loss_combine (a Scenario works).  The receiver may be the intended
+    one, but may not coincide with alice or the IRS.  The reflect gain is
+    evaluated before the direct one, so a receiver too far for both paths
+    is named by its reflect-path hops.
     """
-    alice, bob, irs = scene.alice, scene.bob, scene.irs
-    d0 = scene.d0_m
-    rule = scene.path_loss_combine
-
-    d_ab = distance(alice, bob)
-    d_ar = distance(alice, irs)
-    d_rb = distance(irs, bob)
-    d_ae = distance(alice, probe)
-    d_re = distance(irs, probe)
-
-    return LinkBudget(
-        phi_ab=angle_of(alice, bob),
-        phi_ar=angle_of(alice, irs),
-        phi_ae=angle_of(alice, probe),
-        theta_b=angle_of(irs, bob),
-        theta_e=angle_of(irs, probe),
-        l_ab=path_loss(d_ab, d0),
-        l_arb=combined_path_loss(d_ar, d_rb, d0, rule),
-        l_ae=path_loss(d_ae, d0),
-        l_are=combined_path_loss(d_ar, d_re, d0, rule),
-    )
+    alice, irs, d0 = scene.alice, scene.irs, scene.d0_m
+    d_direct = distance(alice, receiver)
+    l_reflect = combined_path_loss(distance(alice, irs), distance(irs, receiver), d0, scene.path_loss_combine)
+    return LinkBudget(angle_of(alice, receiver), angle_of(irs, receiver), path_loss(d_direct, d0), l_reflect)

@@ -1,15 +1,17 @@
 """Performance formulas: SNR, SINR, BER, rates, and the secrecy rate.
 
-The intended receiver sees both beams add coherently: its SNR is
+Each receiver is a geometry.LinkBudget.  The direct beam is steered at the
+intended receiver's phi and the IRS tuned to its theta, so its SNR is
 
-    gamma_b = alpha * Pt * |sqrt(l_ab) + sqrt(l_arb) * N_r|^2 / noise,
+    gamma_b = alpha * Pt * |sqrt(l_direct) + sqrt(l_reflect) * N_r|^2 / noise,
 
 since the tuned IRS contributes a factor of exactly N_r (one unit of gain
-per element).  A probe elsewhere sees the direct beam through the steering
-inner product, the reflect beam through a Dirichlet-kernel gain in the
-cosine of its deflection angle, and additionally absorbs artificial noise:
+per element).  A probe with record (phi, theta, l_direct, l_reflect) sees
+the direct beam through the steering inner product <h(phi), w_a>, the
+reflect beam through a Dirichlet-kernel gain in the offset of cos(theta)
+from the tuned one, and additionally absorbs artificial noise:
 
-    gamma_e = alpha * Pt * |sqrt(l_ae)*<h_ae, w_a> + sqrt(l_are)*gain|^2
+    gamma_e = alpha * Pt * |sqrt(l_direct)*<h(phi), w_a> + sqrt(l_reflect)*gain|^2
               / ((1-alpha) * Pt * A + noise)
 
 where A is the squared norm of the probe's steering row through the noise
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArraySpec, irs_phase_diagonal, steering_vector
-from .geometry import LinkBudget, link_budget
+from .geometry import LinkBudget, angle_of, link_budget
 from .numerics import q_function
 from .transmitter import Precoders, an_projector, complex_normal, make_precoders
 
@@ -101,47 +103,47 @@ def check_snr(scenario, *gammas) -> None:
         )
 
 
-def snr_bob(scenario, budget: LinkBudget) -> float:
-    """SNR of the intended receiver with the IRS tuned to it."""
-    amplitude = math.sqrt(budget.l_ab) + math.sqrt(budget.l_arb) * scenario.nr
+def snr_bob(scenario, bob: LinkBudget) -> float:
+    """SNR of the intended receiver ``bob`` with the IRS tuned to it."""
+    amplitude = math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr
     return scenario.alpha * scenario.pt_mw * amplitude**2 / scenario.noise_mw
 
 
-def probe_amplitude(scenario, budget: LinkBudget, precoders: Precoders, include_irs=True) -> complex:
-    """Coherent signal amplitude reaching the probe, both paths combined."""
+def probe_amplitude(
+    scenario, bob: LinkBudget, probe: LinkBudget, precoders: Precoders, include_irs=True
+) -> complex:
+    """Coherent signal amplitude reaching ``probe``, both paths combined, with
+    the IRS tuned to the intended receiver ``bob``."""
     alice = scenario.alice_array()
-    h_ae = steering_vector(alice, budget.phi_ae)
-    amplitude = math.sqrt(budget.l_ae) * np.vdot(h_ae, precoders.w_a)
+    h_ae = steering_vector(alice, probe.phi)
+    amplitude = math.sqrt(probe.l_direct) * np.vdot(h_ae, precoders.w_a)
     if include_irs:
         irs = scenario.irs_array()
-        g_t = steering_vector(alice, budget.phi_ar)
-        phase_sum = irs_phase_diagonal(irs, budget.theta_e, budget.theta_b).sum()
-        amplitude = amplitude + math.sqrt(budget.l_are) * phase_sum * np.vdot(g_t, precoders.w_r)
+        g_t = steering_vector(alice, angle_of(scenario.alice, scenario.irs))
+        phase_sum = irs_phase_diagonal(irs, probe.theta, bob.theta).sum()
+        amplitude = amplitude + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, precoders.w_r)
     return complex(amplitude)
 
 
-def an_leak_row(budget: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> np.ndarray:
+def an_leak_row(probe: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> np.ndarray:
     """Probe steering row propagated through the noise projector."""
-    h_ae = steering_vector(alice, budget.phi_ae)
+    h_ae = steering_vector(alice, probe.phi)
     return h_ae.conj() @ projector
 
 
 def sinr_eve(
-    scenario,
-    budget: LinkBudget,
-    precoders: Precoders,
-    projector: np.ndarray,
+    scenario, bob: LinkBudget, probe: LinkBudget, precoders: Precoders, projector: np.ndarray,
     include_irs: bool = True,
 ) -> float:
-    """SINR at the probe described by ``budget``, in the scenario's an_mode.
+    """SINR at ``probe`` with the IRS tuned to ``bob``, in the scenario's an_mode.
 
     ``expected`` mode replaces the random projected-noise power by its mean
     (the squared row norm); ``instantaneous`` mode uses one noise draw from
     the scenario seed.  ``include_irs=False`` drops the reflect-path term
     for the no-IRS benchmark.
     """
-    amplitude = probe_amplitude(scenario, budget, precoders, include_irs)
-    row = an_leak_row(budget, scenario.alice_array(), projector)
+    amplitude = probe_amplitude(scenario, bob, probe, precoders, include_irs)
+    row = an_leak_row(probe, scenario.alice_array(), projector)
     signal, gamma = probe_block(scenario, amplitude, row)
     if scenario.an_mode == "instantaneous":
         z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
@@ -174,11 +176,11 @@ def _sinr(scenario, signal_mw, an_power):
 
 def probe_setup(scenario):
     """The intended receiver's budget, the precoders, and the noise projector."""
-    bob_budget = link_budget(scenario, scenario.bob)
-    precoders = make_precoders(bob_budget, scenario.alice_array())
+    bob = link_budget(scenario, scenario.bob)
+    precoders = make_precoders(scenario, bob)
     # w_a is the steering vector toward the intended receiver, the direction the noise avoids
     projector = an_projector(precoders.w_a)
-    return bob_budget, precoders, projector
+    return bob, precoders, projector
 
 
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
@@ -197,13 +199,13 @@ def benchmark_no_irs(scenario, probe) -> SecrecyMetrics:
 
 
 def _metrics(scenario, probe, include_irs: bool) -> SecrecyMetrics:
-    bob_budget, precoders, projector = probe_setup(scenario)
+    bob, precoders, projector = probe_setup(scenario)
     probe_budget = link_budget(scenario, probe)
     if include_irs:
-        gamma_b = snr_bob(scenario, bob_budget)
+        gamma_b = snr_bob(scenario, bob)
     else:
-        gamma_b = scenario.alpha * scenario.pt_mw * bob_budget.l_ab / scenario.noise_mw
-    gamma_e = sinr_eve(scenario, probe_budget, precoders, projector, include_irs)
+        gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+    gamma_e = sinr_eve(scenario, bob, probe_budget, precoders, projector, include_irs)
     check_snr(scenario, gamma_b, gamma_e)
     return SecrecyMetrics(
         gamma_b=gamma_b,

@@ -77,13 +77,13 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     """BER map over a hypothetical receiver's two angles.
 
     Each cell is a receiver whose departure angle from the transmitter is
-    phi and whose deflection angle at the IRS is theta, with both path
-    distances pinned to the intended receiver's, so only angular
-    selectivity varies.  sinr_db is the expected-noise SINR in dB; ber is
-    its QPSK error rate, or a Monte-Carlo average over noise draws when the
-    scenario requests instantaneous noise.  Values are bit for bit those of
-    the scalar per-probe functions, except that np.log10 may differ from
-    math.log10 by an ulp.
+    phi and whose deflection angle at the IRS is theta, with the intended
+    receiver's two path gains, so only angular selectivity varies.  sinr_db
+    is the expected-noise SINR in dB; ber is its QPSK error rate, or a
+    Monte-Carlo average over noise draws when the scenario requests
+    instantaneous noise.  Values are bit for bit those of the scalar
+    per-probe functions, except that np.log10 may differ from math.log10
+    by an ulp.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:
@@ -91,10 +91,9 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob_budget, precoders, projector = probe_setup(scenario)
+    bob, precoders, projector = probe_setup(scenario)
     # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
-    check_snr(scenario, snr_bob(scenario, bob_budget))
-    fixed = {k: v for k, v in vars(bob_budget).items() if k not in ("phi_ae", "theta_e")}
+    check_snr(scenario, snr_bob(scenario, bob))
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
 
@@ -110,8 +109,8 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
         for slot, (phi, theta) in enumerate(itertools.islice(cells, stop - start)):
-            cell = LinkBudget(**fixed, phi_ae=phi, theta_e=theta)
-            amplitudes[slot] = probe_amplitude(scenario, cell, precoders)
+            cell = LinkBudget(phi, theta, bob.l_direct, bob.l_reflect)
+            amplitudes[slot] = probe_amplitude(scenario, bob, cell, precoders)
             leak_rows[slot] = an_leak_row(cell, alice, projector)
         amps, rows = amplitudes[: stop - start], leak_rows[: stop - start]
         signal, gammas = probe_block(scenario, amps, rows)

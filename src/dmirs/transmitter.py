@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArraySpec, steering_vector
-from .geometry import LinkBudget
+from .arrays import steering_vector
+from .geometry import LinkBudget, angle_of
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -29,11 +29,13 @@ class Precoders:
     w_r: np.ndarray
 
 
-def make_precoders(budget: LinkBudget, alice: ArraySpec) -> Precoders:
-    """Match each beam to its path: steering at phi_ab and at phi_ar."""
+def make_precoders(scene, bob: LinkBudget) -> Precoders:
+    """Match each beam to its path: steering at the intended receiver ``bob``
+    and at the IRS of ``scene`` (a Scenario)."""
+    alice = scene.alice_array()
     return Precoders(
-        w_a=steering_vector(alice, budget.phi_ab),
-        w_r=steering_vector(alice, budget.phi_ar),
+        w_a=steering_vector(alice, bob.phi),
+        w_r=steering_vector(alice, angle_of(scene.alice, scene.irs)),
     )
 
 

@@ -56,19 +56,21 @@ def irs_phase_matrix(nr, spacing, theta, theta_b):
     return np.diag(np.exp(-2j * math.pi * (cyc(theta) - cyc(theta_b))))
 
 
-def channel_rows(budget, na, nr, deflection, spacing=0.5):
+def channel_rows(budget, bob, phi_ar, na, nr, deflection, spacing=0.5):
     """Direct and reflect channel rows of a probe, by dense matrix products.
 
-    ``budget`` supplies phi_ae, phi_ar, theta_b, l_ae and l_are.  The direct
-    row is sqrt(l_ae) times the Hermitian steering row at the probe's
-    departure angle; the reflect row is sqrt(l_are) times the all-ones IRS
-    row through the phase matrix at ``deflection`` and the cascade matrix.
+    ``budget`` is the probe's record (phi, l_direct, l_reflect), ``bob`` the
+    intended receiver's, whose theta the IRS is tuned to, and ``phi_ar`` the
+    transmitter-to-IRS angle.  The direct row is sqrt(l_direct) times the
+    Hermitian steering row at the probe's departure angle; the reflect row
+    is sqrt(l_reflect) times the all-ones IRS row through the phase matrix
+    at ``deflection`` and the cascade matrix.
     """
-    direct = math.sqrt(budget.l_ae) * steering_oracle(na, spacing, budget.phi_ae).conj()
-    reflect = math.sqrt(budget.l_are) * (
+    direct = math.sqrt(budget.l_direct) * steering_oracle(na, spacing, budget.phi).conj()
+    reflect = math.sqrt(budget.l_reflect) * (
         np.ones(nr)
-        @ irs_phase_matrix(nr, spacing, deflection, budget.theta_b)
-        @ cascade_matrix(na, nr, spacing, budget.phi_ar)
+        @ irs_phase_matrix(nr, spacing, deflection, bob.theta)
+        @ cascade_matrix(na, nr, spacing, phi_ar)
     )
     return direct, reflect
 
@@ -270,12 +272,12 @@ def write_csv_per_row(result, sink) -> int:
     return len(payload)
 
 
-def probe_signal(scenario, budget, precoders, include_irs=True):
+def probe_signal(scenario, bob, budget, precoders, include_irs=True):
     """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2."""
     from dmirs.secrecy import probe_amplitude
 
     return scenario.alpha * scenario.pt_mw * abs(
-        probe_amplitude(scenario, budget, precoders, include_irs)
+        probe_amplitude(scenario, bob, budget, precoders, include_irs)
     ) ** 2
 
 
@@ -288,12 +290,12 @@ def leak_sinr(scenario, signal_mw, row):
     return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
 
 
-def sinr_eve_scalar(scenario, budget, precoders, projector, include_irs=True):
+def sinr_eve_scalar(scenario, bob, budget, precoders, projector, include_irs=True):
     """Probe SINR from probe_signal and the leak row: leak_sinr in expected
     mode, or one complex_normal_two_draws draw from the scenario seed."""
     from dmirs.secrecy import an_leak_row
 
-    signal = probe_signal(scenario, budget, precoders, include_irs)
+    signal = probe_signal(scenario, bob, budget, precoders, include_irs)
     row = an_leak_row(budget, scenario.alice_array(), projector)
     if scenario.an_mode == "expected":
         return leak_sinr(scenario, signal, row)
@@ -315,9 +317,8 @@ def heatmap_per_cell(scenario, grid):
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob_budget, precoders, projector = probe_setup(scenario)
-    check_snr(scenario, snr_bob(scenario, bob_budget))
-    fixed = {k: v for k, v in vars(bob_budget).items() if k not in ("phi_ae", "theta_e")}
+    bob, precoders, projector = probe_setup(scenario)
+    check_snr(scenario, snr_bob(scenario, bob))
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
 
@@ -326,8 +327,8 @@ def heatmap_per_cell(scenario, grid):
     index = 0
     for phi in phi_deg.tolist():
         for theta in theta_deg.tolist():
-            cell = LinkBudget(**fixed, phi_ae=math.radians(phi), theta_e=math.radians(theta))
-            signal = probe_signal(scenario, cell, precoders)
+            cell = LinkBudget(math.radians(phi), math.radians(theta), bob.l_direct, bob.l_reflect)
+            signal = probe_signal(scenario, bob, cell, precoders)
             leak = an_leak_row(cell, alice, projector)
             gamma = leak_sinr(scenario, signal, leak)
             if mc:

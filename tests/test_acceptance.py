@@ -150,10 +150,10 @@ def _beam_bands(scenario, grid):
     budget = link_budget(scenario, scenario.bob)
     n_phi, n_theta = grid
     phi_band = _beam_band(
-        np.linspace(0.0, 180.0, n_phi), budget.phi_ab, scenario.na, scenario.alice_spacing_wavelengths
+        np.linspace(0.0, 180.0, n_phi), budget.phi, scenario.na, scenario.alice_spacing_wavelengths
     )
     theta_band = _beam_band(
-        np.linspace(0.0, 180.0, n_theta), budget.theta_b, scenario.nr, scenario.irs_spacing_wavelengths
+        np.linspace(0.0, 180.0, n_theta), budget.theta, scenario.nr, scenario.irs_spacing_wavelengths
     )
     return phi_band, theta_band
 
@@ -239,7 +239,7 @@ def test_artificial_noise_statistics():
         alice = scenario.alice_array()
         rng = np.random.default_rng(20240817)
         bob_budget = link_budget(scenario, scenario.bob)
-        projector = an_projector(steering_vector(alice, bob_budget.phi_ab))
+        projector = an_projector(steering_vector(alice, bob_budget.phi))
 
         for _ in range(20):
             probe = Position(float(rng.uniform(-10, 50)), float(rng.uniform(-30, 30)))
@@ -250,7 +250,7 @@ def test_artificial_noise_statistics():
             assert mc_power == pytest.approx(float(np.linalg.norm(row) ** 2), rel=0.02)
 
         # mean radiated power of the noisy beam stays at one symbol's worth
-        precoders = make_precoders(bob_budget, alice)
+        precoders = make_precoders(scenario, bob_budget)
         z = complex_normal(rng, (100_000, scenario.na))
         noisy = math.sqrt(0.6) * precoders.w_a[None, :] + math.sqrt(0.4) * (
             z @ projector.T

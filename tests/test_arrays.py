@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dmirs.arrays import ArraySpec, element_cycles, irs_phase_diagonal, steering_vector
-from dmirs.geometry import Position, link_budget
+from dmirs.geometry import Position, angle_of, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import probe_amplitude
 from dmirs.transmitter import make_precoders
@@ -117,26 +117,30 @@ class TestAssembleChannel:
     def test_receiver_row_cascade_product(self):
         scenario = Scenario()
         budget = link_budget(scenario, scenario.bob)
-        direct, reflect = channel_rows(budget, scenario.na, scenario.nr, budget.theta_b)
-        w_r = make_precoders(budget, scenario.alice_array()).w_r
+        phi_ar = angle_of(scenario.alice, scenario.irs)
+        direct, reflect = channel_rows(budget, budget, phi_ar, scenario.na, scenario.nr, budget.theta)
+        w_r = make_precoders(scenario, budget).w_r
         assert reflect @ w_r == pytest.approx(1.25, abs=1e-9)
         assert len(direct) == scenario.na
         assert len(reflect) == scenario.na
 
     def test_direct_block_norm_is_loss_amplitude(self):
         scenario = Scenario()
+        bob_budget = link_budget(scenario, scenario.bob)
         budget = link_budget(scenario, Position(30.0, 20.0))
-        direct, _ = channel_rows(budget, scenario.na, scenario.nr, budget.theta_e)
-        assert np.linalg.norm(direct) == pytest.approx(math.sqrt(budget.l_ae), rel=1e-12)
+        phi_ar = angle_of(scenario.alice, scenario.irs)
+        direct, _ = channel_rows(budget, bob_budget, phi_ar, scenario.na, scenario.nr, budget.theta)
+        assert np.linalg.norm(direct) == pytest.approx(math.sqrt(budget.l_direct), rel=1e-12)
 
     def test_probe_row_matches_dense_matrix_oracle(self):
         scenario = Scenario()
         bob_budget = link_budget(scenario, scenario.bob)
         budget = link_budget(scenario, Position(30.0, 20.0))
-        precoders = make_precoders(bob_budget, scenario.alice_array())
-        direct, reflect = channel_rows(budget, scenario.na, scenario.nr, budget.theta_e)
+        precoders = make_precoders(scenario, bob_budget)
+        phi_ar = angle_of(scenario.alice, scenario.irs)
+        direct, reflect = channel_rows(budget, bob_budget, phi_ar, scenario.na, scenario.nr, budget.theta)
         dense = direct @ precoders.w_a + reflect @ precoders.w_r
-        assert probe_amplitude(scenario, budget, precoders) == pytest.approx(dense, rel=1e-12, abs=1e-14)
+        assert probe_amplitude(scenario, bob_budget, budget, precoders) == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
 
 class TestIrsPhaseProductValue:

@@ -2,10 +2,11 @@ import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dmirs.geometry import (
+    PATH_LOSS_RULES,
     GeometryError,
     Position,
     angle_of,
@@ -20,6 +21,18 @@ from oracles import link_budget_oracle
 ALICE = Position(0.0, 0.0)
 BOB = Position(20.0, 0.0)
 IRS = Position(20.0, -15.0)
+GOLDEN_PROBE = Position(30.0, 20.0)
+# LinkBudget field: the link_budget_oracle key of the same quantity at the probe
+ORACLE_KEYS = {"phi": "phi_ae", "theta": "theta_e", "l_direct": "l_ae", "l_reflect": "l_are"}
+
+
+def receivers():
+    """Receivers in the baseline scene: the intended one, or any point clear of ALICE and IRS."""
+    coordinate = st.floats(-1e3, 1e3)
+    clear = st.builds(Position, coordinate, coordinate).filter(
+        lambda p: all(math.hypot(p.x - q.x, p.y - q.y) > 1e-2 for q in (ALICE, IRS))
+    )
+    return st.one_of(st.just(BOB), clear)
 
 
 class TestDistance:
@@ -97,32 +110,37 @@ class TestLinkBudget:
         assert distance(scenario.alice, scenario.bob) == 20.0
         assert distance(scenario.alice, scenario.irs) == 25.0
         assert distance(scenario.irs, scenario.bob) == 15.0
-        assert budget.l_ab == pytest.approx(2.5e-3, rel=1e-12)
-        assert budget.l_arb == pytest.approx(6.25e-4, rel=1e-12)
-        assert budget.theta_e == budget.theta_b
-        assert budget.l_are == budget.l_arb
-        assert budget.phi_ae == budget.phi_ab
+        assert budget.l_direct == pytest.approx(2.5e-3, rel=1e-12)
+        assert budget.l_reflect == pytest.approx(6.25e-4, rel=1e-12)
 
-    def test_golden_probe_matches_independent_oracle(self):
-        scenario, probe = Scenario(), Position(30.0, 20.0)
+    @example(probe=GOLDEN_PROBE, rule="sum-distance")
+    @given(probe=receivers(), rule=st.sampled_from(PATH_LOSS_RULES))
+    def test_golden_probe_matches_independent_oracle(self, probe, rule):
+        scenario = Scenario(path_loss_combine=rule)
         budget = link_budget(scenario, probe)
-        want = link_budget_oracle((0, 0), (20, 0), (20, -15), (30, 20))
+        want = link_budget_oracle((0, 0), (20, 0), (20, -15), (probe.x, probe.y), rule=rule)
         for f in fields(budget):
-            assert getattr(budget, f.name) == pytest.approx(want[f.name], rel=1e-12), f.name
+            assert getattr(budget, f.name) == pytest.approx(want[ORACLE_KEYS[f.name]], rel=1e-12), f.name
         alice, bob, irs = scenario.alice, scenario.bob, scenario.irs
         pairs = {"d_ab": (alice, bob), "d_ar": (alice, irs), "d_rb": (irs, bob), "d_ae": (alice, probe),
                  "d_re": (irs, probe)}
         for name, (a, b) in pairs.items():
             assert distance(a, b) == pytest.approx(want[name], rel=1e-12), name
-        # spot values pinned from the oracle run
-        assert distance(alice, probe) == pytest.approx(36.05551275463989, rel=1e-12)
-        assert budget.theta_e == pytest.approx(1.2924966677897853, rel=1e-12)
-        assert budget.l_are == pytest.approx(2.652500564895315e-4, rel=1e-12)
+        if (probe, rule) == (GOLDEN_PROBE, "sum-distance"):
+            # spot values pinned from the oracle run
+            assert distance(alice, probe) == pytest.approx(36.05551275463989, rel=1e-12)
+            assert budget.theta == pytest.approx(1.2924966677897853, rel=1e-12)
+            assert budget.l_reflect == pytest.approx(2.652500564895315e-4, rel=1e-12)
+
+    @given(receivers(), receivers())
+    def test_moving_the_intended_receiver_leaves_a_record_unchanged(self, receiver, bob):
+        base = Scenario()
+        assert link_budget(replace(base, bob=bob), receiver) == link_budget(base, receiver)
 
     def test_product_rule_switch(self):
         scenario = Scenario(path_loss_combine="product")
         budget = link_budget(scenario, BOB)
-        assert budget.l_arb == pytest.approx((25.0 * 15.0) ** -2, rel=1e-12)
+        assert budget.l_reflect == pytest.approx((25.0 * 15.0) ** -2, rel=1e-12)
 
     @given(
         st.floats(min_value=-1e3, max_value=1e3),

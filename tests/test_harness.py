@@ -139,10 +139,10 @@ class TestRunHeatmap:
         for row in result_rows(result)[::5]:
             cell = replace(
                 bob_budget,
-                phi_ae=math.radians(row["phi_deg"]),
-                theta_e=math.radians(row["theta_deg"]),
+                phi=math.radians(row["phi_deg"]),
+                theta=math.radians(row["theta_deg"]),
             )
-            gamma = sinr_eve(scenario, cell, precoders, projector)
+            gamma = sinr_eve(scenario, bob_budget, cell, precoders, projector)
             assert 10 * math.log10(gamma) == pytest.approx(row["sinr_db"], rel=1e-12)
 
     def test_off_band_cells_are_noise_like(self):
@@ -649,6 +649,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("dmirs: error: path-loss gain at distance") and err.count("\n") == 1
         assert "with d0_m = " in err and "exceeds the float range" in err
+        assert not out.exists()
+
+    # (d/d0)**-2 turns subnormal above d/d0 ~ 6.7e153 and underflows to 0 further out;
+    # under the product rule two normal hop gains can multiply to 0
+    @pytest.mark.parametrize(
+        "config, command, options",
+        [
+            *[('{"bob": [0, 1e200]}', c, []) for c in ("metrics", "heatmap", "sweep-nr")],
+            ("{}", "sweep-dab", ["--dab", "1e160"]),
+            ("{}", "metrics", ["--eve=1e200,0"]),
+            ('{"irs": [1e100, 0], "path_loss_combine": "product"}', "metrics", []),
+            ('{"irs": [1e100, 0], "path_loss_combine": "product"}', "heatmap", []),
+        ],
+    )
+    def test_underflowing_path_loss_exits_2_naming_the_distance(self, tmp_path, capsys, config, command, options):
+        path = tmp_path / "scenario.json"
+        path.write_text(config)
+        out = tmp_path / "o.csv"
+        defaults = {
+            "metrics": [],
+            "heatmap": ["--grid", "3x3", "--out", str(out)],
+            "sweep-nr": ["--nr", "50", "--pt", "10", "--out", str(out)],
+            "sweep-dab": ["--dab", "10:20:10", "--pt", "10", "--out", str(out)],
+        }[command]
+        assert cli.main([command, "--config", str(path), *defaults, *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dmirs: error: path-loss gain at distance") and captured.err.count("\n") == 1
+        assert "with d0_m = 1.0 falls below the normal float range" in captured.err and captured.out == ""
         assert not out.exists()
 
     # finite positions whose distance, or reflect-path hop sum, exceeds the float range

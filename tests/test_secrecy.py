@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dmirs import secrecy
 from dmirs.arrays import ArraySpec
-from dmirs.geometry import Position, link_budget
+from dmirs.geometry import Position, angle_of, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     AN_MODES,
@@ -45,9 +45,10 @@ EVE = Position(30.0, 20.0)
 
 
 def probe_inputs(scenario, probe):
-    """A probe's link budget with the scenario's precoders and noise projector."""
-    _, precoders, projector = probe_setup(scenario)
-    return link_budget(scenario, probe), precoders, projector
+    """The intended receiver's and a probe's link budgets, with the scenario's
+    precoders and noise projector."""
+    bob_budget, precoders, projector = probe_setup(scenario)
+    return bob_budget, link_budget(scenario, probe), precoders, projector
 
 
 class TestCascadedGainBruteforce:
@@ -131,8 +132,9 @@ class TestSnrBob:
     def test_matches_assembled_channel_route(self):
         scenario = Scenario()
         budget = link_budget(scenario, scenario.bob)
-        direct, reflect = channel_rows(budget, scenario.na, scenario.nr, budget.theta_b)
-        p = make_precoders(budget, scenario.alice_array())
+        phi_ar = angle_of(scenario.alice, scenario.irs)
+        direct, reflect = channel_rows(budget, budget, phi_ar, scenario.na, scenario.nr, budget.theta)
+        p = make_precoders(scenario, budget)
         amp = direct @ p.w_a + reflect @ p.w_r
         via_channel = scenario.alpha * scenario.pt_mw * abs(amp) ** 2 / scenario.noise_mw
         assert snr_bob(scenario, budget) == pytest.approx(via_channel, rel=1e-12)
@@ -142,7 +144,7 @@ class TestSinrEve:
     def test_probe_at_receiver_equals_receiver_snr(self):
         scenario = Scenario()
         bob_budget, precoders, projector = probe_setup(scenario)
-        gamma_e = sinr_eve(scenario, bob_budget, precoders, projector)
+        gamma_e = sinr_eve(scenario, bob_budget, bob_budget, precoders, projector)
         assert gamma_e == pytest.approx(snr_bob(scenario, bob_budget), rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -155,24 +157,24 @@ class TestSinrEve:
 
     def test_golden_probe_matches_independent_oracle(self):
         scenario = Scenario()
-        probe_budget, precoders, projector = probe_inputs(scenario, EVE)
-        gamma_e = sinr_eve(scenario, probe_budget, precoders, projector)
+        bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, EVE)
+        gamma_e = sinr_eve(scenario, bob_budget, probe_budget, precoders, projector)
         assert gamma_e == pytest.approx(0.002270347638620266, rel=1e-9)
         assert gamma_e == pytest.approx(eve_sinr_oracle((30.0, 20.0)), rel=1e-12)
 
     def test_instantaneous_with_zero_draw_is_noise_limited(self, monkeypatch):
         scenario = Scenario()
-        probe_budget, precoders, projector = probe_inputs(scenario, EVE)
+        bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, EVE)
         monkeypatch.setattr(secrecy, "complex_normal", lambda rng, shape: np.zeros(shape, complex))
         gamma = sinr_eve(
-            replace(scenario, an_mode="instantaneous"), probe_budget, precoders, projector
+            replace(scenario, an_mode="instantaneous"), bob_budget, probe_budget, precoders, projector
         )
-        expected = sinr_eve(scenario, probe_budget, precoders, projector)
+        expected = sinr_eve(scenario, bob_budget, probe_budget, precoders, projector)
         assert gamma > expected  # no leaked noise in this single draw
 
     def test_expected_an_power_matches_monte_carlo(self):
         scenario = Scenario()
-        probe_budget, _, projector = probe_inputs(scenario, EVE)
+        _, probe_budget, _, projector = probe_inputs(scenario, EVE)
         row = an_leak_row(probe_budget, scenario.alice_array(), projector)
         z = complex_normal(np.random.default_rng(9), (100_000, 16))
         mc = float(np.mean(np.abs(z @ row) ** 2))
@@ -334,7 +336,7 @@ class TestBenchmarkNoIrs:
     def test_matches_receiver_snr_with_reflect_term_dropped(self):
         scenario = Scenario()
         budget = link_budget(scenario, scenario.bob)
-        direct_only = scenario.alpha * scenario.pt_mw * budget.l_ab / scenario.noise_mw
+        direct_only = scenario.alpha * scenario.pt_mw * budget.l_direct / scenario.noise_mw
         assert benchmark_no_irs(scenario, EVE).gamma_b == direct_only
 
 
@@ -342,9 +344,9 @@ def mc_ber(scenario, probe, samples, seed):
     """Monte-Carlo QPSK BER over ``samples`` draws at a probe position,
     composed as a heatmap cell is."""
     scenario = replace(scenario, mc_samples=samples)
-    probe_budget, precoders, projector = probe_inputs(scenario, probe)
+    bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, probe)
     row = an_leak_row(probe_budget, scenario.alice_array(), projector)
-    signal, _ = probe_block(scenario, probe_amplitude(scenario, probe_budget, precoders), row)
+    signal, _ = probe_block(scenario, probe_amplitude(scenario, bob_budget, probe_budget, precoders), row)
     return mc_mean_ber(scenario, float(signal), row, seed)
 
 
@@ -370,9 +372,9 @@ class TestMcBer:
         long_run = float(np.mean(runs))
 
         # spread of single-draw BERs, estimated from an auxiliary stream
-        probe_budget, precoders, projector = probe_inputs(scenario, probe)
+        bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, probe)
         signal = scenario.alpha * scenario.pt_mw * abs(
-            probe_amplitude(scenario, probe_budget, precoders)
+            probe_amplitude(scenario, bob_budget, probe_budget, precoders)
         ) ** 2
         row = an_leak_row(probe_budget, scenario.alice_array(), projector)
         z = complex_normal(np.random.default_rng(3), (10_000, 16))

@@ -22,20 +22,20 @@ class TestPrecoders:
     def test_direct_beam_matched_to_receiver(self, scene):
         scenario, budget = scene
         alice = scenario.alice_array()
-        p = make_precoders(budget, alice)
-        h_ab = steering_vector(alice, budget.phi_ab)
+        p = make_precoders(scenario, budget)
+        h_ab = steering_vector(alice, budget.phi)
         assert np.vdot(h_ab, p.w_a) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_norms(self, scene):
         scenario, budget = scene
-        p = make_precoders(budget, scenario.alice_array())
+        p = make_precoders(scenario, budget)
         assert np.linalg.norm(p.w_a) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(p.w_r) == pytest.approx(1.0, abs=1e-12)
 
     def test_baseline_beams_point_at_known_angles(self, scene):
         scenario, budget = scene
         alice = scenario.alice_array()
-        p = make_precoders(budget, alice)
+        p = make_precoders(scenario, budget)
         np.testing.assert_allclose(p.w_a, steering_vector(ArraySpec(16, 0.5), 0.0), atol=0)
         np.testing.assert_allclose(
             p.w_r, steering_vector(ArraySpec(16, 0.5), 0.6435011087932844), atol=1e-15
@@ -125,8 +125,8 @@ class TestSynthesizeTx:
     def _parts(self, scene):
         scenario, budget = scene
         alice = scenario.alice_array()
-        precoders = make_precoders(budget, alice)
-        projector = an_projector(steering_vector(alice, budget.phi_ab))
+        precoders = make_precoders(scenario, budget)
+        projector = an_projector(steering_vector(alice, budget.phi))
         return scenario, precoders, projector
 
     def test_full_power_to_symbol(self, scene):
