@@ -10,11 +10,9 @@ from .numerics import dbm_to_mw, q_function
 from .scenario import ConfigError, Scenario, parse_config, serialize_config
 from .secrecy import (
     SecrecyMetrics,
-    ber_from_snr,
     benchmark_no_irs,
     cascaded_gain_closed,
     secrecy_metrics,
-    sinr_eve,
     snr_bob,
 )
 from .sweeps import SweepResult, run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
@@ -31,7 +29,6 @@ __all__ = [
     "SecrecyMetrics",
     "SweepResult",
     "an_projector",
-    "ber_from_snr",
     "benchmark_no_irs",
     "cascaded_gain_closed",
     "dbm_to_mw",
@@ -44,7 +41,6 @@ __all__ = [
     "run_sweep_nr",
     "secrecy_metrics",
     "serialize_config",
-    "sinr_eve",
     "snr_bob",
     "write_csv",
 ]

@@ -178,6 +178,8 @@ def parse_config(text: str) -> Scenario:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError("config nests arrays or objects too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - _FIELD_TYPES.keys())

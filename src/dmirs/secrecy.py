@@ -16,9 +16,10 @@ from the tuned one, and additionally absorbs artificial noise:
 
 where A is the squared norm of the probe's steering row through the noise
 projector (``expected`` mode) or the squared magnitude of one projected
-noise draw (``instantaneous`` mode), as the scenario's an_mode says.  Rates
-are log2(1+gamma) bits per channel use and the secrecy rate is the clamped
-difference.
+noise draw (``instantaneous`` mode), as the scenario's an_mode says.
+probe_block is the one route to the numerator and the expected A, for one
+probe or a heatmap block of them at a time.  Rates are log2(1+gamma) bits
+per channel use and the secrecy rate is the clamped difference.
 """
 
 import math
@@ -33,7 +34,7 @@ from .numerics import q_function
 from .transmitter import Precoders, an_projector, complex_normal, make_precoders
 
 AN_MODES = ("expected", "instantaneous")
-# ber_from_snr doubles the SNR, so half the float range is the largest it takes
+# ber_from_snrs doubles the SNR, so half the float range is the largest it takes
 MAX_SNR = sys.float_info.max / 2.0
 
 
@@ -83,17 +84,6 @@ def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
     return max(0.0, rate_bits(gamma_b) - rate_bits(gamma_e))
 
 
-def ber_from_snr(gamma: float) -> float:
-    """Bit error rate of Gray-coded QPSK at linear SNR ``gamma``, Q(sqrt(gamma)).
-
-    Evaluated as the M-PSK form (2/log2(M)) * Q(sqrt(2*gamma) * sin(pi/M))
-    at M = 4, whose leading factor is exactly 1.
-    """
-    if gamma < 0.0:
-        raise ValueError(f"SNR must be non-negative, got {gamma!r}")
-    return q_function(math.sqrt(2.0 * gamma) * math.sin(math.pi / 4))
-
-
 def check_snr(scenario, *gammas) -> None:
     """Reject SNRs beyond MAX_SNR, naming the power levels that produced them."""
     if not all(g <= MAX_SNR for g in gammas):
@@ -131,42 +121,28 @@ def an_leak_row(probe: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> n
     return h_ae.conj() @ projector
 
 
-def sinr_eve(
-    scenario, bob: LinkBudget, probe: LinkBudget, precoders: Precoders, projector: np.ndarray,
-    include_irs: bool = True,
-) -> float:
-    """SINR at ``probe`` with the IRS tuned to ``bob``, in the scenario's an_mode.
+def probe_block(scenario, bob: LinkBudget, precoders: Precoders, projector, cells, count, include_irs):
+    """Signal powers in mW, expected-noise SINRs and noise-leak rows of ``count`` probes.
 
-    ``expected`` mode replaces the random projected-noise power by its mean
-    (the squared row norm); ``instantaneous`` mode uses one noise draw from
-    the scenario seed.  ``include_irs=False`` drops the reflect-path term
-    for the no-IRS benchmark.
-    """
-    amplitude = probe_amplitude(scenario, bob, probe, precoders, include_irs)
-    row = an_leak_row(probe, scenario.alice_array(), projector)
-    signal, gamma = probe_block(scenario, amplitude, row)
-    if scenario.an_mode == "instantaneous":
-        z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
-        gamma = _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
-    return float(gamma)
-
-
-def probe_block(scenario, amplitudes, leak_rows: np.ndarray):
-    """Signal powers in mW and expected-noise SINRs of one probe or a block.
-
-    ``amplitudes`` are probe_amplitude values (one, or a 1-D array) and
-    ``leak_rows`` the matching an_leak_row rows (1-D, or one row each).  Bit
-    for bit the Python-float route alpha * Pt * abs(amplitude) ** 2 over
+    ``cells`` yields the probes' LinkBudget records, the IRS tuned to ``bob``;
+    ``include_irs=False`` drops the reflect path for the no-IRS benchmark.
+    Bit for bit the Python-float route alpha * Pt * abs(amplitude) ** 2 over
     (1 - alpha) * Pt * np.linalg.norm(row) ** 2 + noise: magnitudes are
     hypot, squares are pow(x, 2), and a row's squared norm is
     np.linalg.norm's sum of real and imaginary dot products, square-rooted
     and squared again.
     """
+    alice = scenario.alice_array()
+    amplitudes = np.empty(count, complex)
+    leak_rows = np.empty((count, scenario.na), complex)
+    for slot, cell in enumerate(cells):
+        amplitudes[slot] = probe_amplitude(scenario, bob, cell, precoders, include_irs)
+        leak_rows[slot] = an_leak_row(cell, alice, projector)
     magnitudes = np.hypot(amplitudes.real, amplitudes.imag)
     signal = scenario.alpha * scenario.pt_mw * np.float_power(magnitudes, 2.0)
     re, im = leak_rows.real, leak_rows.imag
     an_power = np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
-    return signal, _sinr(scenario, signal, an_power)
+    return signal, _sinr(scenario, signal, an_power), leak_rows
 
 
 def _sinr(scenario, signal_mw, an_power):
@@ -200,21 +176,26 @@ def benchmark_no_irs(scenario, probe) -> SecrecyMetrics:
 
 def _metrics(scenario, probe, include_irs: bool) -> SecrecyMetrics:
     bob, precoders, projector = probe_setup(scenario)
-    probe_budget = link_budget(scenario, probe)
+    cells = (link_budget(scenario, probe),)
+    signal, gammas, rows = probe_block(scenario, bob, precoders, projector, cells, 1, include_irs)
     if include_irs:
         gamma_b = snr_bob(scenario, bob)
     else:
         gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
-    gamma_e = sinr_eve(scenario, bob, probe_budget, precoders, projector, include_irs)
+    gamma_e = float(gammas[0])
+    if scenario.an_mode == "instantaneous":
+        z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
+        gamma_e = float(_sinr(scenario, signal[0], abs(np.dot(rows[0], z)) ** 2))
     check_snr(scenario, gamma_b, gamma_e)
+    ber_b, ber_probe = ber_from_snrs(np.array([gamma_b, gamma_e])).tolist()
     return SecrecyMetrics(
         gamma_b=gamma_b,
         gamma_e=gamma_e,
         rate_b=rate_bits(gamma_b),
         rate_e=rate_bits(gamma_e),
         rate_s=secrecy_rate(gamma_b, gamma_e),
-        ber_b=ber_from_snr(gamma_b),
-        ber_probe=ber_from_snr(gamma_e),
+        ber_b=ber_b,
+        ber_probe=ber_probe,
     )
 
 
@@ -230,10 +211,12 @@ def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float
 
 
 def ber_from_snrs(gammas: np.ndarray) -> np.ndarray:
-    """ber_from_snr of every SNR in a 1-D array, bit for bit.
+    """Bit error rate of Gray-coded QPSK, Q(sqrt(gamma)), at every linear SNR
+    in a 1-D array.
 
-    The same expression, and sqrt is correctly rounded, so only the Q calls
-    stay scalar.  Rejects negative and non-finite SNRs.
+    Evaluated as the M-PSK form (2/log2(M)) * Q(sqrt(2*gamma) * sin(pi/M))
+    at M = 4, whose leading factor is exactly 1; sqrt is correctly rounded,
+    so only the Q calls stay scalar.  Rejects negative and non-finite SNRs.
     """
     bad = ~(np.isfinite(gammas) & (gammas >= 0.0))
     if bad.any():

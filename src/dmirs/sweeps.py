@@ -2,10 +2,10 @@
 
 Every sweep walks an ordered grid from immutable inputs and lists its rows
 lexicographically by grid index, so the output is identical however cells
-are scheduled.  The heatmap builds each cell's amplitude and noise-leak row
-in a Python loop, and evaluates SINR, dB and BER as arrays over a block of
-cells at a time.  Randomized cells derive their generator seed from
-(scenario seed, cell index), never from shared state.
+are scheduled.  The heatmap hands secrecy.probe_block a block of cell
+records at a time from a generator, takes dB and BER over its arrays and
+frees them before the next block.  Randomized cells derive their generator
+seed from (scenario seed, cell index), never from shared state.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -23,12 +23,10 @@ from . import __version__
 from .geometry import LinkBudget, Position, distance
 from .scenario import Scenario, scenario_to_dict
 from .secrecy import (
-    an_leak_row,
     ber_from_snrs,
     benchmark_no_irs,
     check_snr,
     mc_mean_ber,
-    probe_amplitude,
     probe_block,
     probe_setup,
     secrecy_metrics,
@@ -41,8 +39,8 @@ DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 # Rows formatted and written per sink.write call: bounds the writer's
 # working set (a few hundred KiB) whatever the grid size.
 CSV_CHUNK_ROWS = 4096
-# Complex values in the heatmap's buffer of noise-leak rows (1 MiB): a block
-# of max(1, HEATMAP_BLOCK_VALUES // na) cells is evaluated per array pass,
+# Complex values in one heatmap block's noise-leak rows (1 MiB): a block of
+# max(1, HEATMAP_BLOCK_VALUES // na) cells is evaluated per array pass,
 # whatever the grid size.
 HEATMAP_BLOCK_VALUES = 65536
 
@@ -81,9 +79,9 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     receiver's two path gains, so only angular selectivity varies.  sinr_db
     is the expected-noise SINR in dB; ber is its QPSK error rate, or a
     Monte-Carlo average over noise draws when the scenario requests
-    instantaneous noise.  Values are bit for bit those of the scalar
-    per-probe functions, except that np.log10 may differ from math.log10
-    by an ulp.
+    instantaneous noise.  Cells reach probe_block a block at a time, and
+    values are bit for bit those of a scalar route per probe, except that
+    np.log10 may differ from math.log10 by an ulp.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:
@@ -94,34 +92,30 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     bob, precoders, projector = probe_setup(scenario)
     # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
     check_snr(scenario, snr_bob(scenario, bob))
-    alice = scenario.alice_array()
-    mc = scenario.an_mode == "instantaneous"
 
     n_cells = n_phi * n_theta
     sinr_db = np.empty(n_cells)
     ber = np.empty(n_cells)
     block = max(1, HEATMAP_BLOCK_VALUES // scenario.na)
-    amplitudes = np.empty(block, complex)
-    leak_rows = np.empty((block, scenario.na), complex)
     phi_rad = [math.radians(p) for p in phi_deg.tolist()]
     theta_rad = [math.radians(t) for t in theta_deg.tolist()]
-    cells = itertools.product(phi_rad, theta_rad)  # (phi, theta) in grid order
+    angles = itertools.product(phi_rad, theta_rad)  # (phi, theta) in grid order
+    cells = (LinkBudget(phi, theta, bob.l_direct, bob.l_reflect) for phi, theta in angles)
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
-        for slot, (phi, theta) in enumerate(itertools.islice(cells, stop - start)):
-            cell = LinkBudget(phi, theta, bob.l_direct, bob.l_reflect)
-            amplitudes[slot] = probe_amplitude(scenario, bob, cell, precoders)
-            leak_rows[slot] = an_leak_row(cell, alice, projector)
-        amps, rows = amplitudes[: stop - start], leak_rows[: stop - start]
-        signal, gammas = probe_block(scenario, amps, rows)
+        signal, gammas, rows = probe_block(
+            scenario, bob, precoders, projector, itertools.islice(cells, stop - start), stop - start, True
+        )
         with np.errstate(divide="ignore"):  # log10(0) = -inf dB
             sinr_db[start:stop] = 10.0 * np.log10(gammas)
-        if mc:
-            for index, signal_mw, row in zip(range(start, stop), signal.tolist(), rows):
-                seed = np.random.SeedSequence([scenario.seed, index])
-                ber[index] = mc_mean_ber(scenario, signal_mw, row, seed)
+        if scenario.an_mode == "instantaneous":
+            seeds = (np.random.SeedSequence([scenario.seed, index]) for index in range(start, stop))
+            ber[start:stop] = np.fromiter(
+                map(mc_mean_ber, itertools.repeat(scenario), signal.tolist(), rows, seeds), float, stop - start
+            )
         else:
             ber[start:stop] = ber_from_snrs(gammas)
+        del signal, gammas, rows  # free this block's arrays before the next is built
     meta = _metadata(
         scenario,
         note="heatmap probes keep the intended receiver's path distances; only angles vary",

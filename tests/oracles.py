@@ -5,7 +5,7 @@ integration, naive loops, explicit per-symbol formulas) so test
 expectations are not circular.  Only the scalar probe route
 (`probe_signal`, `leak_sinr`, `sinr_eve_scalar`) and `heatmap_per_cell`
 call the package under test: they evaluate one probe at a time in Python
-floats, the reference for the package's `probe_block` evaluation.
+floats, the reference for `probe_block`, the package's one probe route.
 """
 
 import cmath
@@ -307,11 +307,11 @@ def heatmap_per_cell(scenario, grid):
     """The heatmap's sinr_db and ber columns, one scalar pipeline per cell.
 
     Each cell calls probe_signal, an_leak_row and leak_sinr, then
-    ber_from_snr or, in instantaneous mode, mc_mean_ber with the cell's
+    qpsk_ber_scalar or, in instantaneous mode, mc_mean_ber with the cell's
     (seed, flat index) seed; sinr_db is math.log10 per cell.
     """
     from dmirs.geometry import LinkBudget
-    from dmirs.secrecy import an_leak_row, ber_from_snr, check_snr, mc_mean_ber, probe_setup, snr_bob
+    from dmirs.secrecy import an_leak_row, check_snr, mc_mean_ber, probe_setup, snr_bob
 
     n_phi, n_theta = grid
     phi_deg = np.linspace(0.0, 180.0, n_phi)
@@ -335,7 +335,7 @@ def heatmap_per_cell(scenario, grid):
                 seed = np.random.SeedSequence([scenario.seed, index])
                 ber[index] = mc_mean_ber(scenario, signal, leak, seed)
             else:
-                ber[index] = ber_from_snr(gamma)
+                ber[index] = qpsk_ber_scalar(gamma)
             sinr_db[index] = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
             index += 1
     return sinr_db, ber

@@ -24,9 +24,12 @@ from dmirs.scenario import (
     parse_config,
     serialize_config,
 )
-from dmirs.secrecy import benchmark_no_irs, probe_setup, secrecy_metrics, sinr_eve
+from dmirs.secrecy import benchmark_no_irs, probe_setup, secrecy_metrics
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from oracles import heatmap_per_cell, result_rows
+from oracles import heatmap_per_cell, result_rows, sinr_eve_scalar
+
+# nested far beyond the JSON decoder's recursion limit
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 
 
 class TestParseConfig:
@@ -142,7 +145,7 @@ class TestRunHeatmap:
                 phi=math.radians(row["phi_deg"]),
                 theta=math.radians(row["theta_deg"]),
             )
-            gamma = sinr_eve(scenario, bob_budget, cell, precoders, projector)
+            gamma = sinr_eve_scalar(scenario, bob_budget, cell, precoders, projector)
             assert 10 * math.log10(gamma) == pytest.approx(row["sinr_db"], rel=1e-12)
 
     def test_off_band_cells_are_noise_like(self):
@@ -389,6 +392,17 @@ class TestCli:
         bad.write_text('{"alpha": 2.0}')
         assert cli.main(["metrics", "--config", str(bad)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [DEEP_ARRAY, '{"na": ' + DEEP_ARRAY + "}"], ids=["array", "na-value"])
+    def test_deeply_nested_config_exits_2_with_one_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "deep.json"
+        bad.write_text(text)
+        out = tmp_path / "nr.csv"
+        assert cli.main(["metrics", "--config", str(bad)]) == 2
+        assert cli.main(["sweep-nr", "--config", str(bad), "--nr", "10", "--pt", "10", "--out", str(out)]) == 2
+        message = "dmirs: error: config nests arrays or objects too deeply to parse"
+        assert capsys.readouterr().err.splitlines() == [message, message]
+        assert not out.exists()
 
     def test_bad_range_exits_2(self, config_file, tmp_path, capsys):
         code = cli.main(

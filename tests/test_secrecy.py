@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from dmirs import secrecy
 from dmirs.arrays import ArraySpec
-from dmirs.geometry import Position, angle_of, link_budget
+from dmirs.geometry import LinkBudget, Position, angle_of, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     AN_MODES,
     MAX_SNR,
     an_leak_row,
-    ber_from_snr,
     ber_from_snrs,
     benchmark_no_irs,
     cascaded_gain_closed,
@@ -26,7 +25,6 @@ from dmirs.secrecy import (
     rate_bits,
     secrecy_metrics,
     secrecy_rate,
-    sinr_eve,
     snr_bob,
 )
 from dmirs.transmitter import complex_normal, make_precoders
@@ -37,7 +35,9 @@ from oracles import (
     eve_sinr_oracle,
     leak_sinr,
     mc_mean_ber_per_sample,
+    probe_signal,
     q_via_integration,
+    qpsk_ber_scalar,
     sinr_eve_scalar,
 )
 
@@ -143,8 +143,8 @@ class TestSnrBob:
 class TestSinrEve:
     def test_probe_at_receiver_equals_receiver_snr(self):
         scenario = Scenario()
-        bob_budget, precoders, projector = probe_setup(scenario)
-        gamma_e = sinr_eve(scenario, bob_budget, bob_budget, precoders, projector)
+        bob_budget = link_budget(scenario, scenario.bob)
+        gamma_e = secrecy_metrics(scenario, scenario.bob).gamma_e
         assert gamma_e == pytest.approx(snr_bob(scenario, bob_budget), rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -157,19 +157,15 @@ class TestSinrEve:
 
     def test_golden_probe_matches_independent_oracle(self):
         scenario = Scenario()
-        bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, EVE)
-        gamma_e = sinr_eve(scenario, bob_budget, probe_budget, precoders, projector)
+        gamma_e = secrecy_metrics(scenario, EVE).gamma_e
         assert gamma_e == pytest.approx(0.002270347638620266, rel=1e-9)
         assert gamma_e == pytest.approx(eve_sinr_oracle((30.0, 20.0)), rel=1e-12)
 
     def test_instantaneous_with_zero_draw_is_noise_limited(self, monkeypatch):
         scenario = Scenario()
-        bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, EVE)
         monkeypatch.setattr(secrecy, "complex_normal", lambda rng, shape: np.zeros(shape, complex))
-        gamma = sinr_eve(
-            replace(scenario, an_mode="instantaneous"), bob_budget, probe_budget, precoders, projector
-        )
-        expected = sinr_eve(scenario, bob_budget, probe_budget, precoders, projector)
+        gamma = secrecy_metrics(replace(scenario, an_mode="instantaneous"), EVE).gamma_e
+        expected = secrecy_metrics(scenario, EVE).gamma_e
         assert gamma > expected  # no leaked noise in this single draw
 
     def test_expected_an_power_matches_monte_carlo(self):
@@ -183,31 +179,31 @@ class TestSinrEve:
 
 class TestBerFromSnr:
     def test_zero_snr_is_coin_flip(self):
-        assert ber_from_snr(0.0) == 0.5
+        assert ber_from_snrs(np.array([0.0])).tolist() == [0.5]
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
     def test_qpsk_shortcut_equals_general_formula(self, gamma):
         from dmirs.numerics import q_function
 
-        assert ber_from_snr(gamma) == pytest.approx(q_function(math.sqrt(gamma)), rel=1e-12)
+        assert ber_from_snrs(np.array([gamma]))[0] == pytest.approx(q_function(math.sqrt(gamma)), rel=1e-12)
 
     def test_nine_snr_golden(self):
         expected = q_via_integration(3.0)
         assert expected == pytest.approx(1.3499e-3, abs=1e-7)
-        assert ber_from_snr(9.0) == pytest.approx(expected, abs=1e-10)
+        assert ber_from_snrs(np.array([9.0]))[0] == pytest.approx(expected, abs=1e-10)
 
     def test_strictly_decreasing(self):
         gammas = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
-        bers = [ber_from_snr(g) for g in gammas]
+        bers = ber_from_snrs(np.array(gammas)).tolist()
         assert all(a > b for a, b in zip(bers, bers[1:]))
 
     def test_rejects_negative_snr(self):
         with pytest.raises(ValueError):
-            ber_from_snr(-1.0)
+            ber_from_snrs(np.array([-1.0]))
 
     @given(st.lists(st.floats(0.0, MAX_SNR), max_size=50))
     def test_array_form_equals_scalar_form_bit_for_bit(self, gammas):
-        assert ber_from_snrs(np.array(gammas, dtype=float)).tolist() == [ber_from_snr(g) for g in gammas]
+        assert ber_from_snrs(np.array(gammas, dtype=float)).tolist() == [qpsk_ber_scalar(g) for g in gammas]
 
     @pytest.mark.parametrize("bad", [-1e-300, -2.0, math.nan, math.inf])
     def test_array_form_rejects_negative_or_non_finite_snr(self, bad):
@@ -217,24 +213,33 @@ class TestBerFromSnr:
 
 @st.composite
 def probe_blocks(draw):
-    na = draw(st.integers(2, 64))
-    cells = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** rng.uniform(-8.0, 3.0, (cells, 1))
-    amplitudes = (rng.standard_normal(cells) + 1j * rng.standard_normal(cells)) * scale[:, 0]
-    rows = rng.standard_normal((cells, na)) * scale + 1j * rng.standard_normal((cells, na))
-    scenario = Scenario(na=na, alpha=draw(st.floats(0.01, 1.0)), pt_dbm=draw(st.floats(-30.0, 60.0)))
-    return scenario, amplitudes, rows
+    """A scene and a block of 1-8 receiver records with angles in [0, pi]
+    and path gains spanning twelve decades."""
+    scenario = Scenario(
+        na=draw(st.integers(2, 64)),
+        nr=draw(st.integers(1, 500)),
+        alpha=draw(st.floats(0.01, 1.0)),
+        pt_dbm=draw(st.floats(-30.0, 60.0)),
+    )
+    angle, gain = st.floats(0.0, math.pi), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)
+    records = st.builds(LinkBudget, angle, angle, gain, gain)
+    return scenario, draw(st.lists(records, min_size=1, max_size=8))
 
 
 class TestProbeBlock:
+    @pytest.mark.parametrize("include_irs", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(probe_blocks())
-    def test_equals_scalar_signal_and_leak_sinr_bit_for_bit(self, inputs):
-        scenario, amplitudes, rows = inputs
-        signal, gammas = probe_block(scenario, amplitudes, rows)
-        expected = [scenario.alpha * scenario.pt_mw * abs(a) ** 2 for a in amplitudes.tolist()]
+    def test_equals_scalar_signal_and_leak_sinr_bit_for_bit(self, include_irs, inputs):
+        scenario, cells = inputs
+        bob, precoders, projector = probe_setup(scenario)
+        signal, gammas, rows = probe_block(
+            scenario, bob, precoders, projector, iter(cells), len(cells), include_irs
+        )
+        expected = [probe_signal(scenario, bob, cell, precoders, include_irs) for cell in cells]
         assert signal.tolist() == expected
+        alice = scenario.alice_array()
+        assert rows.tolist() == [an_leak_row(cell, alice, projector).tolist() for cell in cells]
         assert gammas.tolist() == [leak_sinr(scenario, s, row) for s, row in zip(expected, rows)]
 
 
@@ -261,14 +266,15 @@ class TestSinrEveRoute:
     def test_equals_scalar_oracle_route(self, an_mode, include_irs, inputs):
         scenario, probe = inputs
         scenario = replace(scenario, an_mode=an_mode)
-        args = (scenario, *probe_inputs(scenario, probe), include_irs)
-        assert sinr_eve(*args) == sinr_eve_scalar(*args)
+        metrics = secrecy_metrics if include_irs else benchmark_no_irs
+        expected = sinr_eve_scalar(scenario, *probe_inputs(scenario, probe), include_irs)
+        assert metrics(scenario, probe).gamma_e == expected
 
 
 class TestCheckSnr:
     def test_largest_accepted_snr_still_has_a_ber(self):
         check_snr(Scenario(), MAX_SNR, 0.0)
-        assert ber_from_snr(MAX_SNR) == 0.0
+        assert ber_from_snrs(np.array([MAX_SNR])).tolist() == [0.0]
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, math.nextafter(MAX_SNR, math.inf)])
     def test_rejects_larger_or_non_finite_naming_power_levels(self, gamma):
@@ -345,16 +351,15 @@ def mc_ber(scenario, probe, samples, seed):
     composed as a heatmap cell is."""
     scenario = replace(scenario, mc_samples=samples)
     bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, probe)
-    row = an_leak_row(probe_budget, scenario.alice_array(), projector)
-    signal, _ = probe_block(scenario, probe_amplitude(scenario, bob_budget, probe_budget, precoders), row)
-    return mc_mean_ber(scenario, float(signal), row, seed)
+    signal, _, rows = probe_block(scenario, bob_budget, precoders, projector, [probe_budget], 1, True)
+    return mc_mean_ber(scenario, float(signal[0]), rows[0], seed)
 
 
 class TestMcBer:
     def test_probe_at_receiver_matches_closed_form_every_draw(self):
         scenario = Scenario()
         budget = link_budget(scenario, scenario.bob)
-        expected = ber_from_snr(snr_bob(scenario, budget))
+        expected = qpsk_ber_scalar(snr_bob(scenario, budget))
         for seed in (0, 1, 2):
             assert mc_ber(scenario, scenario.bob, 50, seed) == expected
 
@@ -380,7 +385,7 @@ class TestMcBer:
         z = complex_normal(np.random.default_rng(3), (10_000, 16))
         an_power = np.abs(z @ row) ** 2
         gammas = signal / ((1 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
-        bers = np.array([ber_from_snr(g) for g in gammas])
+        bers = ber_from_snrs(gammas)
         standard_error = bers.std(ddof=1) / math.sqrt(len(bers))
 
         assert abs(estimate - long_run) <= 3.0 * standard_error
