@@ -8,13 +8,7 @@ from .arrays import ArraySpec
 from .geometry import GeometryError, LinkBudget, Position, link_budget
 from .numerics import dbm_to_mw, q_function
 from .scenario import ConfigError, Scenario, parse_config, serialize_config
-from .secrecy import (
-    SecrecyMetrics,
-    benchmark_no_irs,
-    cascaded_gain_closed,
-    secrecy_metrics,
-    snr_bob,
-)
+from .secrecy import SecrecyMetrics, cascaded_gain_closed, secrecy_metrics, snr_bob
 from .sweeps import SweepResult, run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
 from .transmitter import Precoders, an_projector, make_precoders
 
@@ -29,7 +23,6 @@ __all__ = [
     "SecrecyMetrics",
     "SweepResult",
     "an_projector",
-    "benchmark_no_irs",
     "cascaded_gain_closed",
     "dbm_to_mw",
     "link_budget",

@@ -34,7 +34,7 @@ import sys
 from dataclasses import replace
 
 from .geometry import Position
-from .scenario import ConfigError, Scenario, parse_config
+from .scenario import ConfigError, Scenario, brief_repr, parse_config
 from .secrecy import AN_MODES, secrecy_metrics
 from .sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
 
@@ -55,17 +55,17 @@ def _parse_values(spec: str, kind: str):
                 raise ValueError
     except ValueError:
         raise ConfigError(
-            f"could not parse {kind} values {spec!r}; use start:stop:step or a comma list"
+            f"could not parse {kind} values {brief_repr(spec)}; use start:stop:step or a comma list"
         ) from None
     if is_list:
         if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{kind} values {spec!r} must all be finite")
+            raise ConfigError(f"{kind} values {brief_repr(spec)} must all be finite")
         return values
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ConfigError(f"{kind} range {spec!r} must have finite start, stop and step")
+        raise ConfigError(f"{kind} range {brief_repr(spec)} must have finite start, stop and step")
     steps = (stop - start) / step  # may overflow to inf, which the bound rejects
     if steps + 1 > MAX_RANGE_VALUES:
-        raise ConfigError(f"{kind} range {spec!r} has more than {MAX_RANGE_VALUES} values")
+        raise ConfigError(f"{kind} range {brief_repr(spec)} has more than {MAX_RANGE_VALUES} values")
     values = [start + i * step for i in range(round(steps) + 1)]
     return [v for v in values if v <= stop + 1e-9]
 
@@ -75,9 +75,9 @@ def _parse_grid(spec: str):
         w, h = spec.lower().split("x")
         w, h = int(w), int(h)
     except ValueError:
-        raise ConfigError(f"could not parse grid {spec!r}; expected WxH like 181x181") from None
+        raise ConfigError(f"could not parse grid {brief_repr(spec)}; expected WxH like 181x181") from None
     if w * h > MAX_GRID_CELLS:
-        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_CELLS} cells")
+        raise ConfigError(f"grid {brief_repr(spec)} has more than {MAX_GRID_CELLS} cells")
     return w, h
 
 
@@ -85,7 +85,7 @@ def _parse_point(spec: str) -> Position:
     try:
         x, y = (float(p) for p in spec.split(","))
     except ValueError:
-        raise ConfigError(f"could not parse position {spec!r}; expected X,Y") from None
+        raise ConfigError(f"could not parse position {brief_repr(spec)}; expected X,Y") from None
     return Position(x, y)
 
 
@@ -102,7 +102,7 @@ def _load_scenario(args, **flags) -> Scenario:
         try:
             overrides["seed"] = int(env_seed)
         except ValueError:
-            raise ConfigError(f"DMIRS_SEED must be an integer, got {env_seed!r}") from None
+            raise ConfigError(f"DMIRS_SEED must be an integer, got {brief_repr(env_seed)}") from None
     overrides.update((name, value) for name, value in flags.items() if value is not None)
     return replace(scenario, **overrides) if overrides else scenario
 
@@ -132,7 +132,7 @@ def _cmd_sweep_nr(args) -> int:
     scenario = _load_scenario(args)
     raw = _parse_values(args.nr, "nr")
     if any(not float(v).is_integer() for v in raw):
-        raise ConfigError(f"nr values must be integers, got {args.nr!r}")
+        raise ConfigError(f"nr values must be integers, got {brief_repr(args.nr)}")
     nr_values = [int(v) for v in raw]
     pt_values = _parse_values(args.pt, "pt")
     result = run_sweep_nr(scenario, nr_values, pt_values)

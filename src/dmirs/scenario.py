@@ -71,39 +71,40 @@ class Scenario:
 
     def __post_init__(self):
         if self.na < 2:
-            raise ConfigError(f"na must be at least 2 (noise projection needs it), got {self.na}")
+            raise ConfigError(f"na must be at least 2 (noise projection needs it), got {brief_repr(self.na)}")
         if self.na > MAX_NA:
-            raise ConfigError(f"na must be at most {MAX_NA}, got {self.na}")
+            raise ConfigError(f"na must be at most {MAX_NA}, got {brief_repr(self.na)}")
         if self.nr < 1:
-            raise ConfigError(f"nr must be at least 1, got {self.nr}")
+            raise ConfigError(f"nr must be at least 1, got {brief_repr(self.nr)}")
         if self.nr > MAX_NR:
-            raise ConfigError(f"nr must be at most {MAX_NR}, got {self.nr}")
+            raise ConfigError(f"nr must be at most {MAX_NR}, got {brief_repr(self.nr)}")
         for name in ("alice_spacing_wavelengths", "irs_spacing_wavelengths", "d0_m"):
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigError(f"{name} must be positive and finite, got {brief_repr(value)}")
         if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+            raise ConfigError(f"alpha must lie in [0, 1], got {brief_repr(self.alpha)}")
         for name in ("pt_dbm", "noise_dbm"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {brief_repr(value)}")
             try:
                 mw = dbm_to_mw(value)
             except OverflowError:
                 mw = math.inf
             if not 0.0 < mw < math.inf:
-                raise ConfigError(f"{name} = {value!r} dBm is not a finite, nonzero power in mW")
+                raise ConfigError(f"{name} = {brief_repr(value)} dBm is not a finite, nonzero power in mW")
         if self.path_loss_combine not in PATH_LOSS_RULES:
-            raise ConfigError(
-                f"path_loss_combine must be one of {PATH_LOSS_RULES}, got {self.path_loss_combine!r}"
-            )
+            rule = brief_repr(self.path_loss_combine)
+            raise ConfigError(f"path_loss_combine must be one of {PATH_LOSS_RULES}, got {rule}")
         if self.an_mode not in AN_MODES:
-            raise ConfigError(f"an_mode must be one of {AN_MODES}, got {self.an_mode!r}")
+            raise ConfigError(f"an_mode must be one of {AN_MODES}, got {brief_repr(self.an_mode)}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {brief_repr(self.seed)}")
         if not 1 <= self.mc_samples <= MAX_MC_SAMPLES:
-            raise ConfigError(f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {self.mc_samples}")
+            raise ConfigError(
+                f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {brief_repr(self.mc_samples)}"
+            )
         ref = {"alice": self.alice, "bob": self.bob, "irs": self.irs}
         named = list(ref.items())
         for i, (name_a, pos_a) in enumerate(named):
@@ -140,16 +141,25 @@ def _array_spec(n_elements: int, spacing_wavelengths: float) -> ArraySpec:
     return ArraySpec(n_elements, spacing_wavelengths)
 
 
+def brief_repr(value) -> str:
+    """repr(value) for a one-line error message: at most 60 characters and the full length."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _as_int(name, value):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {brief_repr(value)}")
     return value
 
 
 def _as_float(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{name} must be a number, got {brief_repr(value)}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name} must lie within the float range, got {brief_repr(value)}") from None
 
 
 def _as_position(name, value):
@@ -158,13 +168,13 @@ def _as_position(name, value):
         or len(value) != 2
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
-        raise ConfigError(f"{name} must be a [x, y] pair of numbers, got {value!r}")
-    return Position(float(value[0]), float(value[1]))
+        raise ConfigError(f"{name} must be a [x, y] pair of numbers, got {brief_repr(value)}")
+    return Position(_as_float(name, value[0]), _as_float(name, value[1]))
 
 
 def _as_string(name, value):
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {brief_repr(value)}")
     return value
 
 

@@ -18,8 +18,9 @@ where A is the squared norm of the probe's steering row through the noise
 projector (``expected`` mode) or the squared magnitude of one projected
 noise draw (``instantaneous`` mode), as the scenario's an_mode says.
 probe_block is the one route to the numerator and the expected A, for one
-probe or a heatmap block of them at a time.  Rates are log2(1+gamma) bits
-per channel use and the secrecy rate is the clamped difference.
+probe or a heatmap block of them at a time; secrecy_rates scales its
+Pt-free terms, |amplitude|^2 and A, to each power of a rate sweep.  Rates
+are log2(1+gamma) bits per channel use, the secrecy rate the clamped difference.
 """
 
 import math
@@ -30,7 +31,7 @@ import numpy as np
 
 from .arrays import ArraySpec, irs_phase_diagonal, steering_vector
 from .geometry import LinkBudget, angle_of, link_budget
-from .numerics import q_function
+from .numerics import dbm_to_mw, q_function
 from .transmitter import Precoders, an_projector, complex_normal, make_precoders
 
 AN_MODES = ("expected", "instantaneous")
@@ -84,19 +85,26 @@ def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
     return max(0.0, rate_bits(gamma_b) - rate_bits(gamma_e))
 
 
-def check_snr(scenario, *gammas) -> None:
-    """Reject SNRs beyond MAX_SNR, naming the power levels that produced them."""
+def check_snr(pt_dbm, noise_dbm, *gammas) -> None:
+    """Reject SNRs beyond MAX_SNR, naming the power levels in dBm that produced them."""
     if not all(g <= MAX_SNR for g in gammas):
         raise ValueError(
-            f"pt_dbm = {scenario.pt_dbm!r} and noise_dbm = {scenario.noise_dbm!r} give an SNR "
+            f"pt_dbm = {pt_dbm!r} and noise_dbm = {noise_dbm!r} give an SNR "
             "too large to evaluate; lower pt_dbm or raise noise_dbm"
         )
 
 
 def snr_bob(scenario, bob: LinkBudget) -> float:
     """SNR of the intended receiver ``bob`` with the IRS tuned to it."""
-    amplitude = math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr
-    return scenario.alpha * scenario.pt_mw * amplitude**2 / scenario.noise_mw
+    return scenario.alpha * scenario.pt_mw * _bob_power(scenario, bob, True) / scenario.noise_mw
+
+
+def _bob_power(scenario, bob: LinkBudget, include_irs) -> float:
+    """Squared amplitude reaching ``bob``: both beams, the tuned IRS adding a
+    factor of N_r, or with ``include_irs=False`` the direct beam alone."""
+    if not include_irs:
+        return bob.l_direct
+    return (math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr) ** 2
 
 
 def probe_amplitude(
@@ -132,22 +140,29 @@ def probe_block(scenario, bob: LinkBudget, precoders: Precoders, projector, cell
     np.linalg.norm's sum of real and imaginary dot products, square-rooted
     and squared again.
     """
+    power, an_power, leak_rows = _probe_terms(scenario, bob, precoders, projector, cells, count, include_irs)
+    signal = scenario.alpha * scenario.pt_mw * power
+    return signal, _sinr(scenario, scenario.pt_mw, signal, an_power), leak_rows
+
+
+def _probe_terms(scenario, bob, precoders, projector, cells, count, include_irs):
+    """The terms of probe_block that do not depend on the transmit power:
+    each probe's |amplitude|^2, its leak row's squared norm A, and the rows."""
     alice = scenario.alice_array()
     amplitudes = np.empty(count, complex)
     leak_rows = np.empty((count, scenario.na), complex)
     for slot, cell in enumerate(cells):
         amplitudes[slot] = probe_amplitude(scenario, bob, cell, precoders, include_irs)
         leak_rows[slot] = an_leak_row(cell, alice, projector)
-    magnitudes = np.hypot(amplitudes.real, amplitudes.imag)
-    signal = scenario.alpha * scenario.pt_mw * np.float_power(magnitudes, 2.0)
+    power = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
     re, im = leak_rows.real, leak_rows.imag
     an_power = np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
-    return signal, _sinr(scenario, signal, an_power), leak_rows
+    return power, an_power, leak_rows
 
 
-def _sinr(scenario, signal_mw, an_power):
-    """signal / (leaked noise + thermal noise); elementwise over an array of ``an_power``."""
-    return signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
+def _sinr(scenario, pt_mw, signal_mw, an_power):
+    """signal / (leaked noise + thermal noise) at ``pt_mw``; elementwise over ``an_power``."""
+    return signal_mw / ((1.0 - scenario.alpha) * pt_mw * an_power + scenario.noise_mw)
 
 
 def probe_setup(scenario):
@@ -161,32 +176,15 @@ def probe_setup(scenario):
 
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     """Full pipeline from scene geometry to rates and BERs for one probe."""
-    return _metrics(scenario, probe, include_irs=True)
-
-
-def benchmark_no_irs(scenario, probe) -> SecrecyMetrics:
-    """Same pipeline with the reflect path removed everywhere.
-
-    The intended receiver keeps only the direct beam, the probe's numerator
-    keeps only the direct term; the artificial noise is unchanged.  The
-    result does not depend on the IRS element count at all.
-    """
-    return _metrics(scenario, probe, include_irs=False)
-
-
-def _metrics(scenario, probe, include_irs: bool) -> SecrecyMetrics:
     bob, precoders, projector = probe_setup(scenario)
     cells = (link_budget(scenario, probe),)
-    signal, gammas, rows = probe_block(scenario, bob, precoders, projector, cells, 1, include_irs)
-    if include_irs:
-        gamma_b = snr_bob(scenario, bob)
-    else:
-        gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+    signal, gammas, rows = probe_block(scenario, bob, precoders, projector, cells, 1, True)
+    gamma_b = snr_bob(scenario, bob)
     gamma_e = float(gammas[0])
     if scenario.an_mode == "instantaneous":
         z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
-        gamma_e = float(_sinr(scenario, signal[0], abs(np.dot(rows[0], z)) ** 2))
-    check_snr(scenario, gamma_b, gamma_e)
+        gamma_e = float(_sinr(scenario, scenario.pt_mw, signal[0], abs(np.dot(rows[0], z)) ** 2))
+    check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     ber_b, ber_probe = ber_from_snrs(np.array([gamma_b, gamma_e])).tolist()
     return SecrecyMetrics(
         gamma_b=gamma_b,
@@ -199,6 +197,33 @@ def _metrics(scenario, probe, include_irs: bool) -> SecrecyMetrics:
     )
 
 
+def secrecy_rates(scenario, probe, pt_dbm_values, include_irs) -> list:
+    """Expected-noise secrecy rates at ``probe``, one per transmit power in dBm.
+
+    The scene is evaluated once: one probe_setup, one LinkBudget for the
+    probe and one pass of its power-independent terms.  Each power then
+    scales them in secrecy_metrics' operation order, so a rate equals
+    secrecy_metrics(replace(scenario, pt_dbm=pt, an_mode="expected"),
+    probe).rate_s with ==, whatever the scenario's pt_dbm and an_mode.
+    ``include_irs=False`` drops the reflect path everywhere, for the no-IRS
+    benchmark, whose rates do not depend on nr.  The powers must be valid
+    pt_dbm values; no BER is computed.
+    """
+    bob, precoders, projector = probe_setup(scenario)
+    cells = (link_budget(scenario, probe),)
+    power, an_power, _ = _probe_terms(scenario, bob, precoders, projector, cells, 1, include_irs)
+    power, an_power = float(power[0]), float(an_power[0])
+    bob_power = _bob_power(scenario, bob, include_irs)
+    rates = []
+    for pt_dbm in pt_dbm_values:
+        pt_mw = dbm_to_mw(pt_dbm)
+        gamma_b = scenario.alpha * pt_mw * bob_power / scenario.noise_mw
+        gamma_e = _sinr(scenario, pt_mw, scenario.alpha * pt_mw * power, an_power)
+        check_snr(pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
+        rates.append(secrecy_rate(gamma_b, gamma_e))
+    return rates
+
+
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:
     """Average QPSK BER over the scenario's mc_samples artificial-noise draws.
 
@@ -207,7 +232,8 @@ def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float
     generator, so the value is bit-reproducible for a given seed.
     """
     draws = complex_normal(np.random.default_rng(seed), (scenario.mc_samples, scenario.na))
-    return float(ber_from_snrs(_sinr(scenario, signal_mw, np.abs(draws @ leak_row) ** 2)).mean())
+    an_power = np.abs(draws @ leak_row) ** 2
+    return float(ber_from_snrs(_sinr(scenario, scenario.pt_mw, signal_mw, an_power)).mean())
 
 
 def ber_from_snrs(gammas: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ lexicographically by grid index, so the output is identical however cells
 are scheduled.  The heatmap hands secrecy.probe_block a block of cell
 records at a time from a generator, takes dB and BER over its arrays and
 frees them before the next block.  Randomized cells derive their generator
-seed from (scenario seed, cell index), never from shared state.
+seed from (scenario seed, cell index), never from shared state.  A rate
+sweep evaluates each axis value's geometry once and scales it for every
+transmit power (secrecy.secrecy_rates), and computes no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -22,16 +24,9 @@ import numpy as np
 from . import __version__
 from .geometry import LinkBudget, Position, distance
 from .scenario import Scenario, scenario_to_dict
-from .secrecy import (
-    ber_from_snrs,
-    benchmark_no_irs,
-    check_snr,
-    mc_mean_ber,
-    probe_block,
-    probe_setup,
-    secrecy_metrics,
-    snr_bob,
-)
+from .secrecy import ber_from_snrs, check_snr, mc_mean_ber, probe_block, probe_setup, secrecy_rates, snr_bob
+# not called here; bench/tests/test_bench.py reads it as dmirs.sweeps.secrecy_metrics
+from .secrecy import secrecy_metrics
 
 HEATMAP_COLUMNS = ("phi_deg", "theta_deg", "sinr_db", "ber")
 NR_SWEEP_COLUMNS = ("nr", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
@@ -91,7 +86,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
 
     bob, precoders, projector = probe_setup(scenario)
     # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
-    check_snr(scenario, snr_bob(scenario, bob))
+    check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
 
     n_cells = n_phi * n_theta
     sinr_db = np.empty(n_cells)
@@ -172,17 +167,19 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
 def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResult:
     """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
 
-    A row's scenario is ``scenario`` with ``changes(axis value)`` and the
-    row's pt_dbm applied.  Rates use the expected-noise model whatever the
-    scenario's an_mode, so the curves are deterministic; the preamble
-    echoes ``scenario`` as given.
+    Each pt is validated once; then each axis value makes one scenario,
+    ``scenario`` with ``changes(axis value)``, whose rates secrecy_rates gives
+    for every pt from two probe set-ups, with and without the IRS.  Rates use
+    the expected-noise model whatever the scenario's an_mode, so the curves are
+    deterministic; no BER is computed.  The preamble echoes ``scenario``.
     """
+    for pt in pt_values:
+        replace(scenario, pt_dbm=pt)  # rejects a power no scenario may hold, before any row
     proposed, benchmark = [], []
     for value in axis_values:
-        for pt in pt_values:
-            sc = replace(scenario, **changes(value), pt_dbm=pt, an_mode="expected")
-            proposed.append(secrecy_metrics(sc, sc.eve).rate_s)
-            benchmark.append(benchmark_no_irs(sc, sc.eve).rate_s)
+        sc = replace(scenario, **changes(value))
+        proposed += secrecy_rates(sc, sc.eve, pt_values, True)
+        benchmark += secrecy_rates(sc, sc.eve, pt_values, False)
     # the axis column is built after the rates: a scenario rejects an out-of-range nr first
     axis_column = np.repeat(np.array(axis_values), len(pt_values))
     pt_column = np.tile(np.array(pt_values), len(axis_values))

@@ -3,9 +3,10 @@
 Each oracle recomputes a quantity from first principles (numeric
 integration, naive loops, explicit per-symbol formulas) so test
 expectations are not circular.  Only the scalar probe route
-(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`) and `heatmap_per_cell`
-call the package under test: they evaluate one probe at a time in Python
-floats, the reference for `probe_block`, the package's one probe route.
+(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`), `benchmark_no_irs` and
+`heatmap_per_cell` call the package under test: they evaluate one probe at
+a time in Python floats, the reference for `probe_block`, the package's one
+probe route, and for the no-IRS column of a rate sweep.
 """
 
 import cmath
@@ -303,6 +304,32 @@ def sinr_eve_scalar(scenario, bob, budget, precoders, projector, include_irs=Tru
     return _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
 
 
+def benchmark_no_irs(scenario, probe):
+    """secrecy_metrics with the reflect path removed everywhere, one scalar pipeline.
+
+    The intended receiver keeps only the direct beam, the probe's numerator
+    only the direct term (sinr_eve_scalar without the IRS); the artificial
+    noise is unchanged, so nothing depends on the IRS element count.  BERs
+    are qpsk_ber_scalar.
+    """
+    from dmirs.geometry import link_budget
+    from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, secrecy_rate
+
+    bob, precoders, projector = probe_setup(scenario)
+    gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+    gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), precoders, projector, False)
+    check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
+    return SecrecyMetrics(
+        gamma_b=gamma_b,
+        gamma_e=gamma_e,
+        rate_b=rate_bits(gamma_b),
+        rate_e=rate_bits(gamma_e),
+        rate_s=secrecy_rate(gamma_b, gamma_e),
+        ber_b=qpsk_ber_scalar(gamma_b),
+        ber_probe=qpsk_ber_scalar(gamma_e),
+    )
+
+
 def heatmap_per_cell(scenario, grid):
     """The heatmap's sinr_db and ber columns, one scalar pipeline per cell.
 
@@ -318,7 +345,7 @@ def heatmap_per_cell(scenario, grid):
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
     bob, precoders, projector = probe_setup(scenario)
-    check_snr(scenario, snr_bob(scenario, bob))
+    check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
 

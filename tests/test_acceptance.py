@@ -25,14 +25,13 @@ from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     an_leak_row,
-    benchmark_no_irs,
     cascaded_gain_closed,
     secrecy_metrics,
     snr_bob,
 )
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr
 from dmirs.transmitter import an_projector, complex_normal, make_precoders
-from oracles import cascaded_gain_bruteforce, q_via_integration
+from oracles import benchmark_no_irs, cascaded_gain_bruteforce, q_via_integration
 
 
 @contextlib.contextmanager

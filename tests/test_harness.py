@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmirs import cli, sweeps
+from dmirs import cli, secrecy, sweeps
 from dmirs import scenario as scenario_module
 from dmirs.arrays import ArraySpec
-from dmirs.geometry import GeometryError, Position
+from dmirs.geometry import PATH_LOSS_RULES, GeometryError, Position
 from dmirs.scenario import (
     MAX_MC_SAMPLES,
     MAX_NA,
@@ -24,9 +24,9 @@ from dmirs.scenario import (
     parse_config,
     serialize_config,
 )
-from dmirs.secrecy import benchmark_no_irs, probe_setup, secrecy_metrics
+from dmirs.secrecy import probe_setup, secrecy_metrics
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from oracles import heatmap_per_cell, result_rows, sinr_eve_scalar
+from oracles import benchmark_no_irs, heatmap_per_cell, result_rows, sinr_eve_scalar
 
 # nested far beyond the JSON decoder's recursion limit
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
@@ -290,6 +290,51 @@ class TestRunSweepDab:
             run_sweep_dab(Scenario(), [0.0, 10.0], [10.0])
 
 
+@st.composite
+def rate_sweeps(draw):
+    """A scene under either combine rule and spacings in [0.3, 1.2], 1-3 nr
+    and dab values, and 1-4 powers in [-30, 40] dBm, repeats allowed."""
+    spacing = st.floats(0.3, 1.2)
+    scenario = Scenario(
+        path_loss_combine=draw(st.sampled_from(PATH_LOSS_RULES)),
+        alice_spacing_wavelengths=draw(spacing),
+        irs_spacing_wavelengths=draw(spacing),
+        an_mode=draw(st.sampled_from(["expected", "instantaneous"])),
+    )
+    pts = draw(st.lists(st.floats(-30.0, 40.0), min_size=1, max_size=4))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4 - len(pts)))
+    nr_values = draw(st.lists(st.integers(1, 200), min_size=1, max_size=3))
+    dab_values = draw(st.lists(st.floats(0.5, 100.0), min_size=1, max_size=3))
+    return scenario, nr_values, dab_values, pts
+
+
+class TestRateSweepRows:
+    @settings(max_examples=30, deadline=None)
+    @given(rate_sweeps())
+    @example((Scenario(), [1, 200], [0.5, 100.0], [10.0, -30.0, 10.0, 40.0]))
+    def test_every_row_equals_one_pipeline_per_row(self, inputs):
+        scenario, nr_values, dab_values, pts = inputs
+        # the default transmitter sits at the origin and the receiver on the +x axis
+        for run, axis, values in ((run_sweep_nr, "nr", nr_values), (run_sweep_dab, "bob", dab_values)):
+            rows = result_rows(run(scenario, values, pts))
+            assert len(rows) == len(values) * len(pts)
+            for row, (value, pt) in zip(rows, [(v, pt) for v in values for pt in pts]):
+                change = value if axis == "nr" else Position(value, 0.0)
+                sc = replace(scenario, **{axis: change}, pt_dbm=pt, an_mode="expected")
+                assert row["rs_proposed_bits"] == secrecy_metrics(sc, sc.eve).rate_s
+                assert row["rs_benchmark_bits"] == benchmark_no_irs(sc, sc.eve).rate_s
+
+    @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
+    def test_two_probe_setups_per_axis_value_whatever_the_powers(self, run, monkeypatch):
+        calls = []
+        setup = secrecy.probe_setup
+        monkeypatch.setattr(secrecy, "probe_setup", lambda scenario: calls.append(1) or setup(scenario))
+        for pts in ([10.0], [10.0, 15.0, 15.0, 30.0]):
+            calls.clear()
+            run(Scenario(), [10, 20, 30], pts)
+            assert len(calls) == 2 * 3
+
+
 class TestWriteCsv:
     def test_header_and_preamble(self, tmp_path):
         result = run_sweep_nr(Scenario(), [10], [10.0])
@@ -403,6 +448,41 @@ class TestCli:
         message = "dmirs: error: config nests arrays or objects too deeply to parse"
         assert capsys.readouterr().err.splitlines() == [message, message]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("an_mode", '"' + "x" * 100_000 + '"'),
+            ("path_loss_combine", '"' + "y" * 100_000 + '"'),
+            ("na", '"' + "z" * 100_000 + '"'),
+            ("na", "[" * 900 + "]" * 900),
+            ("nr", "7" * 4000),
+            ("alpha", '"' + "w" * 100_000 + '"'),
+            ("bob", '"' + "v" * 100_000 + '"'),
+            ("pt_dbm", "1" + "0" * 400),
+            ("eve", "[0, " + "9" * 400 + "]"),
+        ],
+        ids=["an_mode", "path_loss_combine", "na", "na-nested", "nr-digits", "alpha", "bob", "pt-digits", "eve-digits"],
+    )
+    def test_overlong_config_value_exits_2_with_one_short_line(self, tmp_path, capsys, field, value):
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"{field}": {value}}}')
+        assert cli.main(["metrics", "--config", str(path)]) == 2
+        (line,) = capsys.readouterr().err.encode("utf-8").splitlines()
+        assert len(line) < 300 and line.startswith(f"dmirs: error: {field} ".encode())
+        assert line.endswith(b" characters)")  # the echoed value was cut, its length given
+
+    def test_overlong_flag_or_environment_value_exits_2_with_one_short_line(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        out = str(tmp_path / "o.csv")
+        monkeypatch.setenv("DMIRS_SEED", "s" * 100_000)
+        assert cli.main(["heatmap", "--config", config_file, "--grid", "2x2", "--out", out]) == 2
+        monkeypatch.delenv("DMIRS_SEED")
+        assert cli.main(["sweep-nr", "--config", config_file, "--nr", "n" * 100_000, "--pt", "10", "--out", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line[:30] for line in lines] == ["dmirs: error: DMIRS_SEED must ", "dmirs: error: could not parse "]
+        assert all(len(line) < 300 and "... (100002 characters)" in line for line in lines)
 
     def test_bad_range_exits_2(self, config_file, tmp_path, capsys):
         code = cli.main(
@@ -550,8 +630,9 @@ class TestCli:
         assert run(metrics, "7") == (0, 2, "")
         assert run(heatmap, "7") == (0, 2, "")
         assert "# seed = 9" in out.read_text()
-        # a sweep takes no flag: the file's Scenario, then one per row
-        assert run(sweep_nr) == (0, 1 + 3 * 2, "")
+        # a sweep takes no flag: the file's Scenario, one per pt (validated before any row),
+        # then one per nr value, whatever the number of pt values
+        assert run(sweep_nr) == (0, 1 + 2 + 3, "")
         # DMIRS_SEED must parse even when --seed replaces it, but only the seed used is range-checked
         assert run(heatmap, "abc") == (2, 1, "dmirs: error: DMIRS_SEED must be an integer, got 'abc'\n")
         assert run(heatmap, "-1")[:2] == (0, 2)

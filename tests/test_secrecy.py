@@ -15,7 +15,6 @@ from dmirs.secrecy import (
     MAX_SNR,
     an_leak_row,
     ber_from_snrs,
-    benchmark_no_irs,
     cascaded_gain_closed,
     check_snr,
     mc_mean_ber,
@@ -25,10 +24,12 @@ from dmirs.secrecy import (
     rate_bits,
     secrecy_metrics,
     secrecy_rate,
+    secrecy_rates,
     snr_bob,
 )
 from dmirs.transmitter import complex_normal, make_precoders
 from oracles import (
+    benchmark_no_irs,
     bob_snr_oracle,
     cascaded_gain_bruteforce,
     channel_rows,
@@ -259,27 +260,48 @@ def probe_scenes(draw):
 
 
 class TestSinrEveRoute:
-    @pytest.mark.parametrize("include_irs", [True, False])
     @pytest.mark.parametrize("an_mode", AN_MODES)
     @settings(max_examples=25, deadline=None)
     @given(probe_scenes())
-    def test_equals_scalar_oracle_route(self, an_mode, include_irs, inputs):
+    def test_equals_scalar_oracle_route(self, an_mode, inputs):
         scenario, probe = inputs
         scenario = replace(scenario, an_mode=an_mode)
-        metrics = secrecy_metrics if include_irs else benchmark_no_irs
-        expected = sinr_eve_scalar(scenario, *probe_inputs(scenario, probe), include_irs)
-        assert metrics(scenario, probe).gamma_e == expected
+        expected = sinr_eve_scalar(scenario, *probe_inputs(scenario, probe))
+        assert secrecy_metrics(scenario, probe).gamma_e == expected
+
+
+class TestSecrecyRates:
+    @pytest.mark.parametrize("include_irs", [True, False])
+    @settings(max_examples=25, deadline=None)
+    @given(probe_scenes(), st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=4))
+    def test_equals_one_pipeline_per_power(self, include_irs, inputs, pts):
+        """The rates and SINR pairs of secrecy_metrics, or without the IRS of
+        the scalar oracle, at each power, whatever the scenario's pt_dbm and an_mode."""
+        scenario, probe = inputs
+        route = secrecy_metrics if include_irs else benchmark_no_irs
+        pairs = []
+        with pytest.MonkeyPatch.context() as patch:  # record each (gamma_b, gamma_e) rated
+            patch.setattr(secrecy, "secrecy_rate", lambda b, e: pairs.append((b, e)) or secrecy_rate(b, e))
+            expected = [route(replace(scenario, pt_dbm=pt), probe).rate_s for pt in pts]
+            rates = secrecy_rates(replace(scenario, an_mode="instantaneous"), probe, pts, include_irs)
+        assert rates == expected
+        assert pairs[len(pts) :] == pairs[: len(pts)]
+
+    @pytest.mark.parametrize("include_irs", [True, False])
+    def test_overflowing_snr_names_the_power_that_caused_it(self, include_irs):
+        with pytest.raises(ValueError, match="pt_dbm = 3070.0 and noise_dbm = -40.0 give an SNR"):
+            secrecy_rates(Scenario(noise_dbm=-40.0), EVE, [10.0, 3070.0, 3071.0], include_irs)
 
 
 class TestCheckSnr:
     def test_largest_accepted_snr_still_has_a_ber(self):
-        check_snr(Scenario(), MAX_SNR, 0.0)
+        check_snr(25.0, -20.0, MAX_SNR, 0.0)
         assert ber_from_snrs(np.array([MAX_SNR])).tolist() == [0.0]
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, math.nextafter(MAX_SNR, math.inf)])
     def test_rejects_larger_or_non_finite_naming_power_levels(self, gamma):
         with pytest.raises(ValueError, match="pt_dbm = 25.0 and noise_dbm = -20.0 give an SNR"):
-            check_snr(Scenario(), 1.0, gamma)
+            check_snr(25.0, -20.0, 1.0, gamma)
 
 
 class TestRates:
