@@ -10,7 +10,7 @@ from .numerics import dbm_to_mw, q_function
 from .scenario import ConfigError, Scenario, parse_config, serialize_config
 from .secrecy import SecrecyMetrics, cascaded_gain_closed, secrecy_metrics, snr_bob
 from .sweeps import SweepResult, run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from .transmitter import Precoders, an_projector, make_precoders
+from .transmitter import an_projector
 
 __all__ = [
     "ArraySpec",
@@ -18,7 +18,6 @@ __all__ = [
     "GeometryError",
     "LinkBudget",
     "Position",
-    "Precoders",
     "Scenario",
     "SecrecyMetrics",
     "SweepResult",
@@ -26,7 +25,6 @@ __all__ = [
     "cascaded_gain_closed",
     "dbm_to_mw",
     "link_budget",
-    "make_precoders",
     "parse_config",
     "q_function",
     "run_heatmap",

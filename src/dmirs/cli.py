@@ -130,12 +130,7 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_sweep_nr(args) -> int:
     scenario = _load_scenario(args)
-    raw = _parse_values(args.nr, "nr")
-    if any(not float(v).is_integer() for v in raw):
-        raise ConfigError(f"nr values must be integers, got {brief_repr(args.nr)}")
-    nr_values = [int(v) for v in raw]
-    pt_values = _parse_values(args.pt, "pt")
-    result = run_sweep_nr(scenario, nr_values, pt_values)
+    result = run_sweep_nr(scenario, _parse_values(args.nr, "nr"), _parse_values(args.pt, "pt"))
     _write_result(result, args.out)
     return 0
 

@@ -142,8 +142,12 @@ def _array_spec(n_elements: int, spacing_wavelengths: float) -> ArraySpec:
 
 
 def brief_repr(value) -> str:
-    """repr(value) for a one-line error message: at most 60 characters and the full length."""
-    text = repr(value)
+    """repr(value) for a one-line error message, cut as _brief cuts text."""
+    return _brief(repr(value))
+
+
+def _brief(text: str) -> str:
+    """``text`` if at most 60 characters, else its first 60 and the full length."""
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
@@ -194,7 +198,7 @@ def parse_config(text: str) -> Scenario:
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - _FIELD_TYPES.keys())
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config keys: {_brief(', '.join(unknown))}")
     return Scenario(
         **{name: _COERCERS[_FIELD_TYPES[name]](name, value) for name, value in raw.items()}
     )

@@ -1,7 +1,7 @@
 """Performance formulas: SNR, SINR, BER, rates, and the secrecy rate.
 
-Each receiver is a geometry.LinkBudget.  The direct beam is steered at the
-intended receiver's phi and the IRS tuned to its theta, so its SNR is
+Each receiver is a geometry.LinkBudget.  Both beams are steering vectors, w_a
+at the intended receiver's phi; with the IRS tuned to its theta, its SNR is
 
     gamma_b = alpha * Pt * |sqrt(l_direct) + sqrt(l_reflect) * N_r|^2 / noise,
 
@@ -32,7 +32,7 @@ import numpy as np
 from .arrays import ArraySpec, irs_phase_diagonal, steering_vector
 from .geometry import LinkBudget, angle_of, link_budget
 from .numerics import dbm_to_mw, q_function
-from .transmitter import Precoders, an_projector, complex_normal, make_precoders
+from .transmitter import an_projector, complex_normal
 
 AN_MODES = ("expected", "instantaneous")
 # ber_from_snrs doubles the SNR, so half the float range is the largest it takes
@@ -107,19 +107,17 @@ def _bob_power(scenario, bob: LinkBudget, include_irs) -> float:
     return (math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr) ** 2
 
 
-def probe_amplitude(
-    scenario, bob: LinkBudget, probe: LinkBudget, precoders: Precoders, include_irs=True
-) -> complex:
-    """Coherent signal amplitude reaching ``probe``, both paths combined, with
-    the IRS tuned to the intended receiver ``bob``."""
+def probe_amplitude(scenario, bob: LinkBudget, probe: LinkBudget, w_a, include_irs=True) -> complex:
+    """Coherent amplitude reaching ``probe`` over the direct beam ``w_a`` and the IRS
+    beam, the steering vector g_t toward the IRS, with the IRS tuned to ``bob``."""
     alice = scenario.alice_array()
     h_ae = steering_vector(alice, probe.phi)
-    amplitude = math.sqrt(probe.l_direct) * np.vdot(h_ae, precoders.w_a)
+    amplitude = math.sqrt(probe.l_direct) * np.vdot(h_ae, w_a)
     if include_irs:
         irs = scenario.irs_array()
         g_t = steering_vector(alice, angle_of(scenario.alice, scenario.irs))
         phase_sum = irs_phase_diagonal(irs, probe.theta, bob.theta).sum()
-        amplitude = amplitude + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, precoders.w_r)
+        amplitude = amplitude + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, g_t)
     return complex(amplitude)
 
 
@@ -129,30 +127,30 @@ def an_leak_row(probe: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> n
     return h_ae.conj() @ projector
 
 
-def probe_block(scenario, bob: LinkBudget, precoders: Precoders, projector, cells, count, include_irs):
+def probe_block(scenario, bob: LinkBudget, w_a, projector, cells, count):
     """Signal powers in mW, expected-noise SINRs and noise-leak rows of ``count`` probes.
 
-    ``cells`` yields the probes' LinkBudget records, the IRS tuned to ``bob``;
-    ``include_irs=False`` drops the reflect path for the no-IRS benchmark.
-    Bit for bit the Python-float route alpha * Pt * abs(amplitude) ** 2 over
-    (1 - alpha) * Pt * np.linalg.norm(row) ** 2 + noise: magnitudes are
-    hypot, squares are pow(x, 2), and a row's squared norm is
-    np.linalg.norm's sum of real and imaginary dot products, square-rooted
-    and squared again.
+    ``cells`` yields the probes' LinkBudget records, the direct beam is ``w_a``
+    and the IRS is tuned to ``bob``.  Bit for bit the Python-float route
+    alpha * Pt * abs(amplitude) ** 2 over (1 - alpha) * Pt *
+    np.linalg.norm(row) ** 2 + noise: magnitudes are hypot, squares are
+    pow(x, 2), and a row's squared norm is np.linalg.norm's sum of real and
+    imaginary dot products, square-rooted and squared again.
     """
-    power, an_power, leak_rows = _probe_terms(scenario, bob, precoders, projector, cells, count, include_irs)
+    power, an_power, leak_rows = _probe_terms(scenario, bob, w_a, projector, cells, count, True)
     signal = scenario.alpha * scenario.pt_mw * power
     return signal, _sinr(scenario, scenario.pt_mw, signal, an_power), leak_rows
 
 
-def _probe_terms(scenario, bob, precoders, projector, cells, count, include_irs):
+def _probe_terms(scenario, bob, w_a, projector, cells, count, include_irs):
     """The terms of probe_block that do not depend on the transmit power:
-    each probe's |amplitude|^2, its leak row's squared norm A, and the rows."""
+    each probe's |amplitude|^2, its leak row's squared norm A, and the rows.
+    ``include_irs=False`` drops the reflect path for the no-IRS benchmark."""
     alice = scenario.alice_array()
     amplitudes = np.empty(count, complex)
     leak_rows = np.empty((count, scenario.na), complex)
     for slot, cell in enumerate(cells):
-        amplitudes[slot] = probe_amplitude(scenario, bob, cell, precoders, include_irs)
+        amplitudes[slot] = probe_amplitude(scenario, bob, cell, w_a, include_irs)
         leak_rows[slot] = an_leak_row(cell, alice, projector)
     power = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
     re, im = leak_rows.real, leak_rows.imag
@@ -166,19 +164,18 @@ def _sinr(scenario, pt_mw, signal_mw, an_power):
 
 
 def probe_setup(scenario):
-    """The intended receiver's budget, the precoders, and the noise projector."""
+    """The intended receiver's budget, the direct beam w_a (the steering
+    vector toward that receiver, which the noise avoids) and the noise projector."""
     bob = link_budget(scenario, scenario.bob)
-    precoders = make_precoders(scenario, bob)
-    # w_a is the steering vector toward the intended receiver, the direction the noise avoids
-    projector = an_projector(precoders.w_a)
-    return bob, precoders, projector
+    w_a = steering_vector(scenario.alice_array(), bob.phi)
+    return bob, w_a, an_projector(w_a)
 
 
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     """Full pipeline from scene geometry to rates and BERs for one probe."""
-    bob, precoders, projector = probe_setup(scenario)
+    bob, w_a, projector = probe_setup(scenario)
     cells = (link_budget(scenario, probe),)
-    signal, gammas, rows = probe_block(scenario, bob, precoders, projector, cells, 1, True)
+    signal, gammas, rows = probe_block(scenario, bob, w_a, projector, cells, 1)
     gamma_b = snr_bob(scenario, bob)
     gamma_e = float(gammas[0])
     if scenario.an_mode == "instantaneous":
@@ -209,9 +206,9 @@ def secrecy_rates(scenario, probe, pt_dbm_values, include_irs) -> list:
     benchmark, whose rates do not depend on nr.  The powers must be valid
     pt_dbm values; no BER is computed.
     """
-    bob, precoders, projector = probe_setup(scenario)
+    bob, w_a, projector = probe_setup(scenario)
     cells = (link_budget(scenario, probe),)
-    power, an_power, _ = _probe_terms(scenario, bob, precoders, projector, cells, 1, include_irs)
+    power, an_power, _ = _probe_terms(scenario, bob, w_a, projector, cells, 1, include_irs)
     power, an_power = float(power[0]), float(an_power[0])
     bob_power = _bob_power(scenario, bob, include_irs)
     rates = []

@@ -17,13 +17,14 @@ Python object per cell.
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .geometry import LinkBudget, Position, distance
-from .scenario import Scenario, scenario_to_dict
+from .scenario import Scenario, brief_repr, scenario_to_dict
 from .secrecy import ber_from_snrs, check_snr, mc_mean_ber, probe_block, probe_setup, secrecy_rates, snr_bob
 # not called here; bench/tests/test_bench.py reads it as dmirs.sweeps.secrecy_metrics
 from .secrecy import secrecy_metrics
@@ -84,7 +85,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob, precoders, projector = probe_setup(scenario)
+    bob, w_a, projector = probe_setup(scenario)
     # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
     check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
 
@@ -99,7 +100,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
         signal, gammas, rows = probe_block(
-            scenario, bob, precoders, projector, itertools.islice(cells, stop - start), stop - start, True
+            scenario, bob, w_a, projector, itertools.islice(cells, stop - start), stop - start
         )
         with np.errstate(divide="ignore"):  # log10(0) = -inf dB
             sinr_db[start:stop] = 10.0 * np.log10(gammas)
@@ -132,6 +133,9 @@ def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:
 
     The probe sits at the scenario's eavesdropper position.
     """
+    bad = [v for v in nr_values if not (isinstance(v, numbers.Integral) or float(v).is_integer())]
+    if bad:
+        raise ValueError(f"nr values must be integers, got {brief_repr(bad[0])}")
     nr_values = [int(v) for v in nr_values]
     pt_values = [float(v) for v in pt_dbm_values]
     if not nr_values or not pt_values:

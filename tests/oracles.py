@@ -6,7 +6,9 @@ expectations are not circular.  Only the scalar probe route
 (`probe_signal`, `leak_sinr`, `sinr_eve_scalar`), `benchmark_no_irs` and
 `heatmap_per_cell` call the package under test: they evaluate one probe at
 a time in Python floats, the reference for `probe_block`, the package's one
-probe route, and for the no-IRS column of a rate sweep.
+probe route, and for the no-IRS column of a rate sweep.  `irs_beam` also
+calls it, for the matched IRS beam w_r, which the package only uses inside
+`probe_amplitude`, as the steering vector toward the IRS.
 """
 
 import cmath
@@ -101,6 +103,14 @@ def cascaded_gain_bruteforce(theta_e, theta_b, alice, irs, phi_ar):
             psi2 = -(cyc_e[l] - cyc_b[l])
             total += cmath.exp(2j * math.pi * (psi1 + psi2))
     return total / alice.n_elements
+
+
+def irs_beam(scenario):
+    """The matched IRS beam w_r: the transmitter's unit-norm steering vector toward the IRS."""
+    from dmirs.arrays import steering_vector
+    from dmirs.geometry import angle_of
+
+    return steering_vector(scenario.alice_array(), angle_of(scenario.alice, scenario.irs))
 
 
 def synthesize_tx(w_a, w_r, projector, s, z, alpha):
@@ -273,12 +283,12 @@ def write_csv_per_row(result, sink) -> int:
     return len(payload)
 
 
-def probe_signal(scenario, bob, budget, precoders, include_irs=True):
+def probe_signal(scenario, bob, budget, w_a, include_irs=True):
     """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2."""
     from dmirs.secrecy import probe_amplitude
 
     return scenario.alpha * scenario.pt_mw * abs(
-        probe_amplitude(scenario, bob, budget, precoders, include_irs)
+        probe_amplitude(scenario, bob, budget, w_a, include_irs)
     ) ** 2
 
 
@@ -291,12 +301,12 @@ def leak_sinr(scenario, signal_mw, row):
     return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
 
 
-def sinr_eve_scalar(scenario, bob, budget, precoders, projector, include_irs=True):
+def sinr_eve_scalar(scenario, bob, budget, w_a, projector, include_irs=True):
     """Probe SINR from probe_signal and the leak row: leak_sinr in expected
     mode, or one complex_normal_two_draws draw from the scenario seed."""
     from dmirs.secrecy import an_leak_row
 
-    signal = probe_signal(scenario, bob, budget, precoders, include_irs)
+    signal = probe_signal(scenario, bob, budget, w_a, include_irs)
     row = an_leak_row(budget, scenario.alice_array(), projector)
     if scenario.an_mode == "expected":
         return leak_sinr(scenario, signal, row)
@@ -315,9 +325,9 @@ def benchmark_no_irs(scenario, probe):
     from dmirs.geometry import link_budget
     from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, secrecy_rate
 
-    bob, precoders, projector = probe_setup(scenario)
+    bob, w_a, projector = probe_setup(scenario)
     gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
-    gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), precoders, projector, False)
+    gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), w_a, projector, False)
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     return SecrecyMetrics(
         gamma_b=gamma_b,
@@ -344,7 +354,7 @@ def heatmap_per_cell(scenario, grid):
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob, precoders, projector = probe_setup(scenario)
+    bob, w_a, projector = probe_setup(scenario)
     check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
@@ -355,7 +365,7 @@ def heatmap_per_cell(scenario, grid):
     for phi in phi_deg.tolist():
         for theta in theta_deg.tolist():
             cell = LinkBudget(math.radians(phi), math.radians(theta), bob.l_direct, bob.l_reflect)
-            signal = probe_signal(scenario, bob, cell, precoders)
+            signal = probe_signal(scenario, bob, cell, w_a)
             leak = an_leak_row(cell, alice, projector)
             gamma = leak_sinr(scenario, signal, leak)
             if mc:

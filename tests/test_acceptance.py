@@ -26,11 +26,12 @@ from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     an_leak_row,
     cascaded_gain_closed,
+    probe_setup,
     secrecy_metrics,
     snr_bob,
 )
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr
-from dmirs.transmitter import an_projector, complex_normal, make_precoders
+from dmirs.transmitter import an_projector, complex_normal
 from oracles import benchmark_no_irs, cascaded_gain_bruteforce, q_via_integration
 
 
@@ -249,9 +250,9 @@ def test_artificial_noise_statistics():
             assert mc_power == pytest.approx(float(np.linalg.norm(row) ** 2), rel=0.02)
 
         # mean radiated power of the noisy beam stays at one symbol's worth
-        precoders = make_precoders(scenario, bob_budget)
+        _, w_a, _ = probe_setup(scenario)
         z = complex_normal(rng, (100_000, scenario.na))
-        noisy = math.sqrt(0.6) * precoders.w_a[None, :] + math.sqrt(0.4) * (
+        noisy = math.sqrt(0.6) * w_a[None, :] + math.sqrt(0.4) * (
             z @ projector.T
         )
         assert float(np.mean(np.sum(np.abs(noisy) ** 2, axis=1))) == pytest.approx(1.0, rel=0.015)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from dmirs.arrays import ArraySpec, element_cycles, irs_phase_diagonal, steering_vector
 from dmirs.geometry import Position, angle_of, link_budget
 from dmirs.scenario import Scenario
-from dmirs.secrecy import probe_amplitude
-from dmirs.transmitter import make_precoders
-from oracles import cascade_matrix, channel_rows, irs_phase_matrix, matvec_triple_loop, steering_oracle
+from dmirs.secrecy import probe_amplitude, probe_setup
+from oracles import cascade_matrix, channel_rows, irs_beam, irs_phase_matrix, matvec_triple_loop, steering_oracle
 
 
 class TestPhaseShift:
@@ -119,8 +118,7 @@ class TestAssembleChannel:
         budget = link_budget(scenario, scenario.bob)
         phi_ar = angle_of(scenario.alice, scenario.irs)
         direct, reflect = channel_rows(budget, budget, phi_ar, scenario.na, scenario.nr, budget.theta)
-        w_r = make_precoders(scenario, budget).w_r
-        assert reflect @ w_r == pytest.approx(1.25, abs=1e-9)
+        assert reflect @ irs_beam(scenario) == pytest.approx(1.25, abs=1e-9)
         assert len(direct) == scenario.na
         assert len(reflect) == scenario.na
 
@@ -136,11 +134,11 @@ class TestAssembleChannel:
         scenario = Scenario()
         bob_budget = link_budget(scenario, scenario.bob)
         budget = link_budget(scenario, Position(30.0, 20.0))
-        precoders = make_precoders(scenario, bob_budget)
+        _, w_a, _ = probe_setup(scenario)
         phi_ar = angle_of(scenario.alice, scenario.irs)
         direct, reflect = channel_rows(budget, bob_budget, phi_ar, scenario.na, scenario.nr, budget.theta)
-        dense = direct @ precoders.w_a + reflect @ precoders.w_r
-        assert probe_amplitude(scenario, bob_budget, budget, precoders) == pytest.approx(dense, rel=1e-12, abs=1e-14)
+        dense = direct @ w_a + reflect @ irs_beam(scenario)
+        assert probe_amplitude(scenario, bob_budget, budget, w_a) == pytest.approx(dense, rel=1e-12, abs=1e-14)
 
 
 class TestIrsPhaseProductValue:

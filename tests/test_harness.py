@@ -138,14 +138,14 @@ class TestRunHeatmap:
     def test_cells_match_probe_sinr_route(self):
         scenario = Scenario()
         result = run_heatmap(scenario, grid=(7, 7))
-        bob_budget, precoders, projector = probe_setup(scenario)
+        bob_budget, w_a, projector = probe_setup(scenario)
         for row in result_rows(result)[::5]:
             cell = replace(
                 bob_budget,
                 phi=math.radians(row["phi_deg"]),
                 theta=math.radians(row["theta_deg"]),
             )
-            gamma = sinr_eve_scalar(scenario, bob_budget, cell, precoders, projector)
+            gamma = sinr_eve_scalar(scenario, bob_budget, cell, w_a, projector)
             assert 10 * math.log10(gamma) == pytest.approx(row["sinr_db"], rel=1e-12)
 
     def test_off_band_cells_are_noise_like(self):
@@ -260,6 +260,11 @@ class TestRunSweepNr:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             run_sweep_nr(Scenario(), [], [10.0])
+
+    def test_fractional_element_count_rejected_naming_the_first(self):
+        with pytest.raises(ValueError, match=r"^nr values must be integers, got 10\.7$"):
+            run_sweep_nr(Scenario(), [10.7, 20.2], [10.0])
+        assert run_sweep_nr(Scenario(), [10.0, np.int64(20)], [10.0]).values["nr"].tolist() == [10, 20]
 
 
 class TestRunSweepDab:
@@ -461,15 +466,20 @@ class TestCli:
             ("bob", '"' + "v" * 100_000 + '"'),
             ("pt_dbm", "1" + "0" * 400),
             ("eve", "[0, " + "9" * 400 + "]"),
+            ("k" * 100_000, "0"),
         ],
-        ids=["an_mode", "path_loss_combine", "na", "na-nested", "nr-digits", "alpha", "bob", "pt-digits", "eve-digits"],
+        ids=[
+            "an_mode", "path_loss_combine", "na", "na-nested", "nr-digits", "alpha", "bob", "pt-digits",
+            "eve-digits", "unknown-key",
+        ],
     )
     def test_overlong_config_value_exits_2_with_one_short_line(self, tmp_path, capsys, field, value):
         path = tmp_path / "long.json"
         path.write_text(f'{{"{field}": {value}}}')
         assert cli.main(["metrics", "--config", str(path)]) == 2
         (line,) = capsys.readouterr().err.encode("utf-8").splitlines()
-        assert len(line) < 300 and line.startswith(f"dmirs: error: {field} ".encode())
+        subject = field if hasattr(Scenario(), field) else "unknown config keys:"  # an unknown key is listed
+        assert len(line) < 300 and line.startswith(f"dmirs: error: {subject} ".encode())
         assert line.endswith(b" characters)")  # the echoed value was cut, its length given
 
     def test_overlong_flag_or_environment_value_exits_2_with_one_short_line(
@@ -483,6 +493,12 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert [line[:30] for line in lines] == ["dmirs: error: DMIRS_SEED must ", "dmirs: error: could not parse "]
         assert all(len(line) < 300 and "... (100002 characters)" in line for line in lines)
+
+    def test_fractional_nr_exits_2_with_one_line(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert cli.main(["sweep-nr", "--config", config_file, "--nr", "1.5", "--pt", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "dmirs: error: nr values must be integers, got 1.5\n"
+        assert not out.exists()
 
     def test_bad_range_exits_2(self, config_file, tmp_path, capsys):
         code = cli.main(

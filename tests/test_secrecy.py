@@ -13,6 +13,7 @@ from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     AN_MODES,
     MAX_SNR,
+    _probe_terms,
     an_leak_row,
     ber_from_snrs,
     cascaded_gain_closed,
@@ -27,13 +28,14 @@ from dmirs.secrecy import (
     secrecy_rates,
     snr_bob,
 )
-from dmirs.transmitter import complex_normal, make_precoders
+from dmirs.transmitter import complex_normal
 from oracles import (
     benchmark_no_irs,
     bob_snr_oracle,
     cascaded_gain_bruteforce,
     channel_rows,
     eve_sinr_oracle,
+    irs_beam,
     leak_sinr,
     mc_mean_ber_per_sample,
     probe_signal,
@@ -47,9 +49,20 @@ EVE = Position(30.0, 20.0)
 
 def probe_inputs(scenario, probe):
     """The intended receiver's and a probe's link budgets, with the scenario's
-    precoders and noise projector."""
-    bob_budget, precoders, projector = probe_setup(scenario)
-    return bob_budget, link_budget(scenario, probe), precoders, projector
+    direct beam and noise projector."""
+    bob_budget, w_a, projector = probe_setup(scenario)
+    return bob_budget, link_budget(scenario, probe), w_a, projector
+
+
+class TestProbeSetup:
+    def test_builds_one_steering_vector(self, monkeypatch):
+        calls = []
+        steer = secrecy.steering_vector
+        monkeypatch.setattr(secrecy, "steering_vector", lambda spec, phi: calls.append(phi) or steer(spec, phi))
+        scenario = Scenario()
+        bob, w_a, _ = probe_setup(scenario)
+        assert calls == [bob.phi]
+        assert w_a.tolist() == steer(scenario.alice_array(), bob.phi).tolist()
 
 
 class TestCascadedGainBruteforce:
@@ -135,8 +148,8 @@ class TestSnrBob:
         budget = link_budget(scenario, scenario.bob)
         phi_ar = angle_of(scenario.alice, scenario.irs)
         direct, reflect = channel_rows(budget, budget, phi_ar, scenario.na, scenario.nr, budget.theta)
-        p = make_precoders(scenario, budget)
-        amp = direct @ p.w_a + reflect @ p.w_r
+        _, w_a, _ = probe_setup(scenario)
+        amp = direct @ w_a + reflect @ irs_beam(scenario)
         via_channel = scenario.alpha * scenario.pt_mw * abs(amp) ** 2 / scenario.noise_mw
         assert snr_bob(scenario, budget) == pytest.approx(via_channel, rel=1e-12)
 
@@ -233,11 +246,16 @@ class TestProbeBlock:
     @given(probe_blocks())
     def test_equals_scalar_signal_and_leak_sinr_bit_for_bit(self, include_irs, inputs):
         scenario, cells = inputs
-        bob, precoders, projector = probe_setup(scenario)
-        signal, gammas, rows = probe_block(
-            scenario, bob, precoders, projector, iter(cells), len(cells), include_irs
-        )
-        expected = [probe_signal(scenario, bob, cell, precoders, include_irs) for cell in cells]
+        bob, w_a, projector = probe_setup(scenario)
+        if include_irs:
+            signal, gammas, rows = probe_block(scenario, bob, w_a, projector, iter(cells), len(cells))
+        else:  # the no-IRS terms that secrecy_rates takes, scaled as probe_block scales its own
+            power, an_power, rows = _probe_terms(
+                scenario, bob, w_a, projector, iter(cells), len(cells), include_irs=False
+            )
+            signal = scenario.alpha * scenario.pt_mw * power
+            gammas = secrecy._sinr(scenario, scenario.pt_mw, signal, an_power)
+        expected = [probe_signal(scenario, bob, cell, w_a, include_irs) for cell in cells]
         assert signal.tolist() == expected
         alice = scenario.alice_array()
         assert rows.tolist() == [an_leak_row(cell, alice, projector).tolist() for cell in cells]
@@ -372,8 +390,8 @@ def mc_ber(scenario, probe, samples, seed):
     """Monte-Carlo QPSK BER over ``samples`` draws at a probe position,
     composed as a heatmap cell is."""
     scenario = replace(scenario, mc_samples=samples)
-    bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, probe)
-    signal, _, rows = probe_block(scenario, bob_budget, precoders, projector, [probe_budget], 1, True)
+    bob_budget, probe_budget, w_a, projector = probe_inputs(scenario, probe)
+    signal, _, rows = probe_block(scenario, bob_budget, w_a, projector, [probe_budget], 1)
     return mc_mean_ber(scenario, float(signal[0]), rows[0], seed)
 
 
@@ -399,9 +417,9 @@ class TestMcBer:
         long_run = float(np.mean(runs))
 
         # spread of single-draw BERs, estimated from an auxiliary stream
-        bob_budget, probe_budget, precoders, projector = probe_inputs(scenario, probe)
+        bob_budget, probe_budget, w_a, projector = probe_inputs(scenario, probe)
         signal = scenario.alpha * scenario.pt_mw * abs(
-            probe_amplitude(scenario, bob_budget, probe_budget, precoders)
+            probe_amplitude(scenario, bob_budget, probe_budget, w_a)
         ) ** 2
         row = an_leak_row(probe_budget, scenario.alice_array(), projector)
         z = complex_normal(np.random.default_rng(3), (10_000, 16))

@@ -13,6 +13,9 @@ field of a public dataclass counts as read when src/dmirs/ loads it as an
 attribute or names it in a string constant (as getattr(record, "name")
 does) outside the class's own __post_init__; a field nothing reads only
 costs its record memory and its builder's work.
+A parameter of a function defined in src/dmirs/ that every call there
+supplies as one and the same literal has one value in use: it belongs in
+the body as a constant.
 
 The test modules beside this one are held to one rule of their own: every
 name a test module imports is read somewhere in that module.
@@ -41,6 +44,9 @@ ALLOWED_UNPASSED = {
 
 # "Class.field": why it stays although the package never reads it
 ALLOWED_UNREAD = {}
+
+# "function.parameter": why every call in the package passes it the same literal
+ALLOWED_ONE_VALUE = {}
 
 
 def _modules():
@@ -116,6 +122,12 @@ def _passed_parameters(call, node):
     return set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
 
 
+def _callee_name(call):
+    """The name a call calls, as a name or an attribute (None for other callees)."""
+    callee = call.func
+    return callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+
+
 def _unpassed_defaults():
     trees = _modules().values()
     functions = [
@@ -129,9 +141,7 @@ def _unpassed_defaults():
     for node in functions:
         passed = set()
         for call in calls:
-            callee = call.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name == node.name:
+            if _callee_name(call) == node.name:
                 passed |= _passed_parameters(call, node)
         unpassed += [f"{node.name}.{p}" for p in _defaulted_parameters(node) if p not in passed]
     return sorted(unpassed)
@@ -195,6 +205,43 @@ def test_every_dataclass_field_is_read_by_the_package():
 def test_unread_allow_list_names_only_unread_fields():
     assert set(ALLOWED_UNREAD) <= set(_unread_fields())
     assert all(reason.strip() for reason in ALLOWED_UNREAD.values())
+
+
+def _one_value_parameters():
+    """The "function.parameter" names of the parameters of top-level functions
+    that every call in the package supplies as the same literal."""
+    trees = _modules().values()
+    calls = [sub for tree in trees for sub in ast.walk(tree) if isinstance(sub, ast.Call)]
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+            supplied = []  # {parameter: expression} per call
+            for call in calls:
+                if _callee_name(call) != node.name:
+                    continue
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                    supplied.append({})  # unpacked: nothing is known to be a literal
+                    continue
+                supplied.append(dict(zip(positional, call.args)) | {k.arg: k.value for k in call.keywords})
+            for name in positional + [a.arg for a in node.args.kwonlyargs]:
+                values = [args.get(name) for args in supplied]
+                literal = values and all(isinstance(v, ast.Constant) for v in values)
+                if literal and len({ast.dump(v) for v in values}) == 1:
+                    found.append(f"{node.name}.{name}")
+    return sorted(found)
+
+
+def test_no_parameter_has_one_literal_value_in_every_call():
+    one_value = [q for q in _one_value_parameters() if q not in ALLOWED_ONE_VALUE]
+    assert not one_value, f"every call passes the same literal (make it a constant): {one_value}"
+
+
+def test_one_value_allow_list_names_only_one_value_parameters():
+    assert set(ALLOWED_ONE_VALUE) <= set(_one_value_parameters())
+    assert all(reason.strip() for reason in ALLOWED_ONE_VALUE.values())
 
 
 def _unused_imports(tree):

@@ -7,8 +7,9 @@ import pytest
 from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import link_budget
 from dmirs.scenario import Scenario
-from dmirs.transmitter import an_projector, complex_normal, make_precoders
-from oracles import complex_normal_two_draws, synthesize_tx
+from dmirs.secrecy import probe_setup
+from dmirs.transmitter import an_projector, complex_normal
+from oracles import complex_normal_two_draws, irs_beam, synthesize_tx
 
 
 @pytest.fixture
@@ -22,23 +23,22 @@ class TestPrecoders:
     def test_direct_beam_matched_to_receiver(self, scene):
         scenario, budget = scene
         alice = scenario.alice_array()
-        p = make_precoders(scenario, budget)
+        _, w_a, _ = probe_setup(scenario)
         h_ab = steering_vector(alice, budget.phi)
-        assert np.vdot(h_ab, p.w_a) == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(h_ab, w_a) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_norms(self, scene):
-        scenario, budget = scene
-        p = make_precoders(scenario, budget)
-        assert np.linalg.norm(p.w_a) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(p.w_r) == pytest.approx(1.0, abs=1e-12)
+        scenario, _ = scene
+        _, w_a, _ = probe_setup(scenario)
+        assert np.linalg.norm(w_a) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(irs_beam(scenario)) == pytest.approx(1.0, abs=1e-12)
 
     def test_baseline_beams_point_at_known_angles(self, scene):
-        scenario, budget = scene
-        alice = scenario.alice_array()
-        p = make_precoders(scenario, budget)
-        np.testing.assert_allclose(p.w_a, steering_vector(ArraySpec(16, 0.5), 0.0), atol=0)
+        scenario, _ = scene
+        _, w_a, _ = probe_setup(scenario)
+        np.testing.assert_allclose(w_a, steering_vector(ArraySpec(16, 0.5), 0.0), atol=0)
         np.testing.assert_allclose(
-            p.w_r, steering_vector(ArraySpec(16, 0.5), 0.6435011087932844), atol=1e-15
+            irs_beam(scenario), steering_vector(ArraySpec(16, 0.5), 0.6435011087932844), atol=1e-15
         )
 
 
@@ -123,49 +123,48 @@ class TestSampleAn:
 
 class TestSynthesizeTx:
     def _parts(self, scene):
-        scenario, budget = scene
-        alice = scenario.alice_array()
-        precoders = make_precoders(scenario, budget)
-        projector = an_projector(steering_vector(alice, budget.phi))
-        return scenario, precoders, projector
+        """The scene's direct beam and IRS beam, and its noise projector."""
+        scenario, _ = scene
+        _, w_a, projector = probe_setup(scenario)
+        return scenario, (w_a, irs_beam(scenario)), projector
 
     def test_full_power_to_symbol(self, scene):
-        scenario, precoders, projector = self._parts(scene)
+        scenario, (w_a, w_r), projector = self._parts(scene)
         z = sample_an(scenario.na, 5)
-        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector, 1.0, z, 1.0)
-        np.testing.assert_allclose(x_a, precoders.w_a, atol=1e-15)
-        np.testing.assert_allclose(x_r, precoders.w_r, atol=1e-15)
+        x_a, x_r = synthesize_tx(w_a, w_r, projector, 1.0, z, 1.0)
+        np.testing.assert_allclose(x_a, w_a, atol=1e-15)
+        np.testing.assert_allclose(x_r, w_r, atol=1e-15)
 
     def test_full_power_to_noise(self, scene):
-        scenario, precoders, projector = self._parts(scene)
+        scenario, (w_a, w_r), projector = self._parts(scene)
         z = sample_an(scenario.na, 5)
-        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector, 1.0, z, 0.0)
+        x_a, x_r = synthesize_tx(w_a, w_r, projector, 1.0, z, 0.0)
         np.testing.assert_allclose(x_a, projector @ z, atol=1e-15)
         np.testing.assert_allclose(x_r, np.zeros(scenario.na), atol=0)
 
     def test_split_powers_at_zero_noise(self, scene):
-        scenario, precoders, projector = self._parts(scene)
+        scenario, (w_a, w_r), projector = self._parts(scene)
         z = np.zeros(scenario.na)
-        x_a, x_r = synthesize_tx(precoders.w_a, precoders.w_r, projector, 1.0, z, 0.6)
+        x_a, x_r = synthesize_tx(w_a, w_r, projector, 1.0, z, 0.6)
         assert np.linalg.norm(x_a) ** 2 == pytest.approx(0.6, abs=1e-12)
         assert np.linalg.norm(x_r) ** 2 == pytest.approx(0.6, abs=1e-12)
 
     def test_mean_direct_beam_power_is_unity(self, scene):
-        scenario, precoders, projector = self._parts(scene)
+        scenario, (w_a, w_r), projector = self._parts(scene)
         rng = np.random.default_rng(17)
         draws = 100_000
         z = complex_normal(rng, (draws, scenario.na))
         an_part = z @ projector.T
         powers = (
-            np.abs(math.sqrt(0.6) * precoders.w_a[None, :] + math.sqrt(0.4) * an_part) ** 2
+            np.abs(math.sqrt(0.6) * w_a[None, :] + math.sqrt(0.4) * an_part) ** 2
         ).sum(axis=1)
         assert powers.mean() == pytest.approx(1.0, rel=0.015)
 
     def test_noise_never_reaches_the_receiver_projection(self, scene):
-        scenario, precoders, projector = self._parts(scene)
+        scenario, (w_a, w_r), projector = self._parts(scene)
         h_ab = steering_vector(scenario.alice_array(), 0.0)
         s = (1.0 + 1j) / math.sqrt(2.0)
         for seed in range(10):
             z = sample_an(scenario.na, seed)
-            x_a, _ = synthesize_tx(precoders.w_a, precoders.w_r, projector, s, z, 0.6)
+            x_a, _ = synthesize_tx(w_a, w_r, projector, s, z, 0.6)
             assert np.vdot(h_ab, x_a) == pytest.approx(math.sqrt(0.6) * s, abs=1e-12)
