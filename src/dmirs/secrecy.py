@@ -17,12 +17,16 @@ from the tuned one, and additionally absorbs artificial noise:
 where A is the squared norm of the probe's steering row through the noise
 projector (``expected`` mode) or the squared magnitude of one projected
 noise draw (``instantaneous`` mode), as the scenario's an_mode says.
-probe_block is the one route to the numerator and the expected A, for one
-probe or a heatmap block of them at a time; secrecy_rates scales its
-Pt-free terms, |amplitude|^2 and A, to each power of a rate sweep.  Rates
-are log2(1+gamma) bits per channel use, the secrecy rate the clamped difference.
+probe_block gives the numerator and the expected A of one probe or of a
+heatmap block of probes in one scene.  secrecy_rates gives a rate sweep's
+rates for a block of scenes at a time, each probed at its own eve: it
+takes the same Pt-free terms, |amplitude|^2 and A, through the same
+expressions (_squared_terms) and scales them to every power in one array
+pass.  Rates are log2(1+gamma) bits per channel use, the secrecy rate the
+clamped difference.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -133,34 +137,37 @@ def probe_block(scenario, bob: LinkBudget, w_a, projector, cells, count):
     ``cells`` yields the probes' LinkBudget records, the direct beam is ``w_a``
     and the IRS is tuned to ``bob``.  Bit for bit the Python-float route
     alpha * Pt * abs(amplitude) ** 2 over (1 - alpha) * Pt *
-    np.linalg.norm(row) ** 2 + noise: magnitudes are hypot, squares are
-    pow(x, 2), and a row's squared norm is np.linalg.norm's sum of real and
-    imaginary dot products, square-rooted and squared again.
+    np.linalg.norm(row) ** 2 + noise (see _squared_terms).
     """
-    power, an_power, leak_rows = _probe_terms(scenario, bob, w_a, projector, cells, count, True)
-    signal = scenario.alpha * scenario.pt_mw * power
-    return signal, _sinr(scenario, scenario.pt_mw, signal, an_power), leak_rows
-
-
-def _probe_terms(scenario, bob, w_a, projector, cells, count, include_irs):
-    """The terms of probe_block that do not depend on the transmit power:
-    each probe's |amplitude|^2, its leak row's squared norm A, and the rows.
-    ``include_irs=False`` drops the reflect path for the no-IRS benchmark."""
     alice = scenario.alice_array()
     amplitudes = np.empty(count, complex)
     leak_rows = np.empty((count, scenario.na), complex)
     for slot, cell in enumerate(cells):
-        amplitudes[slot] = probe_amplitude(scenario, bob, cell, w_a, include_irs)
+        amplitudes[slot] = probe_amplitude(scenario, bob, cell, w_a)
         leak_rows[slot] = an_leak_row(cell, alice, projector)
+    power, an_power = _squared_terms(amplitudes, leak_rows)
+    signal = scenario.alpha * scenario.pt_mw * power
+    return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, an_power), leak_rows
+
+
+def _squared_terms(amplitudes, leak_rows):
+    """Each probe's |amplitude|^2 and its leak row's squared norm A, the
+    terms of a probe's SINR that do not depend on the transmit power.
+
+    Bit for bit the Python floats abs(amplitude) ** 2 and
+    np.linalg.norm(row) ** 2: magnitudes are hypot, squares are pow(x, 2),
+    and a row's squared norm is np.linalg.norm's sum of real and imaginary
+    dot products, square-rooted and squared again.
+    """
     power = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
     re, im = leak_rows.real, leak_rows.imag
     an_power = np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
-    return power, an_power, leak_rows
+    return power, an_power
 
 
-def _sinr(scenario, pt_mw, signal_mw, an_power):
-    """signal / (leaked noise + thermal noise) at ``pt_mw``; elementwise over ``an_power``."""
-    return signal_mw / ((1.0 - scenario.alpha) * pt_mw * an_power + scenario.noise_mw)
+def _sinr(alpha, noise_mw, pt_mw, signal_mw, an_power):
+    """signal / (leaked noise + thermal noise) at ``pt_mw``; elementwise over arrays."""
+    return signal_mw / ((1.0 - alpha) * pt_mw * an_power + noise_mw)
 
 
 def probe_setup(scenario):
@@ -180,7 +187,8 @@ def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     gamma_e = float(gammas[0])
     if scenario.an_mode == "instantaneous":
         z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
-        gamma_e = float(_sinr(scenario, scenario.pt_mw, signal[0], abs(np.dot(rows[0], z)) ** 2))
+        an_power = abs(np.dot(rows[0], z)) ** 2
+        gamma_e = float(_sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal[0], an_power))
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     ber_b, ber_probe = ber_from_snrs(np.array([gamma_b, gamma_e])).tolist()
     return SecrecyMetrics(
@@ -194,31 +202,83 @@ def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     )
 
 
-def secrecy_rates(scenario, probe, pt_dbm_values, include_irs) -> list:
-    """Expected-noise secrecy rates at ``probe``, one per transmit power in dBm.
+def secrecy_rates(scenes, pt_dbm_values, include_irs, block):
+    """Expected-noise secrecy rates of each scene at its own eve: yields one
+    list per scene, one rate per transmit power in dBm.
 
-    The scene is evaluated once: one probe_setup, one LinkBudget for the
-    probe and one pass of its power-independent terms.  Each power then
-    scales them in secrecy_metrics' operation order, so a rate equals
-    secrecy_metrics(replace(scenario, pt_dbm=pt, an_mode="expected"),
-    probe).rate_s with ==, whatever the scenario's pt_dbm and an_mode.
+    Scenes, all of one na, are taken ``block`` (at least 1) at a time.
+    Each gets one probe_setup, one LinkBudget for its eve, one
+    probe_amplitude and one an_leak_row, written into block arrays; the
+    power-free terms, the SNRs of every (scene, power) pair and their check
+    then run once per block, in secrecy_metrics' operation order, so a rate equals
+    secrecy_metrics(replace(scene, pt_dbm=pt, an_mode="expected"),
+    scene.eve).rate_s with ==, whatever the scene's pt_dbm and an_mode.
     ``include_irs=False`` drops the reflect path everywhere, for the no-IRS
     benchmark, whose rates do not depend on nr.  The powers must be valid
     pt_dbm values; no BER is computed.
+
+    Faults surface as in a pass scene by scene: a scene's SNR overflow,
+    named by the first power that causes it, when its list is due, and a
+    ValueError from taking or setting up a scene after the lists of the
+    scenes before it.
     """
-    bob, w_a, projector = probe_setup(scenario)
-    cells = (link_budget(scenario, probe),)
-    power, an_power, _ = _probe_terms(scenario, bob, w_a, projector, cells, 1, include_irs)
-    power, an_power = float(power[0]), float(an_power[0])
-    bob_power = _bob_power(scenario, bob, include_irs)
-    rates = []
-    for pt_dbm in pt_dbm_values:
-        pt_mw = dbm_to_mw(pt_dbm)
-        gamma_b = scenario.alpha * pt_mw * bob_power / scenario.noise_mw
-        gamma_e = _sinr(scenario, pt_mw, scenario.alpha * pt_mw * power, an_power)
-        check_snr(pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
-        rates.append(secrecy_rate(gamma_b, gamma_e))
-    return rates
+    pt_mw = np.array([dbm_to_mw(pt) for pt in pt_dbm_values])
+    scenes = iter(scenes)
+    while True:
+        batch, terms, fault = _scene_terms(scenes, block, include_irs)
+        if batch:
+            alpha, noise_mw, bob_power, power, an_power = (t[:, np.newaxis] for t in terms)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats give them
+                gamma_b = alpha * pt_mw * bob_power / noise_mw
+                gamma_e = _sinr(alpha, noise_mw, pt_mw, alpha * pt_mw * power, an_power)
+            fine = ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=1).tolist()
+            for scenario, ok, gammas_b, gammas_e in zip(batch, fine, gamma_b.tolist(), gamma_e.tolist()):
+                if not ok:
+                    for pt_dbm, g_b, g_e in zip(pt_dbm_values, gammas_b, gammas_e):
+                        check_snr(pt_dbm, scenario.noise_dbm, g_b, g_e)
+                yield list(map(secrecy_rate, gammas_b, gammas_e))
+        if fault is not None:
+            raise fault
+        if len(batch) < block:
+            return
+
+
+def _scene_terms(scenes, block, include_irs):
+    """The next ``block`` scenes of the iterator ``scenes``, their terms and a fault.
+
+    The terms are arrays over the scenes: alpha, the noise power in mW, the
+    intended receiver's squared amplitude (_bob_power), and the eve's
+    |amplitude|^2 and leak-row squared norm (_squared_terms).  A ValueError
+    from taking or setting up a scene ends the block before that scene and
+    is returned as the fault, for the caller to raise after the scenes
+    before it.  The block is taken whole before any set-up, which measured
+    faster than building each scene between two set-ups.
+    """
+    batch, fault = [], None
+    try:
+        for scenario in itertools.islice(scenes, block):
+            batch.append(scenario)
+    except ValueError as error:
+        fault = error
+    if not batch:
+        return batch, (), fault
+    scalars = []
+    amplitudes = np.empty(block, complex)
+    leak_rows = np.empty((block, batch[0].na), complex)
+    for slot, scenario in enumerate(batch):
+        try:
+            bob, w_a, projector = probe_setup(scenario)
+            eve = link_budget(scenario, scenario.eve)
+        except ValueError as error:
+            del batch[slot:]
+            fault = error
+            break
+        amplitudes[slot] = probe_amplitude(scenario, bob, eve, w_a, include_irs)
+        leak_rows[slot] = an_leak_row(eve, scenario.alice_array(), projector)
+        scalars.append((scenario.alpha, scenario.noise_mw, _bob_power(scenario, bob, include_irs)))
+    count = len(batch)
+    terms = (*np.array(scalars).reshape(count, 3).T, *_squared_terms(amplitudes[:count], leak_rows[:count]))
+    return batch, terms, fault
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:
@@ -230,7 +290,8 @@ def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float
     """
     draws = complex_normal(np.random.default_rng(seed), (scenario.mc_samples, scenario.na))
     an_power = np.abs(draws @ leak_row) ** 2
-    return float(ber_from_snrs(_sinr(scenario, scenario.pt_mw, signal_mw, an_power)).mean())
+    gammas = _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal_mw, an_power)
+    return float(ber_from_snrs(gammas).mean())
 
 
 def ber_from_snrs(gammas: np.ndarray) -> np.ndarray:

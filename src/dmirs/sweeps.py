@@ -6,8 +6,10 @@ are scheduled.  The heatmap hands secrecy.probe_block a block of cell
 records at a time from a generator, takes dB and BER over its arrays and
 frees them before the next block.  Randomized cells derive their generator
 seed from (scenario seed, cell index), never from shared state.  A rate
-sweep evaluates each axis value's geometry once and scales it for every
-transmit power (secrecy.secrecy_rates), and computes no BER.
+sweep builds one scene per axis value and streams the scenes through
+secrecy.secrecy_rates once per column, with and without the IRS: each
+scene's geometry is evaluated once per column, and the SNRs for every
+transmit power are one array pass per block of scenes.  It computes no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -35,9 +37,9 @@ DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 # Rows formatted and written per sink.write call: bounds the writer's
 # working set (a few hundred KiB) whatever the grid size.
 CSV_CHUNK_ROWS = 4096
-# Complex values in one heatmap block's noise-leak rows (1 MiB): a block of
-# max(1, HEATMAP_BLOCK_VALUES // na) cells is evaluated per array pass,
-# whatever the grid size.
+# Complex values in one block's noise-leak rows (1 MiB): a heatmap evaluates
+# max(1, HEATMAP_BLOCK_VALUES // na) cells per array pass, and a rate sweep
+# as many scenes per column, whatever the grid or sweep size.
 HEATMAP_BLOCK_VALUES = 65536
 
 
@@ -154,6 +156,9 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
     pt_values = [float(v) for v in pt_dbm_values]
     if not dab_values or not pt_values:
         raise ValueError("dab and pt sweeps need at least one value each")
+    bad = [d for d in dab_values if not math.isfinite(d)]
+    if bad:
+        raise ValueError(f"dab values must be finite, got {brief_repr(bad[0])}")
     if any(d <= 0.0 for d in dab_values):
         raise ValueError("dab values must be positive")
     d_ab = distance(scenario.alice, scenario.bob)
@@ -171,26 +176,34 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
 def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResult:
     """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
 
-    Each pt is validated once; then each axis value makes one scenario,
-    ``scenario`` with ``changes(axis value)``, whose rates secrecy_rates gives
-    for every pt from two probe set-ups, with and without the IRS.  Rates use
-    the expected-noise model whatever the scenario's an_mode, so the curves are
+    Each pt is validated once; then each axis value makes one scene,
+    ``scenario`` with ``changes(axis value)``, and the scenes stream through
+    two secrecy_rates calls, with and without the IRS, a block of
+    max(1, HEATMAP_BLOCK_VALUES // na) scenes per array pass.  The two
+    columns advance together scene by scene, so the first fault raised is
+    the one a pass row by row meets first: an axis value's proposed rates,
+    then its no-IRS rates, then the next axis value's scene.  Rates use the
+    expected-noise model whatever the scenario's an_mode, so the curves are
     deterministic; no BER is computed.  The preamble echoes ``scenario``.
     """
     for pt in pt_values:
         replace(scenario, pt_dbm=pt)  # rejects a power no scenario may hold, before any row
-    proposed, benchmark = [], []
-    for value in axis_values:
-        sc = replace(scenario, **changes(value))
-        proposed += secrecy_rates(sc, sc.eve, pt_values, True)
-        benchmark += secrecy_rates(sc, sc.eve, pt_values, False)
+    block = max(1, HEATMAP_BLOCK_VALUES // scenario.na)
+    # each scene is built once; the no-IRS column reads it at most a block behind
+    proposed_scenes, benchmark_scenes = itertools.tee(replace(scenario, **changes(v)) for v in axis_values)
+    pairs = zip(
+        secrecy_rates(proposed_scenes, pt_values, True, block),
+        secrecy_rates(benchmark_scenes, pt_values, False, block),
+    )
+    rates = np.empty((2, len(axis_values), len(pt_values)))
+    for index, pair in enumerate(pairs):
+        rates[:, index] = pair
     # the axis column is built after the rates: a scenario rejects an out-of-range nr first
     axis_column = np.repeat(np.array(axis_values), len(pt_values))
     pt_column = np.tile(np.array(pt_values), len(axis_values))
-    rates = (np.array(proposed), np.array(benchmark))
     return SweepResult(
         columns=columns,
-        values=dict(zip(columns, (axis_column, pt_column, *rates))),
+        values=dict(zip(columns, (axis_column, pt_column, *rates.reshape(2, -1)))),
         metadata=_metadata(scenario),
     )
 

@@ -294,6 +294,11 @@ class TestRunSweepDab:
         with pytest.raises(ValueError):
             run_sweep_dab(Scenario(), [0.0, 10.0], [10.0])
 
+    @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+    def test_rejects_non_finite_distance_naming_it(self, value, text):
+        with pytest.raises(ValueError, match=f"^dab values must be finite, got {text}$"):
+            run_sweep_dab(Scenario(), [10.0, value, 20.0], [10.0])
+
 
 @st.composite
 def rate_sweeps(draw):
@@ -338,6 +343,59 @@ class TestRateSweepRows:
             calls.clear()
             run(Scenario(), [10, 20, 30], pts)
             assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
+    def test_two_secrecy_rates_calls_per_sweep_whatever_its_size(self, run, monkeypatch):
+        calls = []
+        rates = sweeps.secrecy_rates
+        monkeypatch.setattr(sweeps, "secrecy_rates", lambda *args: calls.append(args[2]) or rates(*args))
+        for axis, pts in (([10], [10.0]), ([10, 20, 30], [10.0, 15.0, 15.0, 30.0]), (list(range(10, 60)), [10.0])):
+            calls.clear()
+            run(Scenario(), axis, pts)
+            assert calls == [True, False]
+
+
+# alpha = 1 leaves no noise in the probe's SINR; at nr = 1 the IRS path cancels part
+# of the direct one at this eve, so without the IRS the probe's SNR is the largest
+# of the scene's four, and at 3081 dBm alone above MAX_SNR.
+NO_IRS_LOUDEST = Scenario(alpha=1.0, nr=1, eve=Position(-7.5, -2.5))
+OVERFLOW_AT_3081 = "pt_dbm = 3081.0 and noise_dbm = -20.0 give an SNR"
+OVERFLOW_AT_3070 = "pt_dbm = 3070.0 and noise_dbm = -40.0 give an SNR"
+
+
+class TestRateSweepFaults:
+    """The first fault a sweep reports is the one a pass row by row meets
+    first: each axis value's scene, then its proposed powers, then its no-IRS
+    powers.  The columns stream through secrecy_rates in blocks, which must not
+    change that order."""
+
+    @pytest.fixture(params=[1, sweeps.HEATMAP_BLOCK_VALUES], ids=["one-scene-blocks", "default-blocks"])
+    def blocks(self, request, monkeypatch):
+        monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", request.param)
+
+    @pytest.mark.parametrize("run, axis", [(run_sweep_nr, [1]), (run_sweep_dab, [20.0])])
+    def test_overflow_in_the_no_irs_column_alone_names_its_power(self, run, axis, blocks):
+        assert run(NO_IRS_LOUDEST, axis, [3080.0]).values["rs_benchmark_bits"].tolist() == [0.0]
+        with pytest.raises(ValueError, match=OVERFLOW_AT_3081):
+            run(NO_IRS_LOUDEST, axis, [3080.0, 3081.0])
+
+    def test_no_irs_overflow_wins_over_a_later_axis_values_proposed_overflow(self, blocks):
+        # at nr = 50 the proposed column overflows already at 3080 dBm
+        with pytest.raises(ValueError, match="pt_dbm = 3080.0"):
+            run_sweep_nr(NO_IRS_LOUDEST, [50], [3080.0, 3081.0])
+        with pytest.raises(ValueError, match=OVERFLOW_AT_3081):
+            run_sweep_nr(NO_IRS_LOUDEST, [1, 50], [3080.0, 3081.0])
+
+    @pytest.mark.parametrize(
+        "run, axis", [(run_sweep_nr, [10, 2_000_000]), (run_sweep_dab, [10.0, 1e200])], ids=["nr", "dab"]
+    )
+    def test_overflow_wins_over_a_later_bad_axis_value(self, run, axis, blocks):
+        """An out-of-range nr fails the scene; a 1e200 m distance fails the receiver's path gain."""
+        with pytest.raises(ValueError, match=OVERFLOW_AT_3070):
+            run(Scenario(noise_dbm=-40.0), axis, [10.0, 3070.0, 3071.0])
+        with pytest.raises(ValueError) as fault:
+            run(Scenario(noise_dbm=-40.0), axis[::-1], [10.0, 3070.0, 3071.0])
+        assert "pt_dbm" not in str(fault.value)
 
 
 class TestWriteCsv:

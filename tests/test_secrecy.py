@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from dmirs import secrecy
 from dmirs.arrays import ArraySpec
-from dmirs.geometry import LinkBudget, Position, angle_of, link_budget
+from dmirs.geometry import GeometryError, LinkBudget, Position, angle_of, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     AN_MODES,
     MAX_SNR,
-    _probe_terms,
     an_leak_row,
     ber_from_snrs,
     cascaded_gain_closed,
@@ -241,21 +240,13 @@ def probe_blocks(draw):
 
 
 class TestProbeBlock:
-    @pytest.mark.parametrize("include_irs", [True, False])
     @settings(max_examples=60, deadline=None)
     @given(probe_blocks())
-    def test_equals_scalar_signal_and_leak_sinr_bit_for_bit(self, include_irs, inputs):
+    def test_equals_scalar_signal_and_leak_sinr_bit_for_bit(self, inputs):
         scenario, cells = inputs
         bob, w_a, projector = probe_setup(scenario)
-        if include_irs:
-            signal, gammas, rows = probe_block(scenario, bob, w_a, projector, iter(cells), len(cells))
-        else:  # the no-IRS terms that secrecy_rates takes, scaled as probe_block scales its own
-            power, an_power, rows = _probe_terms(
-                scenario, bob, w_a, projector, iter(cells), len(cells), include_irs=False
-            )
-            signal = scenario.alpha * scenario.pt_mw * power
-            gammas = secrecy._sinr(scenario, scenario.pt_mw, signal, an_power)
-        expected = [probe_signal(scenario, bob, cell, w_a, include_irs) for cell in cells]
+        signal, gammas, rows = probe_block(scenario, bob, w_a, projector, iter(cells), len(cells))
+        expected = [probe_signal(scenario, bob, cell, w_a) for cell in cells]
         assert signal.tolist() == expected
         alice = scenario.alice_array()
         assert rows.tolist() == [an_leak_row(cell, alice, projector).tolist() for cell in cells]
@@ -288,27 +279,86 @@ class TestSinrEveRoute:
         assert secrecy_metrics(scenario, probe).gamma_e == expected
 
 
+def probe_row(scenario, probe, more_x):
+    """``probe`` and a probe at its y for each x in ``more_x``, none within
+    1 cm of the transmitter or the IRS."""
+    probes = [probe] + [Position(x, probe.y) for x in more_x]
+    assume(all(math.hypot(p.x - q.x, p.y - q.y) > 1e-2 for p in probes for q in (scenario.alice, scenario.irs)))
+    return probes
+
+
+def rated_pairs(run):
+    """The (gamma_b, gamma_e) pairs that secrecy_rate rates while ``run()`` runs, and its value."""
+    pairs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secrecy, "secrecy_rate", lambda b, e: pairs.append((b, e)) or secrecy_rate(b, e))
+        return pairs, run()
+
+
 class TestSecrecyRates:
     @pytest.mark.parametrize("include_irs", [True, False])
     @settings(max_examples=25, deadline=None)
-    @given(probe_scenes(), st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=4))
-    def test_equals_one_pipeline_per_power(self, include_irs, inputs, pts):
+    @given(
+        probe_scenes(),
+        st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=4),
+        st.lists(st.floats(-100.0, 100.0), max_size=2),
+        st.integers(1, 3),
+    )
+    def test_equals_one_pipeline_per_power(self, include_irs, inputs, pts, more_x, block):
         """The rates and SINR pairs of secrecy_metrics, or without the IRS of
-        the scalar oracle, at each power, whatever the scenario's pt_dbm and an_mode."""
+        the scalar oracle, at each power and each scene's eve, whatever the
+        scenario's pt_dbm and an_mode and however the scenes split into blocks."""
         scenario, probe = inputs
+        probes = probe_row(scenario, probe, more_x)
         route = secrecy_metrics if include_irs else benchmark_no_irs
-        pairs = []
-        with pytest.MonkeyPatch.context() as patch:  # record each (gamma_b, gamma_e) rated
-            patch.setattr(secrecy, "secrecy_rate", lambda b, e: pairs.append((b, e)) or secrecy_rate(b, e))
-            expected = [route(replace(scenario, pt_dbm=pt), probe).rate_s for pt in pts]
-            rates = secrecy_rates(replace(scenario, an_mode="instantaneous"), probe, pts, include_irs)
+        scenes = [replace(scenario, eve=p, an_mode="instantaneous") for p in probes]
+
+        def both_routes():
+            expected = [[route(replace(scenario, pt_dbm=pt), p).rate_s for pt in pts] for p in probes]
+            return expected, list(secrecy_rates(iter(scenes), pts, include_irs, block))
+
+        pairs, (expected, rates) = rated_pairs(both_routes)
         assert rates == expected
-        assert pairs[len(pts) :] == pairs[: len(pts)]
+        half = len(probes) * len(pts)
+        assert pairs[half:] == pairs[:half]
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_scenes(), st.lists(st.floats(-100.0, 100.0), max_size=7), st.integers(1, 4))
+    def test_no_irs_sinrs_equal_scalar_signal_and_leak_sinr_bit_for_bit(self, inputs, more_x, block):
+        scenario, probe = inputs
+        probes = probe_row(scenario, probe, more_x)
+        scenes = [replace(scenario, eve=p) for p in probes]
+        pairs, _ = rated_pairs(lambda: list(secrecy_rates(scenes, [scenario.pt_dbm], False, block)))
+        bob, w_a, projector = probe_setup(scenario)
+        alice = scenario.alice_array()
+        expected = []
+        for p in probes:
+            budget = link_budget(scenario, p)
+            signal = probe_signal(scenario, bob, budget, w_a, include_irs=False)
+            gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+            expected.append((gamma_b, leak_sinr(scenario, signal, an_leak_row(budget, alice, projector))))
+        assert pairs == expected
 
     @pytest.mark.parametrize("include_irs", [True, False])
     def test_overflowing_snr_names_the_power_that_caused_it(self, include_irs):
         with pytest.raises(ValueError, match="pt_dbm = 3070.0 and noise_dbm = -40.0 give an SNR"):
-            secrecy_rates(Scenario(noise_dbm=-40.0), EVE, [10.0, 3070.0, 3071.0], include_irs)
+            list(secrecy_rates([Scenario(noise_dbm=-40.0)], [10.0, 3070.0, 3071.0], include_irs, 1))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_yields_the_scenes_before_a_fault_then_raises_it(self, block):
+        """A fault from taking or setting up a scene is raised after the lists
+        of the scenes before it, however the scenes split into blocks."""
+
+        def scenes():
+            yield Scenario(nr=10)
+            yield Scenario(nr=20)
+            yield Scenario(bob=Position(1e200, 0.0))  # its receiver's path gain underflows
+            yield Scenario(nr=30)
+
+        rates = secrecy_rates(scenes(), [10.0], True, block)
+        assert [next(rates), next(rates)] == [[secrecy_metrics(Scenario(nr=n, pt_dbm=10.0), EVE).rate_s] for n in (10, 20)]
+        with pytest.raises(GeometryError, match="falls below the normal float range"):
+            next(rates)
 
 
 class TestCheckSnr:

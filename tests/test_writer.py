@@ -3,7 +3,8 @@
 The writer's bytes are checked against `oracles.write_csv_per_row`, which
 formats one value at a time, on drawn columns that include every float
 the "%.9g" format treats specially; row counts straddle the chunk size.
-The memory tests pin what a heatmap keeps per cell.
+The memory tests pin what a heatmap keeps per cell and a rate sweep per
+axis value.
 """
 
 import io
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from dmirs import sweeps
 from dmirs.scenario import Scenario
-from dmirs.sweeps import CSV_CHUNK_ROWS, SweepResult, run_heatmap, write_csv
+from dmirs.sweeps import CSV_CHUNK_ROWS, SweepResult, run_heatmap, run_sweep_nr, write_csv
 from oracles import write_csv_per_row
 
 SPECIAL_FLOATS = [
@@ -109,11 +110,11 @@ class _CountingSink:
         return len(payload)
 
 
-def _traced_peak(scenario, grid) -> int:
-    """Peak traced bytes above the start of one heatmap run and CSV write."""
+def _traced_peak(run) -> int:
+    """Peak traced bytes above the start of ``run()`` and writing its result as CSV."""
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
-    write_csv(run_heatmap(scenario, grid=grid), _CountingSink())
+    write_csv(run(), _CountingSink())
     return tracemalloc.get_traced_memory()[1] - before
 
 
@@ -121,11 +122,23 @@ def _bytes_per_cell(scenario, small, large) -> float:
     """Marginal peak traced bytes per cell between a small and a large grid."""
     tracemalloc.start()
     try:
-        _traced_peak(scenario, (8, 8))  # warm caches and imports
-        peaks = [_traced_peak(scenario, grid) for grid in (small, large)]
+        _traced_peak(lambda: run_heatmap(scenario, grid=(8, 8)))  # warm caches and imports
+        peaks = [_traced_peak(lambda: run_heatmap(scenario, grid=grid)) for grid in (small, large)]
     finally:
         tracemalloc.stop()
     return (peaks[1] - peaks[0]) / (math.prod(large) - math.prod(small))
+
+
+def _bytes_per_axis_value(scenario, small, large) -> float:
+    """Marginal peak traced bytes per nr value of a one-power sweep between
+    ``small`` and ``large`` values."""
+    tracemalloc.start()
+    try:
+        _traced_peak(lambda: run_sweep_nr(scenario, range(1, 9), [10.0]))  # warm caches and imports
+        peaks = [_traced_peak(lambda: run_sweep_nr(scenario, range(1, n + 1), [10.0])) for n in (small, large)]
+    finally:
+        tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (large - small)
 
 
 def test_heatmap_and_csv_keep_under_64_bytes_per_cell(monkeypatch):
@@ -147,3 +160,16 @@ def test_long_theta_grids_keep_under_64_bytes_per_cell():
     # buffer that grew with the row or the map would cost 4096 bytes a cell here.
     per_cell = _bytes_per_cell(Scenario(na=256), (2, 1000), (2, 3000))
     assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
+
+
+def test_rate_sweep_and_csv_keep_under_400_bytes_per_axis_value(monkeypatch):
+    # A sweep's scenes reach the array pass a block at a time; a pass over all
+    # of them would hold every axis value's noise-leak row, 4 KiB each at
+    # na = 256.  There a block (256 scenes) is shorter than the larger sweep.
+    per_value = _bytes_per_axis_value(Scenario(na=256), 200, 600)
+    assert per_value < 400, f"{per_value:.1f} traced bytes per axis value"
+    # At na = 16 both sweeps fit in one production block; with 64-scene blocks
+    # they span several, and the rows of one block are all the pass holds.
+    monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 1024)
+    per_value = _bytes_per_axis_value(Scenario(), 200, 600)
+    assert per_value < 400, f"{per_value:.1f} traced bytes per axis value past one block"
