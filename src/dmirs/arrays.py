@@ -7,7 +7,8 @@ array midpoint:
     cycles(n, phi) = -(d/lambda) * (n - (N-1)/2) * cos(phi)
 
 Steering vectors conjugate those cycles and carry a 1/sqrt(N) amplitude, so
-they always have unit norm.  The IRS phase diagonal applies, per element,
+they always have unit norm; steering_rows takes a block of them in one
+exponential.  The IRS phase diagonal applies, per element,
 the difference between the deflection-angle cycles and the tuned-boresight
 cycles; with the deflection equal to the boresight it is exactly all ones,
 which makes the tuned reflect path add up coherently element by element.
@@ -52,6 +53,18 @@ def element_cycles(spec: ArraySpec, phi: float) -> np.ndarray:
 def steering_vector(spec: ArraySpec, phi: float) -> np.ndarray:
     """Unit-norm steering vector toward ``phi`` (conjugated-exponential form)."""
     return np.exp(-2j * np.pi * element_cycles(spec, phi)) / math.sqrt(spec.n_elements)
+
+
+def steering_rows(specs, phis: np.ndarray) -> np.ndarray:
+    """Unit-norm steering vectors from each spec toward each angle in its row of ``phis``.
+
+    ``specs`` are arrays of one element count n and ``phis`` has one row per
+    spec; entry [i, j] of the (len(specs), phis.shape[1], n) result is
+    steering_vector(specs[i], phis[i, j]), taken in one exponential.
+    """
+    offsets = np.array([spec._offsets for spec in specs])[:, np.newaxis, :]
+    cycles = offsets * np.cos(phis)[:, :, np.newaxis]
+    return np.exp(-2j * np.pi * cycles) / math.sqrt(offsets.shape[2])
 
 
 def irs_phase_diagonal(irs: ArraySpec, theta: float, theta_b: float) -> np.ndarray:

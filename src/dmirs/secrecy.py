@@ -18,12 +18,13 @@ where A is the squared norm of the probe's steering row through the noise
 projector (``expected`` mode) or the squared magnitude of one projected
 noise draw (``instantaneous`` mode), as the scenario's an_mode says.
 probe_block gives the numerator and the expected A of one probe or of a
-heatmap block of probes in one scene.  secrecy_rates gives a rate sweep's
-rates for a block of scenes at a time, each probed at its own eve: it
-takes the same Pt-free terms, |amplitude|^2 and A, through the same
-expressions (_squared_terms) and scales them to every power in one array
-pass.  Rates are log2(1+gamma) bits per channel use, the secrecy rate the
-clamped difference.
+heatmap block of probes in one scene, summing the IRS's nr phase terms.
+secrecy_rates gives a rate sweep's rates for a block of scenes at a time,
+each probed at its own eve, in closed form: one steering exponential per
+block for both receivers, the reflect gain as the Dirichlet kernel of
+cascaded_gain_closed, and a projector per scene for A; it scales the
+Pt-free terms to every power in one array pass.  Rates are log2(1+gamma)
+bits per channel use, the secrecy rate the clamped difference.
 """
 
 import itertools
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArraySpec, irs_phase_diagonal, steering_vector
+from .arrays import ArraySpec, irs_phase_diagonal, steering_rows, steering_vector
 from .geometry import LinkBudget, angle_of, link_budget
 from .numerics import dbm_to_mw, q_function
 from .transmitter import an_projector, complex_normal
@@ -56,25 +57,28 @@ class SecrecyMetrics:
     ber_probe: float
 
 
-def cascaded_gain_closed(
-    theta_e: float, theta_b: float, n_r: int, spacing_wavelengths: float = 0.5
-) -> float:
+def cascaded_gain_closed(theta_e, theta_b, n_r, spacing_wavelengths=0.5):
     """Reflect-path gain as a Dirichlet kernel in the deflection-cosine offset.
 
     Returns sin(n_r*x)/sin(x) with x = pi * spacing * (cos(theta_e) -
-    cos(theta_b)).  The removable singularities (x a multiple of pi) are
-    evaluated analytically: the tuned direction gives n_r, grating points
-    give n_r up to sign.  The magnitude never exceeds n_r.
+    cos(theta_b)), elementwise over the broadcast arguments (scalars give a
+    numpy float).  x is first reduced by its nearest multiple k*pi, so
+    grating points keep relative precision: with x = k*pi + pi*r the value
+    is (-1)**(k*(n_r-1)) * sin(n_r*pi*r)/sin(pi*r).  The removable
+    singularities (r = 0) take their analytic value: the tuned direction
+    gives n_r, grating points give n_r up to sign.  The magnitude never
+    exceeds n_r.
     """
-    if n_r < 1:
-        raise ValueError(f"element count must be at least 1, got {n_r}")
-    delta = math.cos(theta_e) - math.cos(theta_b)
-    scaled = spacing_wavelengths * delta
-    nearest = round(scaled)
-    if abs(delta - nearest / spacing_wavelengths) < 1e-12:
-        return float(n_r) * (-1.0) ** (abs(nearest) * (n_r - 1))
-    x = math.pi * scaled
-    return math.sin(n_r * x) / math.sin(x)
+    n_r = np.asarray(n_r)
+    if (n_r < 1).any():
+        raise ValueError(f"element count must be at least 1, got {n_r[n_r < 1].flat[0]}")
+    scaled = spacing_wavelengths * (np.cos(theta_e) - np.cos(theta_b))
+    k = np.rint(scaled)
+    r = scaled - k  # exact: scaled and k are within a factor of two, or k is 0
+    sign = 1.0 - 2.0 * (np.abs(k) * (n_r - 1) % 2)
+    with np.errstate(invalid="ignore"):  # 0/0 at r = 0, replaced by the limit
+        kernel = np.where(r == 0.0, n_r, np.sin(n_r * np.pi * r) / np.sin(np.pi * r))
+    return (sign * kernel)[()]
 
 
 def rate_bits(gamma: float) -> float:
@@ -99,30 +103,21 @@ def check_snr(pt_dbm, noise_dbm, *gammas) -> None:
 
 
 def snr_bob(scenario, bob: LinkBudget) -> float:
-    """SNR of the intended receiver ``bob`` with the IRS tuned to it."""
-    return scenario.alpha * scenario.pt_mw * _bob_power(scenario, bob, True) / scenario.noise_mw
+    """SNR of the intended receiver ``bob`` with the IRS tuned to it: both
+    beams, the tuned IRS adding a factor of N_r."""
+    power = (math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr) ** 2
+    return scenario.alpha * scenario.pt_mw * power / scenario.noise_mw
 
 
-def _bob_power(scenario, bob: LinkBudget, include_irs) -> float:
-    """Squared amplitude reaching ``bob``: both beams, the tuned IRS adding a
-    factor of N_r, or with ``include_irs=False`` the direct beam alone."""
-    if not include_irs:
-        return bob.l_direct
-    return (math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr) ** 2
-
-
-def probe_amplitude(scenario, bob: LinkBudget, probe: LinkBudget, w_a, include_irs=True) -> complex:
+def probe_amplitude(scenario, bob: LinkBudget, probe: LinkBudget, w_a) -> complex:
     """Coherent amplitude reaching ``probe`` over the direct beam ``w_a`` and the IRS
     beam, the steering vector g_t toward the IRS, with the IRS tuned to ``bob``."""
     alice = scenario.alice_array()
     h_ae = steering_vector(alice, probe.phi)
-    amplitude = math.sqrt(probe.l_direct) * np.vdot(h_ae, w_a)
-    if include_irs:
-        irs = scenario.irs_array()
-        g_t = steering_vector(alice, angle_of(scenario.alice, scenario.irs))
-        phase_sum = irs_phase_diagonal(irs, probe.theta, bob.theta).sum()
-        amplitude = amplitude + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, g_t)
-    return complex(amplitude)
+    g_t = steering_vector(alice, angle_of(scenario.alice, scenario.irs))
+    phase_sum = irs_phase_diagonal(scenario.irs_array(), probe.theta, bob.theta).sum()
+    direct = math.sqrt(probe.l_direct) * np.vdot(h_ae, w_a)
+    return complex(direct + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, g_t))
 
 
 def an_leak_row(probe: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> np.ndarray:
@@ -206,13 +201,15 @@ def secrecy_rates(scenes, pt_dbm_values, include_irs, block):
     """Expected-noise secrecy rates of each scene at its own eve: yields one
     list per scene, one rate per transmit power in dBm.
 
-    Scenes, all of one na, are taken ``block`` (at least 1) at a time.
-    Each gets one probe_setup, one LinkBudget for its eve, one
-    probe_amplitude and one an_leak_row, written into block arrays; the
-    power-free terms, the SNRs of every (scene, power) pair and their check
-    then run once per block, in secrecy_metrics' operation order, so a rate equals
-    secrecy_metrics(replace(scene, pt_dbm=pt, an_mode="expected"),
-    scene.eve).rate_s with ==, whatever the scene's pt_dbm and an_mode.
+    Scenes, all of one na, are taken ``block`` (at least 1) at a time and
+    evaluated in closed form (_scene_terms); the SNRs of every (scene,
+    power) pair, their check and the rates [log2(1+gamma_b) -
+    log2(1+gamma_e)]^+ then run once per block (_snrs), whatever the
+    scene's pt_dbm and an_mode.  Against secrecy_metrics(replace(scene,
+    pt_dbm=pt, an_mode="expected"), scene.eve), gamma_b is the same
+    expression, bit for bit; gamma_e differs by round-off, since
+    secrecy_metrics sums the IRS's nr phase terms and multiplies by
+    <g_t, g_t>, which is 1, where this takes the Dirichlet kernel.
     ``include_irs=False`` drops the reflect path everywhere, for the no-IRS
     benchmark, whose rates do not depend on nr.  The powers must be valid
     pt_dbm values; no BER is computed.
@@ -227,32 +224,42 @@ def secrecy_rates(scenes, pt_dbm_values, include_irs, block):
     while True:
         batch, terms, fault = _scene_terms(scenes, block, include_irs)
         if batch:
-            alpha, noise_mw, bob_power, power, an_power = (t[:, np.newaxis] for t in terms)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats give them
-                gamma_b = alpha * pt_mw * bob_power / noise_mw
-                gamma_e = _sinr(alpha, noise_mw, pt_mw, alpha * pt_mw * power, an_power)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the check below
+                gamma_b, gamma_e = _snrs(terms, pt_mw)
+                rates = np.maximum(0.0, np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e))
             fine = ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=1).tolist()
-            for scenario, ok, gammas_b, gammas_e in zip(batch, fine, gamma_b.tolist(), gamma_e.tolist()):
+            for scenario, ok, gammas_b, gammas_e, row in zip(batch, fine, gamma_b, gamma_e, rates.tolist()):
                 if not ok:
                     for pt_dbm, g_b, g_e in zip(pt_dbm_values, gammas_b, gammas_e):
                         check_snr(pt_dbm, scenario.noise_dbm, g_b, g_e)
-                yield list(map(secrecy_rate, gammas_b, gammas_e))
+                yield row
         if fault is not None:
             raise fault
         if len(batch) < block:
             return
 
 
+def _snrs(terms, pt_mw):
+    """gamma_b and gamma_e of every (scene, power) pair, in secrecy_metrics'
+    operation order, from _scene_terms' terms and the powers in mW."""
+    alpha, noise_mw, bob_power, power, an_power = (t[:, np.newaxis] for t in terms)
+    return alpha * pt_mw * bob_power / noise_mw, _sinr(alpha, noise_mw, pt_mw, alpha * pt_mw * power, an_power)
+
+
 def _scene_terms(scenes, block, include_irs):
     """The next ``block`` scenes of the iterator ``scenes``, their terms and a fault.
 
     The terms are arrays over the scenes: alpha, the noise power in mW, the
-    intended receiver's squared amplitude (_bob_power), and the eve's
-    |amplitude|^2 and leak-row squared norm (_squared_terms).  A ValueError
-    from taking or setting up a scene ends the block before that scene and
-    is returned as the fault, for the caller to raise after the scenes
-    before it.  The block is taken whole before any set-up, which measured
-    faster than building each scene between two set-ups.
+    intended receiver's squared amplitude, and the eve's |amplitude|^2 and
+    leak-row squared norm A (_squared_terms).  Per scene, only the two
+    LinkBudget records and the noise projector are built; the steering
+    rows toward both receivers are one exponential over the block, the
+    eve's amplitude sqrt(l_direct)*<h_e, w_a> + sqrt(l_reflect)*gain with
+    the Dirichlet gain of cascaded_gain_closed.  A ValueError from taking or
+    setting up a scene ends the block before that scene and is returned as
+    the fault, for the caller to raise after the scenes before it.  The
+    block is taken whole before any set-up, which measured faster than
+    building each scene between two set-ups.
     """
     batch, fault = [], None
     try:
@@ -260,25 +267,37 @@ def _scene_terms(scenes, block, include_irs):
             batch.append(scenario)
     except ValueError as error:
         fault = error
-    if not batch:
-        return batch, (), fault
-    scalars = []
-    amplitudes = np.empty(block, complex)
-    leak_rows = np.empty((block, batch[0].na), complex)
+    records = []
     for slot, scenario in enumerate(batch):
         try:
-            bob, w_a, projector = probe_setup(scenario)
+            bob = link_budget(scenario, scenario.bob)
             eve = link_budget(scenario, scenario.eve)
         except ValueError as error:
             del batch[slot:]
             fault = error
             break
-        amplitudes[slot] = probe_amplitude(scenario, bob, eve, w_a, include_irs)
-        leak_rows[slot] = an_leak_row(eve, scenario.alice_array(), projector)
-        scalars.append((scenario.alpha, scenario.noise_mw, _bob_power(scenario, bob, include_irs)))
-    count = len(batch)
-    terms = (*np.array(scalars).reshape(count, 3).T, *_squared_terms(amplitudes[:count], leak_rows[:count]))
-    return batch, terms, fault
+        records.append((
+            scenario.alpha, scenario.noise_mw, scenario.nr, scenario.irs_spacing_wavelengths,
+            bob.phi, bob.theta, bob.l_direct, bob.l_reflect,
+            eve.phi, eve.theta, eve.l_direct, eve.l_reflect,
+        ))
+    if not batch:
+        return batch, (), fault
+    columns = np.array(records).T
+    alpha, noise_mw, nr, irs_spacing = columns[:4]
+    phi_b, theta_b, l_direct_b, l_reflect_b = columns[4:8]
+    phi_e, theta_e, l_direct_e, l_reflect_e = columns[8:]
+    # rows[i] holds scene i's steering vectors toward its receiver (w_a) and its eve (h_e)
+    rows = steering_rows([scenario.alice_array() for scenario in batch], np.stack([phi_b, phi_e], axis=1))
+    amplitudes = np.sqrt(l_direct_e) * np.vecdot(rows[:, 1], rows[:, 0])
+    bob_power = l_direct_b
+    if include_irs:
+        amplitudes += np.sqrt(l_reflect_e) * cascaded_gain_closed(theta_e, theta_b, nr, irs_spacing)
+        bob_power = np.float_power(np.sqrt(l_direct_b) + np.sqrt(l_reflect_b) * nr, 2.0)  # pow, as in snr_bob
+    for w_a, h_e in rows:
+        w_a[...] = h_e.conj() @ an_projector(w_a)  # only the projector reads w_a; its slot takes the leak row
+    power, an_power = _squared_terms(amplitudes, rows[:, 0])
+    return batch, (alpha, noise_mw, bob_power, power, an_power), fault
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:

@@ -8,8 +8,10 @@ frees them before the next block.  Randomized cells derive their generator
 seed from (scenario seed, cell index), never from shared state.  A rate
 sweep builds one scene per axis value and streams the scenes through
 secrecy.secrecy_rates once per column, with and without the IRS: each
-scene's geometry is evaluated once per column, and the SNRs for every
-transmit power are one array pass per block of scenes.  It computes no BER.
+scene gets two LinkBudget records and a noise projector per column, and
+the rest (steering rows, the Dirichlet reflect gain, the SNRs for every
+transmit power and the rates) is closed form, one array pass per block of
+scenes.  It computes no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -37,9 +39,10 @@ DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 # Rows formatted and written per sink.write call: bounds the writer's
 # working set (a few hundred KiB) whatever the grid size.
 CSV_CHUNK_ROWS = 4096
-# Complex values in one block's noise-leak rows (1 MiB): a heatmap evaluates
-# max(1, HEATMAP_BLOCK_VALUES // na) cells per array pass, and a rate sweep
-# as many scenes per column, whatever the grid or sweep size.
+# Complex values one array pass holds (1 MiB), whatever the grid or sweep
+# size: a heatmap evaluates max(1, HEATMAP_BLOCK_VALUES // na) cells per pass,
+# one noise-leak row each, and a rate sweep max(1, HEATMAP_BLOCK_VALUES //
+# (2 * na)) scenes per column, two steering rows each.
 HEATMAP_BLOCK_VALUES = 65536
 
 
@@ -179,7 +182,7 @@ def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResu
     Each pt is validated once; then each axis value makes one scene,
     ``scenario`` with ``changes(axis value)``, and the scenes stream through
     two secrecy_rates calls, with and without the IRS, a block of
-    max(1, HEATMAP_BLOCK_VALUES // na) scenes per array pass.  The two
+    max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per array pass.  The two
     columns advance together scene by scene, so the first fault raised is
     the one a pass row by row meets first: an axis value's proposed rates,
     then its no-IRS rates, then the next axis value's scene.  Rates use the
@@ -188,7 +191,7 @@ def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResu
     """
     for pt in pt_values:
         replace(scenario, pt_dbm=pt)  # rejects a power no scenario may hold, before any row
-    block = max(1, HEATMAP_BLOCK_VALUES // scenario.na)
+    block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
     # each scene is built once; the no-IRS column reads it at most a block behind
     proposed_scenes, benchmark_scenes = itertools.tee(replace(scenario, **changes(v)) for v in axis_values)
     pairs = zip(

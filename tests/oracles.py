@@ -3,10 +3,11 @@
 Each oracle recomputes a quantity from first principles (numeric
 integration, naive loops, explicit per-symbol formulas) so test
 expectations are not circular.  Only the scalar probe route
-(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`), `benchmark_no_irs` and
-`heatmap_per_cell` call the package under test: they evaluate one probe at
-a time in Python floats, the reference for `probe_block`, the package's one
-probe route, and for the no-IRS column of a rate sweep.  `irs_beam` also
+(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`), `benchmark_no_irs`,
+`heatmap_per_cell` and `rate_reference` call the package under test: they
+evaluate one probe at a time in Python floats, the reference for
+`probe_block`, the package's one probe route, and, at stated tolerances,
+for the closed-form pass of the rate sweeps.  `irs_beam` also
 calls it, for the matched IRS beam w_r, which the package only uses inside
 `probe_amplitude`, as the steering vector toward the IRS.
 """
@@ -284,12 +285,17 @@ def write_csv_per_row(result, sink) -> int:
 
 
 def probe_signal(scenario, bob, budget, w_a, include_irs=True):
-    """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2."""
+    """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2,
+    the amplitude from probe_amplitude or, without the IRS, its direct term
+    sqrt(l_direct) * <h(phi), w_a> alone."""
+    from dmirs.arrays import steering_vector
     from dmirs.secrecy import probe_amplitude
 
-    return scenario.alpha * scenario.pt_mw * abs(
-        probe_amplitude(scenario, bob, budget, w_a, include_irs)
-    ) ** 2
+    if include_irs:
+        amplitude = probe_amplitude(scenario, bob, budget, w_a)
+    else:
+        amplitude = complex(math.sqrt(budget.l_direct) * np.vdot(steering_vector(scenario.alice_array(), budget.phi), w_a))
+    return scenario.alpha * scenario.pt_mw * abs(amplitude) ** 2
 
 
 def _sinr(scenario, signal_mw, an_power):
@@ -338,6 +344,56 @@ def benchmark_no_irs(scenario, probe):
         ber_b=qpsk_ber_scalar(gamma_b),
         ber_probe=qpsk_ber_scalar(gamma_e),
     )
+
+
+# Tolerances of the rate sweeps' closed-form pass against the scalar route (rate_reference)
+SINR_TOL = 1e-12  # of the eve's uncancelled SINR
+RATE_TOL_BITS = 1e-12
+
+
+def rate_reference(scenario, include_irs=True):
+    """The scalar route at ``scenario``'s eve and pt_dbm in expected mode
+    (secrecy_metrics, or benchmark_no_irs without the IRS), with the
+    tolerances (gamma_e_tol, rate_tol) that secrecy_rates is held to.
+
+    Both routes compute gamma_e = alpha*Pt*|a|^2 / (noise + (1-alpha)*Pt*A)
+    with a = sqrt(l_d)*d + sqrt(l_r)*gain.  d = <h_e, w_a> sums na terms of
+    magnitude 1/na, so sum |terms| = 1; gain sums nr unit-magnitude phase
+    terms (the scalar route literally, the closed form as a Dirichlet
+    kernel), so sum |terms| = nr.  Rounding, including the phases' own,
+    which grow to pi*spacing*nr, is relative to those magnitude sums, not
+    to |d| or |gain|, which cancel in sidelobes: each route's a is off by at
+    most delta*(sqrt(l_d) + sqrt(l_r)*nr), where the phases dominate delta
+    at about pi*spacing*nr unit roundoffs (3e-13 at nr = 500 and spacing
+    1.7).  A and the noise are one expression on one steering row, up to a
+    few ulp.  So
+
+        |d gamma_e| <= (2*delta + delta^2) * scale,
+        scale = alpha*Pt*(sqrt(l_d) + sqrt(l_r)*nr)^2 / (noise + (1-alpha)*Pt*A),
+
+    the eve's SINR with every term in phase (sqrt(l_r)*nr dropped without
+    the IRS), and gamma_e_tol = SINR_TOL * scale.  gamma_b is one
+    expression on both routes and must agree exactly.  The rate moves by
+    d log2(1+gamma_e) <= |d gamma_e| / ((1 + min gamma_e) * ln 2), plus the
+    last bits of log2, so rate_tol = RATE_TOL_BITS + gamma_e_tol / ((1 +
+    max(0, gamma_e - gamma_e_tol)) * ln 2): RATE_TOL_BITS where gamma_e is
+    not cancelled, more where it sits far below its scale.
+    """
+    from dataclasses import replace
+
+    from dmirs.geometry import link_budget
+    from dmirs.secrecy import an_leak_row, probe_setup, secrecy_metrics
+
+    scenario = replace(scenario, an_mode="expected")
+    expected = (secrecy_metrics if include_irs else benchmark_no_irs)(scenario, scenario.eve)
+    _, _, projector = probe_setup(scenario)
+    eve = link_budget(scenario, scenario.eve)
+    terms = math.sqrt(eve.l_direct) + (math.sqrt(eve.l_reflect) * scenario.nr if include_irs else 0.0)
+    an_power = float(np.linalg.norm(an_leak_row(eve, scenario.alice_array(), projector)) ** 2)
+    pt, alpha = scenario.pt_mw, scenario.alpha
+    gamma_e_tol = SINR_TOL * alpha * pt * terms**2 / (scenario.noise_mw + (1.0 - alpha) * pt * an_power)
+    rate_tol = RATE_TOL_BITS + gamma_e_tol / ((1.0 + max(0.0, expected.gamma_e - gamma_e_tol)) * math.log(2.0))
+    return expected, gamma_e_tol, rate_tol
 
 
 def heatmap_per_cell(scenario, grid):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmirs import cli, secrecy, sweeps
+from dmirs import arrays, cli, geometry, secrecy, sweeps, transmitter
 from dmirs import scenario as scenario_module
 from dmirs.arrays import ArraySpec
 from dmirs.geometry import PATH_LOSS_RULES, GeometryError, Position
@@ -26,7 +26,7 @@ from dmirs.scenario import (
 )
 from dmirs.secrecy import probe_setup, secrecy_metrics
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from oracles import benchmark_no_irs, heatmap_per_cell, result_rows, sinr_eve_scalar
+from oracles import heatmap_per_cell, rate_reference, result_rows, sinr_eve_scalar
 
 # nested far beyond the JSON decoder's recursion limit
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
@@ -247,8 +247,9 @@ class TestRunSweepNr:
         scenario = Scenario()
         result = run_sweep_nr(scenario, [30], [12.0])
         sc = replace(scenario, nr=30, pt_dbm=12.0)
-        assert result.values["rs_proposed_bits"][0] == secrecy_metrics(sc, sc.eve).rate_s
-        assert result.values["rs_benchmark_bits"][0] == benchmark_no_irs(sc, sc.eve).rate_s
+        for column, include_irs in (("rs_proposed_bits", True), ("rs_benchmark_bits", False)):
+            expected, _, rate_tol = rate_reference(sc, include_irs)
+            assert result.values[column][0] == pytest.approx(expected.rate_s, abs=rate_tol)
 
     def test_proposed_grows_benchmark_constant(self):
         result = run_sweep_nr(Scenario(), [10, 50, 100, 200], [10.0])
@@ -300,6 +301,24 @@ class TestRunSweepDab:
             run_sweep_dab(Scenario(), [10.0, value, 20.0], [10.0])
 
 
+def count_calls(monkeypatch, names):
+    """Calls of each package function in ``names``, counted under every
+    module name bound to it, as a dict that updates while the test runs."""
+    counts = dict.fromkeys(names, 0)
+    modules = (arrays, geometry, transmitter, secrecy, sweeps, scenario_module, cli)
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 @st.composite
 def rate_sweeps(draw):
     """A scene under either combine rule and spacings in [0.3, 1.2], 1-3 nr
@@ -330,19 +349,31 @@ class TestRateSweepRows:
             assert len(rows) == len(values) * len(pts)
             for row, (value, pt) in zip(rows, [(v, pt) for v in values for pt in pts]):
                 change = value if axis == "nr" else Position(value, 0.0)
-                sc = replace(scenario, **{axis: change}, pt_dbm=pt, an_mode="expected")
-                assert row["rs_proposed_bits"] == secrecy_metrics(sc, sc.eve).rate_s
-                assert row["rs_benchmark_bits"] == benchmark_no_irs(sc, sc.eve).rate_s
+                sc = replace(scenario, **{axis: change}, pt_dbm=pt)
+                for column, include_irs in (("rs_proposed_bits", True), ("rs_benchmark_bits", False)):
+                    expected, _, rate_tol = rate_reference(sc, include_irs)
+                    assert row[column] == pytest.approx(expected.rate_s, abs=rate_tol)
 
     @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
-    def test_two_probe_setups_per_axis_value_whatever_the_powers(self, run, monkeypatch):
-        calls = []
-        setup = secrecy.probe_setup
-        monkeypatch.setattr(secrecy, "probe_setup", lambda scenario: calls.append(1) or setup(scenario))
-        for pts in ([10.0], [10.0, 15.0, 15.0, 30.0]):
-            calls.clear()
-            run(Scenario(), [10, 20, 30], pts)
-            assert len(calls) == 2 * 3
+    def test_per_axis_value_only_link_budgets_and_projectors(self, run, monkeypatch):
+        """Per axis value, whatever the sweep's size and powers: one receiver
+        and one eve LinkBudget and one noise projector per column, and none of
+        the scalar probe route's steering vectors, probe amplitudes or IRS
+        phase diagonals."""
+        counts = count_calls(
+            monkeypatch, ("link_budget", "an_projector", "steering_vector", "probe_amplitude", "irs_phase_diagonal")
+        )
+        for size in (1, 3, 50):
+            for pts in ([10.0], [10.0, 15.0, 15.0, 30.0]):
+                counts.update(dict.fromkeys(counts, 0))
+                run(Scenario(), list(range(10, 10 + size)), pts)
+                assert counts == {
+                    "link_budget": 4 * size,
+                    "an_projector": 2 * size,
+                    "steering_vector": 0,
+                    "probe_amplitude": 0,
+                    "irs_phase_diagonal": 0,
+                }
 
     @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
     def test_two_secrecy_rates_calls_per_sweep_whatever_its_size(self, run, monkeypatch):

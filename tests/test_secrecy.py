@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmirs import secrecy
 from dmirs.arrays import ArraySpec
-from dmirs.geometry import GeometryError, LinkBudget, Position, angle_of, link_budget
+from dmirs.geometry import PATH_LOSS_RULES, GeometryError, LinkBudget, Position, angle_of, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     AN_MODES,
@@ -40,6 +40,7 @@ from oracles import (
     probe_signal,
     q_via_integration,
     qpsk_ber_scalar,
+    rate_reference,
     sinr_eve_scalar,
 )
 
@@ -120,6 +121,23 @@ class TestCascadedGainClosed:
         gain = cascaded_gain_closed(1.0, 1.3, 20, spacing_wavelengths=0.7)
         brute = cascaded_gain_bruteforce(1.0, 1.3, ArraySpec(4), ArraySpec(20, 0.7), 0.5)
         assert gain == pytest.approx(brute.real, abs=1e-9)
+
+    def test_keeps_relative_precision_near_grating_points(self):
+        # spacing 1.5 between the two end-fires: 1e-4 rad off end-fire is 7.5e-9 off
+        # the third grating point, where sin(pi * spacing * offset) alone keeps ~8 digits
+        gain = cascaded_gain_closed(1e-4, math.pi, 7, spacing_wavelengths=1.5)
+        brute = cascaded_gain_bruteforce(1e-4, math.pi, ArraySpec(2), ArraySpec(7, 1.5), 0.5)
+        assert gain == pytest.approx(brute.real, rel=1e-13)
+
+    def test_broadcasts_over_angles_element_counts_and_spacings(self):
+        theta_e = np.linspace(0.0, math.pi, 5)[:, np.newaxis]
+        gains = cascaded_gain_closed(theta_e, 1.1, np.array([1, 2, 50]), np.array([0.5, 0.7, 1.3]))
+        assert gains.shape == (5, 3)
+        for row, t in zip(gains.tolist(), theta_e[:, 0].tolist()):
+            expected = [cascaded_gain_closed(t, 1.1, n, d) for n, d in ((1, 0.5), (2, 0.7), (50, 1.3))]
+            assert row == pytest.approx(expected, rel=1e-15, abs=1e-15)
+        with pytest.raises(ValueError, match="element count must be at least 1, got 0"):
+            cascaded_gain_closed(theta_e, 1.1, np.array([3, 0, 2]))
 
 
 class TestSnrBob:
@@ -287,15 +305,62 @@ def probe_row(scenario, probe, more_x):
     return probes
 
 
-def rated_pairs(run):
-    """The (gamma_b, gamma_e) pairs that secrecy_rate rates while ``run()`` runs, and its value."""
-    pairs = []
+def rated_snrs(run):
+    """The gamma_b and gamma_e arrays, one row per scene and one column per
+    power, that secrecy_rates rates while ``run()`` runs, and its value."""
+    blocks = []
+    snrs = secrecy._snrs
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(secrecy, "secrecy_rate", lambda b, e: pairs.append((b, e)) or secrecy_rate(b, e))
-        return pairs, run()
+        patch.setattr(secrecy, "_snrs", lambda terms, pt_mw: blocks.append(snrs(terms, pt_mw)) or blocks[-1])
+        value = run()
+    gamma_b, gamma_e = (np.concatenate(arrays) for arrays in zip(*blocks))
+    return gamma_b, gamma_e, value
+
+
+def assert_rates_match_scalar_route(scenes, pts, include_irs, block):
+    """secrecy_rates at every (scene, power) against oracles.rate_reference:
+    gamma_b exactly, gamma_e and the rate within the stated tolerances."""
+    gamma_b, gamma_e, rates = rated_snrs(lambda: list(secrecy_rates(iter(scenes), pts, include_irs, block)))
+    assert gamma_b.shape == (len(scenes), len(pts))
+    for slot, scene in enumerate(scenes):
+        for column, pt in enumerate(pts):
+            expected, gamma_e_tol, rate_tol = rate_reference(replace(scene, pt_dbm=pt), include_irs)
+            assert gamma_b[slot, column] == expected.gamma_b
+            assert abs(gamma_e[slot, column] - expected.gamma_e) <= gamma_e_tol
+            assert abs(rates[slot][column] - expected.rate_s) <= rate_tol
+
+
+@st.composite
+def edge_rate_scenes(draw):
+    """1-6 scenes at the closed form's edges, 1-3 powers and a block of 1-4
+    scenes.  na = 2 and each scene's nr = 1 as often as not; eves at
+    end-fire, on the IRS's line (theta = 0 or pi) or the transmitter's
+    (phi = 0 or pi); both spacings above 0.5, so grating lobes are in
+    view; either combine rule."""
+    spacing = st.floats(0.5, 1.7, exclude_min=True)
+    base = Scenario(
+        na=draw(st.one_of(st.just(2), st.integers(2, 64))),
+        alice_spacing_wavelengths=draw(spacing),
+        irs_spacing_wavelengths=draw(spacing),
+        path_loss_combine=draw(st.sampled_from(PATH_LOSS_RULES)),
+        alpha=draw(st.floats(0.01, 1.0)),
+    )
+    scenes = []
+    for _ in range(draw(st.integers(1, 6))):
+        eve = Position(draw(st.floats(-100.0, 100.0)), draw(st.sampled_from([base.irs.y, base.alice.y])))
+        assume(all(math.hypot(eve.x - p.x, eve.y - p.y) > 1e-2 for p in (base.alice, base.irs)))
+        scenes.append(replace(base, eve=eve, nr=draw(st.one_of(st.just(1), st.integers(1, 500)))))
+    return scenes, draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=3)), draw(st.integers(1, 4))
 
 
 class TestSecrecyRates:
+    @pytest.mark.parametrize("include_irs", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(edge_rate_scenes())
+    @example(([Scenario(na=2, nr=1, irs_spacing_wavelengths=1.0, path_loss_combine="product", eve=Position(50.0, -15.0))], [25.0], 1))
+    def test_closed_form_matches_scalar_route_at_the_edges(self, include_irs, inputs):
+        assert_rates_match_scalar_route(*inputs[:2], include_irs, inputs[2])
+
     @pytest.mark.parametrize("include_irs", [True, False])
     @settings(max_examples=25, deadline=None)
     @given(
@@ -304,40 +369,30 @@ class TestSecrecyRates:
         st.lists(st.floats(-100.0, 100.0), max_size=2),
         st.integers(1, 3),
     )
-    def test_equals_one_pipeline_per_power(self, include_irs, inputs, pts, more_x, block):
-        """The rates and SINR pairs of secrecy_metrics, or without the IRS of
-        the scalar oracle, at each power and each scene's eve, whatever the
+    def test_matches_one_pipeline_per_power(self, include_irs, inputs, pts, more_x, block):
+        """The rates and SINRs of secrecy_metrics, or without the IRS of the
+        scalar oracle, at each power and each scene's eve, whatever the
         scenario's pt_dbm and an_mode and however the scenes split into blocks."""
         scenario, probe = inputs
         probes = probe_row(scenario, probe, more_x)
-        route = secrecy_metrics if include_irs else benchmark_no_irs
         scenes = [replace(scenario, eve=p, an_mode="instantaneous") for p in probes]
-
-        def both_routes():
-            expected = [[route(replace(scenario, pt_dbm=pt), p).rate_s for pt in pts] for p in probes]
-            return expected, list(secrecy_rates(iter(scenes), pts, include_irs, block))
-
-        pairs, (expected, rates) = rated_pairs(both_routes)
-        assert rates == expected
-        half = len(probes) * len(pts)
-        assert pairs[half:] == pairs[:half]
+        assert_rates_match_scalar_route(scenes, pts, include_irs, block)
 
     @settings(max_examples=60, deadline=None)
     @given(probe_scenes(), st.lists(st.floats(-100.0, 100.0), max_size=7), st.integers(1, 4))
-    def test_no_irs_sinrs_equal_scalar_signal_and_leak_sinr_bit_for_bit(self, inputs, more_x, block):
+    def test_no_irs_sinrs_match_scalar_signal_and_leak_sinr(self, inputs, more_x, block):
         scenario, probe = inputs
         probes = probe_row(scenario, probe, more_x)
         scenes = [replace(scenario, eve=p) for p in probes]
-        pairs, _ = rated_pairs(lambda: list(secrecy_rates(scenes, [scenario.pt_dbm], False, block)))
+        gamma_b, gamma_e, _ = rated_snrs(lambda: list(secrecy_rates(scenes, [scenario.pt_dbm], False, block)))
         bob, w_a, projector = probe_setup(scenario)
         alice = scenario.alice_array()
-        expected = []
-        for p in probes:
+        for slot, p in enumerate(probes):
             budget = link_budget(scenario, p)
             signal = probe_signal(scenario, bob, budget, w_a, include_irs=False)
-            gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
-            expected.append((gamma_b, leak_sinr(scenario, signal, an_leak_row(budget, alice, projector))))
-        assert pairs == expected
+            assert gamma_b[slot, 0] == scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+            _, gamma_e_tol, _ = rate_reference(scenes[slot], include_irs=False)
+            assert abs(gamma_e[slot, 0] - leak_sinr(scenario, signal, an_leak_row(budget, alice, projector))) <= gamma_e_tol
 
     @pytest.mark.parametrize("include_irs", [True, False])
     def test_overflowing_snr_names_the_power_that_caused_it(self, include_irs):

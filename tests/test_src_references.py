@@ -31,7 +31,6 @@ TESTS = Path(__file__).parent
 
 # name: why it stays although the package itself does not use it
 ALLOWED_UNUSED = {
-    "cascaded_gain_closed": "the Dirichlet-kernel reflect gain that the planned array kernel evaluates",
     "serialize_config": "the inverse of parse_config, for writing scenario files",
 }
 
@@ -39,7 +38,6 @@ ALLOWED_UNUSED = {
 # "function.parameter": why its default is never overridden inside the package
 ALLOWED_UNPASSED = {
     "main.argv": "the console entry point calls main() so that argparse reads sys.argv",
-    "cascaded_gain_closed.spacing_wavelengths": "the function is allow-listed above as test-only",
 }
 
 # "Class.field": why it stays although the package never reads it

@@ -164,11 +164,11 @@ def test_long_theta_grids_keep_under_64_bytes_per_cell():
 
 def test_rate_sweep_and_csv_keep_under_400_bytes_per_axis_value(monkeypatch):
     # A sweep's scenes reach the array pass a block at a time; a pass over all
-    # of them would hold every axis value's noise-leak row, 4 KiB each at
-    # na = 256.  There a block (256 scenes) is shorter than the larger sweep.
+    # of them would hold every axis value's two steering rows, 8 KiB at
+    # na = 256.  There a block (128 scenes) is shorter than the smaller sweep.
     per_value = _bytes_per_axis_value(Scenario(na=256), 200, 600)
     assert per_value < 400, f"{per_value:.1f} traced bytes per axis value"
-    # At na = 16 both sweeps fit in one production block; with 64-scene blocks
+    # At na = 16 both sweeps fit in one production block; with 32-scene blocks
     # they span several, and the rows of one block are all the pass holds.
     monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 1024)
     per_value = _bytes_per_axis_value(Scenario(), 200, 600)
