@@ -31,6 +31,7 @@ at most (complex values take 16 bytes):
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .arrays import ArraySpec
@@ -70,6 +71,13 @@ class Scenario:
     mc_samples: int = 1000
 
     def __post_init__(self):
+        # four plain ints, the usual case, skip the per-field check
+        if not type(self.na) is type(self.nr) is type(self.seed) is type(self.mc_samples) is int:
+            for name in ("na", "nr", "seed", "mc_samples"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{name} must be an integer, got {brief_repr(value)}")
+                object.__setattr__(self, name, int(value))  # e.g. numpy integers, which json cannot write
         if self.na < 2:
             raise ConfigError(f"na must be at least 2 (noise projection needs it), got {brief_repr(self.na)}")
         if self.na > MAX_NA:
@@ -151,12 +159,6 @@ def _brief(text: str) -> str:
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
-def _as_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {brief_repr(value)}")
-    return value
-
-
 def _as_float(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {brief_repr(value)}")
@@ -182,7 +184,8 @@ def _as_string(name, value):
     return value
 
 
-_COERCERS = {int: _as_int, float: _as_float, Position: _as_position, str: _as_string}
+# Scenario itself rejects a non-integer count, seed or sample number
+_COERCERS = {int: lambda name, value: value, float: _as_float, Position: _as_position, str: _as_string}
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
 
 

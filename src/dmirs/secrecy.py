@@ -17,14 +17,28 @@ from the tuned one, and additionally absorbs artificial noise:
 where A is the squared norm of the probe's steering row through the noise
 projector (``expected`` mode) or the squared magnitude of one projected
 noise draw (``instantaneous`` mode), as the scenario's an_mode says.
-probe_block gives the numerator and the expected A of one probe or of a
-heatmap block of probes in one scene, summing the IRS's nr phase terms.
-secrecy_rates gives a rate sweep's rates for a block of scenes at a time,
-each probed at its own eve, in closed form: one steering exponential per
-block for both receivers, the reflect gain as the Dirichlet kernel of
-cascaded_gain_closed, and a projector per scene for A; it scales the
-Pt-free terms to every power in one array pass.  Rates are log2(1+gamma)
-bits per channel use, the secrecy rate the clamped difference.
+
+Both arrays are centred uniform linear arrays, so both inner products are
+real Dirichlet kernels (cascaded_gain_closed): d = <h(phi), w_a> is the
+transmitter's kernel in cos(phi) - cos(phi_b), divided by na, and the
+reflect gain the IRS's in cos(theta) - cos(theta_b).  _eve_power takes both
+from one kernel call, for one probe (secrecy_metrics) or a block of scenes
+(secrecy_rates with the IRS; without it, only d is needed, and the sweeps
+take it from the steering rows they build anyway).  The projector is (I -
+w_a w_a^H)/sqrt(na - 1), so a probe's expected A is (1 - d^2)/(na - 1),
+which _expected_leak sums as non-negative terms so that it keeps its
+relative precision near the receiver's ray, and its leak row (h^H - d
+w_a^H)/sqrt(na - 1): secrecy_metrics builds no projector, and in expected
+mode no steering vector.  secrecy_rates still takes A from each scene's
+projector row, so with the IRS the two routes differ only in A, by
+round-off; the rate sweeps' per-scene projector is held in place by the
+benchmark's work-count pins.
+probe_block gives the numerator and the expected A of a heatmap block of
+probes in one scene through the scalar per-probe pipeline
+(probe_amplitude, an_leak_row), summing the IRS's nr phase terms, which
+the same pins hold.  secrecy_rates scales the Pt-free terms to every power
+in one array pass.  Rates are log2(1+gamma) bits per channel use, the
+secrecy rate the clamped difference.
 """
 
 import itertools
@@ -62,23 +76,25 @@ def cascaded_gain_closed(theta_e, theta_b, n_r, spacing_wavelengths=0.5):
 
     Returns sin(n_r*x)/sin(x) with x = pi * spacing * (cos(theta_e) -
     cos(theta_b)), elementwise over the broadcast arguments (scalars give a
-    numpy float).  x is first reduced by its nearest multiple k*pi, so
-    grating points keep relative precision: with x = k*pi + pi*r the value
-    is (-1)**(k*(n_r-1)) * sin(n_r*pi*r)/sin(pi*r).  The removable
-    singularities (r = 0) take their analytic value: the tuned direction
-    gives n_r, grating points give n_r up to sign.  The magnitude never
-    exceeds n_r.
+    numpy float).  It is also the direct path's array factor: with the
+    transmitter's count, spacing and departure angles, it is na * <h(phi),
+    w_a> for the steering vector w_a toward phi_b.  x is first reduced by
+    its nearest multiple k*pi, so grating points keep relative precision:
+    with x = k*pi + pi*r the value is (-1)**(k*(n_r-1)) *
+    sin(n_r*pi*r)/sin(pi*r).  The removable singularities (r = 0) take their
+    analytic value: the tuned direction gives n_r, grating points give n_r
+    up to sign.  The magnitude exceeds n_r by at most rounding (an ulp at
+    n_r = 3).
     """
     n_r = np.asarray(n_r)
-    if (n_r < 1).any():
+    if n_r.min() < 1:
         raise ValueError(f"element count must be at least 1, got {n_r[n_r < 1].flat[0]}")
     scaled = spacing_wavelengths * (np.cos(theta_e) - np.cos(theta_b))
     k = np.rint(scaled)
     r = scaled - k  # exact: scaled and k are within a factor of two, or k is 0
-    sign = 1.0 - 2.0 * (np.abs(k) * (n_r - 1) % 2)
     with np.errstate(invalid="ignore"):  # 0/0 at r = 0, replaced by the limit
         kernel = np.where(r == 0.0, n_r, np.sin(n_r * np.pi * r) / np.sin(np.pi * r))
-    return (sign * kernel)[()]
+    return np.where(np.fmod(k * (n_r - 1), 2.0), -kernel, kernel)[()]  # odd k*(n_r-1) flips the sign
 
 
 def rate_bits(gamma: float) -> float:
@@ -132,7 +148,7 @@ def probe_block(scenario, bob: LinkBudget, w_a, projector, cells, count):
     ``cells`` yields the probes' LinkBudget records, the direct beam is ``w_a``
     and the IRS is tuned to ``bob``.  Bit for bit the Python-float route
     alpha * Pt * abs(amplitude) ** 2 over (1 - alpha) * Pt *
-    np.linalg.norm(row) ** 2 + noise (see _squared_terms).
+    np.linalg.norm(row) ** 2 + noise: magnitudes are hypot and squares pow(x, 2).
     """
     alice = scenario.alice_array()
     amplitudes = np.empty(count, complex)
@@ -140,24 +156,53 @@ def probe_block(scenario, bob: LinkBudget, w_a, projector, cells, count):
     for slot, cell in enumerate(cells):
         amplitudes[slot] = probe_amplitude(scenario, bob, cell, w_a)
         leak_rows[slot] = an_leak_row(cell, alice, projector)
-    power, an_power = _squared_terms(amplitudes, leak_rows)
-    signal = scenario.alpha * scenario.pt_mw * power
-    return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, an_power), leak_rows
+    signal = scenario.alpha * scenario.pt_mw * _amplitude_power(amplitudes)
+    return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, _leak_power(leak_rows)), leak_rows
 
 
-def _squared_terms(amplitudes, leak_rows):
-    """Each probe's |amplitude|^2 and its leak row's squared norm A, the
-    terms of a probe's SINR that do not depend on the transmit power.
+def _amplitude_power(amplitudes):
+    """Each complex amplitude's |a|^2, bit for bit abs(a) ** 2: hypot, then pow(x, 2)."""
+    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
 
-    Bit for bit the Python floats abs(amplitude) ** 2 and
-    np.linalg.norm(row) ** 2: magnitudes are hypot, squares are pow(x, 2),
-    and a row's squared norm is np.linalg.norm's sum of real and imaginary
-    dot products, square-rooted and squared again.
-    """
-    power = np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
+
+def _leak_power(leak_rows):
+    """Each leak row's squared norm A, bit for bit np.linalg.norm(row) ** 2:
+    the sum of the real and imaginary dot products, square-rooted and
+    squared again by pow(x, 2)."""
     re, im = leak_rows.real, leak_rows.imag
-    an_power = np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
-    return power, an_power
+    return np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
+
+
+def _eve_power(angles, tuned, counts, spacings, l_direct, l_reflect):
+    """An eve's |amplitude|^2 and its direct term d = <h(phi), w_a>, elementwise.
+
+    Each argument's first axis runs over (transmitter, IRS): ``angles`` are
+    the eve's (phi, theta), ``tuned`` the intended receiver's, ``counts``
+    (na, nr) and ``spacings`` the two arrays' element spacings; any further
+    axes run over scenes.  One cascaded_gain_closed call gives both terms: the
+    direct-path array factor na * d and the reflect gain.  The amplitude is
+    sqrt(l_direct) * d + sqrt(l_reflect) * gain, real since both arrays are
+    centred.
+    """
+    direct, reflect = cascaded_gain_closed(angles, tuned, counts, spacings)
+    d = direct / counts[0]
+    amplitude = np.sqrt(l_direct) * d + np.sqrt(l_reflect) * reflect
+    return amplitude * amplitude, d
+
+
+def _expected_leak(na, offset):
+    """A = (1 - d^2)/(na - 1) of a probe whose spacing-scaled cosine offset
+    from the intended receiver is ``offset``, without cancellation.
+
+    With y = pi * offset, d^2 = |sum_n e^(2jny)|^2 / na^2 and sum_{m=1}^{na-1}
+    (na - m) = na(na - 1)/2 give 1 - d^2 = (4/na^2) * sum_{m=1}^{na-1} (na - m)
+    * sin^2(m*y): non-negative terms, so A keeps its relative precision near
+    the receiver's ray, where 1 - d^2 computed from d would keep only an ulp
+    of 1.  Reducing ``offset`` by its nearest integer changes no sin^2(m*y).
+    """
+    m = np.arange(1, na)
+    s = np.sin(m * (math.pi * (offset - round(offset))))
+    return 4.0 * float(np.dot(na - m, s * s)) / (na * na * (na - 1))
 
 
 def _sinr(alpha, noise_mw, pt_mw, signal_mw, an_power):
@@ -174,16 +219,37 @@ def probe_setup(scenario):
 
 
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
-    """Full pipeline from scene geometry to rates and BERs for one probe."""
-    bob, w_a, projector = probe_setup(scenario)
-    cells = (link_budget(scenario, probe),)
-    signal, gammas, rows = probe_block(scenario, bob, w_a, projector, cells, 1)
-    gamma_b = snr_bob(scenario, bob)
-    gamma_e = float(gammas[0])
+    """Rates and BERs of the intended receiver and one probe, in closed form.
+
+    The probe's amplitude comes from _eve_power, and its leak is exact
+    without a projector matrix: the projector is (I - w_a w_a^H)/sqrt(na - 1),
+    so the probe's leak row is (h^H - d w_a^H)/sqrt(na - 1) and its expected
+    power A = (1 - d^2)/(na - 1), with d = <h(phi), w_a>, taken from
+    _expected_leak.
+    """
+    bob = link_budget(scenario, scenario.bob)
+    eve = link_budget(scenario, probe)
+    na = scenario.na
+    power, d = _eve_power(
+        *np.array([
+            [eve.phi, eve.theta],
+            [bob.phi, bob.theta],
+            [na, scenario.nr],
+            [scenario.alice_spacing_wavelengths, scenario.irs_spacing_wavelengths],
+        ]),
+        eve.l_direct,
+        eve.l_reflect,
+    )
+    d = float(d)
+    signal = scenario.alpha * scenario.pt_mw * float(power)
     if scenario.an_mode == "instantaneous":
-        z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
-        an_power = abs(np.dot(rows[0], z)) ** 2
-        gamma_e = float(_sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal[0], an_power))
+        w_a, h = steering_rows([scenario.alice_array()], np.array([[bob.phi, eve.phi]]))[0]
+        z = complex_normal(np.random.default_rng(scenario.seed), (na,))
+        an_power = abs(np.dot((h.conj() - d * w_a.conj()) / math.sqrt(na - 1), z)) ** 2
+    else:
+        an_power = _expected_leak(na, scenario.alice_spacing_wavelengths * (math.cos(eve.phi) - math.cos(bob.phi)))
+    gamma_b = snr_bob(scenario, bob)
+    gamma_e = float(_sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, an_power))
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     ber_b, ber_probe = ber_from_snrs(np.array([gamma_b, gamma_e])).tolist()
     return SecrecyMetrics(
@@ -207,11 +273,12 @@ def secrecy_rates(scenes, pt_dbm_values, include_irs, block):
     log2(1+gamma_e)]^+ then run once per block (_snrs), whatever the
     scene's pt_dbm and an_mode.  Against secrecy_metrics(replace(scene,
     pt_dbm=pt, an_mode="expected"), scene.eve), gamma_b is the same
-    expression, bit for bit; gamma_e differs by round-off, since
-    secrecy_metrics sums the IRS's nr phase terms and multiplies by
-    <g_t, g_t>, which is 1, where this takes the Dirichlet kernel.
+    expression, bit for bit, and the eve's |amplitude|^2 the same
+    _eve_power; gamma_e differs by round-off in A, which this takes from
+    the scene's projector row and secrecy_metrics from _expected_leak.
     ``include_irs=False`` drops the reflect path everywhere, for the no-IRS
-    benchmark, whose rates do not depend on nr.  The powers must be valid
+    benchmark, whose rates do not depend on nr; its d is the steering rows'
+    inner product.  The powers must be valid
     pt_dbm values; no BER is computed.
 
     Faults surface as in a pass scene by scene: a scene's SNR overflow,
@@ -250,16 +317,16 @@ def _scene_terms(scenes, block, include_irs):
     """The next ``block`` scenes of the iterator ``scenes``, their terms and a fault.
 
     The terms are arrays over the scenes: alpha, the noise power in mW, the
-    intended receiver's squared amplitude, and the eve's |amplitude|^2 and
-    leak-row squared norm A (_squared_terms).  Per scene, only the two
-    LinkBudget records and the noise projector are built; the steering
-    rows toward both receivers are one exponential over the block, the
-    eve's amplitude sqrt(l_direct)*<h_e, w_a> + sqrt(l_reflect)*gain with
-    the Dirichlet gain of cascaded_gain_closed.  A ValueError from taking or
-    setting up a scene ends the block before that scene and is returned as
-    the fault, for the caller to raise after the scenes before it.  The
-    block is taken whole before any set-up, which measured faster than
-    building each scene between two set-ups.
+    intended receiver's squared amplitude, and the eve's |amplitude|^2
+    (_eve_power, or without the IRS sqrt(l_direct) * <h_e, w_a> from the
+    steering rows) and leak-row squared norm A (_leak_power).  Per scene, only the two LinkBudget records and
+    the noise projector are built; the steering rows toward both receivers,
+    which the projector and the leak row read, are one exponential over the
+    block.  A ValueError from taking or setting up a scene ends the block
+    before that scene and is returned as the fault, for the caller to raise
+    after the scenes before it.  The block is taken whole before any
+    set-up, which measured faster than building each scene between two
+    set-ups.
     """
     batch, fault = [], None
     try:
@@ -277,27 +344,26 @@ def _scene_terms(scenes, block, include_irs):
             fault = error
             break
         records.append((
-            scenario.alpha, scenario.noise_mw, scenario.nr, scenario.irs_spacing_wavelengths,
-            bob.phi, bob.theta, bob.l_direct, bob.l_reflect,
-            eve.phi, eve.theta, eve.l_direct, eve.l_reflect,
+            eve.phi, eve.theta, bob.phi, bob.theta,
+            scenario.na, scenario.nr, scenario.alice_spacing_wavelengths, scenario.irs_spacing_wavelengths,
+            eve.l_direct, eve.l_reflect, bob.l_direct, bob.l_reflect, scenario.alpha, scenario.noise_mw,
         ))
     if not batch:
         return batch, (), fault
     columns = np.array(records).T
-    alpha, noise_mw, nr, irs_spacing = columns[:4]
-    phi_b, theta_b, l_direct_b, l_reflect_b = columns[4:8]
-    phi_e, theta_e, l_direct_e, l_reflect_e = columns[8:]
+    angles, tuned, counts, spacings = columns[0:2], columns[2:4], columns[4:6], columns[6:8]
+    l_direct_e, l_reflect_e, l_direct_b, l_reflect_b, alpha, noise_mw = columns[8:]
     # rows[i] holds scene i's steering vectors toward its receiver (w_a) and its eve (h_e)
-    rows = steering_rows([scenario.alice_array() for scenario in batch], np.stack([phi_b, phi_e], axis=1))
-    amplitudes = np.sqrt(l_direct_e) * np.vecdot(rows[:, 1], rows[:, 0])
-    bob_power = l_direct_b
+    rows = steering_rows([scenario.alice_array() for scenario in batch], np.stack([tuned[0], angles[0]], axis=1))
     if include_irs:
-        amplitudes += np.sqrt(l_reflect_e) * cascaded_gain_closed(theta_e, theta_b, nr, irs_spacing)
-        bob_power = np.float_power(np.sqrt(l_direct_b) + np.sqrt(l_reflect_b) * nr, 2.0)  # pow, as in snr_bob
+        power, _ = _eve_power(angles, tuned, counts, spacings, l_direct_e, l_reflect_e)
+        bob_power = np.float_power(np.sqrt(l_direct_b) + np.sqrt(l_reflect_b) * counts[1], 2.0)  # pow, as in snr_bob
+    else:  # the direct term alone: <h_e, w_a> from the rows, cheaper than a kernel call
+        power = _amplitude_power(np.sqrt(l_direct_e) * np.vecdot(rows[:, 1], rows[:, 0]))
+        bob_power = l_direct_b
     for w_a, h_e in rows:
         w_a[...] = h_e.conj() @ an_projector(w_a)  # only the projector reads w_a; its slot takes the leak row
-    power, an_power = _squared_terms(amplitudes, rows[:, 0])
-    return batch, (alpha, noise_mw, bob_power, power, an_power), fault
+    return batch, (alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0])), fault
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:

@@ -3,12 +3,13 @@
 Each oracle recomputes a quantity from first principles (numeric
 integration, naive loops, explicit per-symbol formulas) so test
 expectations are not circular.  Only the scalar probe route
-(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`), `benchmark_no_irs`,
-`heatmap_per_cell` and `rate_reference` call the package under test: they
-evaluate one probe at a time in Python floats, the reference for
-`probe_block`, the package's one probe route, and, at stated tolerances,
-for the closed-form pass of the rate sweeps.  `irs_beam` also
-calls it, for the matched IRS beam w_r, which the package only uses inside
+(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`, `scalar_metrics`,
+`benchmark_no_irs`), `heatmap_per_cell`, `eve_reference` and
+`rate_reference` call the package under test: they evaluate one probe at a
+time in Python floats, the reference for `probe_block`, the heatmap's
+probe route, bit for bit, and, at stated tolerances, for the closed forms
+of `secrecy_metrics` and the rate sweeps.  `irs_beam` also calls it, for
+the matched IRS beam w_r, which the package only uses inside
 `probe_amplitude`, as the steering vector toward the IRS.
 """
 
@@ -320,20 +321,23 @@ def sinr_eve_scalar(scenario, bob, budget, w_a, projector, include_irs=True):
     return _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
 
 
-def benchmark_no_irs(scenario, probe):
-    """secrecy_metrics with the reflect path removed everywhere, one scalar pipeline.
+def scalar_metrics(scenario, probe, include_irs=True):
+    """secrecy_metrics as one scalar pipeline: gamma_b from snr_bob, gamma_e
+    from sinr_eve_scalar (the projector's leak row), BERs from qpsk_ber_scalar.
 
-    The intended receiver keeps only the direct beam, the probe's numerator
-    only the direct term (sinr_eve_scalar without the IRS); the artificial
-    noise is unchanged, so nothing depends on the IRS element count.  BERs
-    are qpsk_ber_scalar.
+    Without the IRS, the intended receiver keeps only the direct beam and
+    the probe's numerator only the direct term; the artificial noise is
+    unchanged, so nothing depends on the IRS element count.
     """
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, secrecy_rate
+    from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, secrecy_rate, snr_bob
 
     bob, w_a, projector = probe_setup(scenario)
-    gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
-    gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), w_a, projector, False)
+    if include_irs:
+        gamma_b = snr_bob(scenario, bob)
+    else:
+        gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+    gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), w_a, projector, include_irs)
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     return SecrecyMetrics(
         gamma_b=gamma_b,
@@ -346,54 +350,98 @@ def benchmark_no_irs(scenario, probe):
     )
 
 
-# Tolerances of the rate sweeps' closed-form pass against the scalar route (rate_reference)
-SINR_TOL = 1e-12  # of the eve's uncancelled SINR
+def benchmark_no_irs(scenario, probe):
+    """The no-IRS benchmark's metrics at ``probe``, one scalar pipeline."""
+    return scalar_metrics(scenario, probe, include_irs=False)
+
+
+# Tolerances of the closed-form routes against the scalar route (eve_reference)
+SINR_TOL = 1e-12  # rounding per unit of a sum's term magnitudes
 RATE_TOL_BITS = 1e-12
 
 
-def rate_reference(scenario, include_irs=True):
-    """The scalar route at ``scenario``'s eve and pt_dbm in expected mode
-    (secrecy_metrics, or benchmark_no_irs without the IRS), with the
-    tolerances (gamma_e_tol, rate_tol) that secrecy_rates is held to.
+def eve_reference(scenario, include_irs=True):
+    """scalar_metrics at ``scenario``'s eve, in its an_mode, with the
+    tolerances (gamma_e_tol, rate_tol) that the closed-form routes
+    (secrecy_metrics, secrecy_rates) are held to.
 
-    Both routes compute gamma_e = alpha*Pt*|a|^2 / (noise + (1-alpha)*Pt*A)
-    with a = sqrt(l_d)*d + sqrt(l_r)*gain.  d = <h_e, w_a> sums na terms of
-    magnitude 1/na, so sum |terms| = 1; gain sums nr unit-magnitude phase
-    terms (the scalar route literally, the closed form as a Dirichlet
-    kernel), so sum |terms| = nr.  Rounding, including the phases' own,
-    which grow to pi*spacing*nr, is relative to those magnitude sums, not
-    to |d| or |gain|, which cancel in sidelobes: each route's a is off by at
-    most delta*(sqrt(l_d) + sqrt(l_r)*nr), where the phases dominate delta
-    at about pi*spacing*nr unit roundoffs (3e-13 at nr = 500 and spacing
-    1.7).  A and the noise are one expression on one steering row, up to a
-    few ulp.  So
+    Every route computes gamma_e = alpha*Pt*|a|^2 / D, D = noise +
+    (1-alpha)*Pt*A, with a = sqrt(l_d)*d + sqrt(l_r)*gain.
 
-        |d gamma_e| <= (2*delta + delta^2) * scale,
-        scale = alpha*Pt*(sqrt(l_d) + sqrt(l_r)*nr)^2 / (noise + (1-alpha)*Pt*A),
+    The amplitude.  d = <h_e, w_a> sums na terms of magnitude 1/na, so sum
+    |terms| = 1; gain sums nr unit-magnitude phase terms (the scalar route
+    literally, the closed form as a Dirichlet kernel), so sum |terms| = nr.
+    Rounding, including the phases' own, which grow to pi*spacing*n, is
+    relative to those magnitude sums, not to |d| or |gain|, which cancel in
+    sidelobes: each route's a is off by at most delta*(sqrt(l_d) +
+    sqrt(l_r)*nr), where the phases dominate delta at about pi*spacing*nr
+    unit roundoffs (3e-13 at nr = 500 and spacing 1.7).  So the numerators
+    differ by at most (2*delta + delta^2)*alpha*Pt*(sqrt(l_d) +
+    sqrt(l_r)*nr)^2, and 2*delta + delta^2 <= SINR_TOL.
 
-    the eve's SINR with every term in phase (sqrt(l_r)*nr dropped without
-    the IRS), and gamma_e_tol = SINR_TOL * scale.  gamma_b is one
-    expression on both routes and must agree exactly.  The rate moves by
-    d log2(1+gamma_e) <= |d gamma_e| / ((1 + min gamma_e) * ln 2), plus the
-    last bits of log2, so rate_tol = RATE_TOL_BITS + gamma_e_tol / ((1 +
-    max(0, gamma_e - gamma_e_tol)) * ln 2): RATE_TOL_BITS where gamma_e is
-    not cancelled, more where it sits far below its scale.
+    The leak A.  The scalar route's leak row is h_e^H P, each entry a sum
+    of terms of magnitude r = 2/sqrt(na*(na-1)) in all, which also bounds
+    the entry; the closed form's (h_e^H - d*w_a^H)/sqrt(na-1) has the same.
+    So the routes' rows differ by at most e = 2*delta*r <= SINR_TOL*r an
+    entry, and in norm by at most E = sqrt(na)*SINR_TOL*r =
+    2*SINR_TOL/sqrt(na-1).  In expected mode A is the row's squared norm,
+    and | |a|^2 - |b|^2 | <= (2|a| + |a - b|)*|a - b|, so the routes' A
+    differ by at most 2*sqrt(A)*E + E^2.  The closed form sums A's
+    expansion (4/na^2)*sum (na-m)*sin^2(m*y)/(na-1): non-negative terms,
+    each off by phase rounding (sin(m*y) by at most delta, inside E by
+    Cauchy-Schwarz) and by a few ulp of itself, so add SINR_TOL*A:
+
+        dA = 2*sqrt(A)*E + E^2 + SINR_TOL*A,
+
+    which stays a small fraction of A unless A is itself within E^2 of
+    zero, so near the intended receiver's ray the tolerance stays tight.
+    In instantaneous mode A = |row . z|^2 with the one draw z, and row . z
+    sums terms of magnitude r*|z_k| at most, so it differs by at most e_z
+    = SINR_TOL*r*sum|z_k| and A by dA = 2*|row . z|*e_z + e_z^2.
+
+    Together, with D_min = noise + (1-alpha)*Pt*max(0, A - dA),
+
+        gamma_e_tol = (SINR_TOL*alpha*Pt*(sqrt(l_d) + sqrt(l_r)*nr)^2
+                       + gamma_e*(1-alpha)*Pt*dA) / D_min
+
+    bounds |d gamma_e| (sqrt(l_r)*nr dropped without the IRS).  gamma_b is
+    one expression on every route and must agree exactly.  The rate moves
+    by d log2(1+gamma_e) <= |d gamma_e| / ((1 + min gamma_e) * ln 2), plus
+    the last bits of log2, so rate_tol = RATE_TOL_BITS + gamma_e_tol / ((1
+    + max(0, gamma_e - gamma_e_tol)) * ln 2): RATE_TOL_BITS where gamma_e
+    is not cancelled, more where it sits far below its scale.
     """
-    from dataclasses import replace
-
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import an_leak_row, probe_setup, secrecy_metrics
+    from dmirs.secrecy import an_leak_row, probe_setup
 
-    scenario = replace(scenario, an_mode="expected")
-    expected = (secrecy_metrics if include_irs else benchmark_no_irs)(scenario, scenario.eve)
+    expected = scalar_metrics(scenario, scenario.eve, include_irs)
     _, _, projector = probe_setup(scenario)
     eve = link_budget(scenario, scenario.eve)
+    na = scenario.na
+    row = an_leak_row(eve, scenario.alice_array(), projector)
+    if scenario.an_mode == "expected":
+        an_power = float(np.linalg.norm(row) ** 2)
+        row_tol = 2.0 * SINR_TOL / math.sqrt(na - 1)
+        an_tol = 2.0 * math.sqrt(an_power) * row_tol + row_tol**2 + SINR_TOL * an_power
+    else:
+        z = complex_normal_two_draws(np.random.default_rng(scenario.seed), (na,))
+        leak = abs(np.dot(row, z))
+        e_z = SINR_TOL * 2.0 / math.sqrt(na * (na - 1)) * float(np.abs(z).sum())
+        an_power, an_tol = leak**2, 2.0 * leak * e_z + e_z**2
     terms = math.sqrt(eve.l_direct) + (math.sqrt(eve.l_reflect) * scenario.nr if include_irs else 0.0)
-    an_power = float(np.linalg.norm(an_leak_row(eve, scenario.alice_array(), projector)) ** 2)
     pt, alpha = scenario.pt_mw, scenario.alpha
-    gamma_e_tol = SINR_TOL * alpha * pt * terms**2 / (scenario.noise_mw + (1.0 - alpha) * pt * an_power)
+    d_min = scenario.noise_mw + (1.0 - alpha) * pt * max(0.0, an_power - an_tol)
+    gamma_e_tol = (SINR_TOL * alpha * pt * terms**2 + expected.gamma_e * (1.0 - alpha) * pt * an_tol) / d_min
     rate_tol = RATE_TOL_BITS + gamma_e_tol / ((1.0 + max(0.0, expected.gamma_e - gamma_e_tol)) * math.log(2.0))
     return expected, gamma_e_tol, rate_tol
+
+
+def rate_reference(scenario, include_irs=True):
+    """eve_reference in expected mode, whatever ``scenario``'s an_mode: the
+    reference of a rate sweep's row at ``scenario``'s eve and pt_dbm."""
+    from dataclasses import replace
+
+    return eve_reference(replace(scenario, an_mode="expected"), include_irs)
 
 
 def heatmap_per_cell(scenario, grid):

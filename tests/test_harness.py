@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -100,6 +101,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             Scenario(seed=-1)
         assert Scenario(seed=0).seed == 0
+
+    @pytest.mark.parametrize("field, value", [("na", 16.0), ("nr", 10.7), ("seed", 1.5), ("mc_samples", 2.5)])
+    def test_counts_seed_and_samples_must_be_integers(self, field, value):
+        """A fractional, boolean or text value fails in one named line, in either
+        noise mode; a numpy integer passes as a plain int, so the scenario
+        serializes and round-trips."""
+        for bad in (value, True, str(int(value))):
+            for an_mode in ("expected", "instantaneous"):
+                with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+                    Scenario(**{field: bad}, an_mode=an_mode)
+        scenario = Scenario(**{field: np.int64(value)})
+        assert type(getattr(scenario, field)) is int and getattr(scenario, field) == int(value)
+        assert parse_config(serialize_config(scenario)) == scenario
 
     @pytest.mark.parametrize(
         "field, value", [("pt_dbm", 5000.0), ("pt_dbm", 3083.0), ("noise_dbm", -5000.0), ("noise_dbm", -3300.0)]
@@ -384,6 +398,29 @@ class TestRateSweepRows:
             calls.clear()
             run(Scenario(), axis, pts)
             assert calls == [True, False]
+
+
+class TestMetricsWork:
+    @pytest.mark.parametrize("an_mode, steering_rows", [("expected", 0), ("instantaneous", 1)])
+    def test_builds_no_steering_vector_or_projector(self, an_mode, steering_rows, config_file, monkeypatch):
+        """metrics makes the receiver's and the probe's LinkBudget and, for its one
+        noise draw, one block of steering rows: no steering vector, projector,
+        probe block or IRS phase diagonal, at any probe."""
+        counts = count_calls(
+            monkeypatch,
+            ("link_budget", "steering_vector", "steering_rows", "an_projector", "probe_block", "irs_phase_diagonal"),
+        )
+        for eve in ([], ["--eve=-5,3"], ["--eve=20,0"]):
+            counts.update(dict.fromkeys(counts, 0))
+            assert cli.main(["metrics", "--config", config_file, "--an-mode", an_mode, *eve]) == 0
+            assert counts == {
+                "link_budget": 2,
+                "steering_vector": 0,
+                "steering_rows": steering_rows,
+                "an_projector": 0,
+                "probe_block": 0,
+                "irs_phase_diagonal": 0,
+            }
 
 
 # alpha = 1 leaves no noise in the probe's SINR; at nr = 1 the IRS path cancels part

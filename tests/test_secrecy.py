@@ -33,6 +33,7 @@ from oracles import (
     bob_snr_oracle,
     cascaded_gain_bruteforce,
     channel_rows,
+    eve_reference,
     eve_sinr_oracle,
     irs_beam,
     leak_sinr,
@@ -41,7 +42,6 @@ from oracles import (
     q_via_integration,
     qpsk_ber_scalar,
     rate_reference,
-    sinr_eve_scalar,
 )
 
 EVE = Position(30.0, 20.0)
@@ -290,11 +290,11 @@ class TestSinrEveRoute:
     @pytest.mark.parametrize("an_mode", AN_MODES)
     @settings(max_examples=25, deadline=None)
     @given(probe_scenes())
-    def test_equals_scalar_oracle_route(self, an_mode, inputs):
+    def test_matches_scalar_oracle_route(self, an_mode, inputs):
         scenario, probe = inputs
-        scenario = replace(scenario, an_mode=an_mode)
-        expected = sinr_eve_scalar(scenario, *probe_inputs(scenario, probe))
-        assert secrecy_metrics(scenario, probe).gamma_e == expected
+        scenario = replace(scenario, an_mode=an_mode, eve=probe)
+        expected, gamma_e_tol, _ = eve_reference(scenario)
+        assert abs(secrecy_metrics(scenario, probe).gamma_e - expected.gamma_e) <= gamma_e_tol
 
 
 def probe_row(scenario, probe, more_x):
@@ -440,7 +440,82 @@ class TestRates:
             rate_bits(-0.5)
 
 
+@st.composite
+def edge_probe_scenes(draw):
+    """A scene whose eve probes the closed form's edges.  na = 2 and nr = 1 as
+    often as not; both spacings above 0.5, so grating lobes are in view;
+    either combine rule and noise mode; the intended receiver at its default
+    end-fire position or anywhere; the eve at end-fire of the transmitter
+    (phi = 0 or pi) or of the IRS (theta = 0 or pi), at the intended
+    receiver, or on its ray from the transmitter, where 1 - d^2 cancels."""
+    spacing = st.floats(0.5, 1.7, exclude_min=True)
+    coordinate = st.floats(-100.0, 100.0)
+    far = lambda p: all(math.hypot(p.x - q.x, p.y - q.y) > 1e-2 for q in (Position(0.0, 0.0), Position(20.0, -15.0)))
+    bob = draw(st.one_of(st.just(Position(20.0, 0.0)), st.builds(Position, coordinate, coordinate).filter(far)))
+    scenario = Scenario(
+        na=draw(st.one_of(st.just(2), st.integers(2, 64))),
+        nr=draw(st.one_of(st.just(1), st.integers(1, 500))),
+        alice_spacing_wavelengths=draw(spacing),
+        irs_spacing_wavelengths=draw(spacing),
+        path_loss_combine=draw(st.sampled_from(PATH_LOSS_RULES)),
+        alpha=draw(st.floats(0.01, 1.0)),
+        pt_dbm=draw(st.floats(-30.0, 60.0)),
+        an_mode=draw(st.sampled_from(AN_MODES)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        bob=bob,
+    )
+    where = draw(st.sampled_from(["end-fire", "receiver", "ray"]))
+    if where == "end-fire":
+        probe = Position(draw(coordinate), draw(st.sampled_from([scenario.alice.y, scenario.irs.y])))
+    elif where == "receiver":
+        probe = bob
+    else:
+        t = draw(st.floats(0.01, 5.0))
+        probe = Position(scenario.alice.x + t * (bob.x - scenario.alice.x), scenario.alice.y + t * (bob.y - scenario.alice.y))
+    assume(far(probe))
+    return replace(scenario, eve=probe)
+
+
 class TestSecrecyMetrics:
+    @settings(max_examples=80, deadline=None)
+    @given(edge_probe_scenes())
+    @example(Scenario(na=2, nr=1, irs_spacing_wavelengths=1.0, path_loss_combine="product", eve=Position(20.0, 0.0)))
+    @example(Scenario(na=3, nr=1, bob=Position(17.0, 9.0), eve=Position(17.0 * 2.3, 9.0 * 2.3), pt_dbm=60.0))
+    def test_closed_form_matches_scalar_route_at_the_edges(self, scenario):
+        """gamma_b and ber_b exactly, gamma_e and rate_s within eve_reference's
+        tolerances, and ber_probe the one BER route's at gamma_e."""
+        metrics = secrecy_metrics(scenario, scenario.eve)
+        expected, gamma_e_tol, rate_tol = eve_reference(scenario)
+        assert (metrics.gamma_b, metrics.rate_b, metrics.ber_b) == (expected.gamma_b, expected.rate_b, expected.ber_b)
+        assert abs(metrics.gamma_e - expected.gamma_e) <= gamma_e_tol
+        assert abs(metrics.rate_s - expected.rate_s) <= rate_tol
+        assert metrics.ber_probe == qpsk_ber_scalar(metrics.gamma_e)
+
+    def test_leak_keeps_its_precision_near_the_receivers_ray(self):
+        """5e-10 rad off the receiver's ray, d = <h, w_a> rounds to 1 + 2**-52,
+        so 1 - d^2 from d is round-off, yet A = 9.8e-19 sets gamma_e at 260 dB
+        of Pt over noise.  The references are a 60-digit mpmath evaluation
+        from the same positions; the float angles' rounding moves gamma_e by
+        about 2e-6 of itself.  eve_reference's tolerance stays well under 1%
+        of gamma_e here."""
+        scenario = Scenario(
+            na=3, nr=1, bob=Position(0.0, 20.0), eve=Position(-1.6405e-08, 30.0), pt_dbm=60.0, noise_dbm=-200.0
+        )
+        metrics = secrecy_metrics(scenario, scenario.eve)
+        assert metrics.gamma_e == pytest.approx(3.33994046743178e15, rel=1e-5)
+        assert metrics.rate_s == pytest.approx(26.191373434767, abs=1e-4)
+        expected, gamma_e_tol, _ = eve_reference(scenario)
+        assert gamma_e_tol < 1e-2 * expected.gamma_e
+        assert abs(metrics.gamma_e - expected.gamma_e) <= gamma_e_tol
+
+    @pytest.mark.parametrize("na, small", [(3, 2.0**-30), (16, -(2.0**-40))])
+    def test_leak_at_a_grating_lobe_equals_the_leak_as_far_off_the_main_lobe(self, na, small):
+        """A grating lobe k lies at a whole spacing-scaled offset k; the leak a
+        small offset beyond it is the same, bit for bit, as that offset from
+        the intended receiver, since the offset is reduced exactly first."""
+        for k in (1, 2, -3):
+            assert secrecy._expected_leak(na, k + small) == secrecy._expected_leak(na, small) > 0.0
+
     def test_probe_at_receiver_gives_zero_secrecy_rate(self):
         metrics = secrecy_metrics(Scenario(), Position(20.0, 0.0))
         assert metrics.rate_s == pytest.approx(0.0, abs=1e-9)
