@@ -16,9 +16,10 @@ DMIRS_SEED and its own flags in one step; a flag wins over DMIRS_SEED,
 which wins over the config.  DMIRS_SEED must be an integer, but a negative
 one that --seed replaces is not range-checked.
 
-A start:stop:step range may hold at most MAX_RANGE_VALUES values and a
-heatmap grid at most MAX_GRID_CELLS cells; larger requests exit 2 before
-anything is allocated.
+A start:stop:step range or a comma list may hold at most
+MAX_RANGE_VALUES values, a heatmap grid at most MAX_GRID_CELLS cells and a
+rate sweep at most MAX_GRID_CELLS rows (axis values times --pt values);
+larger requests exit 2 before anything is allocated.
 
 `main(argv)` may be called any number of times in one process.  It builds
 the argument parser on its first call and reuses it: parsing never changes
@@ -58,6 +59,8 @@ def _parse_values(spec: str, kind: str):
             f"could not parse {kind} values {brief_repr(spec)}; use start:stop:step or a comma list"
         ) from None
     if is_list:
+        if len(values) > MAX_RANGE_VALUES:
+            raise ConfigError(f"{kind} list {brief_repr(spec)} has more than {MAX_RANGE_VALUES} values")
         if not all(math.isfinite(v) for v in values):
             raise ConfigError(f"{kind} values {brief_repr(spec)} must all be finite")
         return values
@@ -68,6 +71,18 @@ def _parse_values(spec: str, kind: str):
         raise ConfigError(f"{kind} range {brief_repr(spec)} has more than {MAX_RANGE_VALUES} values")
     values = [start + i * step for i in range(round(steps) + 1)]
     return [v for v in values if v <= stop + 1e-9]
+
+
+def _sweep_values(args, axis: str):
+    """A sweep's ``axis`` values and --pt values, at most MAX_GRID_CELLS rows in all."""
+    axis_values = _parse_values(getattr(args, axis), axis)
+    pt_values = _parse_values(args.pt, "pt")
+    if len(axis_values) * len(pt_values) > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"{len(axis_values)} {axis} values by {len(pt_values)} pt values "
+            f"make more than {MAX_GRID_CELLS} sweep rows"
+        )
+    return axis_values, pt_values
 
 
 def _parse_grid(spec: str):
@@ -130,16 +145,14 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_sweep_nr(args) -> int:
     scenario = _load_scenario(args)
-    result = run_sweep_nr(scenario, _parse_values(args.nr, "nr"), _parse_values(args.pt, "pt"))
+    result = run_sweep_nr(scenario, *_sweep_values(args, "nr"))
     _write_result(result, args.out)
     return 0
 
 
 def _cmd_sweep_dab(args) -> int:
     scenario = _load_scenario(args)
-    dab_values = _parse_values(args.dab, "dab")
-    pt_values = _parse_values(args.pt, "pt")
-    result = run_sweep_dab(scenario, dab_values, pt_values)
+    result = run_sweep_dab(scenario, *_sweep_values(args, "dab"))
     _write_result(result, args.out)
     return 0
 

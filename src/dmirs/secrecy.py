@@ -319,14 +319,17 @@ def _scene_terms(scenes, block, include_irs):
     The terms are arrays over the scenes: alpha, the noise power in mW, the
     intended receiver's squared amplitude, and the eve's |amplitude|^2
     (_eve_power, or without the IRS sqrt(l_direct) * <h_e, w_a> from the
-    steering rows) and leak-row squared norm A (_leak_power).  Per scene, only the two LinkBudget records and
-    the noise projector are built; the steering rows toward both receivers,
-    which the projector and the leak row read, are one exponential over the
-    block.  A ValueError from taking or setting up a scene ends the block
-    before that scene and is returned as the fault, for the caller to raise
-    after the scenes before it.  The block is taken whole before any
-    set-up, which measured faster than building each scene between two
-    set-ups.
+    steering rows) and leak-row squared norm A (_leak_power).  Per scene, only
+    the two LinkBudget records and the noise projector are built; the
+    steering rows toward both receivers, which the projector and the leak
+    row read, are one exponential over the block, and the eve rows are
+    conjugated once per block.  Each scene's leak row is one matmul of its
+    conjugated eve row by its projector, written over its w_a row, which
+    nothing reads after the projector.  A ValueError from taking or setting
+    up a scene ends the block before that scene and is returned as the
+    fault, for the caller to raise after the scenes before it.  The block is
+    taken whole before any set-up, which measured faster than building each
+    scene between two set-ups.
     """
     batch, fault = [], None
     try:
@@ -361,8 +364,8 @@ def _scene_terms(scenes, block, include_irs):
     else:  # the direct term alone: <h_e, w_a> from the rows, cheaper than a kernel call
         power = _amplitude_power(np.sqrt(l_direct_e) * np.vecdot(rows[:, 1], rows[:, 0]))
         bob_power = l_direct_b
-    for w_a, h_e in rows:
-        w_a[...] = h_e.conj() @ an_projector(w_a)  # only the projector reads w_a; its slot takes the leak row
+    for w_a, h_e_conj in zip(rows[:, 0], rows[:, 1].conj()):
+        np.matmul(h_e_conj, an_projector(w_a), out=w_a)
     return batch, (alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0])), fault
 
 

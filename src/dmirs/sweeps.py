@@ -6,9 +6,11 @@ are scheduled.  The heatmap hands secrecy.probe_block a block of cell
 records at a time from a generator, takes dB and BER over its arrays and
 frees them before the next block.  Randomized cells derive their generator
 seed from (scenario seed, cell index), never from shared state.  A rate
-sweep builds one scene per axis value and streams the scenes through
-secrecy.secrecy_rates once per column, with and without the IRS: each
-scene gets two LinkBudget records and a noise projector per column, and
+sweep reads its base scenario's fields once into a dict and builds one
+Scenario per axis value from it and the axis value's change, each
+validated in full; it streams the scenes through secrecy.secrecy_rates
+once per column, with and without the IRS: each scene gets two
+LinkBudget records and a noise projector per column, and
 the rest (steering rows, the Dirichlet reflect gain, the SNRs for every
 transmit power and the rates) is closed form, one array pass per block of
 scenes.  It computes no BER.
@@ -22,7 +24,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -179,8 +181,12 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
 def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResult:
     """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
 
-    Each pt is validated once; then each axis value makes one scene,
-    ``scenario`` with ``changes(axis value)``, and the scenes stream through
+    The fields of ``scenario`` are read once into a dict.  Each pt is
+    validated once, as a Scenario built from that dict with its pt_dbm;
+    then each axis value makes one scene, a Scenario built from the dict
+    with ``changes(axis value)`` applied: the scene dataclasses.replace
+    would build, through every __post_init__ check, without replace's
+    per-field loop.  The scenes stream through
     two secrecy_rates calls, with and without the IRS, a block of
     max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per array pass.  The two
     columns advance together scene by scene, so the first fault raised is
@@ -189,11 +195,12 @@ def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResu
     expected-noise model whatever the scenario's an_mode, so the curves are
     deterministic; no BER is computed.  The preamble echoes ``scenario``.
     """
+    base = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
     for pt in pt_values:
-        replace(scenario, pt_dbm=pt)  # rejects a power no scenario may hold, before any row
+        Scenario(**{**base, "pt_dbm": pt})  # rejects a power no scenario may hold, before any row
     block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
     # each scene is built once; the no-IRS column reads it at most a block behind
-    proposed_scenes, benchmark_scenes = itertools.tee(replace(scenario, **changes(v)) for v in axis_values)
+    proposed_scenes, benchmark_scenes = itertools.tee(Scenario(**{**base, **changes(v)}) for v in axis_values)
     pairs = zip(
         secrecy_rates(proposed_scenes, pt_values, True, block),
         secrecy_rates(benchmark_scenes, pt_values, False, block),

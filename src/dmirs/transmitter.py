@@ -22,14 +22,22 @@ def an_projector(h_ab: np.ndarray) -> np.ndarray:
 
     Needs at least two antennas; with one, the complement is empty and the
     unnormalized projector is the zero matrix.  With n >= 2, I - h h^H has
-    rank at least n - 1, so its norm is never 0.
+    rank at least n - 1, so its norm is never 0.  Built in place in one
+    array: -h h^H, 1 added to its diagonal, then divided by the square
+    root of the real and imaginary dot products that np.linalg.norm sums.
+    Bit for bit (I - h h^H) / np.linalg.norm(I - h h^H), up to the sign of
+    a zero entry.
     """
     h = np.asarray(h_ab, dtype=complex)
     n = h.shape[0]
     if n < 2:
         raise ValueError("artificial-noise projection needs at least 2 antennas")
-    p = np.eye(n) - np.outer(h, h.conj())
-    return p / np.linalg.norm(p)
+    p = h[:, np.newaxis] * -h.conj()
+    flat = p.reshape(-1)
+    flat[:: n + 1] += 1.0
+    re, im = flat.real, flat.imag
+    p /= math.sqrt(re.dot(re) + im.dot(im))
+    return p
 
 
 # The annotation is a string: evaluating np.random here would load numpy.random

@@ -115,6 +115,12 @@ def irs_beam(scenario):
     return steering_vector(scenario.alice_array(), angle_of(scenario.alice, scenario.irs))
 
 
+def an_projector_eye_minus_outer(h):
+    """The noise projector in its textbook form, (I - h h^H) / ||I - h h^H||_F."""
+    p = np.eye(len(h)) - np.outer(h, h.conj())
+    return p / np.linalg.norm(p)
+
+
 def synthesize_tx(w_a, w_r, projector, s, z, alpha):
     """The two transmit vectors for symbol ``s`` and noise draw ``z``.
 

@@ -370,17 +370,26 @@ class TestRateSweepRows:
 
     @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
     def test_per_axis_value_only_link_budgets_and_projectors(self, run, monkeypatch):
-        """Per axis value, whatever the sweep's size and powers: one receiver
-        and one eve LinkBudget and one noise projector per column, and none of
-        the scalar probe route's steering vectors, probe amplitudes or IRS
-        phase diagonals."""
+        """Per axis value, whatever the sweep's size and powers: one validated
+        Scenario, equal to what dataclasses.replace builds, one receiver and
+        one eve LinkBudget and one noise projector per column, and none of the
+        scalar probe route's steering vectors, probe amplitudes or IRS phase
+        diagonals.  Each pt is validated once, as one Scenario."""
+        scenario = Scenario()
+        # the default transmitter sits at the origin and the receiver on the +x axis
+        change = (lambda v: {"nr": v}) if run is run_sweep_nr else (lambda v: {"bob": Position(v, 0.0)})
         counts = count_calls(
             monkeypatch, ("link_budget", "an_projector", "steering_vector", "probe_amplitude", "irs_phase_diagonal")
         )
+        validate, built = Scenario.__post_init__, []
+        monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(self) or validate(self))
         for size in (1, 3, 50):
             for pts in ([10.0], [10.0, 15.0, 15.0, 30.0]):
                 counts.update(dict.fromkeys(counts, 0))
-                run(Scenario(), list(range(10, 10 + size)), pts)
+                built.clear()
+                axis = list(range(10, 10 + size))
+                run(scenario, axis, pts)
+                scenes = built[:]  # replace below validates too
                 assert counts == {
                     "link_budget": 4 * size,
                     "an_projector": 2 * size,
@@ -388,6 +397,23 @@ class TestRateSweepRows:
                     "probe_amplitude": 0,
                     "irs_phase_diagonal": 0,
                 }
+                assert scenes == [replace(scenario, pt_dbm=pt) for pt in pts] + [
+                    replace(scenario, **change(v)) for v in axis
+                ]
+
+    @pytest.mark.parametrize(
+        "run, scenario, axis, error, message",
+        [
+            (run_sweep_nr, Scenario(), [10, 0], ConfigError, "nr must be at least 1, got 0"),
+            (run_sweep_nr, Scenario(), [10, 1_000_001], ConfigError, "nr must be at most 1000000, got 1000001"),
+            (run_sweep_dab, Scenario(irs=Position(30.0, 0.0)), [10.0, 30.0], GeometryError,
+             "bob and irs coincide at Position(x=30.0, y=0.0)"),
+        ],
+    )
+    def test_each_scene_is_validated_in_full(self, run, scenario, axis, error, message):
+        with pytest.raises(error) as info:
+            run(scenario, axis, [10.0])
+        assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
     def test_two_secrecy_rates_calls_per_sweep_whatever_its_size(self, run, monkeypatch):
@@ -684,6 +710,42 @@ class TestCli:
         for spec in ("1:6:1", "0:1:0.1"):
             with pytest.raises(ConfigError, match="more than 5 values"):
                 cli._parse_values(spec, "nr")
+        # a comma list has the same bound; empty items do not count
+        assert cli._parse_values("1,2,,3,4,5", "pt") == [1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(ConfigError, match=re.escape("pt list '1,2,3,4,5,6' has more than 5 values")):
+            cli._parse_values("1,2,3,4,5,6", "pt")
+
+    @pytest.mark.parametrize("command, axis", [("sweep-nr", "nr"), ("sweep-dab", "dab")])
+    def test_sweep_size_bounds_exit_2_before_the_sweep_runs(
+        self, command, axis, config_file, tmp_path, monkeypatch, capsys
+    ):
+        """A comma list longer than MAX_RANGE_VALUES, or more than
+        MAX_GRID_CELLS rows in all, exits 2 with one line and never reaches the
+        sweep; a sweep of exactly MAX_GRID_CELLS rows runs."""
+        monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 4)
+        monkeypatch.setattr(cli, "MAX_GRID_CELLS", 6)
+        out = tmp_path / "o.csv"
+
+        def sweep(values, pts):
+            return cli.main([command, "--config", config_file, f"--{axis}", values, "--pt", pts, "--out", str(out)])
+
+        assert sweep("10,20", "1:3:1") == 0
+        assert len([line for line in out.read_text().splitlines() if not line.startswith("#")]) == 1 + 6
+        out.unlink()
+        run = f"run_sweep_{axis}"
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{run} called for an over-long sweep")
+
+        monkeypatch.setattr(cli, run, must_not_run)
+        for values, pts, message in (
+            ("10:30:10", "1,2,3", f"3 {axis} values by 3 pt values make more than 6 sweep rows"),
+            ("10,20,30,40,50", "1", f"{axis} list '10,20,30,40,50' has more than 4 values"),
+            ("10", "1,2,3,4,5", "pt list '1,2,3,4,5' has more than 4 values"),
+        ):
+            assert sweep(values, pts) == 2
+            assert capsys.readouterr().err == f"dmirs: error: {message}\n"
+        assert not out.exists()
 
     def test_grid_cell_bound_exits_2_before_the_heatmap_runs(self, config_file, tmp_path, monkeypatch, capsys):
         assert cli.MAX_GRID_CELLS == 1_000_000

@@ -3,13 +3,15 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import probe_setup
 from dmirs.transmitter import an_projector, complex_normal
-from oracles import complex_normal_two_draws, irs_beam, synthesize_tx
+from oracles import an_projector_eye_minus_outer, complex_normal_two_draws, irs_beam, synthesize_tx
 
 
 @pytest.fixture
@@ -42,7 +44,32 @@ class TestPrecoders:
         )
 
 
+@st.composite
+def projector_inputs(draw):
+    """(kind, h) for 2-64 antennas: a unit-norm steering vector, an arbitrary
+    complex vector of any norm, or one with exact zeros among its entries."""
+    n = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(["steering", "arbitrary", "zeros"]))
+    if kind == "steering":
+        return kind, steering_vector(ArraySpec(n, draw(st.floats(0.1, 2.0))), draw(st.floats(0.0, math.pi)))
+    entry = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    if kind == "zeros":
+        entry = st.one_of(st.sampled_from([0j, complex(0.0, -0.0), complex(-0.0, 0.0)]), entry)
+    return kind, np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=complex)
+
+
 class TestAnProjector:
+    @settings(max_examples=300, deadline=None)
+    @given(projector_inputs())
+    def test_bit_for_bit_the_eye_minus_outer_form(self, inputs):
+        """Equal to the textbook form in every entry; only a zero entry may
+        carry the other sign, and a steering vector's projector has none."""
+        kind, h = inputs
+        got, want = an_projector(h), an_projector_eye_minus_outer(h)
+        assert np.array_equal(got, want)
+        if kind == "steering":
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_annihilates_the_direct_path(self, seed):
         rng = np.random.default_rng(seed)
