@@ -34,10 +34,10 @@ projector row, so with the IRS the two routes differ only in A, by
 round-off; the rate sweeps' per-scene projector is held in place by the
 benchmark's work-count pins.
 probe_block gives the numerator and the expected A of a heatmap block of
-probes in one scene through the scalar per-probe pipeline
-(probe_amplitude, an_leak_row), summing the IRS's nr phase terms, which
-the same pins hold.  secrecy_rates scales the Pt-free terms to every power
-in one array pass.  Rates are log2(1+gamma) bits per channel use, the
+probes in one scene: per probe only what the same pins hold (three
+steering vectors, the IRS's nr phase terms summed), per block one
+np.vecdot for the direct terms and one for the leak rows.  secrecy_rates
+scales the Pt-free terms to every power in one array pass.  Rates are log2(1+gamma) bits per channel use, the
 secrecy rate the clamped difference.
 """
 
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArraySpec, irs_phase_diagonal, steering_rows, steering_vector
+from .arrays import irs_phase_diagonal, steering_rows, steering_vector
 from .geometry import LinkBudget, angle_of, link_budget
 from .numerics import dbm_to_mw, q_function
 from .transmitter import an_projector, complex_normal
@@ -125,39 +125,35 @@ def snr_bob(scenario, bob: LinkBudget) -> float:
     return scenario.alpha * scenario.pt_mw * power / scenario.noise_mw
 
 
-def probe_amplitude(scenario, bob: LinkBudget, probe: LinkBudget, w_a) -> complex:
-    """Coherent amplitude reaching ``probe`` over the direct beam ``w_a`` and the IRS
-    beam, the steering vector g_t toward the IRS, with the IRS tuned to ``bob``."""
-    alice = scenario.alice_array()
-    h_ae = steering_vector(alice, probe.phi)
-    g_t = steering_vector(alice, angle_of(scenario.alice, scenario.irs))
-    phase_sum = irs_phase_diagonal(scenario.irs_array(), probe.theta, bob.theta).sum()
-    direct = math.sqrt(probe.l_direct) * np.vdot(h_ae, w_a)
-    return complex(direct + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, g_t))
-
-
-def an_leak_row(probe: LinkBudget, alice: ArraySpec, projector: np.ndarray) -> np.ndarray:
-    """Probe steering row propagated through the noise projector."""
-    h_ae = steering_vector(alice, probe.phi)
-    return h_ae.conj() @ projector
-
-
-def probe_block(scenario, bob: LinkBudget, w_a, projector, cells, count):
+def probe_block(scenario, bob: LinkBudget, w_a, projector, angles, count):
     """Signal powers in mW, expected-noise SINRs and noise-leak rows of ``count`` probes.
 
-    ``cells`` yields the probes' LinkBudget records, the direct beam is ``w_a``
-    and the IRS is tuned to ``bob``.  Bit for bit the Python-float route
-    alpha * Pt * abs(amplitude) ** 2 over (1 - alpha) * Pt *
-    np.linalg.norm(row) ** 2 + noise: magnitudes are hypot and squares pow(x, 2).
+    ``angles`` yields the probes' (phi, theta) pairs; each probe has the
+    path gains of ``bob``, to which the IRS is tuned.  Per probe only the
+    steering vectors toward phi (twice: direct term, leak row) and the IRS
+    (g_t), and the IRS phase sum are built; the inner products are one
+    np.vecdot per block.  Amplitudes and signals are bit for bit the scalar
+    route's (tests/oracles.py::probe_amplitude).  The leak rows h^H P, taken
+    row by row and so the same bits for any block split, agree with that
+    route's vector-matrix product to tests/oracles.py::leak_row_tol, about 6
+    eps an entry, and the SINRs to that bound carried through.
     """
-    alice = scenario.alice_array()
-    amplitudes = np.empty(count, complex)
-    leak_rows = np.empty((count, scenario.na), complex)
-    for slot, cell in enumerate(cells):
-        amplitudes[slot] = probe_amplitude(scenario, bob, cell, w_a)
-        leak_rows[slot] = an_leak_row(cell, alice, projector)
+    alice, irs = scenario.alice_array(), scenario.irs_array()
+    phi_ar = angle_of(scenario.alice, scenario.irs)
+    rows = np.empty((count, scenario.na), complex)
+    leak = np.empty((count, 1, scenario.na), complex)
+    reflect = np.empty(count, complex)
+    norms = np.empty(count, complex)
+    for slot, (phi, theta) in enumerate(angles):
+        rows[slot] = steering_vector(alice, phi)
+        leak[slot, 0] = steering_vector(alice, phi)
+        reflect[slot] = np.add.reduce(irs_phase_diagonal(irs, theta, bob.theta))
+        g_t = steering_vector(alice, phi_ar)
+        norms[slot] = np.vdot(g_t, g_t)
+    amplitudes = math.sqrt(bob.l_direct) * np.vecdot(rows, w_a) + math.sqrt(bob.l_reflect) * reflect * norms
+    np.vecdot(leak, projector.T, out=rows)  # rows are now the leak rows h^H P
     signal = scenario.alpha * scenario.pt_mw * _amplitude_power(amplitudes)
-    return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, _leak_power(leak_rows)), leak_rows
+    return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, _leak_power(rows)), rows
 
 
 def _amplitude_power(amplitudes):

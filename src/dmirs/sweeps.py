@@ -2,10 +2,12 @@
 
 Every sweep walks an ordered grid from immutable inputs and lists its rows
 lexicographically by grid index, so the output is identical however cells
-are scheduled.  The heatmap hands secrecy.probe_block a block of cell
-records at a time from a generator, takes dB and BER over its arrays and
-frees them before the next block.  Randomized cells derive their generator
-seed from (scenario seed, cell index), never from shared state.  A rate
+are scheduled.  The heatmap hands secrecy.probe_block a block of cells'
+(phi, theta) pairs at a time from a generator, builds no record per cell,
+takes dB and BER over the block's arrays and frees them before the next
+block; a cell's values do not depend on how the grid splits into blocks.
+Randomized cells derive their generator seed from (scenario seed, cell
+index), never from shared state.  A rate
 sweep reads its base scenario's fields once into a dict and builds one
 Scenario per axis value from it and the axis value's change, each
 validated in full; it streams the scenes through secrecy.secrecy_rates
@@ -29,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .geometry import LinkBudget, Position, distance
+from .geometry import Position, distance
 from .scenario import Scenario, brief_repr, scenario_to_dict
 from .secrecy import ber_from_snrs, check_snr, mc_mean_ber, probe_block, probe_setup, secrecy_rates, snr_bob
 # not called here; bench/tests/test_bench.py reads it as dmirs.sweeps.secrecy_metrics
@@ -42,9 +44,10 @@ DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 # working set (a few hundred KiB) whatever the grid size.
 CSV_CHUNK_ROWS = 4096
 # Complex values one array pass holds (1 MiB), whatever the grid or sweep
-# size: a heatmap evaluates max(1, HEATMAP_BLOCK_VALUES // na) cells per pass,
-# one noise-leak row each, and a rate sweep max(1, HEATMAP_BLOCK_VALUES //
-# (2 * na)) scenes per column, two steering rows each.
+# size: a heatmap evaluates max(1, HEATMAP_BLOCK_VALUES // (2 * na)) cells per
+# pass, two rows each (the direct-term steering row, later its noise-leak row,
+# and the steering row the leak is taken from), and a rate sweep as many
+# scenes per column, two steering rows each.
 HEATMAP_BLOCK_VALUES = 65536
 
 
@@ -82,9 +85,12 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     receiver's two path gains, so only angular selectivity varies.  sinr_db
     is the expected-noise SINR in dB; ber is its QPSK error rate, or a
     Monte-Carlo average over noise draws when the scenario requests
-    instantaneous noise.  Cells reach probe_block a block at a time, and
-    values are bit for bit those of a scalar route per probe, except that
-    np.log10 may differ from math.log10 by an ulp.
+    instantaneous noise.  Cells reach probe_block a block at a time as
+    (phi, theta) pairs.  Each cell's signal power is bit for bit the scalar
+    per-probe route's and its noise-leak row agrees with that route's to a
+    few eps an entry (see probe_block), so sinr_db and ber agree to that
+    bound carried through, and np.log10 may differ from math.log10 by an
+    ulp.  The values are the same, bit for bit, for every block size.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:
@@ -99,15 +105,14 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     n_cells = n_phi * n_theta
     sinr_db = np.empty(n_cells)
     ber = np.empty(n_cells)
-    block = max(1, HEATMAP_BLOCK_VALUES // scenario.na)
+    block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
     phi_rad = [math.radians(p) for p in phi_deg.tolist()]
     theta_rad = [math.radians(t) for t in theta_deg.tolist()]
     angles = itertools.product(phi_rad, theta_rad)  # (phi, theta) in grid order
-    cells = (LinkBudget(phi, theta, bob.l_direct, bob.l_reflect) for phi, theta in angles)
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
         signal, gammas, rows = probe_block(
-            scenario, bob, w_a, projector, itertools.islice(cells, stop - start), stop - start
+            scenario, bob, w_a, projector, itertools.islice(angles, stop - start), stop - start
         )
         with np.errstate(divide="ignore"):  # log10(0) = -inf dB
             sinr_db[start:stop] = 10.0 * np.log10(gammas)

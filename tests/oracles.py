@@ -3,14 +3,15 @@
 Each oracle recomputes a quantity from first principles (numeric
 integration, naive loops, explicit per-symbol formulas) so test
 expectations are not circular.  Only the scalar probe route
-(`probe_signal`, `leak_sinr`, `sinr_eve_scalar`, `scalar_metrics`,
-`benchmark_no_irs`), `heatmap_per_cell`, `eve_reference` and
-`rate_reference` call the package under test: they evaluate one probe at a
-time in Python floats, the reference for `probe_block`, the heatmap's
-probe route, bit for bit, and, at stated tolerances, for the closed forms
-of `secrecy_metrics` and the rate sweeps.  `irs_beam` also calls it, for
-the matched IRS beam w_r, which the package only uses inside
-`probe_amplitude`, as the steering vector toward the IRS.
+(`probe_amplitude`, `an_leak_row`, `probe_signal`, `leak_sinr`,
+`sinr_eve_scalar`, `scalar_metrics`, `benchmark_no_irs`),
+`heatmap_per_cell`, `eve_reference` and `rate_reference` call the package
+under test: they evaluate one probe at a time in Python floats, the
+reference for `probe_block`, the heatmap's probe route (its amplitudes bit
+for bit, its leak rows to the rounding bound `leak_row_tol` derives), and,
+at stated tolerances, for the closed forms of `secrecy_metrics` and the
+rate sweeps.  `irs_beam` also calls it, for the matched IRS beam w_r, the
+steering vector toward the IRS that `probe_amplitude` builds as g_t.
 """
 
 import cmath
@@ -291,12 +292,34 @@ def write_csv_per_row(result, sink) -> int:
     return len(payload)
 
 
+def probe_amplitude(scenario, bob, probe, w_a) -> complex:
+    """Coherent amplitude reaching ``probe`` over the direct beam ``w_a`` and the IRS
+    beam, the steering vector g_t toward the IRS, with the IRS tuned to ``bob``:
+    sqrt(l_direct) * <h(phi), w_a> + sqrt(l_reflect) * phase_sum * <g_t, g_t>."""
+    from dmirs.arrays import irs_phase_diagonal, steering_vector
+    from dmirs.geometry import angle_of
+
+    alice = scenario.alice_array()
+    h_ae = steering_vector(alice, probe.phi)
+    g_t = steering_vector(alice, angle_of(scenario.alice, scenario.irs))
+    phase_sum = irs_phase_diagonal(scenario.irs_array(), probe.theta, bob.theta).sum()
+    direct = math.sqrt(probe.l_direct) * np.vdot(h_ae, w_a)
+    return complex(direct + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, g_t))
+
+
+def an_leak_row(probe, alice, projector) -> np.ndarray:
+    """Probe steering row propagated through the noise projector, h(phi)^H P."""
+    from dmirs.arrays import steering_vector
+
+    h_ae = steering_vector(alice, probe.phi)
+    return h_ae.conj() @ projector
+
+
 def probe_signal(scenario, bob, budget, w_a, include_irs=True):
     """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2,
     the amplitude from probe_amplitude or, without the IRS, its direct term
     sqrt(l_direct) * <h(phi), w_a> alone."""
     from dmirs.arrays import steering_vector
-    from dmirs.secrecy import probe_amplitude
 
     if include_irs:
         amplitude = probe_amplitude(scenario, bob, budget, w_a)
@@ -314,11 +337,137 @@ def leak_sinr(scenario, signal_mw, row):
     return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
 
 
+# Unit roundoff of IEEE double arithmetic: a correctly rounded operation is
+# off by at most UNIT_ROUNDOFF of its exact result.
+UNIT_ROUNDOFF = 2.0**-53
+# Assumed bound on math.erfc's error, in units in the last place.  The BER
+# bounds below lean on Q being decreasing, which computed values honour only
+# to within this error.
+ERFC_ULPS = 5
+
+
+def gamma_n(n):
+    """n*u/(1 - n*u): the relative error of n roundings compounded (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def leak_row_tol(na):
+    """Bound on each entry's difference between two evaluations of a leak row
+    h(phi)^H P from the same steering vector and projector, as probe_block's
+    row-by-row np.vecdot and an_leak_row's vector-matrix product evaluate it.
+
+    Entry j is sum_k conj(h_k) P[k, j].  Its real and imaginary parts are
+    each a sum of 2*na real products (|Re a Re b| + |Im a Im b| <= |a||b|,
+    and likewise for the cross terms), each rounded once or, under a fused
+    multiply-add, not at all, and added in any order.  So each part is off
+    by at most gamma_n(2*na) * S_j, S_j = sum_k |h_k| |P[k, j]|, and the
+    complex entry by sqrt(2) * gamma_n(2*na) * S_j.  With |h_k| = 1/sqrt(na)
+    and P = (I - w_a w_a^H)/sqrt(na - 1), whose entries have magnitude (1 -
+    1/na)/sqrt(na - 1) on the diagonal and 1/(na*sqrt(na - 1)) off it, S_j =
+    2*sqrt(na - 1)/na**1.5.  That is below r = 2/sqrt(na*(na - 1)) by the
+    factor (na - 1)/na, a margin far wider than the few ulps by which the
+    stored magnitudes can exceed the exact ones.  Two evaluations differ by
+    at most the sum of their bounds:
+
+        e = 2 * sqrt(2) * gamma_n(2*na) * r,  about 4*sqrt(2) eps,
+
+    and the rows by at most sqrt(na) * e in norm, of order eps * sqrt(na).
+    """
+    return 2.0 * math.sqrt(2.0) * gamma_n(2 * na) * 2.0 / math.sqrt(na * (na - 1))
+
+
+def leak_sinr_bounds(scenario, signal_mw, row):
+    """The least and greatest expected-noise SINR that probe_block can give
+    a probe with signal power ``signal_mw`` whose reference leak row (from
+    an_leak_row) is ``row``: the SINR of any leak row within leak_row_tol
+    of ``row`` in each entry, evaluated as probe_block evaluates it.
+
+    The rows differ by at most E = sqrt(na) * leak_row_tol(na) in norm, so
+    their exact norms a (probe_block's row) and b (``row``) do too.  Each
+    route's A, the squared norm, sums 2*na rounded squares (gamma_n(2*na)),
+    then takes a square root and pow(x, 2), within an ulp each, so it is
+    off by at most g0 = gamma_n(2*na + 4) of a^2 or b^2.  From the reference
+    A_ref, b lies in [sqrt(A_ref/(1 + g0)), sqrt(A_ref/(1 - g0))], so
+    probe_block's A lies in
+
+        [(sqrt(A_ref/(1 + g0)) - E)^2 * (1 - g0), (sqrt(A_ref/(1 - g0)) + E)^2 * (1 + g0)],
+
+    the first bracket clamped at 0.  The two ends below take g = gamma_n(2*na
+    + 10), six roundings more, for their own evaluation.  The SINR
+    signal / ((1 - alpha) * Pt * A + noise) is decreasing in A, and each of
+    its correctly rounded operations is monotone, so the same expression at
+    the two ends of A bounds probe_block's SINR, bit for bit.
+    """
+    na = scenario.na
+    big_e = math.sqrt(na) * leak_row_tol(na)
+    g = gamma_n(2 * na + 10)
+    a_ref = float(np.linalg.norm(row) ** 2)
+    a_lo = max(0.0, math.sqrt(a_ref / (1.0 + g)) - big_e) ** 2 * (1.0 - g)
+    a_hi = (math.sqrt(a_ref / (1.0 - g)) + big_e) ** 2 * (1.0 + g)
+    return _sinr(scenario, signal_mw, a_hi), _sinr(scenario, signal_mw, a_lo)
+
+
+def _ber_bounds(gamma_lo, gamma_hi):
+    """QPSK BERs (qpsk_ber_scalar, bit for bit ber_from_snrs) that bound the
+    BER of every SINR in [gamma_lo, gamma_hi], elementwise over arrays.
+
+    Q(sqrt(gamma)) is decreasing and every operation before erfc is
+    correctly rounded, so monotone; erfc's computed values may break
+    monotonicity by its error, ERFC_ULPS ulps, at either end, so both ends
+    widen by twice that: relative for normal BERs, and by as many of the
+    smallest subnormal steps for BERs that erfc takes below the normal range.
+    """
+    rel, tiny = 2.0 * ERFC_ULPS * 2.0 * UNIT_ROUNDOFF, 2.0 * ERFC_ULPS * math.ulp(0.0)
+    lo = np.array([qpsk_ber_scalar(g) for g in np.atleast_1d(gamma_hi).tolist()]) * (1.0 - rel) - tiny
+    hi = np.array([qpsk_ber_scalar(g) for g in np.atleast_1d(gamma_lo).tolist()]) * (1.0 + rel) + tiny
+    return lo, hi
+
+
+def _db_bound(gamma, side):
+    """10 * math.log10(gamma), -inf at 0, moved by 1e-14 of itself to ``side``
+    (-1 or 1), since np.log10 and math.log10 may differ by an ulp."""
+    if gamma == 0.0:
+        return -math.inf
+    db = 10.0 * math.log10(gamma)
+    return db + side * 1e-14 * abs(db)
+
+
+def _mc_ber_bounds(scenario, signal_mw, row, seed):
+    """Bounds on mc_mean_ber(scenario, signal_mw, x, seed) over every leak
+    row x within leak_row_tol of ``row`` in each entry.
+
+    Draw k leaks through L_k = z_k . x, a product of the same kind as the
+    rows' entries: against z_k . row it differs by at most |z_k| . e
+    exactly and by each evaluation's rounding, sqrt(2) * gamma_n(2*na) *
+    |z_k| . |x| (|x_j| <= |row_j| + e), so by eps_k = e * sum|z_k| +
+    sqrt(2) * gamma_n(2*na) * |z_k| . (2|row| + e) (its own evaluation,
+    sums of non-negative terms, is off by at most gamma_n(na + 2) of itself,
+    covered by the factor 1 + gamma_n(na + 4)).  mc_mean_ber takes |L_k|
+    by hypot, within an ulp; so its |L_k| lies in [(m_k * (1 - g) - eps_k)
+    * (1 - g), (m_k * (1 + g) + eps_k) * (1 + g)] for the reference's
+    magnitude m_k, g = gamma_n(6) covering the two hypot ulps and the ends'
+    own four roundings.  Squaring, the SINR and Q are monotone, as in
+    leak_sinr_bounds and _ber_bounds, and so is the mean, a pairwise sum of
+    the same length and a division.
+    """
+    na = scenario.na
+    e = leak_row_tol(na)
+    draws = complex_normal_two_draws(np.random.default_rng(seed), (scenario.mc_samples, na))
+    mags = np.abs(draws @ row)
+    size = np.abs(draws)
+    eps = e * size.sum(axis=1) + math.sqrt(2.0) * gamma_n(2 * na) * (size @ (2.0 * np.abs(row) + e))
+    eps *= 1.0 + gamma_n(na + 4)
+    g = gamma_n(6)
+    leak_lo = np.maximum(0.0, mags * (1.0 - g) - eps) * (1.0 - g)
+    leak_hi = (mags * (1.0 + g) + eps) * (1.0 + g)
+    lo, hi = _ber_bounds(_sinr(scenario, signal_mw, leak_hi**2), _sinr(scenario, signal_mw, leak_lo**2))
+    return float(lo.mean()), float(hi.mean())
+
+
 def sinr_eve_scalar(scenario, bob, budget, w_a, projector, include_irs=True):
     """Probe SINR from probe_signal and the leak row: leak_sinr in expected
     mode, or one complex_normal_two_draws draw from the scenario seed."""
-    from dmirs.secrecy import an_leak_row
-
     signal = probe_signal(scenario, bob, budget, w_a, include_irs)
     row = an_leak_row(budget, scenario.alice_array(), projector)
     if scenario.an_mode == "expected":
@@ -418,7 +567,7 @@ def eve_reference(scenario, include_irs=True):
     is not cancelled, more where it sits far below its scale.
     """
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import an_leak_row, probe_setup
+    from dmirs.secrecy import probe_setup
 
     expected = scalar_metrics(scenario, scenario.eve, include_irs)
     _, _, projector = probe_setup(scenario)
@@ -451,14 +600,17 @@ def rate_reference(scenario, include_irs=True):
 
 
 def heatmap_per_cell(scenario, grid):
-    """The heatmap's sinr_db and ber columns, one scalar pipeline per cell.
+    """Bounds on the heatmap's sinr_db and ber columns, one scalar pipeline per cell.
 
-    Each cell calls probe_signal, an_leak_row and leak_sinr, then
-    qpsk_ber_scalar or, in instantaneous mode, mc_mean_ber with the cell's
-    (seed, flat index) seed; sinr_db is math.log10 per cell.
+    Returns {"sinr_db": (lo, hi), "ber": (lo, hi)}, arrays in grid order.
+    Each cell calls probe_signal, which run_heatmap must match bit for bit,
+    and an_leak_row, which its leak row matches to leak_row_tol; the SINR
+    bounds are leak_sinr_bounds, and the BER bounds _ber_bounds of them or,
+    in instantaneous mode, _mc_ber_bounds with the cell's (seed, flat index)
+    seed, and the sinr_db bounds _db_bound of the SINR bounds.
     """
     from dmirs.geometry import LinkBudget
-    from dmirs.secrecy import an_leak_row, check_snr, mc_mean_ber, probe_setup, snr_bob
+    from dmirs.secrecy import check_snr, probe_setup, snr_bob
 
     n_phi, n_theta = grid
     phi_deg = np.linspace(0.0, 180.0, n_phi)
@@ -469,20 +621,18 @@ def heatmap_per_cell(scenario, grid):
     alice = scenario.alice_array()
     mc = scenario.an_mode == "instantaneous"
 
-    sinr_db = np.empty(n_phi * n_theta)
-    ber = np.empty(n_phi * n_theta)
+    bounds = np.empty((4, n_phi * n_theta))  # sinr_db lo, hi, ber lo, hi
     index = 0
     for phi in phi_deg.tolist():
         for theta in theta_deg.tolist():
             cell = LinkBudget(math.radians(phi), math.radians(theta), bob.l_direct, bob.l_reflect)
             signal = probe_signal(scenario, bob, cell, w_a)
             leak = an_leak_row(cell, alice, projector)
-            gamma = leak_sinr(scenario, signal, leak)
+            gamma_lo, gamma_hi = leak_sinr_bounds(scenario, signal, leak)
             if mc:
-                seed = np.random.SeedSequence([scenario.seed, index])
-                ber[index] = mc_mean_ber(scenario, signal, leak, seed)
+                ber = _mc_ber_bounds(scenario, signal, leak, np.random.SeedSequence([scenario.seed, index]))
             else:
-                ber[index] = qpsk_ber_scalar(gamma)
-            sinr_db[index] = 10.0 * math.log10(gamma) if gamma > 0.0 else -math.inf
+                ber = [float(b[0]) for b in _ber_bounds(gamma_lo, gamma_hi)]
+            bounds[:, index] = [_db_bound(gamma_lo, -1), _db_bound(gamma_hi, 1), *ber]
             index += 1
-    return sinr_db, ber
+    return {"sinr_db": (bounds[0], bounds[1]), "ber": (bounds[2], bounds[3])}

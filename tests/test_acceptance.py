@@ -24,7 +24,6 @@ from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import (
-    an_leak_row,
     cascaded_gain_closed,
     probe_setup,
     secrecy_metrics,
@@ -32,7 +31,7 @@ from dmirs.secrecy import (
 )
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr
 from dmirs.transmitter import an_projector, complex_normal
-from oracles import benchmark_no_irs, cascaded_gain_bruteforce, q_via_integration
+from oracles import an_leak_row, benchmark_no_irs, cascaded_gain_bruteforce, q_via_integration
 
 
 @contextlib.contextmanager

@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 from dmirs.arrays import ArraySpec, element_cycles, irs_phase_diagonal, steering_vector
 from dmirs.geometry import Position, angle_of, link_budget
 from dmirs.scenario import Scenario
-from dmirs.secrecy import probe_amplitude, probe_setup
-from oracles import cascade_matrix, channel_rows, irs_beam, irs_phase_matrix, matvec_triple_loop, steering_oracle
+from dmirs.secrecy import probe_setup
+from oracles import (
+    cascade_matrix,
+    channel_rows,
+    irs_beam,
+    irs_phase_matrix,
+    matvec_triple_loop,
+    probe_amplitude,
+    steering_oracle,
+)
 
 
 class TestPhaseShift:

@@ -186,17 +186,16 @@ class TestRunHeatmap:
 
     @staticmethod
     def _assert_matches_per_cell_loop(scenario, grid):
-        # np.log10 may differ from math.log10 by an ulp; the BER comes from the same SINR bits
+        # the signal is the scalar route's bit for bit and the leak row within its
+        # rounding bound (tests/oracles.py::leak_row_tol); the bounds carry that through
         result = run_heatmap(scenario, grid)
-        sinr_db, ber = heatmap_per_cell(scenario, grid)
-        np.testing.assert_allclose(result.values["sinr_db"], sinr_db, rtol=1e-14, atol=0.0)
-        if scenario.an_mode == "instantaneous":
-            assert result.values["ber"].tolist() == ber.tolist()
-        else:
-            np.testing.assert_allclose(result.values["ber"], ber, rtol=1e-14, atol=0.0)
+        for column, (lo, hi) in heatmap_per_cell(scenario, grid).items():
+            values = result.values[column]
+            outside = np.flatnonzero(~((lo <= values) & (values <= hi)))
+            assert outside.size == 0, f"{column} cell {outside[:1]} outside its bounds"
 
-    # a block is 65536 // na cells (64 at na = 1024), so at large na the longer grids
-    # end mid-block after full ones; the examples make sure both modes do
+    # a block is 65536 // (2 * na) cells (32 at na = 1024), so at large na the longer
+    # grids end mid-block after full ones; the examples make sure both modes do
     @settings(max_examples=40, deadline=None)
     @given(
         na=st.integers(2, MAX_NA),
@@ -223,14 +222,23 @@ class TestRunHeatmap:
         assert np.isneginf(run_heatmap(scenario, (3, 3)).values["sinr_db"]).sum() == 2
         self._assert_matches_per_cell_loop(scenario, (3, 3))
 
-    # 5x5 = 25 cells at na = 16: one cell a block, blocks that do and do not divide the grid,
-    # exactly the grid, and more than the grid
+    # 5x5 = 25 cells at na = 16, two rows a cell: one cell a block, blocks that do and
+    # do not divide the grid, exactly the grid, and more than the grid
     @pytest.mark.parametrize("block_cells", [1, 3, 5, 24, 25, 26])
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
     def test_every_block_size_gives_the_per_cell_values(self, block_cells, an_mode, monkeypatch):
-        monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 16 * block_cells)
+        monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 32 * block_cells)
         scenario = Scenario(an_mode=an_mode, mc_samples=20, seed=4)
         self._assert_matches_per_cell_loop(scenario, (5, 5))
+
+    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
+    def test_every_block_size_gives_the_same_bits(self, an_mode, monkeypatch):
+        scenario = Scenario(na=9, nr=37, alice_spacing_wavelengths=0.7, an_mode=an_mode, mc_samples=20, seed=4)
+        results = []
+        for block_cells in (1, 3, 5, 24, 25, 26, 4096):
+            monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 18 * block_cells)
+            results.append({c: v.tolist() for c, v in run_heatmap(scenario, (5, 5)).values.items()})
+        assert all(r == results[0] for r in results[1:])
 
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
     def test_array_specs_are_built_once_per_run_not_per_cell(self, an_mode, monkeypatch):
@@ -245,6 +253,32 @@ class TestRunHeatmap:
             run_heatmap(scenario, grid=grid)
             counts.append(len(built))
         assert counts[0] == counts[1] <= 2
+
+    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
+    @pytest.mark.parametrize("block_values", [None, 32 * 4], ids=["production-blocks", "4-cell-blocks"])
+    def test_cells_build_no_records_and_reach_probe_block_a_block_at_a_time(
+        self, an_mode, block_values, monkeypatch
+    ):
+        """Between a 3x3 and a 4x5 grid, no LinkBudget is built per cell, and
+        probe_block runs once per block of max(1, HEATMAP_BLOCK_VALUES // (2 * na))
+        cells, not once per cell."""
+        if block_values is not None:
+            monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", block_values)
+        scenario = Scenario(an_mode=an_mode, mc_samples=5)
+        block = max(1, sweeps.HEATMAP_BLOCK_VALUES // (2 * scenario.na))
+        counts = count_calls(monkeypatch, ("probe_block",))
+        records = []
+        init = geometry.LinkBudget.__init__
+        monkeypatch.setattr(geometry.LinkBudget, "__init__", lambda self, *a: records.append(1) or init(self, *a))
+        built = {}
+        for grid in ((3, 3), (4, 5)):
+            cells = grid[0] * grid[1]
+            counts["probe_block"] = 0
+            records.clear()
+            run_heatmap(scenario, grid)
+            assert counts["probe_block"] == math.ceil(cells / block)
+            built[cells] = len(records)
+        assert (built[20] - built[9]) / (20 - 9) == 0
 
 
 class TestRunSweepNr:
@@ -373,13 +407,13 @@ class TestRateSweepRows:
         """Per axis value, whatever the sweep's size and powers: one validated
         Scenario, equal to what dataclasses.replace builds, one receiver and
         one eve LinkBudget and one noise projector per column, and none of the
-        scalar probe route's steering vectors, probe amplitudes or IRS phase
-        diagonals.  Each pt is validated once, as one Scenario."""
+        heatmap's steering vectors or IRS phase diagonals.  Each pt is
+        validated once, as one Scenario."""
         scenario = Scenario()
         # the default transmitter sits at the origin and the receiver on the +x axis
         change = (lambda v: {"nr": v}) if run is run_sweep_nr else (lambda v: {"bob": Position(v, 0.0)})
         counts = count_calls(
-            monkeypatch, ("link_budget", "an_projector", "steering_vector", "probe_amplitude", "irs_phase_diagonal")
+            monkeypatch, ("link_budget", "an_projector", "steering_vector", "irs_phase_diagonal")
         )
         validate, built = Scenario.__post_init__, []
         monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(self) or validate(self))
@@ -394,7 +428,6 @@ class TestRateSweepRows:
                     "link_budget": 4 * size,
                     "an_projector": 2 * size,
                     "steering_vector": 0,
-                    "probe_amplitude": 0,
                     "irs_phase_diagonal": 0,
                 }
                 assert scenes == [replace(scenario, pt_dbm=pt) for pt in pts] + [

@@ -13,12 +13,10 @@ from dmirs.scenario import Scenario
 from dmirs.secrecy import (
     AN_MODES,
     MAX_SNR,
-    an_leak_row,
     ber_from_snrs,
     cascaded_gain_closed,
     check_snr,
     mc_mean_ber,
-    probe_amplitude,
     probe_block,
     probe_setup,
     rate_bits,
@@ -29,6 +27,7 @@ from dmirs.secrecy import (
 )
 from dmirs.transmitter import complex_normal
 from oracles import (
+    an_leak_row,
     benchmark_no_irs,
     bob_snr_oracle,
     cascaded_gain_bruteforce,
@@ -36,8 +35,11 @@ from oracles import (
     eve_reference,
     eve_sinr_oracle,
     irs_beam,
+    leak_row_tol,
     leak_sinr,
+    leak_sinr_bounds,
     mc_mean_ber_per_sample,
+    probe_amplitude,
     probe_signal,
     q_via_integration,
     qpsk_ber_scalar,
@@ -242,33 +244,72 @@ class TestBerFromSnr:
             ber_from_snrs(np.array([1.0, bad, 3.0]))
 
 
+END_FIRE = (0.0, math.pi)
+
+
 @st.composite
 def probe_blocks(draw):
-    """A scene and a block of 1-8 receiver records with angles in [0, pi]
-    and path gains spanning twelve decades."""
+    """A scene and a block of 1-8 probe (phi, theta) pairs in [0, pi].
+
+    The intended receiver moves over a 200 m box, so the probes' path gains
+    (its own) span many decades, and the element spacings reach past 0.5
+    wavelengths, where grating lobes appear."""
+    coordinate, spacing = st.floats(-100.0, 100.0), st.floats(0.3, 1.2)
+    bob = Position(draw(coordinate), draw(coordinate))
+    default = Scenario()
+    assume(all(math.hypot(bob.x - p.x, bob.y - p.y) > 1e-2 for p in (default.alice, default.irs)))
     scenario = Scenario(
         na=draw(st.integers(2, 64)),
         nr=draw(st.integers(1, 500)),
         alpha=draw(st.floats(0.01, 1.0)),
         pt_dbm=draw(st.floats(-30.0, 60.0)),
+        alice_spacing_wavelengths=draw(spacing),
+        irs_spacing_wavelengths=draw(spacing),
+        bob=bob,
     )
-    angle, gain = st.floats(0.0, math.pi), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)
-    records = st.builds(LinkBudget, angle, angle, gain, gain)
-    return scenario, draw(st.lists(records, min_size=1, max_size=8))
+    angle = st.floats(0.0, math.pi) | st.sampled_from(END_FIRE)
+    return scenario, draw(st.lists(st.tuples(angle, angle), min_size=1, max_size=8))
 
 
 class TestProbeBlock:
     @settings(max_examples=60, deadline=None)
     @given(probe_blocks())
-    def test_equals_scalar_signal_and_leak_sinr_bit_for_bit(self, inputs):
-        scenario, cells = inputs
+    @example(
+        (Scenario(na=2, nr=1, alice_spacing_wavelengths=0.9, irs_spacing_wavelengths=1.2), [END_FIRE, END_FIRE[::-1]])
+    )
+    @example((Scenario(na=64, nr=500, irs_spacing_wavelengths=0.7), [(0.0, 0.0), (math.pi, math.pi), (1.0, 2.0)]))
+    def test_signal_is_scalar_route_and_leak_within_its_rounding_bound(self, inputs):
+        """The signal is probe_signal's, bit for bit; each leak row entry is
+        an_leak_row's to leak_row_tol, and the SINR inside leak_sinr_bounds."""
+        scenario, angles = inputs
         bob, w_a, projector = probe_setup(scenario)
-        signal, gammas, rows = probe_block(scenario, bob, w_a, projector, iter(cells), len(cells))
-        expected = [probe_signal(scenario, bob, cell, w_a) for cell in cells]
-        assert signal.tolist() == expected
+        signal, gammas, rows = probe_block(scenario, bob, w_a, projector, iter(angles), len(angles))
+        cells = [LinkBudget(phi, theta, bob.l_direct, bob.l_reflect) for phi, theta in angles]
+        assert signal.tolist() == [probe_signal(scenario, bob, cell, w_a) for cell in cells]
         alice = scenario.alice_array()
-        assert rows.tolist() == [an_leak_row(cell, alice, projector).tolist() for cell in cells]
-        assert gammas.tolist() == [leak_sinr(scenario, s, row) for s, row in zip(expected, rows)]
+        expected_rows = np.array([an_leak_row(cell, alice, projector) for cell in cells])
+        assert np.abs(rows - expected_rows).max() <= leak_row_tol(scenario.na)
+        for s, gamma, row in zip(signal.tolist(), gammas.tolist(), expected_rows):
+            lo, hi = leak_sinr_bounds(scenario, s, row)
+            assert lo <= gamma <= hi
+
+    @pytest.mark.parametrize("na", [2, 3, 16, 1024])
+    def test_leak_bound_is_a_few_eps_an_entry(self, na):
+        # 2 * sqrt(2) * gamma_n(2 na) * 2 / sqrt(na (na - 1)): 4 sqrt(2) eps * sqrt(na / (na - 1)),
+        # so the rows' norms may differ by about 6 eps * sqrt(na), no more
+        eps = np.finfo(float).eps
+        assert 4.0 * math.sqrt(2.0) * eps < leak_row_tol(na) <= 8.0 * eps * (1.0 + 1e-12)
+
+    def test_block_split_changes_no_bit(self):
+        """Each probe's values are the same whether it is evaluated alone or in a block."""
+        scenario = Scenario(na=37, nr=11, alice_spacing_wavelengths=0.8)
+        bob, w_a, projector = probe_setup(scenario)
+        angles = [(0.1 * k, 3.0 - 0.1 * k) for k in range(30)] + [END_FIRE]
+        whole = probe_block(scenario, bob, w_a, projector, iter(angles), len(angles))
+        for slot, pair in enumerate(angles):
+            alone = probe_block(scenario, bob, w_a, projector, iter([pair]), 1)
+            for block_values, values in zip(whole, alone):
+                assert block_values[slot].tolist() == values[0].tolist()
 
 
 @st.composite
@@ -567,12 +608,13 @@ class TestBenchmarkNoIrs:
 
 
 def mc_ber(scenario, probe, samples, seed):
-    """Monte-Carlo QPSK BER over ``samples`` draws at a probe position,
-    composed as a heatmap cell is."""
+    """Monte-Carlo QPSK BER over ``samples`` draws at a probe position, with
+    the probe's own path gains: its signal power and leak row from the
+    scalar probe route."""
     scenario = replace(scenario, mc_samples=samples)
     bob_budget, probe_budget, w_a, projector = probe_inputs(scenario, probe)
-    signal, _, rows = probe_block(scenario, bob_budget, w_a, projector, [probe_budget], 1)
-    return mc_mean_ber(scenario, float(signal[0]), rows[0], seed)
+    signal = probe_signal(scenario, bob_budget, probe_budget, w_a)
+    return mc_mean_ber(scenario, signal, an_leak_row(probe_budget, scenario.alice_array(), projector), seed)
 
 
 class TestMcBer:

@@ -156,7 +156,7 @@ def test_heatmap_and_csv_keep_under_64_bytes_per_cell(monkeypatch):
 
 
 def test_long_theta_grids_keep_under_64_bytes_per_cell():
-    # At na = 256 a block (256 cells) is shorter than one phi row, so a noise-leak
+    # At na = 256 a block (128 cells) is shorter than one phi row, so a row
     # buffer that grew with the row or the map would cost 4096 bytes a cell here.
     per_cell = _bytes_per_cell(Scenario(na=256), (2, 1000), (2, 3000))
     assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
