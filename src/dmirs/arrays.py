@@ -1,4 +1,4 @@
-"""Array responses: element phases, steering vectors, and the IRS phase diagonal.
+"""Array responses: element phases and steering vectors.
 
 The transmit array and the IRS are both uniform linear arrays on the x axis.
 An element's phase advance is expressed in cycles (turns), centered on the
@@ -8,12 +8,9 @@ array midpoint:
 
 Steering vectors conjugate those cycles and carry a 1/sqrt(N) amplitude, so
 they always have unit norm; steering_rows takes a block of them in one
-exponential.  The IRS phase diagonal applies, per element,
-the difference between the deflection-angle cycles and the tuned-boresight
-cycles; with the deflection equal to the boresight it is exactly all ones,
-which makes the tuned reflect path add up coherently element by element.
-The transmitter-to-IRS matrix is rank one, so the reflect path needs only
-the sum of that diagonal times the steering row toward the IRS.
+exponential.  An IRS element reflects with the difference between its
+cycles at the deflection angle and at the tuned boresight, which is exactly
+zero when the two agree, so the tuned reflect path adds up coherently.
 """
 
 import functools
@@ -65,12 +62,3 @@ def steering_rows(specs, phis: np.ndarray) -> np.ndarray:
     offsets = np.array([spec._offsets for spec in specs])[:, np.newaxis, :]
     cycles = offsets * np.cos(phis)[:, :, np.newaxis]
     return np.exp(-2j * np.pi * cycles) / math.sqrt(offsets.shape[2])
-
-
-def irs_phase_diagonal(irs: ArraySpec, theta: float, theta_b: float) -> np.ndarray:
-    """Diagonal entries of the IRS phase matrix for deflection ``theta``.
-
-    Entry l is exp(-2j*pi*(cycles_l(theta) - cycles_l(theta_b))); tuning the
-    deflection to the boresight gives exactly ones.
-    """
-    return np.exp(-2j * np.pi * (element_cycles(irs, theta) - element_cycles(irs, theta_b)))

@@ -22,7 +22,7 @@ at most (complex values take 16 bytes):
 
   * na <= MAX_NA (1024): the noise projector holds na*na complex values
     (16 MiB),
-  * nr <= MAX_NR (1,000,000): the IRS phase diagonal holds nr complex
+  * nr <= MAX_NR (1,000,000): a heatmap cell's IRS phase row holds nr complex
     values (15 MiB),
   * mc_samples <= MAX_MC_SAMPLES (10,000): one heatmap cell draws
     mc_samples*na complex noise values (156 MiB at na = MAX_NA).

@@ -34,11 +34,12 @@ projector row, so with the IRS the two routes differ only in A, by
 round-off; the rate sweeps' per-scene projector is held in place by the
 benchmark's work-count pins.
 probe_block gives the numerator and the expected A of a heatmap block of
-probes in one scene: per probe only what the same pins hold (three
-steering vectors, the IRS's nr phase terms summed), per block one
-np.vecdot for the direct terms and one for the leak rows.  secrecy_rates
-scales the Pt-free terms to every power in one array pass.  Rates are log2(1+gamma) bits per channel use, the
-secrecy rate the clamped difference.
+probes in one scene: per probe only the calls the same pins hold (three
+steering vectors, two element_cycles rows), per block one array pass each
+for the IRS phase sums, <g_t, g_t>, the direct terms and the leak rows.
+secrecy_rates scales the Pt-free terms to every power in one array pass.
+Rates are log2(1+gamma) bits per channel use, the secrecy rate the clamped
+difference.
 """
 
 import itertools
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import irs_phase_diagonal, steering_rows, steering_vector
+from .arrays import element_cycles, steering_rows, steering_vector
 from .geometry import LinkBudget, angle_of, link_budget
 from .numerics import dbm_to_mw, q_function
 from .transmitter import an_projector, complex_normal
@@ -129,27 +130,30 @@ def probe_block(scenario, bob: LinkBudget, w_a, projector, angles, count):
     """Signal powers in mW, expected-noise SINRs and noise-leak rows of ``count`` probes.
 
     ``angles`` yields the probes' (phi, theta) pairs; each probe has the
-    path gains of ``bob``, to which the IRS is tuned.  Per probe only the
-    steering vectors toward phi (twice: direct term, leak row) and the IRS
-    (g_t), and the IRS phase sum are built; the inner products are one
-    np.vecdot per block.  Amplitudes and signals are bit for bit the scalar
-    route's (tests/oracles.py::probe_amplitude).  The leak rows h^H P, taken
-    row by row and so the same bits for any block split, agree with that
-    route's vector-matrix product to tests/oracles.py::leak_row_tol, about 6
-    eps an entry, and the SINRs to that bound carried through.
+    path gains of ``bob``, to which the IRS is tuned.  A probe holds only its
+    pinned calls: two steering vectors toward phi (direct term, leak row),
+    g_t toward the IRS, and its IRS elements' cycles less the tuned ones.
+    Per block, one exponential and one row-wise sum give the IRS phase sums
+    and np.vecdot the direct terms, <g_t, g_t> and the leak rows h^H P, all
+    row by row, so no value depends on the block split.  Amplitudes and
+    signals are bit for bit tests/oracles.py::probe_amplitude's; the leak
+    rows agree with its an_leak_row to tests/oracles.py::leak_row_tol, about
+    6 eps an entry, and the SINRs to that bound carried through.
     """
     alice, irs = scenario.alice_array(), scenario.irs_array()
     phi_ar = angle_of(scenario.alice, scenario.irs)
     rows = np.empty((count, scenario.na), complex)
     leak = np.empty((count, 1, scenario.na), complex)
-    reflect = np.empty(count, complex)
-    norms = np.empty(count, complex)
+    g_t = np.empty((count, scenario.na), complex)
+    cycles = np.empty((count, scenario.nr))
     for slot, (phi, theta) in enumerate(angles):
         rows[slot] = steering_vector(alice, phi)
         leak[slot, 0] = steering_vector(alice, phi)
-        reflect[slot] = np.add.reduce(irs_phase_diagonal(irs, theta, bob.theta))
-        g_t = steering_vector(alice, phi_ar)
-        norms[slot] = np.vdot(g_t, g_t)
+        g_t[slot] = steering_vector(alice, phi_ar)
+        np.subtract(element_cycles(irs, theta), element_cycles(irs, bob.theta), out=cycles[slot])
+    phases = -2j * np.pi * cycles
+    reflect = np.add.reduce(np.exp(phases, out=phases), axis=1)  # each row's IRS phase sum
+    norms = np.vecdot(g_t, g_t)
     amplitudes = math.sqrt(bob.l_direct) * np.vecdot(rows, w_a) + math.sqrt(bob.l_reflect) * reflect * norms
     np.vecdot(leak, projector.T, out=rows)  # rows are now the leak rows h^H P
     signal = scenario.alpha * scenario.pt_mw * _amplitude_power(amplitudes)

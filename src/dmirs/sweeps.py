@@ -44,10 +44,10 @@ DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 # working set (a few hundred KiB) whatever the grid size.
 CSV_CHUNK_ROWS = 4096
 # Complex values one array pass holds (1 MiB), whatever the grid or sweep
-# size: a heatmap evaluates max(1, HEATMAP_BLOCK_VALUES // (2 * na)) cells per
-# pass, two rows each (the direct-term steering row, later its noise-leak row,
-# and the steering row the leak is taken from), and a rate sweep as many
-# scenes per column, two steering rows each.
+# size: a heatmap cell holds the three steering rows of its pinned calls and
+# its IRS cycle row with that row's exponential (_heatmap_block_cells), and a
+# rate sweep evaluates max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per
+# column and pass, two steering rows each.
 HEATMAP_BLOCK_VALUES = 65536
 
 
@@ -105,7 +105,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     n_cells = n_phi * n_theta
     sinr_db = np.empty(n_cells)
     ber = np.empty(n_cells)
-    block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
+    block = _heatmap_block_cells(scenario)
     phi_rad = [math.radians(p) for p in phi_deg.tolist()]
     theta_rad = [math.radians(t) for t in theta_deg.tolist()]
     angles = itertools.product(phi_rad, theta_rad)  # (phi, theta) in grid order
@@ -138,6 +138,12 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
         },
         metadata=meta,
     )
+
+
+def _heatmap_block_cells(scenario: Scenario) -> int:
+    """Cells per probe_block pass: each holds three na-long complex rows
+    (direct term, leak row, g_t) and its nr-long IRS cycle row and phases."""
+    return max(1, HEATMAP_BLOCK_VALUES // (3 * scenario.na + 2 * scenario.nr))
 
 
 def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:

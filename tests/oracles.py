@@ -3,8 +3,8 @@
 Each oracle recomputes a quantity from first principles (numeric
 integration, naive loops, explicit per-symbol formulas) so test
 expectations are not circular.  Only the scalar probe route
-(`probe_amplitude`, `an_leak_row`, `probe_signal`, `leak_sinr`,
-`sinr_eve_scalar`, `scalar_metrics`, `benchmark_no_irs`),
+(`irs_phase_diagonal`, `probe_amplitude`, `an_leak_row`, `probe_signal`,
+`leak_sinr`, `sinr_eve_scalar`, `scalar_metrics`, `benchmark_no_irs`),
 `heatmap_per_cell`, `eve_reference` and `rate_reference` call the package
 under test: they evaluate one probe at a time in Python floats, the
 reference for `probe_block`, the heatmap's probe route (its amplitudes bit
@@ -292,11 +292,22 @@ def write_csv_per_row(result, sink) -> int:
     return len(payload)
 
 
+def irs_phase_diagonal(irs, theta: float, theta_b: float) -> np.ndarray:
+    """Diagonal entries of the IRS phase matrix for deflection ``theta``.
+
+    Entry l is exp(-2j*pi*(cycles_l(theta) - cycles_l(theta_b))); tuning the
+    deflection to the boresight gives exactly ones.
+    """
+    from dmirs.arrays import element_cycles
+
+    return np.exp(-2j * np.pi * (element_cycles(irs, theta) - element_cycles(irs, theta_b)))
+
+
 def probe_amplitude(scenario, bob, probe, w_a) -> complex:
     """Coherent amplitude reaching ``probe`` over the direct beam ``w_a`` and the IRS
     beam, the steering vector g_t toward the IRS, with the IRS tuned to ``bob``:
     sqrt(l_direct) * <h(phi), w_a> + sqrt(l_reflect) * phase_sum * <g_t, g_t>."""
-    from dmirs.arrays import irs_phase_diagonal, steering_vector
+    from dmirs.arrays import steering_vector
     from dmirs.geometry import angle_of
 
     alice = scenario.alice_array()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dmirs.arrays import ArraySpec, element_cycles, irs_phase_diagonal, steering_vector
+from dmirs.arrays import ArraySpec, element_cycles, steering_vector
 from dmirs.geometry import Position, angle_of, link_budget
 from dmirs.scenario import Scenario
 from dmirs.secrecy import probe_setup
@@ -13,6 +13,7 @@ from oracles import (
     cascade_matrix,
     channel_rows,
     irs_beam,
+    irs_phase_diagonal,
     irs_phase_matrix,
     matvec_triple_loop,
     probe_amplitude,

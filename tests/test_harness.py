@@ -194,8 +194,9 @@ class TestRunHeatmap:
             outside = np.flatnonzero(~((lo <= values) & (values <= hi)))
             assert outside.size == 0, f"{column} cell {outside[:1]} outside its bounds"
 
-    # a block is 65536 // (2 * na) cells (32 at na = 1024), so at large na the longer
-    # grids end mid-block after full ones; the examples make sure both modes do
+    # a block is sweeps._heatmap_block_cells cells (21 at na = 1024 and nr = 7), so at
+    # large na the longer grids end mid-block after full ones; the examples make sure
+    # both modes do
     @settings(max_examples=40, deadline=None)
     @given(
         na=st.integers(2, MAX_NA),
@@ -222,13 +223,13 @@ class TestRunHeatmap:
         assert np.isneginf(run_heatmap(scenario, (3, 3)).values["sinr_db"]).sum() == 2
         self._assert_matches_per_cell_loop(scenario, (3, 3))
 
-    # 5x5 = 25 cells at na = 16, two rows a cell: one cell a block, blocks that do and
-    # do not divide the grid, exactly the grid, and more than the grid
+    # 5x5 = 25 cells: one cell a block, blocks that do and do not divide the grid,
+    # exactly the grid, and more than the grid
     @pytest.mark.parametrize("block_cells", [1, 3, 5, 24, 25, 26])
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
     def test_every_block_size_gives_the_per_cell_values(self, block_cells, an_mode, monkeypatch):
-        monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 32 * block_cells)
         scenario = Scenario(an_mode=an_mode, mc_samples=20, seed=4)
+        set_heatmap_block_cells(monkeypatch, scenario, block_cells)
         self._assert_matches_per_cell_loop(scenario, (5, 5))
 
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
@@ -236,7 +237,7 @@ class TestRunHeatmap:
         scenario = Scenario(na=9, nr=37, alice_spacing_wavelengths=0.7, an_mode=an_mode, mc_samples=20, seed=4)
         results = []
         for block_cells in (1, 3, 5, 24, 25, 26, 4096):
-            monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 18 * block_cells)
+            set_heatmap_block_cells(monkeypatch, scenario, block_cells)
             results.append({c: v.tolist() for c, v in run_heatmap(scenario, (5, 5)).values.items()})
         assert all(r == results[0] for r in results[1:])
 
@@ -255,17 +256,17 @@ class TestRunHeatmap:
         assert counts[0] == counts[1] <= 2
 
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
-    @pytest.mark.parametrize("block_values", [None, 32 * 4], ids=["production-blocks", "4-cell-blocks"])
+    @pytest.mark.parametrize("block_cells", [None, 4], ids=["production-blocks", "4-cell-blocks"])
     def test_cells_build_no_records_and_reach_probe_block_a_block_at_a_time(
-        self, an_mode, block_values, monkeypatch
+        self, an_mode, block_cells, monkeypatch
     ):
         """Between a 3x3 and a 4x5 grid, no LinkBudget is built per cell, and
-        probe_block runs once per block of max(1, HEATMAP_BLOCK_VALUES // (2 * na))
-        cells, not once per cell."""
-        if block_values is not None:
-            monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", block_values)
+        probe_block runs once per block of sweeps._heatmap_block_cells cells,
+        not once per cell."""
         scenario = Scenario(an_mode=an_mode, mc_samples=5)
-        block = max(1, sweeps.HEATMAP_BLOCK_VALUES // (2 * scenario.na))
+        if block_cells is not None:
+            set_heatmap_block_cells(monkeypatch, scenario, block_cells)
+        block = sweeps._heatmap_block_cells(scenario)
         counts = count_calls(monkeypatch, ("probe_block",))
         records = []
         init = geometry.LinkBudget.__init__
@@ -349,6 +350,13 @@ class TestRunSweepDab:
             run_sweep_dab(Scenario(), [10.0, value, 20.0], [10.0])
 
 
+def set_heatmap_block_cells(monkeypatch, scenario, cells):
+    """Sizes HEATMAP_BLOCK_VALUES so that run_heatmap takes ``cells`` cells of
+    ``scenario`` per block: three na-long rows and two nr-long rows a cell."""
+    monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", cells * (3 * scenario.na + 2 * scenario.nr))
+    assert sweeps._heatmap_block_cells(scenario) == cells
+
+
 def count_calls(monkeypatch, names):
     """Calls of each package function in ``names``, counted under every
     module name bound to it, as a dict that updates while the test runs."""
@@ -407,13 +415,13 @@ class TestRateSweepRows:
         """Per axis value, whatever the sweep's size and powers: one validated
         Scenario, equal to what dataclasses.replace builds, one receiver and
         one eve LinkBudget and one noise projector per column, and none of the
-        heatmap's steering vectors or IRS phase diagonals.  Each pt is
+        heatmap's steering vectors or element cycles.  Each pt is
         validated once, as one Scenario."""
         scenario = Scenario()
         # the default transmitter sits at the origin and the receiver on the +x axis
         change = (lambda v: {"nr": v}) if run is run_sweep_nr else (lambda v: {"bob": Position(v, 0.0)})
         counts = count_calls(
-            monkeypatch, ("link_budget", "an_projector", "steering_vector", "irs_phase_diagonal")
+            monkeypatch, ("link_budget", "an_projector", "steering_vector", "element_cycles")
         )
         validate, built = Scenario.__post_init__, []
         monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(self) or validate(self))
@@ -428,7 +436,7 @@ class TestRateSweepRows:
                     "link_budget": 4 * size,
                     "an_projector": 2 * size,
                     "steering_vector": 0,
-                    "irs_phase_diagonal": 0,
+                    "element_cycles": 0,
                 }
                 assert scenes == [replace(scenario, pt_dbm=pt) for pt in pts] + [
                     replace(scenario, **change(v)) for v in axis
@@ -464,10 +472,10 @@ class TestMetricsWork:
     def test_builds_no_steering_vector_or_projector(self, an_mode, steering_rows, config_file, monkeypatch):
         """metrics makes the receiver's and the probe's LinkBudget and, for its one
         noise draw, one block of steering rows: no steering vector, projector,
-        probe block or IRS phase diagonal, at any probe."""
+        probe block or element cycles, at any probe."""
         counts = count_calls(
             monkeypatch,
-            ("link_budget", "steering_vector", "steering_rows", "an_projector", "probe_block", "irs_phase_diagonal"),
+            ("link_budget", "steering_vector", "steering_rows", "an_projector", "probe_block", "element_cycles"),
         )
         for eve in ([], ["--eve=-5,3"], ["--eve=20,0"]):
             counts.update(dict.fromkeys(counts, 0))
@@ -478,7 +486,7 @@ class TestMetricsWork:
                 "steering_rows": steering_rows,
                 "an_projector": 0,
                 "probe_block": 0,
-                "irs_phase_diagonal": 0,
+                "element_cycles": 0,
             }
 
 

@@ -300,9 +300,12 @@ class TestProbeBlock:
         eps = np.finfo(float).eps
         assert 4.0 * math.sqrt(2.0) * eps < leak_row_tol(na) <= 8.0 * eps * (1.0 + 1e-12)
 
-    def test_block_split_changes_no_bit(self):
+    # the IRS phase sums are one row-wise reduction per block; nr = 500 is past numpy's
+    # 128-element pairwise-sum block
+    @pytest.mark.parametrize("nr", [1, 11, 500])
+    def test_block_split_changes_no_bit(self, nr):
         """Each probe's values are the same whether it is evaluated alone or in a block."""
-        scenario = Scenario(na=37, nr=11, alice_spacing_wavelengths=0.8)
+        scenario = Scenario(na=37, nr=nr, alice_spacing_wavelengths=0.8)
         bob, w_a, projector = probe_setup(scenario)
         angles = [(0.1 * k, 3.0 - 0.1 * k) for k in range(30)] + [END_FIRE]
         whole = probe_block(scenario, bob, w_a, projector, iter(angles), len(angles))

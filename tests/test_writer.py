@@ -145,10 +145,10 @@ def test_heatmap_and_csv_keep_under_64_bytes_per_cell(monkeypatch):
     # row dicts of boxed floats plus a CSV built whole took 413 bytes a cell
     per_cell = _bytes_per_cell(Scenario(), (61, 61), (121, 121))
     assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
-    # At production sizes a 61x61 map fits in one block and one CSV chunk, so its
-    # temporaries grow with the map and the marginal above undercounts.  With small
-    # blocks and chunks both maps span many of each, and the marginal must hold the
-    # four 8-byte result columns.
+    # At production sizes a 61x61 map fits in one CSV chunk and peaks while a block
+    # is evaluated, the larger map while its CSV is written, so the marginal above
+    # mixes two peaks.  With small blocks and chunks both maps span many of each,
+    # and the marginal must hold the four 8-byte result columns.
     monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 1024)
     monkeypatch.setattr(sweeps, "CSV_CHUNK_ROWS", 64)
     per_cell = _bytes_per_cell(Scenario(), (31, 31), (61, 61))
@@ -156,7 +156,7 @@ def test_heatmap_and_csv_keep_under_64_bytes_per_cell(monkeypatch):
 
 
 def test_long_theta_grids_keep_under_64_bytes_per_cell():
-    # At na = 256 a block (128 cells) is shorter than one phi row, so a row
+    # At na = 256 a block (75 cells) is shorter than one phi row, so a row
     # buffer that grew with the row or the map would cost 4096 bytes a cell here.
     per_cell = _bytes_per_cell(Scenario(na=256), (2, 1000), (2, 3000))
     assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
