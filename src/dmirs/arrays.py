@@ -49,7 +49,10 @@ def element_cycles(spec: ArraySpec, phi: float) -> np.ndarray:
 
 def steering_vector(spec: ArraySpec, phi: float) -> np.ndarray:
     """Unit-norm steering vector toward ``phi`` (conjugated-exponential form)."""
-    return np.exp(-2j * np.pi * element_cycles(spec, phi)) / math.sqrt(spec.n_elements)
+    vector = np.multiply(element_cycles(spec, phi), -2j * np.pi)
+    np.exp(vector, out=vector)
+    vector /= math.sqrt(spec.n_elements)
+    return vector
 
 
 def steering_rows(specs, phis: np.ndarray) -> np.ndarray:

@@ -51,7 +51,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one experiment."""
+    """Complete description of one experiment.
+
+    __post_init__ is the whole validation: the rate sweeps fill a scene's
+    fields without the constructor and run it once.
+    """
 
     na: int = 16
     nr: int = 50
@@ -113,16 +117,18 @@ class Scenario:
             raise ConfigError(
                 f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {brief_repr(self.mc_samples)}"
             )
-        ref = {"alice": self.alice, "bob": self.bob, "irs": self.irs}
-        named = list(ref.items())
-        for i, (name_a, pos_a) in enumerate(named):
-            for name_b, pos_b in named[i + 1 :]:
-                if pos_a == pos_b:
-                    raise GeometryError(f"{name_a} and {name_b} coincide at {pos_a}")
-        # eve is a probe: it may sit on bob but not on alice or the IRS
-        for name in ("alice", "irs"):
-            if self.eve == ref[name]:
-                raise GeometryError(f"eve and {name} coincide at {self.eve}")
+        alice, bob, irs, eve = self.alice, self.bob, self.irs, self.eve
+        # eve is a probe: it may sit on bob but not on alice or the IRS.  Coordinates
+        # compare as Position.__eq__ compares them, so -0.0 meets 0.0.
+        for name_a, a, name_b, b in (
+            ("alice", alice, "bob", bob),
+            ("alice", alice, "irs", irs),
+            ("bob", bob, "irs", irs),
+            ("eve", eve, "alice", alice),
+            ("eve", eve, "irs", irs),
+        ):
+            if a.x == b.x and a.y == b.y:
+                raise GeometryError(f"{name_a} and {name_b} coincide at {a}")
 
     def alice_array(self) -> ArraySpec:
         return _array_spec(self.na, self.alice_spacing_wavelengths)

@@ -353,7 +353,7 @@ def _scene_terms(scenes, block, include_irs):
         ))
     if not batch:
         return batch, (), fault
-    columns = np.array(records).T
+    columns = np.array(records, dtype=float).T
     angles, tuned, counts, spacings = columns[0:2], columns[2:4], columns[4:6], columns[6:8]
     l_direct_e, l_reflect_e, l_direct_b, l_reflect_b, alpha, noise_mw = columns[8:]
     # rows[i] holds scene i's steering vectors toward its receiver (w_a) and its eve (h_e)

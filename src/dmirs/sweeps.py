@@ -8,11 +8,11 @@ takes dB and BER over the block's arrays and frees them before the next
 block; a cell's values do not depend on how the grid splits into blocks.
 Randomized cells derive their generator seed from (scenario seed, cell
 index), never from shared state.  A rate
-sweep reads its base scenario's fields once into a dict and builds one
-Scenario per axis value from it and the axis value's change, each
-validated in full; it streams the scenes through secrecy.secrecy_rates
-once per column, with and without the IRS: each scene gets two
-LinkBudget records and a noise projector per column, and
+sweep reads its base scenario's fields once into a dict and fills one
+Scenario per axis value from it and the axis value's change, validated
+once in full by __post_init__; it streams the scenes through
+secrecy.secrecy_rates once per column, with and without the IRS: each
+scene gets two LinkBudget records and a noise projector per column, and
 the rest (steering rows, the Dirichlet reflect gain, the SNRs for every
 transmit power and the rates) is closed form, one array pass per block of
 scenes.  It computes no BER.
@@ -193,11 +193,10 @@ def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResu
     """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
 
     The fields of ``scenario`` are read once into a dict.  Each pt is
-    validated once, as a Scenario built from that dict with its pt_dbm;
-    then each axis value makes one scene, a Scenario built from the dict
-    with ``changes(axis value)`` applied: the scene dataclasses.replace
-    would build, through every __post_init__ check, without replace's
-    per-field loop.  The scenes stream through
+    validated once, as a scene of that dict with its pt_dbm; then each axis
+    value makes one scene of the dict with ``changes(axis value)`` applied
+    (_scene): the Scenario dataclasses.replace would build, validated by
+    one __post_init__, without the frozen constructor.  The scenes stream through
     two secrecy_rates calls, with and without the IRS, a block of
     max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per array pass.  The two
     columns advance together scene by scene, so the first fault raised is
@@ -208,10 +207,10 @@ def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResu
     """
     base = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
     for pt in pt_values:
-        Scenario(**{**base, "pt_dbm": pt})  # rejects a power no scenario may hold, before any row
+        _scene(base, {"pt_dbm": pt})  # rejects a power no scenario may hold, before any row
     block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
     # each scene is built once; the no-IRS column reads it at most a block behind
-    proposed_scenes, benchmark_scenes = itertools.tee(Scenario(**{**base, **changes(v)}) for v in axis_values)
+    proposed_scenes, benchmark_scenes = itertools.tee(_scene(base, changes(v)) for v in axis_values)
     pairs = zip(
         secrecy_rates(proposed_scenes, pt_values, True, block),
         secrecy_rates(benchmark_scenes, pt_values, False, block),
@@ -227,6 +226,15 @@ def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResu
         values=dict(zip(columns, (axis_column, pt_column, *rates.reshape(2, -1)))),
         metadata=_metadata(scenario),
     )
+
+
+def _scene(base: dict, change: dict) -> Scenario:
+    """Scenario(**base, **change) without the frozen constructor's per-field
+    setattr: the same field dict, checked by one full __post_init__."""
+    scene = object.__new__(Scenario)
+    vars(scene).update(base, **change)
+    scene.__post_init__()
+    return scene
 
 
 def write_csv(result: SweepResult, sink) -> int:

@@ -12,11 +12,16 @@ for bit, its leak rows to the rounding bound `leak_row_tol` derives), and,
 at stated tolerances, for the closed forms of `secrecy_metrics` and the
 rate sweeps.  `irs_beam` also calls it, for the matched IRS beam w_r, the
 steering vector toward the IRS that `probe_amplitude` builds as g_t.
+`path_loss`, `combined_path_loss` and `link_budget_composed` are the
+per-quantity helpers `geometry.link_budget` once composed, the bitwise
+reference for its one pass per hop; the last calls the package's
+`distance` and `angle_of`.
 """
 
 import cmath
 import json
 import math
+import sys
 
 import numpy as np
 from scipy import integrate
@@ -166,6 +171,66 @@ def link_budget_oracle(alice, bob, irs, probe, d0=1.0, rule="sum-distance"):
         "l_ae": loss(d_ae),
         "l_are": combined(d_ar, d_re),
     }
+
+
+def path_loss(d: float, d0: float) -> float:
+    """Free-space path-loss gain (d/d0)**-2, checked: the per-quantity helper
+    geometry.link_budget once composed, kept as its reference.
+
+    Raises GeometryError when the gain leaves the normal float range, i.e.
+    when d/d0 is below about 1e-154 or above about 6.7e153.
+    """
+    from dmirs.geometry import GeometryError
+
+    if not (d > 0.0 and math.isfinite(d)):
+        raise GeometryError(f"distance must be positive and finite, got {d!r}")
+    if not (d0 > 0.0 and math.isfinite(d0)):
+        raise GeometryError(f"reference distance must be positive and finite, got {d0!r}")
+    try:
+        gain = (d / d0) ** -2
+    except (OverflowError, ZeroDivisionError):  # d/d0 below 1e-154, or underflowed to 0
+        gain = math.inf
+    if not sys.float_info.min <= gain < math.inf:
+        raise GeometryError(_gain_range_message(f"distance {d!r} m", d0, gain))
+    return gain
+
+
+def combined_path_loss(d_first: float, d_second: float, d0: float, rule: str) -> float:
+    """Two-hop reflect-path gain under the configured combine rule, from path_loss."""
+    from dmirs.geometry import PATH_LOSS_RULES, GeometryError
+
+    if rule == "sum-distance":
+        if d_first + d_second == math.inf:
+            raise GeometryError(
+                f"reflect-path hops of {d_first!r} m and {d_second!r} m add up beyond the float range"
+            )
+        return path_loss(d_first + d_second, d0)
+    if rule == "product":
+        gain = path_loss(d_first, d0) * path_loss(d_second, d0)
+        if not sys.float_info.min <= gain < math.inf:
+            raise GeometryError(_gain_range_message(f"distances {d_first!r} m and {d_second!r} m", d0, gain))
+        return gain
+    raise ValueError(f"unknown path_loss_combine rule {rule!r}; expected one of {PATH_LOSS_RULES}")
+
+
+def _gain_range_message(distances: str, d0: float, gain: float) -> str:
+    if gain < 1.0:
+        limit, fix = "falls below the normal", "lower the distance or raise"
+    else:
+        limit, fix = "exceeds the", "raise the distance or lower"
+    return f"path-loss gain at {distances} with d0_m = {d0!r} {limit} float range; {fix} d0_m"
+
+
+def link_budget_composed(scene, receiver):
+    """geometry.link_budget as a composition of per-quantity helpers: distance,
+    then combined_path_loss, then path_loss, then angle_of, each hop's
+    difference taken anew by each helper."""
+    from dmirs.geometry import LinkBudget, angle_of, distance
+
+    alice, irs, d0 = scene.alice, scene.irs, scene.d0_m
+    d_direct = distance(alice, receiver)
+    l_reflect = combined_path_loss(distance(alice, irs), distance(irs, receiver), d0, scene.path_loss_combine)
+    return LinkBudget(angle_of(alice, receiver), angle_of(irs, receiver), path_loss(d_direct, d0), l_reflect)
 
 
 def eve_sinr_oracle(

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dmirs.geometry import (
-    PATH_LOSS_RULES,
-    GeometryError,
-    Position,
-    angle_of,
-    combined_path_loss,
-    distance,
-    link_budget,
-    path_loss,
-)
+from dmirs.geometry import PATH_LOSS_RULES, GeometryError, Position, angle_of, distance, link_budget
 from dmirs.scenario import Scenario
-from oracles import link_budget_oracle
+from oracles import combined_path_loss, link_budget_composed, link_budget_oracle, path_loss
 
 ALICE = Position(0.0, 0.0)
 BOB = Position(20.0, 0.0)
@@ -173,6 +164,55 @@ class TestLinkBudget:
         b = link_budget(mirrored, Position(probe.x, -probe.y))
         for f in fields(a):
             assert getattr(b, f.name) == getattr(a, f.name), f.name
+
+    @example(probe=GOLDEN_PROBE, rule="sum-distance", d0=1.0)
+    @example(probe=Position(1e4, 0.0), rule="sum-distance", d0=1e-150)  # both gains underflow
+    @example(probe=Position(-0.0, 1e-300), rule="product", d0=1e-3)
+    @given(
+        probe=st.one_of(receivers(), st.builds(Position, st.floats(allow_nan=False), st.floats(allow_nan=False))),
+        rule=st.sampled_from(PATH_LOSS_RULES),
+        d0=st.floats(1e-200, 1e200),
+    )
+    def test_equals_the_helper_composition_bit_for_bit(self, probe, rule, d0):
+        """One pass per hop gives the record of distance -> combined_path_loss ->
+        path_loss -> angle_of, every field bit for bit, or the same GeometryError."""
+        scenario = Scenario(path_loss_combine=rule, d0_m=d0)
+        try:
+            want = link_budget_composed(scenario, probe)
+        except GeometryError as error:
+            with pytest.raises(GeometryError) as info:
+                link_budget(scenario, probe)
+            assert type(info.value) is GeometryError and str(info.value) == str(error)
+            return
+        got = link_budget(scenario, probe)
+        assert got == want and list(vars(got)) == list(vars(want))  # a LinkBudget, its fields in order
+        assert [getattr(got, f.name).hex() for f in fields(got)] == [getattr(want, f.name).hex() for f in fields(want)]
+
+    @pytest.mark.parametrize(
+        "scene, receiver, message",
+        [
+            ({}, Position(0.0, 0.0), "coincident points Position(x=0.0, y=0.0) and Position(x=0.0, y=0.0)"),
+            ({"path_loss_combine": "product"}, Position(20.0, -15.0),
+             "coincident points Position(x=20.0, y=-15.0) and Position(x=20.0, y=-15.0)"),
+            ({}, Position(1.5e308, 1.5e308),
+             "points Position(x=0.0, y=0.0) and Position(x=1.5e+308, y=1.5e+308) are too far apart: "
+             "their distance exceeds the float range"),
+            # both gains fall below the normal range; the reflect one is named
+            ({"d0_m": 1e-150}, Position(1e4, 0.0),
+             f"path-loss gain at distance {25.0 + math.hypot(1e4 - 20.0, 15.0)!r} m with d0_m = 1e-150 "
+             "falls below the normal float range; lower the distance or raise d0_m"),
+            # each hop's gain is normal, their product is not
+            ({"path_loss_combine": "product"}, Position(1e153, 0.0),
+             f"path-loss gain at distances 25.0 m and {math.hypot(1e153 - 20.0, 15.0)!r} m with d0_m = 1.0 "
+             "falls below the normal float range; lower the distance or raise d0_m"),
+        ],
+    )
+    def test_rejects_as_the_helper_composition_does(self, scene, receiver, message):
+        scenario = Scenario(**scene)
+        for budget in (link_budget, link_budget_composed):
+            with pytest.raises(GeometryError) as info:
+                budget(scenario, receiver)
+            assert type(info.value) is GeometryError and str(info.value) == message, budget.__name__
 
     def test_probe_on_transmitter_rejected(self):
         with pytest.raises(GeometryError):

@@ -82,6 +82,33 @@ class TestParseConfig:
         with pytest.raises(GeometryError):
             parse_config('{"eve": [20, -15]}')
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ({"bob": Position(0.0, 0.0)}, "alice and bob coincide at Position(x=0.0, y=0.0)"),
+            ({"irs": Position(0.0, 0.0)}, "alice and irs coincide at Position(x=0.0, y=0.0)"),
+            ({"irs": Position(20.0, 0.0)}, "bob and irs coincide at Position(x=20.0, y=0.0)"),
+            ({"eve": Position(0.0, 0.0)}, "eve and alice coincide at Position(x=0.0, y=0.0)"),
+            ({"eve": Position(20.0, -15.0)}, "eve and irs coincide at Position(x=20.0, y=-15.0)"),
+            # -0.0 equals 0.0: signed zeros coincide, and the first point of the pair is named
+            ({"bob": Position(-0.0, 0.0)}, "alice and bob coincide at Position(x=0.0, y=0.0)"),
+            ({"alice": Position(-0.0, -0.0), "irs": Position(0.0, 0.0)},
+             "alice and irs coincide at Position(x=-0.0, y=-0.0)"),
+            ({"eve": Position(-0.0, 0.0)}, "eve and alice coincide at Position(x=-0.0, y=0.0)"),
+            # several pairs coincide: the first in the order above is named
+            ({"bob": Position(20.0, -15.0), "eve": Position(0.0, 0.0)},
+             "bob and irs coincide at Position(x=20.0, y=-15.0)"),
+        ],
+    )
+    def test_coincident_points_are_named_in_a_fixed_order(self, points, message):
+        with pytest.raises(GeometryError) as info:
+            Scenario(**points)
+        assert type(info.value) is GeometryError and str(info.value) == message
+
+    @pytest.mark.parametrize("eve", [Position(20.0, 0.0), Position(20.0, -0.0)])
+    def test_eve_on_bob_is_accepted(self, eve):
+        assert Scenario(eve=eve).eve == eve
+
     def test_round_trip(self):
         assert parse_config(serialize_config(Scenario())) == Scenario()
         custom = Scenario(nr=77, alpha=0.25, eve=Position(1.0, 2.0), seed=9)
