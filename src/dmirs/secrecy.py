@@ -23,8 +23,8 @@ real Dirichlet kernels (cascaded_gain_closed): d = <h(phi), w_a> is the
 transmitter's kernel in cos(phi) - cos(phi_b), divided by na, and the
 reflect gain the IRS's in cos(theta) - cos(theta_b).  _eve_power takes both
 from one kernel call, for one probe (secrecy_metrics) or a block of scenes
-(secrecy_rates with the IRS; without it, only d is needed, and the sweeps
-take it from the steering rows they build anyway).  The projector is (I -
+(secrecy_rates' proposed column; its no-IRS column needs only d, which it
+takes from the steering rows it builds anyway).  The projector is (I -
 w_a w_a^H)/sqrt(na - 1), so a probe's expected A is (1 - d^2)/(na - 1),
 which _expected_leak sums as non-negative terms so that it keeps its
 relative precision near the receiver's ray, and its leak row (h^H - d
@@ -37,7 +37,8 @@ probe_block gives the numerator and the expected A of a heatmap block of
 probes in one scene: per probe only the calls the same pins hold (three
 steering vectors, two element_cycles rows), per block one array pass each
 for the IRS phase sums, <g_t, g_t>, the direct terms and the leak rows.
-secrecy_rates scales the Pt-free terms to every power in one array pass.
+secrecy_rates scales the Pt-free terms to every power in one array pass
+per column and block.
 Rates are log2(1+gamma) bits per channel use, the secrecy rate the clamped
 difference.
 """
@@ -263,47 +264,55 @@ def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     )
 
 
-def secrecy_rates(scenes, pt_dbm_values, include_irs, block):
-    """Expected-noise secrecy rates of each scene at its own eve: yields one
-    list per scene, one rate per transmit power in dBm.
+def secrecy_rates(scenes, pt_dbm_values, block):
+    """Expected-noise secrecy rates of each scene at its own eve, with and
+    without the IRS: a (2, n_scenes, n_powers) array, [0] the proposed
+    column and [1] the no-IRS benchmark's, one rate per transmit power in dBm.
 
     Scenes, all of one na, are taken ``block`` (at least 1) at a time and
-    evaluated in closed form (_scene_terms); the SNRs of every (scene,
-    power) pair, their check and the rates [log2(1+gamma_b) -
-    log2(1+gamma_e)]^+ then run once per block (_snrs), whatever the
-    scene's pt_dbm and an_mode.  Against secrecy_metrics(replace(scene,
+    evaluated in closed form (_scene_terms) once per column; the SNRs of
+    every (scene, power) pair, their check and the rates [log2(1+gamma_b) -
+    log2(1+gamma_e)]^+ then run once per column and block (_snrs), whatever
+    the scene's pt_dbm and an_mode.  Against secrecy_metrics(replace(scene,
     pt_dbm=pt, an_mode="expected"), scene.eve), gamma_b is the same
     expression, bit for bit, and the eve's |amplitude|^2 the same
     _eve_power; gamma_e differs by round-off in A, which this takes from
-    the scene's projector row and secrecy_metrics from _expected_leak.
-    ``include_irs=False`` drops the reflect path everywhere, for the no-IRS
-    benchmark, whose rates do not depend on nr; its d is the steering rows'
-    inner product.  The powers must be valid
-    pt_dbm values; no BER is computed.
+    the scene's projector row and secrecy_metrics from _expected_leak.  The
+    no-IRS column drops the reflect path everywhere, so its rates do not
+    depend on nr; its d is the steering rows' inner product.  The powers
+    must be valid pt_dbm values; no BER is computed.
 
-    Faults surface as in a pass scene by scene: a scene's SNR overflow,
-    named by the first power that causes it, when its list is due, and a
-    ValueError from taking or setting up a scene after the lists of the
-    scenes before it.
+    The fault raised is the first in row order: scene by scene, its
+    proposed column's SNR overflow, named by the first power that causes
+    it, then its no-IRS column's, then a ValueError from taking or setting
+    up the next scene.
     """
     pt_mw = np.array([dbm_to_mw(pt) for pt in pt_dbm_values])
-    scenes = iter(scenes)
+    scenes, blocks, fault = iter(scenes), [], None
     while True:
-        batch, terms, fault = _scene_terms(scenes, block, include_irs)
-        if batch:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the check below
+        batch = []
+        try:
+            batch.extend(itertools.islice(scenes, block))  # keeps the scenes taken before a fault
+        except ValueError as error:
+            fault = error
+        snrs, rates, fine = [], [], True
+        for include_irs in (True, False):  # each column makes its own link_budget and an_projector calls (bench pins)
+            terms, fault = _scene_terms(batch, include_irs, fault)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the mask
                 gamma_b, gamma_e = _snrs(terms, pt_mw)
-                rates = np.maximum(0.0, np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e))
-            fine = ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=1).tolist()
-            for scenario, ok, gammas_b, gammas_e, row in zip(batch, fine, gamma_b, gamma_e, rates.tolist()):
-                if not ok:
-                    for pt_dbm, g_b, g_e in zip(pt_dbm_values, gammas_b, gammas_e):
-                        check_snr(pt_dbm, scenario.noise_dbm, g_b, g_e)
-                yield row
+                rates.append(np.maximum(0.0, np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)))
+            fine = fine & ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=1)
+            snrs.append((gamma_b, gamma_e))
+        if not fine.all():  # the first scene with an overflow names it, its proposed column first
+            slot = int(fine.argmin())
+            for gamma_b, gamma_e in snrs:
+                for pt_dbm, g_b, g_e in zip(pt_dbm_values, gamma_b[slot], gamma_e[slot]):
+                    check_snr(pt_dbm, batch[slot].noise_dbm, g_b, g_e)
         if fault is not None:
             raise fault
+        blocks.append(np.stack(rates))
         if len(batch) < block:
-            return
+            return np.concatenate(blocks, axis=1)
 
 
 def _snrs(terms, pt_mw):
@@ -313,8 +322,8 @@ def _snrs(terms, pt_mw):
     return alpha * pt_mw * bob_power / noise_mw, _sinr(alpha, noise_mw, pt_mw, alpha * pt_mw * power, an_power)
 
 
-def _scene_terms(scenes, block, include_irs):
-    """The next ``block`` scenes of the iterator ``scenes``, their terms and a fault.
+def _scene_terms(batch, include_irs, fault):
+    """The terms of the scenes in the list ``batch``, with or without the IRS, and a fault.
 
     The terms are arrays over the scenes: alpha, the noise power in mW, the
     intended receiver's squared amplitude, and the eve's |amplitude|^2
@@ -325,18 +334,10 @@ def _scene_terms(scenes, block, include_irs):
     row read, are one exponential over the block, and the eve rows are
     conjugated once per block.  Each scene's leak row is one matmul of its
     conjugated eve row by its projector, written over its w_a row, which
-    nothing reads after the projector.  A ValueError from taking or setting
-    up a scene ends the block before that scene and is returned as the
-    fault, for the caller to raise after the scenes before it.  The block is
-    taken whole before any set-up, which measured faster than building each
-    scene between two set-ups.
+    nothing reads after the projector.  A ValueError from setting up a scene
+    drops it and the scenes after it from ``batch`` and is returned in place
+    of ``fault``, which came later in row order.
     """
-    batch, fault = [], None
-    try:
-        for scenario in itertools.islice(scenes, block):
-            batch.append(scenario)
-    except ValueError as error:
-        fault = error
     records = []
     for slot, scenario in enumerate(batch):
         try:
@@ -352,7 +353,7 @@ def _scene_terms(scenes, block, include_irs):
             eve.l_direct, eve.l_reflect, bob.l_direct, bob.l_reflect, scenario.alpha, scenario.noise_mw,
         ))
     if not batch:
-        return batch, (), fault
+        return (np.empty(0),) * 5, fault
     columns = np.array(records, dtype=float).T
     angles, tuned, counts, spacings = columns[0:2], columns[2:4], columns[4:6], columns[6:8]
     l_direct_e, l_reflect_e, l_direct_b, l_reflect_b, alpha, noise_mw = columns[8:]
@@ -366,7 +367,7 @@ def _scene_terms(scenes, block, include_irs):
         bob_power = l_direct_b
     for w_a, h_e_conj in zip(rows[:, 0], rows[:, 1].conj()):
         np.matmul(h_e_conj, an_projector(w_a), out=w_a)
-    return batch, (alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0])), fault
+    return (alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0])), fault
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:

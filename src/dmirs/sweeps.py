@@ -7,15 +7,14 @@ are scheduled.  The heatmap hands secrecy.probe_block a block of cells'
 takes dB and BER over the block's arrays and frees them before the next
 block; a cell's values do not depend on how the grid splits into blocks.
 Randomized cells derive their generator seed from (scenario seed, cell
-index), never from shared state.  A rate
-sweep reads its base scenario's fields once into a dict and fills one
-Scenario per axis value from it and the axis value's change, validated
-once in full by __post_init__; it streams the scenes through
-secrecy.secrecy_rates once per column, with and without the IRS: each
-scene gets two LinkBudget records and a noise projector per column, and
-the rest (steering rows, the Dirichlet reflect gain, the SNRs for every
-transmit power and the rates) is closed form, one array pass per block of
-scenes.  It computes no BER.
+index), never from shared state.  A rate sweep reads its base scenario's
+fields once into a dict and fills one Scenario per axis value from it and
+the axis value's change, validated once in full by __post_init__; one
+secrecy.secrecy_rates call rates the scenes with and without the IRS:
+each scene gets two LinkBudget records and a noise projector per column,
+and the rest (steering rows, the Dirichlet reflect gain, the SNRs for
+every transmit power and the rates) is closed form, one array pass per
+column and block of scenes.  It computes no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -155,10 +154,7 @@ def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:
     if bad:
         raise ValueError(f"nr values must be integers, got {brief_repr(bad[0])}")
     nr_values = [int(v) for v in nr_values]
-    pt_values = [float(v) for v in pt_dbm_values]
-    if not nr_values or not pt_values:
-        raise ValueError("nr and pt sweeps need at least one value each")
-    return _rate_sweep(scenario, NR_SWEEP_COLUMNS, nr_values, pt_values, lambda nr: {"nr": nr})
+    return _rate_sweep(scenario, "nr", NR_SWEEP_COLUMNS, nr_values, pt_dbm_values, lambda: lambda nr: {"nr": nr})
 
 
 def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
@@ -169,55 +165,46 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
     stays put.
     """
     dab_values = [float(v) for v in dab_values]
-    pt_values = [float(v) for v in pt_dbm_values]
-    if not dab_values or not pt_values:
-        raise ValueError("dab and pt sweeps need at least one value each")
-    bad = [d for d in dab_values if not math.isfinite(d)]
-    if bad:
-        raise ValueError(f"dab values must be finite, got {brief_repr(bad[0])}")
-    if any(d <= 0.0 for d in dab_values):
-        raise ValueError("dab values must be positive")
-    d_ab = distance(scenario.alice, scenario.bob)
-    ux = (scenario.bob.x - scenario.alice.x) / d_ab
-    uy = (scenario.bob.y - scenario.alice.y) / d_ab
-    return _rate_sweep(
-        scenario,
-        DAB_SWEEP_COLUMNS,
-        dab_values,
-        pt_values,
-        lambda dab: {"bob": Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy)},
-    )
+
+    def changes():
+        bad = [d for d in dab_values if not math.isfinite(d)]
+        if bad:
+            raise ValueError(f"dab values must be finite, got {brief_repr(bad[0])}")
+        if any(d <= 0.0 for d in dab_values):
+            raise ValueError("dab values must be positive")
+        d_ab = distance(scenario.alice, scenario.bob)
+        ux = (scenario.bob.x - scenario.alice.x) / d_ab
+        uy = (scenario.bob.y - scenario.alice.y) / d_ab
+        return lambda dab: {"bob": Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy)}
+
+    return _rate_sweep(scenario, "dab", DAB_SWEEP_COLUMNS, dab_values, pt_dbm_values, changes)
 
 
-def _rate_sweep(scenario, columns, axis_values, pt_values, changes) -> SweepResult:
+def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, changes) -> SweepResult:
     """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
 
-    The fields of ``scenario`` are read once into a dict.  Each pt is
-    validated once, as a scene of that dict with its pt_dbm; then each axis
-    value makes one scene of the dict with ``changes(axis value)`` applied
-    (_scene): the Scenario dataclasses.replace would build, validated by
-    one __post_init__, without the frozen constructor.  The scenes stream through
-    two secrecy_rates calls, with and without the IRS, a block of
-    max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per array pass.  The two
-    columns advance together scene by scene, so the first fault raised is
-    the one a pass row by row meets first: an axis value's proposed rates,
-    then its no-IRS rates, then the next axis value's scene.  Rates use the
-    expected-noise model whatever the scenario's an_mode, so the curves are
-    deterministic; no BER is computed.  The preamble echoes ``scenario``.
+    The powers are read as floats and both lists checked to be non-empty;
+    then ``changes()`` makes the axis's own checks and returns the function
+    from an axis value to its change of the scenario.  The fields of
+    ``scenario`` are read once into a dict.  Each pt is validated once, as a
+    scene of that dict with its pt_dbm; then each axis value makes one scene
+    of the dict with its change applied (_scene): the Scenario
+    dataclasses.replace would build, validated by one __post_init__, without
+    the frozen constructor.  One secrecy_rates call rates the scenes, a block
+    of max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per array pass, and
+    raises the first fault in row order.  Rates use the expected-noise model
+    whatever the scenario's an_mode, so the curves are deterministic; no BER
+    is computed.  The preamble echoes ``scenario``.
     """
+    pt_values = [float(v) for v in pt_dbm_values]
+    if not axis_values or not pt_values:
+        raise ValueError(f"{name} and pt sweeps need at least one value each")
+    changes = changes()
     base = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
     for pt in pt_values:
         _scene(base, {"pt_dbm": pt})  # rejects a power no scenario may hold, before any row
     block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
-    # each scene is built once; the no-IRS column reads it at most a block behind
-    proposed_scenes, benchmark_scenes = itertools.tee(_scene(base, changes(v)) for v in axis_values)
-    pairs = zip(
-        secrecy_rates(proposed_scenes, pt_values, True, block),
-        secrecy_rates(benchmark_scenes, pt_values, False, block),
-    )
-    rates = np.empty((2, len(axis_values), len(pt_values)))
-    for index, pair in enumerate(pairs):
-        rates[:, index] = pair
+    rates = secrecy_rates((_scene(base, changes(v)) for v in axis_values), pt_values, block)
     # the axis column is built after the rates: a scenario rejects an out-of-range nr first
     axis_column = np.repeat(np.array(axis_values), len(pt_values))
     pt_column = np.tile(np.array(pt_values), len(axis_values))

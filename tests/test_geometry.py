@@ -169,7 +169,7 @@ class TestLinkBudget:
     @example(probe=Position(1e4, 0.0), rule="sum-distance", d0=1e-150)  # both gains underflow
     @example(probe=Position(-0.0, 1e-300), rule="product", d0=1e-3)
     @given(
-        probe=st.one_of(receivers(), st.builds(Position, st.floats(allow_nan=False), st.floats(allow_nan=False))),
+        probe=st.one_of(receivers(), st.builds(Position, *[st.floats(allow_nan=False, allow_infinity=False)] * 2)),
         rule=st.sampled_from(PATH_LOSS_RULES),
         d0=st.floats(1e-200, 1e200),
     )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dmirs import secrecy
 from dmirs.arrays import ArraySpec
 from dmirs.geometry import PATH_LOSS_RULES, GeometryError, LinkBudget, Position, angle_of, link_budget
-from dmirs.scenario import Scenario
+from dmirs.scenario import ConfigError, Scenario
 from dmirs.secrecy import (
     AN_MODES,
     MAX_SNR,
@@ -349,29 +349,31 @@ def probe_row(scenario, probe, more_x):
     return probes
 
 
-def rated_snrs(run):
-    """The gamma_b and gamma_e arrays, one row per scene and one column per
-    power, that secrecy_rates rates while ``run()`` runs, and its value."""
+def rated_snrs(run, include_irs):
+    """The gamma_b and gamma_e arrays of one column, one row per scene and
+    one column per power, that secrecy_rates rates while ``run()`` runs, and
+    its value.  _snrs rates each block's proposed column, then its no-IRS one."""
     blocks = []
     snrs = secrecy._snrs
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(secrecy, "_snrs", lambda terms, pt_mw: blocks.append(snrs(terms, pt_mw)) or blocks[-1])
         value = run()
-    gamma_b, gamma_e = (np.concatenate(arrays) for arrays in zip(*blocks))
+    gamma_b, gamma_e = (np.concatenate(arrays) for arrays in zip(*blocks[0 if include_irs else 1 :: 2]))
     return gamma_b, gamma_e, value
 
 
 def assert_rates_match_scalar_route(scenes, pts, include_irs, block):
     """secrecy_rates at every (scene, power) against oracles.rate_reference:
     gamma_b exactly, gamma_e and the rate within the stated tolerances."""
-    gamma_b, gamma_e, rates = rated_snrs(lambda: list(secrecy_rates(iter(scenes), pts, include_irs, block)))
-    assert gamma_b.shape == (len(scenes), len(pts))
+    gamma_b, gamma_e, rates = rated_snrs(lambda: secrecy_rates(iter(scenes), pts, block), include_irs)
+    assert rates.shape == (2, len(scenes), len(pts)) and gamma_b.shape == rates.shape[1:]
+    rates = rates[0 if include_irs else 1]
     for slot, scene in enumerate(scenes):
         for column, pt in enumerate(pts):
             expected, gamma_e_tol, rate_tol = rate_reference(replace(scene, pt_dbm=pt), include_irs)
             assert gamma_b[slot, column] == expected.gamma_b
             assert abs(gamma_e[slot, column] - expected.gamma_e) <= gamma_e_tol
-            assert abs(rates[slot][column] - expected.rate_s) <= rate_tol
+            assert abs(rates[slot, column] - expected.rate_s) <= rate_tol
 
 
 @st.composite
@@ -428,7 +430,7 @@ class TestSecrecyRates:
         scenario, probe = inputs
         probes = probe_row(scenario, probe, more_x)
         scenes = [replace(scenario, eve=p) for p in probes]
-        gamma_b, gamma_e, _ = rated_snrs(lambda: list(secrecy_rates(scenes, [scenario.pt_dbm], False, block)))
+        gamma_b, gamma_e, _ = rated_snrs(lambda: secrecy_rates(scenes, [scenario.pt_dbm], block), include_irs=False)
         bob, w_a, projector = probe_setup(scenario)
         alice = scenario.alice_array()
         for slot, p in enumerate(probes):
@@ -438,26 +440,48 @@ class TestSecrecyRates:
             _, gamma_e_tol, _ = rate_reference(scenes[slot], include_irs=False)
             assert abs(gamma_e[slot, 0] - leak_sinr(scenario, signal, an_leak_row(budget, alice, projector))) <= gamma_e_tol
 
-    @pytest.mark.parametrize("include_irs", [True, False])
-    def test_overflowing_snr_names_the_power_that_caused_it(self, include_irs):
-        with pytest.raises(ValueError, match="pt_dbm = 3070.0 and noise_dbm = -40.0 give an SNR"):
-            list(secrecy_rates([Scenario(noise_dbm=-40.0)], [10.0, 3070.0, 3071.0], include_irs, 1))
+    @pytest.mark.parametrize(
+        "scene, pts, message",
+        [
+            (Scenario(noise_dbm=-40.0), [10.0, 3070.0, 3071.0], "pt_dbm = 3070.0 and noise_dbm = -40.0 give an SNR"),
+            # alpha = 1 and an eve where the IRS path cancels part of the direct one:
+            # only the no-IRS column overflows, and only at 3081 dBm
+            (Scenario(alpha=1.0, nr=1, eve=Position(-7.5, -2.5)), [3080.0, 3081.0],
+             "pt_dbm = 3081.0 and noise_dbm = -20.0 give an SNR"),
+        ],
+        ids=["proposed", "no-irs"],
+    )
+    def test_overflowing_snr_names_the_power_that_caused_it(self, scene, pts, message):
+        with pytest.raises(ValueError, match=message):
+            secrecy_rates([scene], pts, 1)
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_yields_the_scenes_before_a_fault_then_raises_it(self, block):
-        """A fault from taking or setting up a scene is raised after the lists
-        of the scenes before it, however the scenes split into blocks."""
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "third, error, message",
+        [
+            # its receiver's path gain underflows when the scene is set up
+            (lambda: Scenario(bob=Position(1e200, 0.0)), GeometryError, "falls below the normal float range"),
+            (lambda: Scenario(nr=0), ConfigError, "nr must be at least 1, got 0"),  # raised while taking the scene
+        ],
+        ids=["set-up", "taking"],
+    )
+    def test_raises_the_first_fault_in_row_order(self, block, third, error, message):
+        """A bad third scene's fault is raised when no scene before it
+        overflows, and an overflow at the first scene wins over it, however
+        the scenes split into blocks, the bad scene's own included."""
 
-        def scenes():
-            yield Scenario(nr=10)
+        def scenes(first):
+            yield first
             yield Scenario(nr=20)
-            yield Scenario(bob=Position(1e200, 0.0))  # its receiver's path gain underflows
+            yield third()
             yield Scenario(nr=30)
 
-        rates = secrecy_rates(scenes(), [10.0], True, block)
-        assert [next(rates), next(rates)] == [[secrecy_metrics(Scenario(nr=n, pt_dbm=10.0), EVE).rate_s] for n in (10, 20)]
-        with pytest.raises(GeometryError, match="falls below the normal float range"):
-            next(rates)
+        pts = [10.0, 3060.0]
+        assert secrecy_rates([Scenario(nr=n) for n in (10, 20, 30)], pts, block).shape == (2, 3, 2)  # no overflow
+        with pytest.raises(error, match=message):
+            secrecy_rates(scenes(Scenario(nr=10)), pts, block)
+        with pytest.raises(ValueError, match="pt_dbm = 3060.0 and noise_dbm = -40.0 give an SNR"):
+            secrecy_rates(scenes(Scenario(noise_dbm=-40.0)), pts, block)
 
 
 class TestCheckSnr:
