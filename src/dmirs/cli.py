@@ -24,7 +24,13 @@ larger requests exit 2 before anything is allocated.
 `main(argv)` may be called any number of times in one process.  It builds
 the argument parser on its first call and reuses it: parsing never changes
 the parser, and each command reads the environment and its config file
-when it runs.
+when it runs.  An argv that starts with a command name is parsed in one
+pass by that command's own parser; any other argv, and one the command's
+parser finds unrecognized arguments in, goes through the top-level parser,
+so usage, help and error text are the top-level parser's.  The config
+file is read in one unbuffered binary read and decoded as text mode would
+decode it; the config as written and then its overrides are each built by
+scenario.fill_scenario and validated once.
 """
 
 import argparse
@@ -32,10 +38,9 @@ import functools
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .geometry import Position
-from .scenario import ConfigError, Scenario, brief_repr, parse_config
+from .scenario import ConfigError, Scenario, brief_repr, fill_scenario, parse_config
 from .secrecy import AN_MODES, secrecy_metrics
 from .sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
 
@@ -107,10 +112,12 @@ def _parse_point(spec: str) -> Position:
 def _load_scenario(args, **flags) -> Scenario:
     """The config file's Scenario with DMIRS_SEED and every flag that is not None applied."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            scenario = parse_config(fh.read())
+        with open(args.config, "rb", buffering=0) as fh:  # no buffer or text layer for one read
+            raw = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}") from None
+    # the text open(args.config, encoding="utf-8").read() gives, universal newlines included
+    scenario = parse_config(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     overrides = {}
     env_seed = os.environ.get("DMIRS_SEED")
     if env_seed is not None:
@@ -119,7 +126,7 @@ def _load_scenario(args, **flags) -> Scenario:
         except ValueError:
             raise ConfigError(f"DMIRS_SEED must be an integer, got {brief_repr(env_seed)}") from None
     overrides.update((name, value) for name, value in flags.items() if value is not None)
-    return replace(scenario, **overrides) if overrides else scenario
+    return fill_scenario(vars(scenario), overrides) if overrides else scenario
 
 
 def _write_result(result, path) -> None:
@@ -131,8 +138,8 @@ def _cmd_metrics(args) -> int:
     eve = None if args.eve is None else _parse_point(args.eve)
     scenario = _load_scenario(args, eve=eve, an_mode=args.an_mode)
     metrics = secrecy_metrics(scenario, scenario.eve)
-    for key in ("gamma_b", "gamma_e", "rate_b", "rate_e", "rate_s", "ber_b", "ber_probe"):
-        print(f"{key}={format(getattr(metrics, key), '.9g')}")
+    keys = ("gamma_b", "gamma_e", "rate_b", "rate_e", "rate_s", "ber_b", "ber_probe")
+    print("\n".join(f"{key}={format(getattr(metrics, key), '.9g')}" for key in keys))
     return 0
 
 
@@ -163,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link-level simulator for IRS-aided directional-modulation secure transmission",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, for main's one-pass dispatch
 
     metrics = sub.add_parser("metrics", help="print link metrics for one probe position")
     metrics.add_argument("--config", required=True, help="scenario JSON file")
@@ -202,8 +210,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv):
+    """The Namespace _parser().parse_args(argv) gives, in one argparse pass
+    when argv starts with a command; argv None reads sys.argv."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # covers ConfigError and GeometryError

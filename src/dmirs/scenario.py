@@ -53,8 +53,9 @@ class ConfigError(ValueError):
 class Scenario:
     """Complete description of one experiment.
 
-    __post_init__ is the whole validation: the rate sweeps fill a scene's
-    fields without the constructor and run it once.
+    __post_init__ is the whole validation.  parse_config, the command-line
+    overrides and the rate sweeps build their scenes with fill_scenario,
+    which fills the fields without the constructor and runs it once.
     """
 
     na: int = 16
@@ -193,6 +194,16 @@ def _as_string(name, value):
 # Scenario itself rejects a non-integer count, seed or sample number
 _COERCERS = {int: lambda name, value: value, float: _as_float, Position: _as_position, str: _as_string}
 _FIELD_TYPES = {f.name: f.type for f in fields(Scenario)}
+_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
+
+
+def fill_scenario(base: dict, change: dict) -> Scenario:
+    """Scenario(**{**base, **change}) without the frozen constructor's
+    per-field setattr: the same field dict, checked by one full __post_init__."""
+    scene = object.__new__(Scenario)
+    vars(scene).update(base, **change)
+    scene.__post_init__()
+    return scene
 
 
 def parse_config(text: str) -> Scenario:
@@ -208,8 +219,8 @@ def parse_config(text: str) -> Scenario:
     unknown = sorted(set(raw) - _FIELD_TYPES.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {_brief(', '.join(unknown))}")
-    return Scenario(
-        **{name: _COERCERS[_FIELD_TYPES[name]](name, value) for name, value in raw.items()}
+    return fill_scenario(
+        _DEFAULTS, {name: _COERCERS[_FIELD_TYPES[name]](name, value) for name, value in raw.items()}
     )
 
 

@@ -7,9 +7,9 @@ are scheduled.  The heatmap hands secrecy.probe_block a block of cells'
 takes dB and BER over the block's arrays and frees them before the next
 block; a cell's values do not depend on how the grid splits into blocks.
 Randomized cells derive their generator seed from (scenario seed, cell
-index), never from shared state.  A rate sweep reads its base scenario's
-fields once into a dict and fills one Scenario per axis value from it and
-the axis value's change, validated once in full by __post_init__; one
+index), never from shared state.  A rate sweep fills one Scenario per axis
+value from its base scenario's field dict and the axis value's change
+(scenario.fill_scenario), validated once in full by __post_init__; one
 secrecy.secrecy_rates call rates the scenes with and without the IRS:
 each scene gets two LinkBudget records and a noise projector per column,
 and the rest (steering rows, the Dirichlet reflect gain, the SNRs for
@@ -25,13 +25,13 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .geometry import Position, distance
-from .scenario import Scenario, brief_repr, scenario_to_dict
+from .scenario import Scenario, brief_repr, fill_scenario, scenario_to_dict
 from .secrecy import ber_from_snrs, check_snr, mc_mean_ber, probe_block, probe_setup, secrecy_rates, snr_bob
 # not called here; bench/tests/test_bench.py reads it as dmirs.sweeps.secrecy_metrics
 from .secrecy import secrecy_metrics
@@ -186,25 +186,27 @@ def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, changes) ->
     The powers are read as floats and both lists checked to be non-empty;
     then ``changes()`` makes the axis's own checks and returns the function
     from an axis value to its change of the scenario.  The fields of
-    ``scenario`` are read once into a dict.  Each pt is validated once, as a
-    scene of that dict with its pt_dbm; then each axis value makes one scene
-    of the dict with its change applied (_scene): the Scenario
-    dataclasses.replace would build, validated by one __post_init__, without
-    the frozen constructor.  One secrecy_rates call rates the scenes, a block
-    of max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per array pass, and
-    raises the first fault in row order.  Rates use the expected-noise model
-    whatever the scenario's an_mode, so the curves are deterministic; no BER
-    is computed.  The preamble echoes ``scenario``.
+    ``scenario`` (its field dict) are the base of every scene.  Each pt is
+    validated once, as a scene of that dict with its pt_dbm; then each axis
+    value makes one scene of the dict with its change applied by
+    scenario.fill_scenario, the fill path parse_config and the command-line
+    overrides share: the Scenario dataclasses.replace would build, validated
+    by one __post_init__, without the frozen constructor.  One secrecy_rates
+    call rates the scenes, a block of max(1, HEATMAP_BLOCK_VALUES // (2 *
+    na)) scenes per array pass, and raises the first fault in row order.
+    Rates use the expected-noise model whatever the scenario's an_mode, so
+    the curves are deterministic; no BER is computed.  The preamble echoes
+    ``scenario``.
     """
     pt_values = [float(v) for v in pt_dbm_values]
     if not axis_values or not pt_values:
         raise ValueError(f"{name} and pt sweeps need at least one value each")
     changes = changes()
-    base = {f.name: getattr(scenario, f.name) for f in fields(scenario)}
+    base = vars(scenario)
     for pt in pt_values:
-        _scene(base, {"pt_dbm": pt})  # rejects a power no scenario may hold, before any row
+        fill_scenario(base, {"pt_dbm": pt})  # rejects a power no scenario may hold, before any row
     block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
-    rates = secrecy_rates((_scene(base, changes(v)) for v in axis_values), pt_values, block)
+    rates = secrecy_rates((fill_scenario(base, changes(v)) for v in axis_values), pt_values, block)
     # the axis column is built after the rates: a scenario rejects an out-of-range nr first
     axis_column = np.repeat(np.array(axis_values), len(pt_values))
     pt_column = np.tile(np.array(pt_values), len(axis_values))
@@ -213,15 +215,6 @@ def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, changes) ->
         values=dict(zip(columns, (axis_column, pt_column, *rates.reshape(2, -1)))),
         metadata=_metadata(scenario),
     )
-
-
-def _scene(base: dict, change: dict) -> Scenario:
-    """Scenario(**base, **change) without the frozen constructor's per-field
-    setattr: the same field dict, checked by one full __post_init__."""
-    scene = object.__new__(Scenario)
-    vars(scene).update(base, **change)
-    scene.__post_init__()
-    return scene
 
 
 def write_csv(result: SweepResult, sink) -> int:

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,54 @@ from oracles import heatmap_per_cell, rate_reference, result_rows, sinr_eve_scal
 
 # nested far beyond the JSON decoder's recursion limit
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+# the default alice, bob and irs, signed zeros and points near the float range's ends
+POINTS = [[0, 0], [-0.0, 0.0], [20, 0], [20.0, -15.0], [5, 5], [-7.5, 3], [1e-300, 0], [1e300, 1e300]]
+
+
+@st.composite
+def config_texts(draw):
+    """JSON scenario text: some of the fields, in half the texts each with a
+    value in its range, in the others with a valid or an invalid value of
+    any JSON type; now and then an unknown key."""
+    coordinate = st.floats(-50.0, 50.0) | st.integers(-50, 50)
+    position = st.sampled_from(POINTS) | st.lists(coordinate, min_size=2, max_size=2)
+    positive = st.floats(0.01, 10.0) | st.integers(1, 10)
+    power = st.floats(-40.0, 40.0) | st.integers(-40, 40)
+    valid = {
+        "na": st.integers(2, MAX_NA), "nr": st.integers(1, MAX_NR), "seed": st.integers(0, 2**63),
+        "mc_samples": st.integers(1, MAX_MC_SAMPLES), "alpha": st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
+        "alice_spacing_wavelengths": positive, "irs_spacing_wavelengths": positive, "d0_m": positive,
+        "pt_dbm": power, "noise_dbm": power, "alice": position, "bob": position, "irs": position, "eve": position,
+        "path_loss_combine": st.sampled_from(PATH_LOSS_RULES), "an_mode": st.sampled_from(secrecy.AN_MODES),
+    }
+    junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=3))
+    numbers = st.one_of(st.integers(-3, 2_000_000), st.floats(), st.just(10**400))
+    invalid = {
+        int: st.one_of(st.integers(-2, 1100), st.integers(MAX_NR - 1, MAX_NR + 1), numbers, junk),
+        float: st.one_of(st.integers(-40, 3100), numbers, junk),
+        Position: st.one_of(st.lists(numbers, min_size=2, max_size=2), st.lists(numbers, max_size=3), junk),
+        str: st.one_of(st.just("mean"), junk),
+    }
+    in_range = draw(st.booleans())
+    raw = {
+        f.name: draw(valid[f.name] if in_range else valid[f.name] | invalid[f.type])
+        for f in fields(Scenario)
+        if draw(st.booleans())
+    }
+    if draw(st.integers(0, 9)) == 0:
+        raw["alpha_an"] = 0.5
+    return json.dumps(raw)
+
+
+def built_or_raised(build):
+    """Each field's name, type and repr of the Scenario ``build()`` returns,
+    or the type and message of the ValueError it raises."""
+    try:
+        scenario = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(f.name, type(getattr(scenario, f.name)), repr(getattr(scenario, f.name))) for f in fields(Scenario)]
 
 
 class TestParseConfig:
@@ -113,6 +162,19 @@ class TestParseConfig:
         assert parse_config(serialize_config(Scenario())) == Scenario()
         custom = Scenario(nr=77, alpha=0.25, eve=Position(1.0, 2.0), seed=9)
         assert parse_config(serialize_config(custom)) == custom
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_texts())
+    @example('{"alice": [-0.0, 0], "bob": [0, 0]}')
+    @example('{"na": 10000000, "mc_samples": 0, "alpha": NaN}')
+    def test_drawn_configs_build_what_the_frozen_constructor_builds(self, text):
+        """Field by field and type by type the Scenario Scenario(**fields)
+        would build, or the same exception type and message."""
+        with pytest.MonkeyPatch.context() as patch:
+            # the frozen constructor with its own defaults for the absent fields
+            patch.setattr(scenario_module, "fill_scenario", lambda defaults, change: Scenario(**change))
+            frozen = built_or_raised(lambda: parse_config(text))
+        assert built_or_raised(lambda: parse_config(text)) == frozen
 
     def test_scenario_field_validation(self):
         with pytest.raises(ConfigError, match="na"):
@@ -663,6 +725,24 @@ class TestCli:
         assert cli.main(["metrics", "--config", str(bad)]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data",
+        [b'{\r\n"na": 16,\r\n"nr": x}', b'{\r"na": 16,\r\r"nr": x}', b'{"na": 3}\r\r{', b'{"eve": [1,\r\n2]}\r\n',
+         b'{"an_mode": "caf\xc3\xa9"}', b'{"an_mode": "\xff"}', b"\xef\xbb\xbf{}", b""],
+    )
+    def test_config_file_reads_as_utf8_text_with_universal_newlines(self, tmp_path, capsys, data):
+        """The config's bytes give the result and message parse_config gives
+        on the file as text mode reads it: each of \\r\\n and \\r is a newline."""
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parse_config(fh.read())
+            expected = (0, "")
+        except ValueError as exc:
+            expected = (2, f"dmirs: error: {exc}\n")
+        assert (cli.main(["metrics", "--config", str(path)]), capsys.readouterr().err) == expected
+
     @pytest.mark.parametrize("text", [DEEP_ARRAY, '{"na": ' + DEEP_ARRAY + "}"], ids=["array", "na-value"])
     def test_deeply_nested_config_exits_2_with_one_line(self, tmp_path, capsys, text):
         bad = tmp_path / "deep.json"
@@ -746,6 +826,40 @@ class TestCli:
             ["heatmap", "--config", config_file, "--grid", "3x3", "--out", str(out), "--seed", "9"]
         )
         assert "# seed = 9" in out.read_text()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.fixed_dictionaries(
+            {"seed": st.integers(1, 2**40)},  # a seed the overrides may or may not replace
+            optional={
+                "na": st.integers(2, 64), "nr": st.integers(1, 300), "pt_dbm": st.floats(-30.0, 40.0),
+                "alice": st.sampled_from(POINTS), "irs": st.sampled_from(POINTS), "eve": st.sampled_from(POINTS),
+                "an_mode": st.sampled_from(secrecy.AN_MODES), "mc_samples": st.integers(1, MAX_MC_SAMPLES),
+            },
+        ),
+        env_seed=st.none() | st.integers(0, 2**40).map(str) | st.just("-1"),
+        flags=st.fixed_dictionaries({
+            "eve": st.none() | st.sampled_from(POINTS).map(lambda p: Position(float(p[0]), float(p[1]))),
+            "an_mode": st.none() | st.sampled_from(secrecy.AN_MODES) | st.just("typical"),
+            "seed": st.none() | st.integers(0, 2**40) | st.just(-1),
+            "mc_samples": st.none() | st.integers(1, MAX_MC_SAMPLES) | st.sampled_from([0, MAX_MC_SAMPLES + 1]),
+        }),
+    )
+    def test_overrides_build_what_dataclasses_replace_builds(self, tmp_path_factory, base, env_seed, flags):
+        """DMIRS_SEED and the flags over a drawn config give, field by field and
+        type by type, the Scenario dataclasses.replace would build, or the same
+        exception type and message."""
+        path = tmp_path_factory.getbasetemp() / "overrides.json"
+        path.write_text(json.dumps(base))
+        overrides = {} if env_seed is None else {"seed": int(env_seed)}
+        overrides.update((name, value) for name, value in flags.items() if value is not None)
+        with pytest.MonkeyPatch.context() as patch:
+            if env_seed is None:
+                patch.delenv("DMIRS_SEED", raising=False)
+            else:
+                patch.setenv("DMIRS_SEED", env_seed)
+            loaded = built_or_raised(lambda: cli._load_scenario(argparse.Namespace(config=str(path)), **flags))
+        assert loaded == built_or_raised(lambda: replace(parse_config(json.dumps(base)), **overrides))
 
     def test_env_seed_must_be_integer(self, config_file, monkeypatch, capsys):
         monkeypatch.setenv("DMIRS_SEED", "abc")
@@ -934,6 +1048,43 @@ class TestCli:
         assert capsys.readouterr().err == "dmirs: error: seed must be non-negative, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "--config", "c.json"],
+            ["metrics", "--config=c.json", "--eve=-5,3", "--an-mode", "instantaneous"],
+            ["heatmap", "--config", "c.json", "--out", "o.csv"],
+            ["heatmap", "--out", "o.csv", "--grid", "3x3", "--config", "c.json", "--mc-samples", "5", "--seed", "2"],
+            ["sweep-nr", "--config", "c.json", "--nr", "10:200:10", "--pt", "10,15", "--out", "o.csv"],
+            ["sweep-dab", "--config", "c.json", "--dab", "10,20", "--pt", "10", "--out", "o.csv"],
+        ],
+    )
+    def test_dispatch_gives_the_top_level_parsers_namespace(self, argv):
+        args = vars(cli._parse(argv))
+        assert args == vars(cli._parser().parse_args(argv)) and args["command"] == argv[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["-h"], ["metrics", "-h"], ["bogus"], ["--x", "metrics"], ["metrics"],
+            ["metrics", "--config", "c.json", "--an-mode", "x"],
+            ["metrics", "--config", "c.json", "--eve", "-5,3"],
+            ["metrics", "--config", "c.json", "--unknown"],
+            ["metrics", "--config", "c.json", "extra"],
+            ["metrics", "--config", "c.json", "--", "extra"],
+            ["metrics", "--config", "c.json", "--bogus", "-h"],
+            ["heatmap", "--config", "c.json", "--grid", "-3x-3", "--out", "o.csv"],
+        ],
+    )
+    def test_usage_help_and_errors_are_the_top_level_parsers(self, argv, capsys):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            captured = capsys.readouterr()
+            return info.value.code, captured.out, captured.err
+
+        assert outcome(cli.main) == outcome(cli._parser().parse_args)
+
     @pytest.mark.parametrize("command", ["sweep-nr", "sweep-dab"])
     def test_pt_help_names_both_forms(self, command, capsys):
         with pytest.raises(SystemExit):
@@ -1081,6 +1232,19 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("gamma_b=") and proc.stderr == ""
+
+    def test_python_dash_m_reads_sys_argv_for_usage_help_and_errors(self, monkeypatch, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, code in (([], 2), (["-h"], 0), (["bogus"], 2)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dmirs", *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+            with pytest.raises(SystemExit):
+                cli._parser().parse_args(argv)
+            captured = capsys.readouterr()
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
     def test_only_noise_draws_load_numpy_random(self, tmp_path):
         """The closed-form commands run without numpy.random; an instantaneous draw loads it."""

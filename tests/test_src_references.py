@@ -37,7 +37,7 @@ ALLOWED_UNUSED = {
 
 # "function.parameter": why its default is never overridden inside the package
 ALLOWED_UNPASSED = {
-    "main.argv": "the console entry point calls main() so that argparse reads sys.argv",
+    "main.argv": "the console entry point calls main(), which then reads sys.argv",
 }
 
 # "Class.field": why it stays although the package never reads it
