@@ -74,8 +74,7 @@ def _parse_values(spec: str, kind: str):
     steps = (stop - start) / step  # may overflow to inf, which the bound rejects
     if steps + 1 > MAX_RANGE_VALUES:
         raise ConfigError(f"{kind} range {brief_repr(spec)} has more than {MAX_RANGE_VALUES} values")
-    values = [start + i * step for i in range(round(steps) + 1)]
-    return [v for v in values if v <= stop + 1e-9]
+    return [start + i * step for i in range(math.floor(steps + 1e-9) + 1)]  # 1e-9 of a step absorbs rounding
 
 
 def _sweep_values(args, axis: str):

@@ -37,8 +37,6 @@ probe_block gives the numerator and the expected A of a heatmap block of
 probes in one scene: per probe only the calls the same pins hold (three
 steering vectors, two element_cycles rows), per block one array pass each
 for the IRS phase sums, <g_t, g_t>, the direct terms and the leak rows.
-secrecy_rates scales the Pt-free terms to every power in one array pass
-per column and block.
 Rates are log2(1+gamma) bits per channel use, the secrecy rate the clamped
 difference.
 """
@@ -282,37 +280,32 @@ def secrecy_rates(scenes, pt_dbm_values, block):
     depend on nr; its d is the steering rows' inner product.  The powers
     must be valid pt_dbm values; no BER is computed.
 
-    The fault raised is the first in row order: scene by scene, its
-    proposed column's SNR overflow, named by the first power that causes
-    it, then its no-IRS column's, then a ValueError from taking or setting
-    up the next scene.
+    A ValueError from taking or setting up a scene is raised where it is
+    met.  An SNR overflow is raised only after the last scene, so a bad
+    scene anywhere wins over it: the first scene that overflows names it,
+    its proposed column first, by the first power that causes it.
     """
     pt_mw = np.array([dbm_to_mw(pt) for pt in pt_dbm_values])
-    scenes, blocks, fault = iter(scenes), [], None
-    while True:
-        batch = []
-        try:
-            batch.extend(itertools.islice(scenes, block))  # keeps the scenes taken before a fault
-        except ValueError as error:
-            fault = error
+    scenes, blocks, overflow = iter(scenes), [np.empty((2, 0, len(pt_mw)))], None
+    while batch := list(itertools.islice(scenes, block)):
         snrs, rates, fine = [], [], True
         for include_irs in (True, False):  # each column makes its own link_budget and an_projector calls (bench pins)
-            terms, fault = _scene_terms(batch, include_irs, fault)
+            terms = _scene_terms(batch, include_irs)
             with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the mask
                 gamma_b, gamma_e = _snrs(terms, pt_mw)
                 rates.append(np.maximum(0.0, np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)))
             fine = fine & ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=1)
             snrs.append((gamma_b, gamma_e))
-        if not fine.all():  # the first scene with an overflow names it, its proposed column first
+        if overflow is None and not fine.all():
             slot = int(fine.argmin())
-            for gamma_b, gamma_e in snrs:
-                for pt_dbm, g_b, g_e in zip(pt_dbm_values, gamma_b[slot], gamma_e[slot]):
-                    check_snr(pt_dbm, batch[slot].noise_dbm, g_b, g_e)
-        if fault is not None:
-            raise fault
+            overflow = batch[slot].noise_dbm, [(gamma_b[slot], gamma_e[slot]) for gamma_b, gamma_e in snrs]
         blocks.append(np.stack(rates))
-        if len(batch) < block:
-            return np.concatenate(blocks, axis=1)
+    if overflow is not None:
+        noise_dbm, snrs = overflow
+        for gamma_b, gamma_e in snrs:
+            for pt_dbm, g_b, g_e in zip(pt_dbm_values, gamma_b, gamma_e):
+                check_snr(pt_dbm, noise_dbm, g_b, g_e)
+    return np.concatenate(blocks, axis=1)
 
 
 def _snrs(terms, pt_mw):
@@ -322,8 +315,8 @@ def _snrs(terms, pt_mw):
     return alpha * pt_mw * bob_power / noise_mw, _sinr(alpha, noise_mw, pt_mw, alpha * pt_mw * power, an_power)
 
 
-def _scene_terms(batch, include_irs, fault):
-    """The terms of the scenes in the list ``batch``, with or without the IRS, and a fault.
+def _scene_terms(batch, include_irs):
+    """The terms of the scenes in the non-empty list ``batch``, with or without the IRS.
 
     The terms are arrays over the scenes: alpha, the noise power in mW, the
     intended receiver's squared amplitude, and the eve's |amplitude|^2
@@ -334,26 +327,17 @@ def _scene_terms(batch, include_irs, fault):
     row read, are one exponential over the block, and the eve rows are
     conjugated once per block.  Each scene's leak row is one matmul of its
     conjugated eve row by its projector, written over its w_a row, which
-    nothing reads after the projector.  A ValueError from setting up a scene
-    drops it and the scenes after it from ``batch`` and is returned in place
-    of ``fault``, which came later in row order.
+    nothing reads after the projector.
     """
     records = []
-    for slot, scenario in enumerate(batch):
-        try:
-            bob = link_budget(scenario, scenario.bob)
-            eve = link_budget(scenario, scenario.eve)
-        except ValueError as error:
-            del batch[slot:]
-            fault = error
-            break
+    for scenario in batch:
+        bob = link_budget(scenario, scenario.bob)
+        eve = link_budget(scenario, scenario.eve)
         records.append((
             eve.phi, eve.theta, bob.phi, bob.theta,
             scenario.na, scenario.nr, scenario.alice_spacing_wavelengths, scenario.irs_spacing_wavelengths,
             eve.l_direct, eve.l_reflect, bob.l_direct, bob.l_reflect, scenario.alpha, scenario.noise_mw,
         ))
-    if not batch:
-        return (np.empty(0),) * 5, fault
     columns = np.array(records, dtype=float).T
     angles, tuned, counts, spacings = columns[0:2], columns[2:4], columns[4:6], columns[6:8]
     l_direct_e, l_reflect_e, l_direct_b, l_reflect_b, alpha, noise_mw = columns[8:]
@@ -367,7 +351,7 @@ def _scene_terms(batch, include_irs, fault):
         bob_power = l_direct_b
     for w_a, h_e_conj in zip(rows[:, 0], rows[:, 1].conj()):
         np.matmul(h_e_conj, an_projector(w_a), out=w_a)
-    return (alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0])), fault
+    return alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0])
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:

@@ -8,13 +8,8 @@ takes dB and BER over the block's arrays and frees them before the next
 block; a cell's values do not depend on how the grid splits into blocks.
 Randomized cells derive their generator seed from (scenario seed, cell
 index), never from shared state.  A rate sweep fills one Scenario per axis
-value from its base scenario's field dict and the axis value's change
-(scenario.fill_scenario), validated once in full by __post_init__; one
-secrecy.secrecy_rates call rates the scenes with and without the IRS:
-each scene gets two LinkBudget records and a noise projector per column,
-and the rest (steering rows, the Dirichlet reflect gain, the SNRs for
-every transmit power and the rates) is closed form, one array pass per
-column and block of scenes.  It computes no BER.
+value and rates them all, with and without the IRS, in one
+secrecy.secrecy_rates call (_rate_sweep); it computes no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -154,7 +149,7 @@ def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:
     if bad:
         raise ValueError(f"nr values must be integers, got {brief_repr(bad[0])}")
     nr_values = [int(v) for v in nr_values]
-    return _rate_sweep(scenario, "nr", NR_SWEEP_COLUMNS, nr_values, pt_dbm_values, lambda: lambda nr: {"nr": nr})
+    return _rate_sweep(scenario, "nr", NR_SWEEP_COLUMNS, nr_values, pt_dbm_values, lambda nr: {"nr": nr})
 
 
 def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
@@ -165,35 +160,33 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
     stays put.
     """
     dab_values = [float(v) for v in dab_values]
+    bad = [d for d in dab_values if not math.isfinite(d)]
+    if bad:
+        raise ValueError(f"dab values must be finite, got {brief_repr(bad[0])}")
+    if any(d <= 0.0 for d in dab_values):
+        raise ValueError("dab values must be positive")
+    d_ab = distance(scenario.alice, scenario.bob)
+    ux = (scenario.bob.x - scenario.alice.x) / d_ab
+    uy = (scenario.bob.y - scenario.alice.y) / d_ab
+    return _rate_sweep(
+        scenario, "dab", DAB_SWEEP_COLUMNS, dab_values, pt_dbm_values,
+        lambda dab: {"bob": Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy)},
+    )
 
-    def changes():
-        bad = [d for d in dab_values if not math.isfinite(d)]
-        if bad:
-            raise ValueError(f"dab values must be finite, got {brief_repr(bad[0])}")
-        if any(d <= 0.0 for d in dab_values):
-            raise ValueError("dab values must be positive")
-        d_ab = distance(scenario.alice, scenario.bob)
-        ux = (scenario.bob.x - scenario.alice.x) / d_ab
-        uy = (scenario.bob.y - scenario.alice.y) / d_ab
-        return lambda dab: {"bob": Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy)}
 
-    return _rate_sweep(scenario, "dab", DAB_SWEEP_COLUMNS, dab_values, pt_dbm_values, changes)
-
-
-def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, changes) -> SweepResult:
+def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, change) -> SweepResult:
     """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
 
     The powers are read as floats and both lists checked to be non-empty;
-    then ``changes()`` makes the axis's own checks and returns the function
-    from an axis value to its change of the scenario.  The fields of
-    ``scenario`` (its field dict) are the base of every scene.  Each pt is
+    ``change`` maps an axis value to its change of the scenario.  The fields
+    of ``scenario`` (its field dict) are the base of every scene.  Each pt is
     validated once, as a scene of that dict with its pt_dbm; then each axis
     value makes one scene of the dict with its change applied by
     scenario.fill_scenario, the fill path parse_config and the command-line
     overrides share: the Scenario dataclasses.replace would build, validated
     by one __post_init__, without the frozen constructor.  One secrecy_rates
     call rates the scenes, a block of max(1, HEATMAP_BLOCK_VALUES // (2 *
-    na)) scenes per array pass, and raises the first fault in row order.
+    na)) scenes per array pass.
     Rates use the expected-noise model whatever the scenario's an_mode, so
     the curves are deterministic; no BER is computed.  The preamble echoes
     ``scenario``.
@@ -201,12 +194,11 @@ def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, changes) ->
     pt_values = [float(v) for v in pt_dbm_values]
     if not axis_values or not pt_values:
         raise ValueError(f"{name} and pt sweeps need at least one value each")
-    changes = changes()
     base = vars(scenario)
     for pt in pt_values:
         fill_scenario(base, {"pt_dbm": pt})  # rejects a power no scenario may hold, before any row
     block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
-    rates = secrecy_rates((fill_scenario(base, changes(v)) for v in axis_values), pt_values, block)
+    rates = secrecy_rates((fill_scenario(base, change(v)) for v in axis_values), pt_values, block)
     # the axis column is built after the rates: a scenario rejects an out-of-range nr first
     axis_column = np.repeat(np.array(axis_values), len(pt_values))
     pt_column = np.tile(np.array(pt_values), len(axis_values))

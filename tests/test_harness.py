@@ -588,10 +588,8 @@ OVERFLOW_AT_3070 = "pt_dbm = 3070.0 and noise_dbm = -40.0 give an SNR"
 
 
 class TestRateSweepFaults:
-    """The first fault a sweep reports is the one a pass row by row meets
-    first: each axis value's scene, then its proposed powers, then its no-IRS
-    powers.  The columns stream through secrecy_rates in blocks, which must not
-    change that order."""
+    """The fault a sweep reports does not depend on how its columns stream
+    through secrecy_rates in blocks."""
 
     @pytest.fixture(params=[1, sweeps.HEATMAP_BLOCK_VALUES], ids=["one-scene-blocks", "default-blocks"])
     def blocks(self, request, monkeypatch):
@@ -611,15 +609,28 @@ class TestRateSweepFaults:
             run_sweep_nr(NO_IRS_LOUDEST, [1, 50], [3080.0, 3081.0])
 
     @pytest.mark.parametrize(
-        "run, axis", [(run_sweep_nr, [10, 2_000_000]), (run_sweep_dab, [10.0, 1e200])], ids=["nr", "dab"]
+        "run, axis, message",
+        [
+            (run_sweep_nr, [10, 2_000_000], "nr must be at most 1000000, got 2000000"),
+            (run_sweep_dab, [10.0, 1e200], "falls below the normal float range"),
+        ],
+        ids=["nr", "dab"],
     )
-    def test_overflow_wins_over_a_later_bad_axis_value(self, run, axis, blocks):
+    def test_a_bad_axis_value_wins_over_an_earlier_overflow(self, run, axis, message, blocks):
         """An out-of-range nr fails the scene; a 1e200 m distance fails the receiver's path gain."""
         with pytest.raises(ValueError, match=OVERFLOW_AT_3070):
-            run(Scenario(noise_dbm=-40.0), axis, [10.0, 3070.0, 3071.0])
-        with pytest.raises(ValueError) as fault:
-            run(Scenario(noise_dbm=-40.0), axis[::-1], [10.0, 3070.0, 3071.0])
-        assert "pt_dbm" not in str(fault.value)
+            run(Scenario(noise_dbm=-40.0), axis[:1], [10.0, 3070.0, 3071.0])
+        for order in (axis, axis[::-1]):
+            with pytest.raises(ValueError, match=message):
+                run(Scenario(noise_dbm=-40.0), order, [10.0, 3070.0, 3071.0])
+
+    def test_cli_reports_the_bad_axis_value_not_the_earlier_overflow(self, tmp_path, capsys):
+        config, out = tmp_path / "scenario.json", tmp_path / "nr.csv"
+        config.write_text('{"noise_dbm": -40}')
+        argv = ["sweep-nr", "--config", str(config), "--nr", "10,2000000", "--pt", "10,3070", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "dmirs: error: nr must be at most 1000000, got 2000000\n"
+        assert not out.exists()
 
 
 class TestWriteCsv:
@@ -896,6 +907,12 @@ class TestCli:
         assert cli._parse_values("1,2,,3,4,5", "pt") == [1.0, 2.0, 3.0, 4.0, 5.0]
         with pytest.raises(ConfigError, match=re.escape("pt list '1,2,3,4,5,6' has more than 5 values")):
             cli._parse_values("1,2,3,4,5,6", "pt")
+
+    def test_range_never_passes_its_stop(self):
+        assert len(cli._parse_values("0:0.3:0.1", "pt")) == 4
+        assert cli._parse_values("10:200:10", "nr") == [float(v) for v in range(10, 201, 10)]
+        # 1.0000000003 lies 4e-11 past the stop: inside an absolute slack of 1e-9, but 0.4 of a step
+        assert cli._parse_values("1:1.00000000026:1e-10", "dab") == [1.0, 1.0000000001, 1.0000000002]
 
     @pytest.mark.parametrize("command, axis", [("sweep-nr", "nr"), ("sweep-dab", "dab")])
     def test_sweep_size_bounds_exit_2_before_the_sweep_runs(

@@ -25,6 +25,7 @@ from dmirs.secrecy import (
     secrecy_rates,
     snr_bob,
 )
+from dmirs.sweeps import HEATMAP_BLOCK_VALUES
 from dmirs.transmitter import complex_normal
 from oracles import (
     an_leak_row,
@@ -465,10 +466,10 @@ class TestSecrecyRates:
         ],
         ids=["set-up", "taking"],
     )
-    def test_raises_the_first_fault_in_row_order(self, block, third, error, message):
-        """A bad third scene's fault is raised when no scene before it
-        overflows, and an overflow at the first scene wins over it, however
-        the scenes split into blocks, the bad scene's own included."""
+    def test_a_bad_scene_wins_over_an_earlier_overflow(self, block, third, error, message):
+        """A bad third scene's fault is raised whether or not the first scene
+        overflows, however the scenes split into blocks, the bad scene's own
+        included; an overflow alone is raised after the last scene."""
 
         def scenes(first):
             yield first
@@ -478,10 +479,17 @@ class TestSecrecyRates:
 
         pts = [10.0, 3060.0]
         assert secrecy_rates([Scenario(nr=n) for n in (10, 20, 30)], pts, block).shape == (2, 3, 2)  # no overflow
-        with pytest.raises(error, match=message):
-            secrecy_rates(scenes(Scenario(nr=10)), pts, block)
+        for first in (Scenario(nr=10), Scenario(noise_dbm=-40.0)):
+            with pytest.raises(error, match=message):
+                secrecy_rates(scenes(first), pts, block)
         with pytest.raises(ValueError, match="pt_dbm = 3060.0 and noise_dbm = -40.0 give an SNR"):
-            secrecy_rates(scenes(Scenario(noise_dbm=-40.0)), pts, block)
+            secrecy_rates([Scenario(noise_dbm=-40.0), Scenario(nr=20), Scenario(nr=30)], pts, block)
+
+    @pytest.mark.parametrize("block", [1, HEATMAP_BLOCK_VALUES // (2 * Scenario().na)], ids=["one-scene", "default"])
+    @pytest.mark.parametrize("empty", [list, iter])
+    def test_no_scenes_give_an_empty_array(self, block, empty):
+        rates = secrecy_rates(empty([]), [10.0, 15.0, 20.0], block)
+        assert rates.shape == (2, 0, 3) and rates.dtype == np.float64
 
 
 class TestCheckSnr:

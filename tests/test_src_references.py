@@ -16,6 +16,9 @@ costs its record memory and its builder's work.
 A parameter of a function defined in src/dmirs/ that every call there
 supplies as one and the same literal has one value in use: it belongs in
 the body as a constant.
+No public top-level function is a generator: a generator's body runs only
+as its caller iterates it, so a span timed around the call (as
+bench/tracer.py times them) books that work to whoever iterates.
 
 The test modules beside this one are held to one rule of their own: every
 name a test module imports is read somewhere in that module.
@@ -240,6 +243,38 @@ def test_no_parameter_has_one_literal_value_in_every_call():
 def test_one_value_allow_list_names_only_one_value_parameters():
     assert set(ALLOWED_ONE_VALUE) <= set(_one_value_parameters())
     assert all(reason.strip() for reason in ALLOWED_ONE_VALUE.values())
+
+
+def _is_generator(node):
+    """Whether a function definition's own body yields; a nested function,
+    lambda or class that yields does not make it a generator."""
+    stack = list(node.body)
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(sub))
+    return False
+
+
+def test_no_public_function_is_a_generator():
+    generators = [
+        f"{module}.{node.name}"
+        for module, tree in _modules().items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and _is_generator(node)
+    ]
+    assert not generators, f"generators: their work is timed where they are iterated (return a list): {generators}"
+
+
+def test_generator_scan_reads_only_a_functions_own_body():
+    tree = ast.parse(
+        "def a():\n    yield 1\n"
+        "def b():\n    return (yield from ())\n"
+        "def c():\n    def inner():\n        yield 1\n    return (x for x in inner())\n"
+    )
+    assert [_is_generator(node) for node in tree.body] == [True, True, False]
 
 
 def _unused_imports(tree):
