@@ -71,10 +71,11 @@ def _parse_values(spec: str, kind: str):
         return values
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ConfigError(f"{kind} range {brief_repr(spec)} must have finite start, stop and step")
-    steps = (stop - start) / step  # may overflow to inf, which the bound rejects
-    if steps + 1 > MAX_RANGE_VALUES:
+    # floor(steps) + 1 values; 1e-9 of a step absorbs rounding, and an overflow to inf fails the bound
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_RANGE_VALUES:
         raise ConfigError(f"{kind} range {brief_repr(spec)} has more than {MAX_RANGE_VALUES} values")
-    return [start + i * step for i in range(math.floor(steps + 1e-9) + 1)]  # 1e-9 of a step absorbs rounding
+    return [start + i * step for i in range(math.floor(steps) + 1)]
 
 
 def _sweep_values(args, axis: str):
@@ -149,16 +150,9 @@ def _cmd_heatmap(args) -> int:
     return 0
 
 
-def _cmd_sweep_nr(args) -> int:
+def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
-    result = run_sweep_nr(scenario, *_sweep_values(args, "nr"))
-    _write_result(result, args.out)
-    return 0
-
-
-def _cmd_sweep_dab(args) -> int:
-    scenario = _load_scenario(args)
-    result = run_sweep_dab(scenario, *_sweep_values(args, "dab"))
+    result = args.run(scenario, *_sweep_values(args, args.axis))
     _write_result(result, args.out)
     return 0
 
@@ -187,19 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
     heatmap.add_argument("--seed", type=int)
     heatmap.set_defaults(func=_cmd_heatmap)
 
-    sweep_nr = sub.add_parser("sweep-nr", help="secrecy rate vs IRS element count, CSV")
-    sweep_nr.add_argument("--config", required=True)
-    sweep_nr.add_argument("--nr", required=True, help="element counts, start:stop:step or list")
-    sweep_nr.add_argument("--pt", required=True, help="transmit powers in dBm, start:stop:step or list")
-    sweep_nr.add_argument("--out", required=True)
-    sweep_nr.set_defaults(func=_cmd_sweep_nr)
-
-    sweep_dab = sub.add_parser("sweep-dab", help="secrecy rate vs receiver distance, CSV")
-    sweep_dab.add_argument("--config", required=True)
-    sweep_dab.add_argument("--dab", required=True, help="distances in m, start:stop:step or list")
-    sweep_dab.add_argument("--pt", required=True, help="transmit powers in dBm, start:stop:step or list")
-    sweep_dab.add_argument("--out", required=True)
-    sweep_dab.set_defaults(func=_cmd_sweep_dab)
+    for command, axis, run, summary, axis_help in (
+        ("sweep-nr", "nr", run_sweep_nr, "secrecy rate vs IRS element count, CSV", "element counts"),
+        ("sweep-dab", "dab", run_sweep_dab, "secrecy rate vs receiver distance, CSV", "distances in m"),
+    ):
+        sweep = sub.add_parser(command, help=summary)
+        sweep.add_argument("--config", required=True)
+        sweep.add_argument(f"--{axis}", required=True, help=f"{axis_help}, start:stop:step or list")
+        sweep.add_argument("--pt", required=True, help="transmit powers in dBm, start:stop:step or list")
+        sweep.add_argument("--out", required=True)
+        sweep.set_defaults(func=_cmd_sweep, axis=axis, run=run)
 
     return parser
 

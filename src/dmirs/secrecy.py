@@ -23,16 +23,15 @@ real Dirichlet kernels (cascaded_gain_closed): d = <h(phi), w_a> is the
 transmitter's kernel in cos(phi) - cos(phi_b), divided by na, and the
 reflect gain the IRS's in cos(theta) - cos(theta_b).  _eve_power takes both
 from one kernel call, for one probe (secrecy_metrics) or a block of scenes
-(secrecy_rates' proposed column; its no-IRS column needs only d, which it
-takes from the steering rows it builds anyway).  The projector is (I -
-w_a w_a^H)/sqrt(na - 1), so a probe's expected A is (1 - d^2)/(na - 1),
-which _expected_leak sums as non-negative terms so that it keeps its
-relative precision near the receiver's ray, and its leak row (h^H - d
-w_a^H)/sqrt(na - 1): secrecy_metrics builds no projector, and in expected
-mode no steering vector.  secrecy_rates still takes A from each scene's
-projector row, so with the IRS the two routes differ only in A, by
-round-off; the rate sweeps' per-scene projector is held in place by the
-benchmark's work-count pins.
+with and without the IRS (secrecy_rates; the no-IRS benchmark is the same
+link with a zero reflect gain).  The projector is (I - w_a w_a^H)/sqrt(na
+- 1), so a probe's expected A is (1 - d^2)/(na - 1), which _expected_leak
+sums as non-negative terms so that it keeps its relative precision near
+the receiver's ray, and its leak row (h^H - d w_a^H)/sqrt(na - 1):
+secrecy_metrics builds no projector, and in expected mode no steering
+vector.  secrecy_rates still takes A from each scene's projector row, so
+the two routes differ only in A, by round-off; the rate sweeps' projector
+per scene and column is held in place by the benchmark's work-count pins.
 probe_block gives the numerator and the expected A of a heatmap block of
 probes in one scene: per probe only the calls the same pins hold (three
 steering vectors, two element_cycles rows), per block one array pass each
@@ -267,18 +266,18 @@ def secrecy_rates(scenes, pt_dbm_values, block):
     without the IRS: a (2, n_scenes, n_powers) array, [0] the proposed
     column and [1] the no-IRS benchmark's, one rate per transmit power in dBm.
 
-    Scenes, all of one na, are taken ``block`` (at least 1) at a time and
-    evaluated in closed form (_scene_terms) once per column; the SNRs of
-    every (scene, power) pair, their check and the rates [log2(1+gamma_b) -
-    log2(1+gamma_e)]^+ then run once per column and block (_snrs), whatever
-    the scene's pt_dbm and an_mode.  Against secrecy_metrics(replace(scene,
-    pt_dbm=pt, an_mode="expected"), scene.eve), gamma_b is the same
-    expression, bit for bit, and the eve's |amplitude|^2 the same
-    _eve_power; gamma_e differs by round-off in A, which this takes from
-    the scene's projector row and secrecy_metrics from _expected_leak.  The
-    no-IRS column drops the reflect path everywhere, so its rates do not
-    depend on nr; its d is the steering rows' inner product.  The powers
-    must be valid pt_dbm values; no BER is computed.
+    Scenes, all of one na, are taken ``block`` (at least 1) at a time; each
+    block's (column, scene) pairs are evaluated in closed form together
+    (_scene_terms), and the SNRs of every (column, scene, power) triple,
+    their check and the rates [log2(1+gamma_b) - log2(1+gamma_e)]^+ are one
+    array pass per block (_snrs), whatever the scene's pt_dbm and an_mode.
+    Against secrecy_metrics(replace(scene, pt_dbm=pt, an_mode="expected"),
+    scene.eve), gamma_b is the same expression, bit for bit, and the eve's
+    |amplitude|^2 the same _eve_power; gamma_e differs by round-off in A,
+    which this takes from the scene's projector row and secrecy_metrics
+    from _expected_leak.  The no-IRS column is the same link with a zero
+    reflect path, so its rates do not depend on nr.  The powers must be
+    valid pt_dbm values; no BER is computed.
 
     A ValueError from taking or setting up a scene is raised where it is
     met.  An SNR overflow is raised only after the last scene, so a bad
@@ -288,70 +287,68 @@ def secrecy_rates(scenes, pt_dbm_values, block):
     pt_mw = np.array([dbm_to_mw(pt) for pt in pt_dbm_values])
     scenes, blocks, overflow = iter(scenes), [np.empty((2, 0, len(pt_mw)))], None
     while batch := list(itertools.islice(scenes, block)):
-        snrs, rates, fine = [], [], True
-        for include_irs in (True, False):  # each column makes its own link_budget and an_projector calls (bench pins)
-            terms = _scene_terms(batch, include_irs)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the mask
-                gamma_b, gamma_e = _snrs(terms, pt_mw)
-                rates.append(np.maximum(0.0, np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)))
-            fine = fine & ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=1)
-            snrs.append((gamma_b, gamma_e))
+        terms = _scene_terms(batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the mask
+            gamma_b, gamma_e = _snrs(terms, pt_mw)
+            blocks.append(np.maximum(0.0, np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)))
+        fine = ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=(0, 2))
         if overflow is None and not fine.all():
             slot = int(fine.argmin())
-            overflow = batch[slot].noise_dbm, [(gamma_b[slot], gamma_e[slot]) for gamma_b, gamma_e in snrs]
-        blocks.append(np.stack(rates))
+            overflow = batch[slot].noise_dbm, gamma_b[:, slot], gamma_e[:, slot]
     if overflow is not None:
-        noise_dbm, snrs = overflow
-        for gamma_b, gamma_e in snrs:
-            for pt_dbm, g_b, g_e in zip(pt_dbm_values, gamma_b, gamma_e):
-                check_snr(pt_dbm, noise_dbm, g_b, g_e)
+        noise_dbm, gamma_b, gamma_e = overflow
+        for pt_dbm, g_b, g_e in zip(itertools.cycle(pt_dbm_values), gamma_b.flat, gamma_e.flat):
+            check_snr(pt_dbm, noise_dbm, g_b, g_e)
     return np.concatenate(blocks, axis=1)
 
 
 def _snrs(terms, pt_mw):
-    """gamma_b and gamma_e of every (scene, power) pair, in secrecy_metrics'
-    operation order, from _scene_terms' terms and the powers in mW."""
-    alpha, noise_mw, bob_power, power, an_power = (t[:, np.newaxis] for t in terms)
+    """gamma_b and gamma_e of every (column, scene, power) triple, in
+    secrecy_metrics' operation order, from _scene_terms' terms and the
+    powers in mW."""
+    alpha, noise_mw, bob_power, power, an_power = (t[..., np.newaxis] for t in terms)
     return alpha * pt_mw * bob_power / noise_mw, _sinr(alpha, noise_mw, pt_mw, alpha * pt_mw * power, an_power)
 
 
-def _scene_terms(batch, include_irs):
-    """The terms of the scenes in the non-empty list ``batch``, with or without the IRS.
+def _scene_terms(batch):
+    """The terms of the scenes in the non-empty list ``batch``, with and without the IRS.
 
-    The terms are arrays over the scenes: alpha, the noise power in mW, the
-    intended receiver's squared amplitude, and the eve's |amplitude|^2
-    (_eve_power, or without the IRS sqrt(l_direct) * <h_e, w_a> from the
-    steering rows) and leak-row squared norm A (_leak_power).  Per scene, only
-    the two LinkBudget records and the noise projector are built; the
-    steering rows toward both receivers, which the projector and the leak
-    row read, are one exponential over the block, and the eve rows are
-    conjugated once per block.  Each scene's leak row is one matmul of its
-    conjugated eve row by its projector, written over its w_a row, which
-    nothing reads after the projector.
+    The terms are (2, len(batch)) arrays, [0] the proposed column and [1]
+    the no-IRS one: alpha, the noise power in mW, the intended receiver's
+    squared amplitude, and the eve's |amplitude|^2 (_eve_power) and
+    leak-row squared norm A (_leak_power).  Each (column, scene) pair makes
+    its own two LinkBudget records and noise projector; a no-IRS record
+    carries a zero eve reflect gain, which adds exactly 0 to the eve's
+    amplitude, and the receiver's direct gain alone as its squared
+    amplitude.  The steering rows of every pair toward both receivers,
+    which the projector and the leak row read, are one exponential over
+    the block, and the eve rows are conjugated once per block.  Each pair's
+    leak row is one matmul of its conjugated eve row by its projector,
+    written over its w_a row, which nothing reads after the projector.
     """
-    records = []
+    proposed, benchmark = [], []
     for scenario in batch:
-        bob = link_budget(scenario, scenario.bob)
-        eve = link_budget(scenario, scenario.eve)
-        records.append((
-            eve.phi, eve.theta, bob.phi, bob.theta,
+        constants = (
             scenario.na, scenario.nr, scenario.alice_spacing_wavelengths, scenario.irs_spacing_wavelengths,
-            eve.l_direct, eve.l_reflect, bob.l_direct, bob.l_reflect, scenario.alpha, scenario.noise_mw,
-        ))
-    columns = np.array(records, dtype=float).T
-    angles, tuned, counts, spacings = columns[0:2], columns[2:4], columns[4:6], columns[6:8]
-    l_direct_e, l_reflect_e, l_direct_b, l_reflect_b, alpha, noise_mw = columns[8:]
-    # rows[i] holds scene i's steering vectors toward its receiver (w_a) and its eve (h_e)
-    rows = steering_rows([scenario.alice_array() for scenario in batch], np.stack([tuned[0], angles[0]], axis=1))
-    if include_irs:
-        power, _ = _eve_power(angles, tuned, counts, spacings, l_direct_e, l_reflect_e)
-        bob_power = np.float_power(np.sqrt(l_direct_b) + np.sqrt(l_reflect_b) * counts[1], 2.0)  # pow, as in snr_bob
-    else:  # the direct term alone: <h_e, w_a> from the rows, cheaper than a kernel call
-        power = _amplitude_power(np.sqrt(l_direct_e) * np.vecdot(rows[:, 1], rows[:, 0]))
-        bob_power = l_direct_b
+            scenario.alpha, scenario.noise_mw,
+        )
+        bob, eve = link_budget(scenario, scenario.bob), link_budget(scenario, scenario.eve)
+        bob_power = (math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr) ** 2  # as in snr_bob
+        proposed.append((eve.phi, eve.theta, bob.phi, bob.theta, eve.l_direct, eve.l_reflect, bob_power, *constants))
+        # the benchmark's own link_budget calls, as the bench pins hold
+        bob, eve = link_budget(scenario, scenario.bob), link_budget(scenario, scenario.eve)
+        benchmark.append((eve.phi, eve.theta, bob.phi, bob.theta, eve.l_direct, 0.0, bob.l_direct, *constants))
+    columns = np.array([proposed, benchmark], dtype=float).transpose(2, 0, 1)  # [field, column, scene]
+    angles, tuned, counts, spacings = columns[0:2], columns[2:4], columns[7:9], columns[9:11]
+    l_direct_e, l_reflect_e, bob_power = columns[4:7]
+    alpha, noise_mw = columns[11:]
+    power, _ = _eve_power(angles, tuned, counts, spacings, l_direct_e, l_reflect_e)
+    # rows[k] holds pair k's steering vectors toward its receiver (w_a) and its eve (h_e), proposed pairs first
+    alices = [scenario.alice_array() for scenario in batch]
+    rows = steering_rows(alices * 2, np.stack([tuned[0], angles[0]], axis=-1).reshape(-1, 2))
     for w_a, h_e_conj in zip(rows[:, 0], rows[:, 1].conj()):
         np.matmul(h_e_conj, an_projector(w_a), out=w_a)
-    return alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0])
+    return alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0]).reshape(power.shape)
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:

@@ -9,7 +9,8 @@ block; a cell's values do not depend on how the grid splits into blocks.
 Randomized cells derive their generator seed from (scenario seed, cell
 index), never from shared state.  A rate sweep fills one Scenario per axis
 value and rates them all, with and without the IRS, in one
-secrecy.secrecy_rates call (_rate_sweep); it computes no BER.
+secrecy.secrecy_rates call (_rate_sweep), which evaluates both columns of a
+block of scenes in one array pass; it computes no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -40,8 +41,8 @@ CSV_CHUNK_ROWS = 4096
 # Complex values one array pass holds (1 MiB), whatever the grid or sweep
 # size: a heatmap cell holds the three steering rows of its pinned calls and
 # its IRS cycle row with that row's exponential (_heatmap_block_cells), and a
-# rate sweep evaluates max(1, HEATMAP_BLOCK_VALUES // (2 * na)) scenes per
-# column and pass, two steering rows each.
+# rate sweep evaluates max(1, HEATMAP_BLOCK_VALUES // (4 * na)) scenes per
+# pass, two steering rows for each of its two columns.
 HEATMAP_BLOCK_VALUES = 65536
 
 
@@ -185,8 +186,8 @@ def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, change) -> 
     scenario.fill_scenario, the fill path parse_config and the command-line
     overrides share: the Scenario dataclasses.replace would build, validated
     by one __post_init__, without the frozen constructor.  One secrecy_rates
-    call rates the scenes, a block of max(1, HEATMAP_BLOCK_VALUES // (2 *
-    na)) scenes per array pass.
+    call rates the scenes, a block of max(1, HEATMAP_BLOCK_VALUES // (4 *
+    na)) scenes, both columns, per array pass.
     Rates use the expected-noise model whatever the scenario's an_mode, so
     the curves are deterministic; no BER is computed.  The preamble echoes
     ``scenario``.
@@ -197,7 +198,7 @@ def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, change) -> 
     base = vars(scenario)
     for pt in pt_values:
         fill_scenario(base, {"pt_dbm": pt})  # rejects a power no scenario may hold, before any row
-    block = max(1, HEATMAP_BLOCK_VALUES // (2 * scenario.na))
+    block = max(1, HEATMAP_BLOCK_VALUES // (4 * scenario.na))
     rates = secrecy_rates((fill_scenario(base, change(v)) for v in axis_values), pt_values, block)
     # the axis column is built after the rates: a scenario rejects an out-of-range nr first
     axis_column = np.repeat(np.array(axis_values), len(pt_values))

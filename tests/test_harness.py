@@ -898,6 +898,12 @@ class TestCli:
 
     def test_range_length_bound(self, monkeypatch):
         assert cli.MAX_RANGE_VALUES == 10_000
+        # the bound counts the values yielded: a stop a hair past the last value adds none
+        assert cli._parse_values("0:9999.0000001:1", "pt") == cli._parse_values("0:9999:1", "pt")
+        assert len(cli._parse_values("0:9999:1", "pt")) == 10_000
+        for spec in ("0:10000:1", "0:1e308:1e-308"):
+            with pytest.raises(ConfigError, match=re.escape(f"pt range '{spec}' has more than 10000 values")):
+                cli._parse_values(spec, "pt")
         monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 5)
         assert cli._parse_values("1:5:1", "nr") == [1.0, 2.0, 3.0, 4.0, 5.0]
         for spec in ("1:6:1", "0:1:0.1"):
@@ -936,7 +942,7 @@ class TestCli:
         def must_not_run(*args, **kwargs):
             raise AssertionError(f"{run} called for an over-long sweep")
 
-        monkeypatch.setattr(cli, run, must_not_run)
+        monkeypatch.setitem(cli._parser().commands[command]._defaults, "run", must_not_run)  # what _cmd_sweep calls
         for values, pts, message in (
             ("10:30:10", "1,2,3", f"3 {axis} values by 3 pt values make more than 6 sweep rows"),
             ("10,20,30,40,50", "1", f"{axis} list '10,20,30,40,50' has more than 4 values"),

@@ -353,13 +353,14 @@ def probe_row(scenario, probe, more_x):
 def rated_snrs(run, include_irs):
     """The gamma_b and gamma_e arrays of one column, one row per scene and
     one column per power, that secrecy_rates rates while ``run()`` runs, and
-    its value.  _snrs rates each block's proposed column, then its no-IRS one."""
+    its value.  _snrs rates each block's (column, scene, power) triples,
+    [0] the proposed column and [1] the no-IRS one."""
     blocks = []
     snrs = secrecy._snrs
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(secrecy, "_snrs", lambda terms, pt_mw: blocks.append(snrs(terms, pt_mw)) or blocks[-1])
         value = run()
-    gamma_b, gamma_e = (np.concatenate(arrays) for arrays in zip(*blocks[0 if include_irs else 1 :: 2]))
+    gamma_b, gamma_e = (np.concatenate(arrays, axis=1)[0 if include_irs else 1] for arrays in zip(*blocks))
     return gamma_b, gamma_e, value
 
 
@@ -485,11 +486,32 @@ class TestSecrecyRates:
         with pytest.raises(ValueError, match="pt_dbm = 3060.0 and noise_dbm = -40.0 give an SNR"):
             secrecy_rates([Scenario(noise_dbm=-40.0), Scenario(nr=20), Scenario(nr=30)], pts, block)
 
-    @pytest.mark.parametrize("block", [1, HEATMAP_BLOCK_VALUES // (2 * Scenario().na)], ids=["one-scene", "default"])
+    @pytest.mark.parametrize("block", [1, HEATMAP_BLOCK_VALUES // (4 * Scenario().na)], ids=["one-scene", "default"])
     @pytest.mark.parametrize("empty", [list, iter])
     def test_no_scenes_give_an_empty_array(self, block, empty):
         rates = secrecy_rates(empty([]), [10.0, 15.0, 20.0], block)
         assert rates.shape == (2, 0, 3) and rates.dtype == np.float64
+
+    @pytest.mark.parametrize("n_scenes, block, blocks", [(1, 1, 1), (5, 2, 3), (4, 4, 1), (3, 8, 1)])
+    def test_each_block_is_one_steering_and_one_snr_pass(self, monkeypatch, n_scenes, block, blocks):
+        """Both columns of a block share one steering_rows call and one _snrs
+        call; a pass per column would make two of each."""
+        calls = {"steering_rows": 0, "_snrs": 0}
+
+        def counted(name):
+            real = getattr(secrecy, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(secrecy, name, counted(name))
+        rates = secrecy_rates([Scenario(nr=10 * (k + 1)) for k in range(n_scenes)], [10.0, 15.0], block)
+        assert rates.shape == (2, n_scenes, 2)
+        assert calls == {"steering_rows": blocks, "_snrs": blocks}
 
 
 class TestCheckSnr:
