@@ -8,7 +8,7 @@ from .arrays import ArraySpec
 from .geometry import GeometryError, LinkBudget, Position, link_budget
 from .numerics import dbm_to_mw, q_function
 from .scenario import ConfigError, Scenario, parse_config, serialize_config
-from .secrecy import SecrecyMetrics, cascaded_gain_closed, secrecy_metrics, snr_bob
+from .secrecy import SecrecyMetrics, secrecy_metrics, snr_bob
 from .sweeps import SweepResult, run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
 from .transmitter import an_projector
 
@@ -22,7 +22,6 @@ __all__ = [
     "SecrecyMetrics",
     "SweepResult",
     "an_projector",
-    "cascaded_gain_closed",
     "dbm_to_mw",
     "link_budget",
     "parse_config",

@@ -43,6 +43,9 @@ from .secrecy import AN_MODES
 MAX_NA = 1024
 MAX_NR = 1_000_000
 MAX_MC_SAMPLES = 10_000
+# keeps a Dirichlet kernel's spacing-scaled cosine offset k + r within 2e6, where a spacing near the
+# float maximum would make it infinite: k*(n-1) stays exact, and r's rounding near 2e6 * 2**-53 = 2e-10
+MAX_SPACING_WAVELENGTHS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -95,6 +98,8 @@ class Scenario:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {brief_repr(value)}")
+            if value > MAX_SPACING_WAVELENGTHS and name != "d0_m":
+                raise ConfigError(f"{name} must be at most {MAX_SPACING_WAVELENGTHS}, got {brief_repr(value)}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in [0, 1], got {brief_repr(self.alpha)}")
         for name in ("pt_dbm", "noise_dbm"):

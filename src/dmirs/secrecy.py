@@ -19,19 +19,20 @@ projector (``expected`` mode) or the squared magnitude of one projected
 noise draw (``instantaneous`` mode), as the scenario's an_mode says.
 
 Both arrays are centred uniform linear arrays, so both inner products are
-real Dirichlet kernels (cascaded_gain_closed): d = <h(phi), w_a> is the
-transmitter's kernel in cos(phi) - cos(phi_b), divided by na, and the
-reflect gain the IRS's in cos(theta) - cos(theta_b).  _eve_power takes both
-from one kernel call, for one probe (secrecy_metrics) or a block of scenes
-with and without the IRS (secrecy_rates; the no-IRS benchmark is the same
-link with a zero reflect gain).  The projector is (I - w_a w_a^H)/sqrt(na
-- 1), so a probe's expected A is (1 - d^2)/(na - 1), which _expected_leak
-sums as non-negative terms so that it keeps its relative precision near
-the receiver's ray, and its leak row (h^H - d w_a^H)/sqrt(na - 1):
-secrecy_metrics builds no projector, and in expected mode no steering
-vector.  secrecy_rates still takes A from each scene's projector row, so
-the two routes differ only in A, by round-off; the rate sweeps' projector
-per scene and column is held in place by the benchmark's work-count pins.
+real Dirichlet kernels: d = <h(phi), w_a> is the transmitter's kernel in
+cos(phi) - cos(phi_b), divided by na, and the reflect gain the IRS's in
+cos(theta) - cos(theta_b).  One route serves one probe (secrecy_metrics)
+and each scene of the rate sweeps (secrecy_rates; the no-IRS benchmark is
+the same link with a zero reflect gain): _eve_amplitude, which takes both
+kernels from _dirichlet on plain floats.  The projector is (I - w_a
+w_a^H)/sqrt(na - 1), so a probe's expected A is (1 - d^2)/(na - 1), which
+_expected_leak sums as non-negative terms so that it keeps its relative
+precision near the receiver's ray, and its leak row (h^H - d w_a^H)/sqrt(na
+- 1): secrecy_metrics builds no projector, and in expected mode no steering
+vector and no numpy array but the leak's inner sum.  secrecy_rates still takes A from each scene's
+projector row, so the two routes differ only in A, by round-off; the rate
+sweeps' projector per scene and column is held in place by the
+benchmark's work-count pins.
 probe_block gives the numerator and the expected A of a heatmap block of
 probes in one scene: per probe only the calls the same pins hold (three
 steering vectors, two element_cycles rows), per block one array pass each
@@ -55,6 +56,7 @@ from .transmitter import an_projector, complex_normal
 AN_MODES = ("expected", "instantaneous")
 # ber_from_snrs doubles the SNR, so half the float range is the largest it takes
 MAX_SNR = sys.float_info.max / 2.0
+_SIN_PI_4 = math.sin(math.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -70,30 +72,34 @@ class SecrecyMetrics:
     ber_probe: float
 
 
-def cascaded_gain_closed(theta_e, theta_b, n_r, spacing_wavelengths=0.5):
-    """Reflect-path gain as a Dirichlet kernel in the deflection-cosine offset.
+def _dirichlet(offset, n):
+    """The real Dirichlet kernel of ``n`` centred elements on one float.
 
-    Returns sin(n_r*x)/sin(x) with x = pi * spacing * (cos(theta_e) -
-    cos(theta_b)), elementwise over the broadcast arguments (scalars give a
-    numpy float).  It is also the direct path's array factor: with the
-    transmitter's count, spacing and departure angles, it is na * <h(phi),
-    w_a> for the steering vector w_a toward phi_b.  x is first reduced by
-    its nearest multiple k*pi, so grating points keep relative precision:
-    with x = k*pi + pi*r the value is (-1)**(k*(n_r-1)) *
-    sin(n_r*pi*r)/sin(pi*r).  The removable singularities (r = 0) take their
-    analytic value: the tuned direction gives n_r, grating points give n_r
-    up to sign.  The magnitude exceeds n_r by at most rounding (an ulp at
-    n_r = 3).
-    """
-    n_r = np.asarray(n_r)
-    if n_r.min() < 1:
-        raise ValueError(f"element count must be at least 1, got {n_r[n_r < 1].flat[0]}")
-    scaled = spacing_wavelengths * (np.cos(theta_e) - np.cos(theta_b))
-    k = np.rint(scaled)
-    r = scaled - k  # exact: scaled and k are within a factor of two, or k is 0
-    with np.errstate(invalid="ignore"):  # 0/0 at r = 0, replaced by the limit
-        kernel = np.where(r == 0.0, n_r, np.sin(n_r * np.pi * r) / np.sin(np.pi * r))
-    return np.where(np.fmod(k * (n_r - 1), 2.0), -kernel, kernel)[()]  # odd k*(n_r-1) flips the sign
+    With the spacing-scaled cosine offset less its nearest integer k as r,
+    the value is sin(n*pi*r)/sin(pi*r) with the sign (-1)**(k*(n-1)), so
+    grating points keep relative precision; the removable singularity r = 0
+    takes its limit n, so the tuned direction gives n and grating points n
+    up to sign.  It is n * <h(phi), w_a> for the transmitter's steering
+    vectors and the reflect gain for the IRS's elements."""
+    k = round(offset)
+    r = offset - k
+    kernel = math.sin(n * math.pi * r) / math.sin(math.pi * r) if r else float(n)
+    return -kernel if k * (n - 1) % 2 else kernel
+
+
+def _eve_amplitude(scenario, bob, eve, reflect=True):
+    """An eve's real amplitude sqrt(l_direct) * d + sqrt(l_reflect) * gain on
+    plain floats, with the transmitter's spacing-scaled cosine offset from
+    ``bob`` and d = <h(phi), w_a>, its _dirichlet over na.  The gain is the
+    IRS's _dirichlet at its own offset; without ``reflect`` (the no-IRS
+    benchmark) it is 0 and not computed."""
+    offset = scenario.alice_spacing_wavelengths * (math.cos(eve.phi) - math.cos(bob.phi))
+    d = _dirichlet(offset, scenario.na) / scenario.na
+    amplitude = math.sqrt(eve.l_direct) * d
+    if reflect:
+        gain = _dirichlet(scenario.irs_spacing_wavelengths * (math.cos(eve.theta) - math.cos(bob.theta)), scenario.nr)
+        amplitude += math.sqrt(eve.l_reflect) * gain
+    return amplitude, offset, d
 
 
 def rate_bits(gamma: float) -> float:
@@ -171,23 +177,6 @@ def _leak_power(leak_rows):
     return np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
 
 
-def _eve_power(angles, tuned, counts, spacings, l_direct, l_reflect):
-    """An eve's |amplitude|^2 and its direct term d = <h(phi), w_a>, elementwise.
-
-    Each argument's first axis runs over (transmitter, IRS): ``angles`` are
-    the eve's (phi, theta), ``tuned`` the intended receiver's, ``counts``
-    (na, nr) and ``spacings`` the two arrays' element spacings; any further
-    axes run over scenes.  One cascaded_gain_closed call gives both terms: the
-    direct-path array factor na * d and the reflect gain.  The amplitude is
-    sqrt(l_direct) * d + sqrt(l_reflect) * gain, real since both arrays are
-    centred.
-    """
-    direct, reflect = cascaded_gain_closed(angles, tuned, counts, spacings)
-    d = direct / counts[0]
-    amplitude = np.sqrt(l_direct) * d + np.sqrt(l_reflect) * reflect
-    return amplitude * amplitude, d
-
-
 def _expected_leak(na, offset):
     """A = (1 - d^2)/(na - 1) of a probe whose spacing-scaled cosine offset
     from the intended receiver is ``offset``, without cancellation.
@@ -219,37 +208,29 @@ def probe_setup(scenario):
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     """Rates and BERs of the intended receiver and one probe, in closed form.
 
-    The probe's amplitude comes from _eve_power, and its leak is exact
-    without a projector matrix: the projector is (I - w_a w_a^H)/sqrt(na - 1),
-    so the probe's leak row is (h^H - d w_a^H)/sqrt(na - 1) and its expected
-    power A = (1 - d^2)/(na - 1), with d = <h(phi), w_a>, taken from
-    _expected_leak.
+    On plain floats, since a cold numpy call costs microseconds: the
+    amplitude and d = <h(phi), w_a> from _eve_amplitude, as the rate sweeps
+    take them, and ber_from_snrs' BER as one q_function call each.  The
+    leak is exact without a projector matrix: the projector is (I - w_a
+    w_a^H)/sqrt(na - 1), so the probe's leak row is (h^H - d w_a^H)/sqrt(na
+    - 1) and its expected power A = (1 - d^2)/(na - 1), from _expected_leak
+    at d's offset.
     """
     bob = link_budget(scenario, scenario.bob)
     eve = link_budget(scenario, probe)
     na = scenario.na
-    power, d = _eve_power(
-        *np.array([
-            [eve.phi, eve.theta],
-            [bob.phi, bob.theta],
-            [na, scenario.nr],
-            [scenario.alice_spacing_wavelengths, scenario.irs_spacing_wavelengths],
-        ]),
-        eve.l_direct,
-        eve.l_reflect,
-    )
-    d = float(d)
-    signal = scenario.alpha * scenario.pt_mw * float(power)
+    amplitude, offset, d = _eve_amplitude(scenario, bob, eve)
+    signal = scenario.alpha * scenario.pt_mw * (amplitude * amplitude)
     if scenario.an_mode == "instantaneous":
         w_a, h = steering_rows([scenario.alice_array()], np.array([[bob.phi, eve.phi]]))[0]
         z = complex_normal(np.random.default_rng(scenario.seed), (na,))
         an_power = abs(np.dot((h.conj() - d * w_a.conj()) / math.sqrt(na - 1), z)) ** 2
     else:
-        an_power = _expected_leak(na, scenario.alice_spacing_wavelengths * (math.cos(eve.phi) - math.cos(bob.phi)))
+        an_power = _expected_leak(na, offset)
     gamma_b = snr_bob(scenario, bob)
     gamma_e = float(_sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, an_power))
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
-    ber_b, ber_probe = ber_from_snrs(np.array([gamma_b, gamma_e])).tolist()
+    ber_b, ber_probe = (q_function(math.sqrt(2.0 * gamma) * _SIN_PI_4) for gamma in (gamma_b, gamma_e))
     return SecrecyMetrics(
         gamma_b=gamma_b,
         gamma_e=gamma_e,
@@ -273,7 +254,7 @@ def secrecy_rates(scenes, pt_dbm_values, block):
     array pass per block (_snrs), whatever the scene's pt_dbm and an_mode.
     Against secrecy_metrics(replace(scene, pt_dbm=pt, an_mode="expected"),
     scene.eve), gamma_b is the same expression, bit for bit, and the eve's
-    |amplitude|^2 the same _eve_power; gamma_e differs by round-off in A,
+    amplitude the same _eve_amplitude; gamma_e differs by round-off in A,
     which this takes from the scene's projector row and secrecy_metrics
     from _expected_leak.  The no-IRS column is the same link with a zero
     reflect path, so its rates do not depend on nr.  The powers must be
@@ -315,12 +296,11 @@ def _scene_terms(batch):
 
     The terms are (2, len(batch)) arrays, [0] the proposed column and [1]
     the no-IRS one: alpha, the noise power in mW, the intended receiver's
-    squared amplitude, and the eve's |amplitude|^2 (_eve_power) and
+    squared amplitude, and the eve's |amplitude|^2 (_eve_amplitude) and
     leak-row squared norm A (_leak_power).  Each (column, scene) pair makes
-    its own two LinkBudget records and noise projector; a no-IRS record
-    carries a zero eve reflect gain, which adds exactly 0 to the eve's
-    amplitude, and the receiver's direct gain alone as its squared
-    amplitude.  The steering rows of every pair toward both receivers,
+    its own two LinkBudget records and noise projector; a no-IRS pair's eve
+    amplitude has no reflect term, and its receiver's squared amplitude is
+    the direct gain alone.  The steering rows of every pair toward both receivers,
     which the projector and the leak row read, are one exponential over
     the block, and the eve rows are conjugated once per block.  Each pair's
     leak row is one matmul of its conjugated eve row by its projector,
@@ -328,24 +308,20 @@ def _scene_terms(batch):
     """
     proposed, benchmark = [], []
     for scenario in batch:
-        constants = (
-            scenario.na, scenario.nr, scenario.alice_spacing_wavelengths, scenario.irs_spacing_wavelengths,
-            scenario.alpha, scenario.noise_mw,
-        )
+        constants = (scenario.alpha, scenario.noise_mw)
         bob, eve = link_budget(scenario, scenario.bob), link_budget(scenario, scenario.eve)
         bob_power = (math.sqrt(bob.l_direct) + math.sqrt(bob.l_reflect) * scenario.nr) ** 2  # as in snr_bob
-        proposed.append((eve.phi, eve.theta, bob.phi, bob.theta, eve.l_direct, eve.l_reflect, bob_power, *constants))
+        amplitude = _eve_amplitude(scenario, bob, eve)[0]
+        proposed.append((bob.phi, eve.phi, bob_power, amplitude * amplitude, *constants))
         # the benchmark's own link_budget calls, as the bench pins hold
         bob, eve = link_budget(scenario, scenario.bob), link_budget(scenario, scenario.eve)
-        benchmark.append((eve.phi, eve.theta, bob.phi, bob.theta, eve.l_direct, 0.0, bob.l_direct, *constants))
+        amplitude = _eve_amplitude(scenario, bob, eve, reflect=False)[0]
+        benchmark.append((bob.phi, eve.phi, bob.l_direct, amplitude * amplitude, *constants))
     columns = np.array([proposed, benchmark], dtype=float).transpose(2, 0, 1)  # [field, column, scene]
-    angles, tuned, counts, spacings = columns[0:2], columns[2:4], columns[7:9], columns[9:11]
-    l_direct_e, l_reflect_e, bob_power = columns[4:7]
-    alpha, noise_mw = columns[11:]
-    power, _ = _eve_power(angles, tuned, counts, spacings, l_direct_e, l_reflect_e)
+    bob_power, power, alpha, noise_mw = columns[2:]
     # rows[k] holds pair k's steering vectors toward its receiver (w_a) and its eve (h_e), proposed pairs first
     alices = [scenario.alice_array() for scenario in batch]
-    rows = steering_rows(alices * 2, np.stack([tuned[0], angles[0]], axis=-1).reshape(-1, 2))
+    rows = steering_rows(alices * 2, np.stack(columns[:2], axis=-1).reshape(-1, 2))
     for w_a, h_e_conj in zip(rows[:, 0], rows[:, 1].conj()):
         np.matmul(h_e_conj, an_projector(w_a), out=w_a)
     return alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0]).reshape(power.shape)
@@ -375,5 +351,5 @@ def ber_from_snrs(gammas: np.ndarray) -> np.ndarray:
     bad = ~(np.isfinite(gammas) & (gammas >= 0.0))
     if bad.any():
         raise ValueError(f"SNR must be non-negative and finite, got {float(gammas[bad][0])!r}")
-    u = np.sqrt(2.0 * gammas) * math.sin(math.pi / 4)
+    u = np.sqrt(2.0 * gammas) * _SIN_PI_4
     return np.fromiter(map(q_function, u.tolist()), float, len(u))

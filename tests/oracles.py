@@ -15,7 +15,9 @@ steering vector toward the IRS that `probe_amplitude` builds as g_t.
 `path_loss`, `combined_path_loss` and `link_budget_composed` are the
 per-quantity helpers `geometry.link_budget` once composed, the bitwise
 reference for its one pass per hop; the last calls the package's
-`distance` and `angle_of`.
+`distance` and `angle_of`.  `cascaded_gain_closed` is the array form of
+the package's scalar Dirichlet kernel, `secrecy._dirichlet`, checked
+against the brute-force double sum.
 """
 
 import cmath
@@ -111,6 +113,33 @@ def cascaded_gain_bruteforce(theta_e, theta_b, alice, irs, phi_ar):
             psi2 = -(cyc_e[l] - cyc_b[l])
             total += cmath.exp(2j * math.pi * (psi1 + psi2))
     return total / alice.n_elements
+
+
+def cascaded_gain_closed(theta_e, theta_b, n_r, spacing_wavelengths=0.5):
+    """Reflect-path gain as a Dirichlet kernel in the deflection-cosine offset.
+
+    Returns sin(n_r*x)/sin(x) with x = pi * spacing * (cos(theta_e) -
+    cos(theta_b)), elementwise over the broadcast arguments (scalars give a
+    numpy float).  It is also the direct path's array factor: with the
+    transmitter's count, spacing and departure angles, it is na * <h(phi),
+    w_a> for the steering vector w_a toward phi_b.  x is first reduced by
+    its nearest multiple k*pi, so grating points keep relative precision:
+    with x = k*pi + pi*r the value is (-1)**(k*(n_r-1)) *
+    sin(n_r*pi*r)/sin(pi*r).  The removable singularities (r = 0) take their
+    analytic value: the tuned direction gives n_r, grating points give n_r
+    up to sign.  The magnitude exceeds n_r by at most rounding (an ulp at
+    n_r = 3).  The array counterpart of the package's scalar kernel,
+    secrecy._dirichlet, and the reference it is held to.
+    """
+    n_r = np.asarray(n_r)
+    if n_r.min() < 1:
+        raise ValueError(f"element count must be at least 1, got {n_r[n_r < 1].flat[0]}")
+    scaled = spacing_wavelengths * (np.cos(theta_e) - np.cos(theta_b))
+    k = np.rint(scaled)
+    r = scaled - k  # exact: scaled and k are within a factor of two, or k is 0
+    with np.errstate(invalid="ignore"):  # 0/0 at r = 0, replaced by the limit
+        kernel = np.where(r == 0.0, n_r, np.sin(n_r * np.pi * r) / np.sin(np.pi * r))
+    return np.where(np.fmod(k * (n_r - 1), 2.0), -kernel, kernel)[()]  # odd k*(n_r-1) flips the sign
 
 
 def irs_beam(scenario):

@@ -11,6 +11,7 @@ from dmirs.scenario import Scenario
 from dmirs.secrecy import probe_setup
 from oracles import (
     cascade_matrix,
+    cascaded_gain_closed,
     channel_rows,
     irs_beam,
     irs_phase_diagonal,
@@ -152,8 +153,6 @@ class TestAssembleChannel:
 
 class TestIrsPhaseProductValue:
     def test_dense_product_matches_kernel_at_small_offset(self):
-        from dmirs.secrecy import cascaded_gain_closed
-
         theta_b = math.pi / 2
         theta_e = math.acos(0.01)
         theta = irs_phase_matrix(50, 0.5, theta_e, theta_b)

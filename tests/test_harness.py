@@ -21,6 +21,7 @@ from dmirs.scenario import (
     MAX_MC_SAMPLES,
     MAX_NA,
     MAX_NR,
+    MAX_SPACING_WAVELENGTHS,
     ConfigError,
     Scenario,
     parse_config,
@@ -45,11 +46,12 @@ def config_texts(draw):
     coordinate = st.floats(-50.0, 50.0) | st.integers(-50, 50)
     position = st.sampled_from(POINTS) | st.lists(coordinate, min_size=2, max_size=2)
     positive = st.floats(0.01, 10.0) | st.integers(1, 10)
+    spacing = positive | st.floats(10.0, MAX_SPACING_WAVELENGTHS) | st.just(MAX_SPACING_WAVELENGTHS)
     power = st.floats(-40.0, 40.0) | st.integers(-40, 40)
     valid = {
         "na": st.integers(2, MAX_NA), "nr": st.integers(1, MAX_NR), "seed": st.integers(0, 2**63),
         "mc_samples": st.integers(1, MAX_MC_SAMPLES), "alpha": st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
-        "alice_spacing_wavelengths": positive, "irs_spacing_wavelengths": positive, "d0_m": positive,
+        "alice_spacing_wavelengths": spacing, "irs_spacing_wavelengths": spacing, "d0_m": positive,
         "pt_dbm": power, "noise_dbm": power, "alice": position, "bob": position, "irs": position, "eve": position,
         "path_loss_combine": st.sampled_from(PATH_LOSS_RULES), "an_mode": st.sampled_from(secrecy.AN_MODES),
     }
@@ -216,9 +218,11 @@ class TestParseConfig:
 
     def test_size_bounds(self):
         """Validation only: building a Scenario allocates no array of these sizes."""
-        assert (MAX_NA, MAX_NR, MAX_MC_SAMPLES) == (1024, 1_000_000, 10_000)
-        Scenario(na=MAX_NA, nr=MAX_NR, mc_samples=MAX_MC_SAMPLES)
-        for field, limit in (("na", MAX_NA), ("nr", MAX_NR), ("mc_samples", MAX_MC_SAMPLES)):
+        assert (MAX_NA, MAX_NR, MAX_MC_SAMPLES, MAX_SPACING_WAVELENGTHS) == (1024, 1_000_000, 10_000, 1_000_000)
+        spacings = ("alice_spacing_wavelengths", "irs_spacing_wavelengths")
+        Scenario(na=MAX_NA, nr=MAX_NR, mc_samples=MAX_MC_SAMPLES, **dict.fromkeys(spacings, MAX_SPACING_WAVELENGTHS))
+        bounds = [("na", MAX_NA), ("nr", MAX_NR), ("mc_samples", MAX_MC_SAMPLES)]
+        for field, limit in bounds + [(name, MAX_SPACING_WAVELENGTHS) for name in spacings]:
             with pytest.raises(ConfigError, match=f"{field} must .*{limit}"):
                 Scenario(**{field: limit + 1})
         with pytest.raises(ConfigError, match="na must be at most 1024"):
@@ -1244,6 +1248,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"dmirs: error: {message}") and captured.err.count("\n") == 1
         assert "float range" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    # a spacing near the float maximum made the cosine offsets infinite: an OverflowError
+    # traceback, numpy warnings and a nan SNR, or rates picked by a nan sign
+    @pytest.mark.parametrize(
+        "field, command, options",
+        [
+            ("alice_spacing_wavelengths", "metrics", ["--eve=-30,0"]),
+            ("alice_spacing_wavelengths", "heatmap", ["--grid", "3x3"]),
+            ("irs_spacing_wavelengths", "sweep-nr", ["--nr", "10:20:10", "--pt", "10"]),
+        ],
+    )
+    def test_spacing_beyond_its_bound_exits_2_with_one_line(self, tmp_path, capsys, field, command, options):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({field: 1e308}))
+        out = tmp_path / "o.csv"
+        outputs = [] if command == "metrics" else ["--out", str(out)]
+        assert cli.main([command, "--config", str(path), *options, *outputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"dmirs: error: {field} must be at most 1000000, got 1e+308\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_python_dash_m_runs_the_cli(self, config_file):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from dmirs import secrecy
 from dmirs.arrays import ArraySpec
 from dmirs.geometry import PATH_LOSS_RULES, GeometryError, LinkBudget, Position, angle_of, link_budget
-from dmirs.scenario import ConfigError, Scenario
+from dmirs.scenario import MAX_NR, MAX_SPACING_WAVELENGTHS, ConfigError, Scenario
 from dmirs.secrecy import (
     AN_MODES,
     MAX_SNR,
+    SecrecyMetrics,
     ber_from_snrs,
-    cascaded_gain_closed,
     check_snr,
     mc_mean_ber,
     probe_block,
@@ -32,6 +32,7 @@ from oracles import (
     benchmark_no_irs,
     bob_snr_oracle,
     cascaded_gain_bruteforce,
+    cascaded_gain_closed,
     channel_rows,
     eve_reference,
     eve_sinr_oracle,
@@ -141,6 +142,44 @@ class TestCascadedGainClosed:
             assert row == pytest.approx(expected, rel=1e-15, abs=1e-15)
         with pytest.raises(ValueError, match="element count must be at least 1, got 0"):
             cascaded_gain_closed(theta_e, 1.1, np.array([3, 0, 2]))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, MAX_NR),
+        st.floats(0.0, MAX_SPACING_WAVELENGTHS, exclude_min=True),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example(50, 0.5, 0.77, 0.77)  # tuned: exactly n
+    @example(50, 0.5, 0.0, math.pi)  # grating points, k = 1: -n, then +n
+    @example(51, 0.5, 0.0, math.pi)
+    @example(7, 1.5, 0.0, math.pi)  # k = 3: +n, then -n
+    @example(8, 1.5, 0.0, math.pi)
+    @example(16, 0.5, 0.0, 1.0)  # end-fire probes
+    @example(MAX_NR, MAX_SPACING_WAVELENGTHS, math.pi, 0.3)
+    @example(2, 0.5, 0.4, 1.9)  # na = 2 and nr = 1
+    @example(1, 1.0, 0.3, 2.0)
+    def test_scalar_kernel_matches_the_block_kernel(self, n, spacing, theta_e, theta_b):
+        """The package's scalar kernel _dirichlet against the array
+        reference cascaded_gain_closed, on the offset _eve_amplitude forms.
+        Tuned and grating points (a whole offset) take the limit +-n
+        exactly, sign included.  Elsewhere, with
+        u = 2**-53 and each cos and sin within an ulp (2u relative) of
+        another host's libm: the cosines' difference moves by at most 4u and
+        its rounding by 4u, the product by 8u*spacing and its rounding by
+        4u*spacing, so the offsets differ by at most 12u*spacing.  The signed
+        kernel is sum_j cos(pi*(n-1-2j)*offset), of slope at most pi*n^2/2,
+        so that moves it by at most 6*pi*u*n^2*spacing; the two sines and
+        the quotient add 5u of |K| <= n.  Where both routes call one libm,
+        they agree bit for bit."""
+        offset = spacing * (math.cos(theta_e) - math.cos(theta_b))
+        scalar = secrecy._dirichlet(offset, n)
+        block = cascaded_gain_closed(theta_e, theta_b, n, spacing)
+        assert type(scalar) is float
+        if offset == round(offset):
+            assert scalar == block == (-n if round(offset) * (n - 1) % 2 else n)
+        assert abs(scalar - block) <= 2.0**-53 * n * (6.0 * math.pi * n * spacing + 5.0)
 
 
 class TestSnrBob:
@@ -628,6 +667,20 @@ class TestSecrecyMetrics:
         assert metrics.rate_s == pytest.approx(14.965507364038706, rel=1e-9)
         assert metrics.ber_b == 0.0  # underflows: SNR is enormous
         assert metrics.ber_probe == pytest.approx(0.4809983226937116, rel=1e-9)
+
+    @pytest.mark.parametrize("probe", [EVE, Position(20.0, 0.0), Position(-30.0, 0.0)])
+    def test_one_expected_probe_runs_on_floats_alone(self, monkeypatch, probe):
+        """No noise projector, steering row or BER array serves one expected-mode
+        probe, away from the receiver, on it (both kernels at their limit) or
+        at end-fire behind the transmitter; every field is a plain float."""
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("one probe took an array route")
+
+        for name in ("an_projector", "ber_from_snrs", "steering_rows"):
+            monkeypatch.setattr(secrecy, name, must_not_run)
+        metrics = secrecy_metrics(Scenario(), probe)
+        assert [type(getattr(metrics, f.name)) for f in fields(SecrecyMetrics)] == [float] * 7
 
     def test_instantaneous_mode_is_seed_deterministic(self):
         a = secrecy_metrics(Scenario(seed=5, an_mode="instantaneous"), EVE)
