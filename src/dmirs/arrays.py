@@ -13,11 +13,15 @@ cycles at the deflection angle and at the tuned boresight, which is exactly
 zero when the two agree, so the tuned reflect path adds up coherently.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .numerics import LazyNumpy
+
+np = LazyNumpy(globals())  # numpy itself from the first array call on
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Scalar special functions: the normal tail probability and dBm to mW.
 
-Both are pure functions of plain floats.
+Both are pure functions of plain floats.  LazyNumpy stands in for numpy in
+the array modules until their first array call, so a process that only
+evaluates closed forms never imports it.
 """
 
 import math
@@ -28,3 +30,17 @@ def dbm_to_mw(dbm: float) -> float:
     if not math.isfinite(dbm):
         raise ValueError(f"dbm_to_mw requires a finite argument, got {dbm!r}")
     return 10.0 ** (dbm / 10.0)
+
+
+class LazyNumpy:
+    """numpy as a module's global ``np = LazyNumpy(globals())``, imported on the
+    first attribute read, which rebinds that ``np`` to numpy: later lookups cost nothing."""
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+
+    def __getattr__(self, name):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)

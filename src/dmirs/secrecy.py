@@ -29,10 +29,11 @@ w_a^H)/sqrt(na - 1), so a probe's expected A is (1 - d^2)/(na - 1), which
 _expected_leak sums as non-negative terms so that it keeps its relative
 precision near the receiver's ray, and its leak row (h^H - d w_a^H)/sqrt(na
 - 1): secrecy_metrics builds no projector, and in expected mode no steering
-vector and no numpy array but the leak's inner sum.  secrecy_rates still takes A from each scene's
-projector row, so the two routes differ only in A, by round-off; the rate
-sweeps' projector per scene and column is held in place by the
-benchmark's work-count pins.
+vector and no numpy array, so a process that runs only that never imports
+numpy (np is numerics.LazyNumpy until the first array call).  secrecy_rates
+still takes A from each scene's projector row, so the two routes differ
+only in A, by round-off; the rate sweeps' projector per scene and column is
+held in place by the benchmark's work-count pins.
 probe_block gives the numerator and the expected A of a heatmap block of
 probes in one scene: per probe only the calls the same pins hold (three
 steering vectors, two element_cycles rows), per block one array pass each
@@ -41,18 +42,19 @@ Rates are log2(1+gamma) bits per channel use, the secrecy rate the clamped
 difference.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arrays import element_cycles, steering_rows, steering_vector
 from .geometry import LinkBudget, angle_of, link_budget
-from .numerics import dbm_to_mw, q_function
+from .numerics import LazyNumpy, dbm_to_mw, q_function
 from .transmitter import an_projector, complex_normal
 
+np = LazyNumpy(globals())  # numpy itself from the first array call on
 AN_MODES = ("expected", "instantaneous")
 # ber_from_snrs doubles the SNR, so half the float range is the largest it takes
 MAX_SNR = sys.float_info.max / 2.0
@@ -186,10 +188,11 @@ def _expected_leak(na, offset):
     * sin^2(m*y): non-negative terms, so A keeps its relative precision near
     the receiver's ray, where 1 - d^2 computed from d would keep only an ulp
     of 1.  Reducing ``offset`` by its nearest integer changes no sin^2(m*y).
+    math.fsum sums them, correctly rounded (tests/oracles.py::expected_leak_numpy: numpy's dot).
     """
-    m = np.arange(1, na)
-    s = np.sin(m * (math.pi * (offset - round(offset))))
-    return 4.0 * float(np.dot(na - m, s * s)) / (na * na * (na - 1))
+    y = math.pi * (offset - round(offset))
+    terms = ((na - m) * (s * s) for m in range(1, na) for s in [math.sin(m * y)])
+    return 4.0 * math.fsum(terms) / (na * na * (na - 1))
 
 
 def _sinr(alpha, noise_mw, pt_mw, signal_mw, an_power):
@@ -208,13 +211,14 @@ def probe_setup(scenario):
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     """Rates and BERs of the intended receiver and one probe, in closed form.
 
-    On plain floats, since a cold numpy call costs microseconds: the
-    amplitude and d = <h(phi), w_a> from _eve_amplitude, as the rate sweeps
-    take them, and ber_from_snrs' BER as one q_function call each.  The
-    leak is exact without a projector matrix: the projector is (I - w_a
-    w_a^H)/sqrt(na - 1), so the probe's leak row is (h^H - d w_a^H)/sqrt(na
-    - 1) and its expected power A = (1 - d^2)/(na - 1), from _expected_leak
-    at d's offset.
+    On plain floats, since a cold numpy call costs microseconds and
+    importing numpy about 90 ms: the amplitude and d = <h(phi), w_a> from
+    _eve_amplitude, as the rate sweeps take them, and ber_from_snrs' BER as
+    one q_function call each.  The leak is exact without a projector
+    matrix: the projector is (I - w_a w_a^H)/sqrt(na - 1), so the probe's
+    leak row is (h^H - d w_a^H)/sqrt(na - 1) and its expected power A = (1 -
+    d^2)/(na - 1), from _expected_leak's float sum at d's offset.  Only
+    instantaneous mode, one noise draw through that leak row, uses numpy.
     """
     bob = link_budget(scenario, scenario.bob)
     eve = link_budget(scenario, probe)

@@ -17,20 +17,23 @@ the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
 Python object per cell.
 """
 
+from __future__ import annotations
+
 import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .geometry import Position, distance
+from .numerics import LazyNumpy
 from .scenario import Scenario, brief_repr, fill_scenario, scenario_to_dict
 from .secrecy import ber_from_snrs, check_snr, mc_mean_ber, probe_block, probe_setup, secrecy_rates, snr_bob
 # not called here; bench/tests/test_bench.py reads it as dmirs.sweeps.secrecy_metrics
 from .secrecy import secrecy_metrics
+
+np = LazyNumpy(globals())  # numpy itself from the first array call on
 
 HEATMAP_COLUMNS = ("phi_deg", "theta_deg", "sinr_db", "ber")
 NR_SWEEP_COLUMNS = ("nr", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")

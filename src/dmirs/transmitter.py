@@ -10,10 +10,13 @@ sqrt(alpha) of the symbol plus sqrt(1-alpha) of the projected noise; the IRS
 beam carries sqrt(alpha) of the symbol only.
 """
 
+from __future__ import annotations
+
 import math
 
-import numpy as np
+from .numerics import LazyNumpy
 
+np = LazyNumpy(globals())  # numpy itself from the first array call on
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -40,9 +43,7 @@ def an_projector(h_ab: np.ndarray) -> np.ndarray:
     return p
 
 
-# The annotation is a string: evaluating np.random here would load numpy.random
-# (and hashlib with it) in every process, though only instantaneous noise draws use it.
-def complex_normal(rng: "np.random.Generator", shape: tuple) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Circularly-symmetric complex Gaussian samples, unit variance per entry.
 
     Real parts are the generator's first prod(shape) normals, imaginary

@@ -482,6 +482,15 @@ def leak_row_tol(na):
     return 2.0 * math.sqrt(2.0) * gamma_n(2 * na) * 2.0 / math.sqrt(na * (na - 1))
 
 
+def expected_leak_numpy(na, offset):
+    """secrecy._expected_leak's A = (1 - d^2)/(na - 1) in numpy: the same
+    non-negative terms (na - m) * sin^2(m*y), m = 1..na-1, taken by np.sin
+    on the offset less its nearest integer and added by np.dot."""
+    m = np.arange(1, na)
+    s = np.sin(m * (math.pi * (offset - round(offset))))
+    return 4.0 * float(np.dot(na - m, s * s)) / (na * na * (na - 1))
+
+
 def leak_sinr_bounds(scenario, signal_mw, row):
     """The least and greatest expected-noise SINR that probe_block can give
     a probe with signal power ``signal_mw`` whose reference leak row (from

@@ -1295,16 +1295,21 @@ class TestCli:
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
 
     def test_only_noise_draws_load_numpy_random(self, tmp_path):
-        """The closed-form commands run without numpy.random; an instantaneous draw loads it."""
+        """Importing the CLI and an expected-mode `metrics` run load no numpy;
+        the closed-form commands run without numpy.random, and an
+        instantaneous draw loads it.  Once an array command has run, each
+        array module's np is numpy itself, so its calls pay no stand-in."""
         src = str(Path(cli.__file__).resolve().parents[1])
         config = tmp_path / "scenario.json"
         config.write_text("{}")
         script = f"""
 import sys
 import dmirs.cli
+assert "numpy" not in sys.modules
 cfg, out = {str(config)!r}, {str(tmp_path / "o.csv")!r}
+assert dmirs.cli.main(["metrics", "--config", cfg]) == 0
+assert "numpy" not in sys.modules
 runs = [
-    ["metrics", "--config", cfg],
     ["sweep-nr", "--config", cfg, "--nr", "10,20", "--pt", "10", "--out", out],
     ["sweep-dab", "--config", cfg, "--dab", "10,20", "--pt", "10", "--out", out],
     ["heatmap", "--config", cfg, "--grid", "3x3", "--out", out],
@@ -1312,6 +1317,9 @@ runs = [
 for argv in runs:
     assert dmirs.cli.main(argv) == 0, argv
     assert "numpy.random" not in sys.modules, argv
+import numpy
+from dmirs import arrays, secrecy, sweeps, transmitter
+assert all(module.np is numpy for module in (arrays, transmitter, secrecy, sweeps))
 assert dmirs.cli.main(["metrics", "--config", cfg, "--an-mode", "instantaneous"]) == 0
 assert "numpy.random" in sys.modules
 """

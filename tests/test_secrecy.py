@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dmirs import secrecy
 from dmirs.arrays import ArraySpec
 from dmirs.geometry import PATH_LOSS_RULES, GeometryError, LinkBudget, Position, angle_of, link_budget
-from dmirs.scenario import MAX_NR, MAX_SPACING_WAVELENGTHS, ConfigError, Scenario
+from dmirs.scenario import MAX_NA, MAX_NR, MAX_SPACING_WAVELENGTHS, ConfigError, Scenario
 from dmirs.secrecy import (
     AN_MODES,
     MAX_SNR,
@@ -36,6 +36,8 @@ from oracles import (
     channel_rows,
     eve_reference,
     eve_sinr_oracle,
+    expected_leak_numpy,
+    gamma_n,
     irs_beam,
     leak_row_tol,
     leak_sinr,
@@ -653,6 +655,49 @@ class TestSecrecyMetrics:
         for k in (1, 2, -3):
             assert secrecy._expected_leak(na, k + small) == secrecy._expected_leak(na, small) > 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, MAX_NA),
+        st.one_of(
+            # near the receiver's ray (k = 0) and its grating points (k != 0)
+            st.tuples(st.integers(-4, 4), st.floats(1e-140, 1e-2) | st.floats(-1e-2, -1e-140)),
+            # anywhere in the range spacing * (cos(phi) - cos(phi_b)) takes
+            st.tuples(st.just(0), st.floats(-2.0 * MAX_SPACING_WAVELENGTHS, 2.0 * MAX_SPACING_WAVELENGTHS)),
+        ),
+    )
+    @example(2, (0, 0.3))
+    @example(MAX_NA, (0, 0.3))
+    @example(16, (0, 0.5))  # y = pi/2: every odd m's sin^2 is 1, every even one's round-off
+    @example(16, (0, 1e-140))
+    @example(MAX_NA, (-3, 2.0**-30))
+    @example(3, (0, 2.0 * MAX_SPACING_WAVELENGTHS - 2.0**-20))
+    def test_float_leak_matches_the_numpy_sum(self, na, point):
+        """_expected_leak's math.fsum against expected_leak_numpy's np.dot of
+        the same terms.  With u = 2**-53 and each side's sine within an ulp
+        (2u relative) of the sine of the same float m*y, a term (na - m)*s*s
+        is within 6u of its exact value: 4u from the squared sine, u from
+        each product.  fsum rounds the sum of the terms once (u); np.dot adds
+        na - 1 non-negative terms, so in any order it is within
+        gamma_n(na - 2) of their sum.  Scaling by 4 is exact and the final
+        division rounds once on each side.  So the two agree within
+        gamma_n(8) + gamma_n(na + 5) of the reference, about (na + 13)u;
+        where numpy's sin is math's, the sines add nothing.  Offsets
+        nearer an integer than 1e-140 are left out: there the terms
+        (na - m)*sin^2(m*y) fall below the normal range on both sides."""
+        k, near = point
+        offset = k + near
+        got, want = secrecy._expected_leak(na, offset), expected_leak_numpy(na, offset)
+        assert type(got) is float
+        assert abs(got - want) <= (gamma_n(8) + gamma_n(na + 5)) * want
+
+    @given(st.integers(2, MAX_NA), st.integers(-2 * MAX_SPACING_WAVELENGTHS, 2 * MAX_SPACING_WAVELENGTHS))
+    @example(MAX_NA, 0)
+    @example(MAX_NA, -2 * MAX_SPACING_WAVELENGTHS)
+    def test_float_leak_is_zero_at_whole_offsets(self, na, k):
+        """On the receiver's ray and at each grating point every sin(m*y) is
+        sin(0) = 0, so A is exactly 0.0 on both routes."""
+        assert secrecy._expected_leak(na, float(k)) == expected_leak_numpy(na, float(k)) == 0.0
+
     def test_probe_at_receiver_gives_zero_secrecy_rate(self):
         metrics = secrecy_metrics(Scenario(), Position(20.0, 0.0))
         assert metrics.rate_s == pytest.approx(0.0, abs=1e-9)
@@ -670,15 +715,21 @@ class TestSecrecyMetrics:
 
     @pytest.mark.parametrize("probe", [EVE, Position(20.0, 0.0), Position(-30.0, 0.0)])
     def test_one_expected_probe_runs_on_floats_alone(self, monkeypatch, probe):
-        """No noise projector, steering row or BER array serves one expected-mode
-        probe, away from the receiver, on it (both kernels at their limit) or
-        at end-fire behind the transmitter; every field is a plain float."""
+        """No noise projector, steering row, BER array or numpy call at all
+        serves one expected-mode probe, away from the receiver, on it (both
+        kernels at their limit) or at end-fire behind the transmitter; every
+        field is a plain float."""
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("one probe took an array route")
 
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"one probe read np.{name}")
+
         for name in ("an_projector", "ber_from_snrs", "steering_rows"):
             monkeypatch.setattr(secrecy, name, must_not_run)
+        monkeypatch.setattr(secrecy, "np", NoNumpy())
         metrics = secrecy_metrics(Scenario(), probe)
         assert [type(getattr(metrics, f.name)) for f in fields(SecrecyMetrics)] == [float] * 7
 

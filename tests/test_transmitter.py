@@ -104,7 +104,7 @@ class TestAnProjector:
 
 class TestComplexNormal:
     def test_generator_annotation_resolves(self):
-        # quoted so that importing dmirs does not load numpy.random
+        # a string (postponed annotations), so that importing dmirs does not load numpy
         assert typing.get_type_hints(complex_normal)["rng"] is np.random.Generator
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (1000, 16), (3, 4, 5)])
