@@ -27,10 +27,14 @@ the parser, and each command reads the environment and its config file
 when it runs.  An argv that starts with a command name is parsed in one
 pass by that command's own parser; any other argv, and one the command's
 parser finds unrecognized arguments in, goes through the top-level parser,
-so usage, help and error text are the top-level parser's.  The config
-file is read in one unbuffered binary read and decoded as text mode would
-decode it; the config as written and then its overrides are each built by
-scenario.fill_scenario and validated once.
+so usage, help and error text are the top-level parser's.  Each command
+reads its config file afresh with os-level reads, so an edited file is
+always seen, and decodes it as text mode would decode it.  The parse is
+memoised by the file's bytes: the validated Scenario of each of the eight
+most recently used contents is kept, so a repeated content is not parsed
+or validated again, and a config that fails is parsed again, failing the
+same way, on every call.  The overrides are applied by
+scenario.fill_scenario and validated once per call.
 """
 
 import argparse
@@ -110,14 +114,22 @@ def _parse_point(spec: str) -> Position:
 
 
 def _load_scenario(args, **flags) -> Scenario:
-    """The config file's Scenario with DMIRS_SEED and every flag that is not None applied."""
+    """The config file's Scenario with DMIRS_SEED and every flag that is not None applied.
+
+    The file is read on every call, so an edited file is always seen; only
+    its parse is memoised (_parse_config_bytes)."""
     try:
-        with open(args.config, "rb", buffering=0) as fh:  # no buffer or text layer for one read
-            raw = fh.read()
+        fd = os.open(args.config, os.O_RDONLY)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}") from None
-    # the text open(args.config, encoding="utf-8").read() gives, universal newlines included
-    scenario = parse_config(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    try:  # the bytes and error messages of open(args.config, "rb").read(), without its file object
+        raw = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+    except IsADirectoryError as exc:
+        exc.filename = args.config  # open() names the file; os.read does not
+        raise
+    finally:
+        os.close(fd)
+    scenario = _parse_config_bytes(raw)
     overrides = {}
     env_seed = os.environ.get("DMIRS_SEED")
     if env_seed is not None:
@@ -127,6 +139,15 @@ def _load_scenario(args, **flags) -> Scenario:
             raise ConfigError(f"DMIRS_SEED must be an integer, got {brief_repr(env_seed)}") from None
     overrides.update((name, value) for name, value in flags.items() if value is not None)
     return fill_scenario(vars(scenario), overrides) if overrides else scenario
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_config_bytes(raw: bytes) -> Scenario:
+    """parse_config of a config file's bytes, decoded as text mode decodes
+    them (UTF-8, universal newlines).  The (immutable) Scenario of each of
+    the eight most recently used contents is kept; an error is raised afresh
+    on every call."""
+    return parse_config(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _write_result(result, path) -> None:
@@ -139,7 +160,7 @@ def _cmd_metrics(args) -> int:
     scenario = _load_scenario(args, eve=eve, an_mode=args.an_mode)
     metrics = secrecy_metrics(scenario, scenario.eve)
     keys = ("gamma_b", "gamma_e", "rate_b", "rate_e", "rate_s", "ber_b", "ber_probe")
-    print("\n".join(f"{key}={format(getattr(metrics, key), '.9g')}" for key in keys))
+    sys.stdout.write("".join(f"{key}={format(getattr(metrics, key), '.9g')}\n" for key in keys))
     return 0
 
 

@@ -38,8 +38,9 @@ probe_block gives the numerator and the expected A of a heatmap block of
 probes in one scene: per probe only the calls the same pins hold (three
 steering vectors, two element_cycles rows), per block one array pass each
 for the IRS phase sums, <g_t, g_t>, the direct terms and the leak rows.
-Rates are log2(1+gamma) bits per channel use, the secrecy rate the clamped
-difference.
+Rates are log2(1+gamma) bits per channel use, taken as log1p(gamma)/ln 2 so
+that a small gamma keeps its relative precision, the secrecy rate the
+clamped difference.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ AN_MODES = ("expected", "instantaneous")
 # ber_from_snrs doubles the SNR, so half the float range is the largest it takes
 MAX_SNR = sys.float_info.max / 2.0
 _SIN_PI_4 = math.sin(math.pi / 4)
+_LN_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -105,15 +107,11 @@ def _eve_amplitude(scenario, bob, eve, reflect=True):
 
 
 def rate_bits(gamma: float) -> float:
-    """Achievable rate log2(1 + gamma) in bits per channel use."""
+    """Achievable rate log2(1 + gamma) in bits per channel use, as log1p(gamma)/ln 2:
+    rounding 1 + gamma first would keep only about 1e-16/gamma of a small rate."""
     if gamma < 0.0:
         raise ValueError(f"SNR must be non-negative, got {gamma!r}")
-    return math.log2(1.0 + gamma)
-
-
-def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
-    """Clamped rate difference [rate_b - rate_e]^+ in bits per channel use."""
-    return max(0.0, rate_bits(gamma_b) - rate_bits(gamma_e))
+    return math.log1p(gamma) / _LN_2
 
 
 def check_snr(pt_dbm, noise_dbm, *gammas) -> None:
@@ -235,15 +233,8 @@ def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     gamma_e = float(_sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, an_power))
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     ber_b, ber_probe = (q_function(math.sqrt(2.0 * gamma) * _SIN_PI_4) for gamma in (gamma_b, gamma_e))
-    return SecrecyMetrics(
-        gamma_b=gamma_b,
-        gamma_e=gamma_e,
-        rate_b=rate_bits(gamma_b),
-        rate_e=rate_bits(gamma_e),
-        rate_s=secrecy_rate(gamma_b, gamma_e),
-        ber_b=ber_b,
-        ber_probe=ber_probe,
-    )
+    rate_b, rate_e = rate_bits(gamma_b), rate_bits(gamma_e)
+    return SecrecyMetrics(gamma_b, gamma_e, rate_b, rate_e, max(0.0, rate_b - rate_e), ber_b, ber_probe)
 
 
 def secrecy_rates(scenes, pt_dbm_values, block):
@@ -275,7 +266,7 @@ def secrecy_rates(scenes, pt_dbm_values, block):
         terms = _scene_terms(batch)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the mask
             gamma_b, gamma_e = _snrs(terms, pt_mw)
-            blocks.append(np.maximum(0.0, np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_e)))
+            blocks.append(np.maximum(0.0, np.log1p(gamma_b) / _LN_2 - np.log1p(gamma_e) / _LN_2))
         fine = ((gamma_b <= MAX_SNR) & (gamma_e <= MAX_SNR)).all(axis=(0, 2))
         if overflow is None and not fine.all():
             slot = int(fine.argmin())

@@ -590,6 +590,13 @@ def sinr_eve_scalar(scenario, bob, budget, w_a, projector, include_irs=True):
     return _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
 
 
+def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
+    """Clamped rate difference [rate_b - rate_e]^+ in bits per channel use."""
+    from dmirs.secrecy import rate_bits
+
+    return max(0.0, rate_bits(gamma_b) - rate_bits(gamma_e))
+
+
 def scalar_metrics(scenario, probe, include_irs=True):
     """secrecy_metrics as one scalar pipeline: gamma_b from snr_bob, gamma_e
     from sinr_eve_scalar (the projector's leak row), BERs from qpsk_ber_scalar.
@@ -599,7 +606,7 @@ def scalar_metrics(scenario, probe, include_irs=True):
     unchanged, so nothing depends on the IRS element count.
     """
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, secrecy_rate, snr_bob
+    from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, snr_bob
 
     bob, w_a, projector = probe_setup(scenario)
     if include_irs:

@@ -1021,6 +1021,10 @@ class TestCli:
     def test_config_is_validated_as_written_then_overridden_in_one_step(
         self, config_file, tmp_path, monkeypatch, capsys
     ):
+        """Each call reads the file; the first call for a content validates it
+        as written and then with its overrides, and a repeat of the same bytes
+        validates only the overrides, from the memoised Scenario."""
+        cli._parse_config_bytes.cache_clear()  # the fixture's "{}" may be memoised by an earlier test
         validate, built = Scenario.__post_init__, []
         monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(self) or validate(self))
 
@@ -1040,22 +1044,62 @@ class TestCli:
         sweep_nr = ["sweep-nr", "--config", config_file, "--nr", "10,20,30", "--pt", "10,15", "--out", str(out)]
         # the file's Scenario, then one with DMIRS_SEED and every flag applied
         assert run(metrics) == (0, 2, "")
-        assert run(metrics, "7") == (0, 2, "")
-        assert run(heatmap, "7") == (0, 2, "")
+        # the same bytes again: only the overrides are applied and validated
+        assert run(metrics) == (0, 1, "")
+        assert run(metrics, "7") == (0, 1, "")
+        assert run(heatmap, "7") == (0, 1, "")
         assert "# seed = 9" in out.read_text()
-        # a sweep takes no flag: the file's Scenario, one per pt (validated before any row),
-        # then one per nr value, whatever the number of pt values
-        assert run(sweep_nr) == (0, 1 + 2 + 3, "")
+        # a sweep takes no flag: one Scenario per pt (validated before any row), then one per nr
+        # value, whatever the number of pt values
+        assert run(sweep_nr) == (0, 2 + 3, "")
         # DMIRS_SEED must parse even when --seed replaces it, but only the seed used is range-checked
-        assert run(heatmap, "abc") == (2, 1, "dmirs: error: DMIRS_SEED must be an integer, got 'abc'\n")
-        assert run(heatmap, "-1")[:2] == (0, 2)
-        # the file is validated as written: its eve on alice exits 2 though --eve moves it
+        assert run(heatmap, "abc") == (2, 0, "dmirs: error: DMIRS_SEED must be an integer, got 'abc'\n")
+        assert run(heatmap, "-1")[:2] == (0, 1)
+        # a changed DMIRS_SEED takes effect on the next call over the memoised Scenario
+        assert run(metrics[:3], "7")[:2] == (0, 1) and built[-1].seed == 7
+        assert run(metrics[:3], "8")[:2] == (0, 1) and built[-1].seed == 8
+        assert run(metrics[:3]) == (0, 0, "")
+        # an edited file is read and validated as written again; its old bytes are still memoised
+        Path(config_file).write_text('{"seed": 5}')
+        assert run(metrics) == (0, 2, "") and built[0].seed == 5
+        assert run(metrics) == (0, 1, "")
+        Path(config_file).write_text("{}")
+        assert run(metrics) == (0, 1, "")
+        # the file is validated as written: its eve on alice exits 2 though --eve moves it,
+        # and a failed parse is not memoised, so every call fails the same way
         on_alice = tmp_path / "on_alice.json"
         on_alice.write_text('{"eve": [0, 0]}')
         metrics[2] = str(on_alice)
-        assert run(metrics) == (
-            2, 1, "dmirs: error: eve and alice coincide at Position(x=0.0, y=0.0)\n"
-        )
+        for _ in range(3):
+            assert run(metrics) == (2, 1, "dmirs: error: eve and alice coincide at Position(x=0.0, y=0.0)\n")
+
+    def test_config_read_errors_keep_their_exit_codes_and_messages(self, tmp_path, capsys):
+        """How a config file that cannot be read or decoded fails, byte for
+        byte: a missing file and undecodable bytes exit 2, a directory exits
+        3 naming it, and \\r\\n and \\r are newlines in parse messages."""
+        missing = str(tmp_path / "missing.json")
+        cases = [
+            (missing, None, 2, f"dmirs: error: config file not found: {missing}"),
+            (str(tmp_path), None, 3, f"dmirs: i/o error: [Errno 21] Is a directory: {str(tmp_path)!r}"),
+            ("a\0b.json", None, 2, "dmirs: error: embedded null byte"),
+            (
+                str(tmp_path / "latin1.json"), b'{"an_mode": "caf\xe9"}', 2,
+                "dmirs: error: 'utf-8' codec can't decode byte 0xe9 in position 16: invalid continuation byte",
+            ),
+            (
+                str(tmp_path / "newlines.json"), b'{\r\n"na": 16,\r"nr": x}', 2,
+                "dmirs: error: config parse error at line 3, column 7: Expecting value",
+            ),
+            (str(tmp_path / "crlf.json"), b'{\r\n"na": 8,\r\n"nr": 7\r}\r\n', 0, ""),
+        ]
+        for path, data, code, message in cases:
+            if data is not None:
+                Path(path).write_bytes(data)
+            for _ in range(2):  # a second call fails the same way
+                assert cli.main(["metrics", "--config", path]) == code
+                captured = capsys.readouterr()
+                assert captured.err == (message and message + "\n")
+                assert captured.out.startswith("gamma_b=") == (code == 0)
 
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
     @pytest.mark.parametrize("route", ["config", "env", "flag"])

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import fields, replace
 
@@ -21,7 +22,6 @@ from dmirs.secrecy import (
     probe_setup,
     rate_bits,
     secrecy_metrics,
-    secrecy_rate,
     secrecy_rates,
     snr_bob,
 )
@@ -48,6 +48,7 @@ from oracles import (
     q_via_integration,
     qpsk_ber_scalar,
     rate_reference,
+    secrecy_rate,
 )
 
 EVE = Position(30.0, 20.0)
@@ -577,6 +578,16 @@ class TestRates:
         assert rate_bits(1.0) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             rate_bits(-0.5)
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-12, 1e-30, 0.5, 3.0e4])
+    def test_rate_bits_keeps_its_relative_precision_at_small_snrs(self, gamma):
+        """log2(1 + gamma) to within 2 ulps of its 80-digit value, 1.44269504e-09
+        at gamma = 1e-9; rounding 1 + gamma first read 1.44269516e-09."""
+        with decimal.localcontext(prec=80):
+            true = (1 + decimal.Decimal(gamma)).ln() / decimal.Decimal(2).ln()
+        assert abs(decimal.Decimal(rate_bits(gamma)) - true) <= 2 * decimal.Decimal(math.ulp(float(true)))
+        if gamma == 1e-9:
+            assert format(rate_bits(gamma), ".9g") == "1.44269504e-09"
 
 
 @st.composite
