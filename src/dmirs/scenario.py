@@ -20,8 +20,8 @@ Sizes are bounded so that a typo fails validation instead of exhausting
 memory; each bound keeps the largest array it sizes in the hundreds of MiB
 at most (complex values take 16 bytes):
 
-  * na <= MAX_NA (1024): the noise projector holds na*na complex values
-    (16 MiB),
+  * na <= MAX_NA (1024): a rate sweep's noise projector, one per scene and
+    column, holds na*na complex values (16 MiB); no other command builds one,
   * nr <= MAX_NR (1,000,000): a heatmap cell's IRS phase row holds nr complex
     values (15 MiB),
   * mc_samples <= MAX_MC_SAMPLES (10,000): one heatmap cell draws

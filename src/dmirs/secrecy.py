@@ -21,23 +21,20 @@ noise draw (``instantaneous`` mode), as the scenario's an_mode says.
 Both arrays are centred uniform linear arrays, so both inner products are
 real Dirichlet kernels: d = <h(phi), w_a> is the transmitter's kernel in
 cos(phi) - cos(phi_b), divided by na, and the reflect gain the IRS's in
-cos(theta) - cos(theta_b).  One route serves one probe (secrecy_metrics)
-and each scene of the rate sweeps (secrecy_rates; the no-IRS benchmark is
-the same link with a zero reflect gain): _eve_amplitude, which takes both
-kernels from _dirichlet on plain floats.  The projector is (I - w_a
-w_a^H)/sqrt(na - 1), so a probe's expected A is (1 - d^2)/(na - 1), which
-_expected_leak sums as non-negative terms so that it keeps its relative
-precision near the receiver's ray, and its leak row (h^H - d w_a^H)/sqrt(na
-- 1): secrecy_metrics builds no projector, and in expected mode no steering
-vector and no numpy array, so a process that runs only that never imports
-numpy (np is numerics.LazyNumpy until the first array call).  secrecy_rates
-still takes A from each scene's projector row, so the two routes differ
-only in A, by round-off; the rate sweeps' projector per scene and column is
-held in place by the benchmark's work-count pins.
-probe_block gives the numerator and the expected A of a heatmap block of
-probes in one scene: per probe only the calls the same pins hold (three
-steering vectors, two element_cycles rows), per block one array pass each
-for the IRS phase sums, <g_t, g_t>, the direct terms and the leak rows.
+cos(theta) - cos(theta_b).  _eve_amplitude takes both from _dirichlet on
+plain floats for one probe (secrecy_metrics) and for each scene of the rate
+sweeps (secrecy_rates; the no-IRS benchmark is the same link with a zero
+reflect gain).  The projector P = (I - w_a w_a^H)/sqrt(na - 1) is rank one
+off the identity, so a probe's leak row is h^H P = (h^H - d w_a^H)/sqrt(na
+- 1) and its expected A = (1 - d^2)/(na - 1).  The routes take the leak so:
+  * metrics, expected: A as a sum of non-negative terms (_expected_leak),
+    precise near the receiver's ray, on plain floats, so such a process
+    never imports numpy (np is numerics.LazyNumpy until an array call);
+  * metrics, instantaneous, and the heatmap (probe_block): the closed-form
+    row (_leak_rows), O(na) a probe and no projector;
+  * the rate sweeps: each scene's na-by-na projector row, held per scene
+    and column by the benchmark's work-count pins; so the sweeps and
+    secrecy_metrics differ only in A, by round-off.
 Rates are log2(1+gamma) bits per channel use, taken as log1p(gamma)/ln 2 so
 that a small gamma keeps its relative precision, the secrecy rate the
 clamped difference.
@@ -130,7 +127,7 @@ def snr_bob(scenario, bob: LinkBudget) -> float:
     return scenario.alpha * scenario.pt_mw * power / scenario.noise_mw
 
 
-def probe_block(scenario, bob: LinkBudget, w_a, projector, angles, count):
+def probe_block(scenario, bob: LinkBudget, w_a, angles, count):
     """Signal powers in mW, expected-noise SINRs and noise-leak rows of ``count`` probes.
 
     ``angles`` yields the probes' (phi, theta) pairs; each probe has the
@@ -138,30 +135,40 @@ def probe_block(scenario, bob: LinkBudget, w_a, projector, angles, count):
     pinned calls: two steering vectors toward phi (direct term, leak row),
     g_t toward the IRS, and its IRS elements' cycles less the tuned ones.
     Per block, one exponential and one row-wise sum give the IRS phase sums
-    and np.vecdot the direct terms, <g_t, g_t> and the leak rows h^H P, all
-    row by row, so no value depends on the block split.  Amplitudes and
-    signals are bit for bit tests/oracles.py::probe_amplitude's; the leak
-    rows agree with its an_leak_row to tests/oracles.py::leak_row_tol, about
-    6 eps an entry, and the SINRs to that bound carried through.
+    and np.vecdot <g_t, g_t> and the direct terms d, all row by row, so no
+    value depends on the block split; _leak_rows takes each d to its leak
+    row.  Amplitudes and signals are bit for bit oracles.probe_amplitude's;
+    the leak rows agree with the textbook h^H P to oracles.leak_row_tol, a
+    few eps an entry, and the SINRs to that bound carried through.
     """
     alice, irs = scenario.alice_array(), scenario.irs_array()
     phi_ar = angle_of(scenario.alice, scenario.irs)
     rows = np.empty((count, scenario.na), complex)
-    leak = np.empty((count, 1, scenario.na), complex)
+    leak = np.empty((count, scenario.na), complex)
     g_t = np.empty((count, scenario.na), complex)
     cycles = np.empty((count, scenario.nr))
     for slot, (phi, theta) in enumerate(angles):
         rows[slot] = steering_vector(alice, phi)
-        leak[slot, 0] = steering_vector(alice, phi)
+        leak[slot] = steering_vector(alice, phi)
         g_t[slot] = steering_vector(alice, phi_ar)
         np.subtract(element_cycles(irs, theta), element_cycles(irs, bob.theta), out=cycles[slot])
     phases = -2j * np.pi * cycles
     reflect = np.add.reduce(np.exp(phases, out=phases), axis=1)  # each row's IRS phase sum
     norms = np.vecdot(g_t, g_t)
-    amplitudes = math.sqrt(bob.l_direct) * np.vecdot(rows, w_a) + math.sqrt(bob.l_reflect) * reflect * norms
-    np.vecdot(leak, projector.T, out=rows)  # rows are now the leak rows h^H P
+    d = np.vecdot(rows, w_a)
+    amplitudes = math.sqrt(bob.l_direct) * d + math.sqrt(bob.l_reflect) * reflect * norms
+    rows = _leak_rows(leak, d[:, np.newaxis], w_a, out=rows)
     signal = scenario.alpha * scenario.pt_mw * _amplitude_power(amplitudes)
     return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, _leak_power(rows)), rows
+
+
+def _leak_rows(h, d, w_a, out=None):
+    """Leak rows h^H P = (h^H - d w_a^H)/sqrt(na - 1) of the steering rows
+    ``h`` (last axis) with their d = <h, w_a>, O(na) a row and no projector.
+    Conjugates ``h`` in place; the rows go to ``out`` (new if None)."""
+    out = np.multiply(d, w_a.conj(), out=out)
+    np.subtract(np.conjugate(h, out=h), out, out=out)
+    return np.divide(out, math.sqrt(len(w_a) - 1), out=out)
 
 
 def _amplitude_power(amplitudes):
@@ -199,11 +206,10 @@ def _sinr(alpha, noise_mw, pt_mw, signal_mw, an_power):
 
 
 def probe_setup(scenario):
-    """The intended receiver's budget, the direct beam w_a (the steering
-    vector toward that receiver, which the noise avoids) and the noise projector."""
+    """The intended receiver's budget and the direct beam w_a, the steering
+    vector toward that receiver, which the noise avoids."""
     bob = link_budget(scenario, scenario.bob)
-    w_a = steering_vector(scenario.alice_array(), bob.phi)
-    return bob, w_a, an_projector(w_a)
+    return bob, steering_vector(scenario.alice_array(), bob.phi)
 
 
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
@@ -211,24 +217,20 @@ def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
 
     On plain floats, since a cold numpy call costs microseconds and
     importing numpy about 90 ms: the amplitude and d = <h(phi), w_a> from
-    _eve_amplitude, as the rate sweeps take them, and ber_from_snrs' BER as
-    one q_function call each.  The leak is exact without a projector
-    matrix: the projector is (I - w_a w_a^H)/sqrt(na - 1), so the probe's
-    leak row is (h^H - d w_a^H)/sqrt(na - 1) and its expected power A = (1 -
-    d^2)/(na - 1), from _expected_leak's float sum at d's offset.  Only
-    instantaneous mode, one noise draw through that leak row, uses numpy.
+    _eve_amplitude, as the rate sweeps take them, ber_from_snrs' BER as one
+    q_function call each, and the expected leak from _expected_leak.  Only
+    instantaneous mode, one noise draw through _leak_rows' row, uses numpy.
     """
     bob = link_budget(scenario, scenario.bob)
     eve = link_budget(scenario, probe)
-    na = scenario.na
     amplitude, offset, d = _eve_amplitude(scenario, bob, eve)
     signal = scenario.alpha * scenario.pt_mw * (amplitude * amplitude)
     if scenario.an_mode == "instantaneous":
         w_a, h = steering_rows([scenario.alice_array()], np.array([[bob.phi, eve.phi]]))[0]
-        z = complex_normal(np.random.default_rng(scenario.seed), (na,))
-        an_power = abs(np.dot((h.conj() - d * w_a.conj()) / math.sqrt(na - 1), z)) ** 2
+        z = complex_normal(np.random.default_rng(scenario.seed), (scenario.na,))
+        an_power = abs(np.dot(_leak_rows(h, d, w_a), z)) ** 2
     else:
-        an_power = _expected_leak(na, offset)
+        an_power = _expected_leak(scenario.na, offset)
     gamma_b = snr_bob(scenario, bob)
     gamma_e = float(_sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, an_power))
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)

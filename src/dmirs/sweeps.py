@@ -85,10 +85,10 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     Monte-Carlo average over noise draws when the scenario requests
     instantaneous noise.  Cells reach probe_block a block at a time as
     (phi, theta) pairs.  Each cell's signal power is bit for bit the scalar
-    per-probe route's and its noise-leak row agrees with that route's to a
-    few eps an entry (see probe_block), so sinr_db and ber agree to that
-    bound carried through, and np.log10 may differ from math.log10 by an
-    ulp.  The values are the same, bit for bit, for every block size.
+    per-probe route's; its closed-form leak row agrees with the textbook
+    h^H P to a few eps an entry (see probe_block), so sinr_db and ber agree
+    to that bound carried through, and np.log10 may differ from math.log10
+    by an ulp.  The values are the same, bit for bit, for every block size.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:
@@ -96,7 +96,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob, w_a, projector = probe_setup(scenario)
+    bob, w_a = probe_setup(scenario)
     # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
     check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
 
@@ -109,9 +109,7 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     angles = itertools.product(phi_rad, theta_rad)  # (phi, theta) in grid order
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
-        signal, gammas, rows = probe_block(
-            scenario, bob, w_a, projector, itertools.islice(angles, stop - start), stop - start
-        )
+        signal, gammas, rows = probe_block(scenario, bob, w_a, itertools.islice(angles, stop - start), stop - start)
         with np.errstate(divide="ignore"):  # log10(0) = -inf dB
             sinr_db[start:stop] = 10.0 * np.log10(gammas)
         if scenario.an_mode == "instantaneous":

@@ -156,6 +156,21 @@ def an_projector_eye_minus_outer(h):
     return p / np.linalg.norm(p)
 
 
+def an_projector_extended(w_a):
+    """The textbook noise projector (I - w_a w_a^H)/sqrt(na - 1) of the
+    stored direct beam ``w_a``, built in extended precision (np.clongdouble,
+    unit roundoff EXTENDED_ROUNDOFF): -w_a w_a^H, 1 added to its diagonal,
+    divided by sqrt(na - 1), the Frobenius norm of I - w_a w_a^H for a
+    unit-norm w_a.  Normalising by a computed Frobenius norm would add the
+    rounding of a sum of na^2 terms, which no bound of a few eps covers at
+    large na."""
+    w = np.asarray(w_a, dtype=np.clongdouble)
+    p = np.multiply.outer(w, -w.conj())
+    p.flat[:: len(w) + 1] += 1
+    p /= np.sqrt(np.longdouble(len(w) - 1))
+    return p
+
+
 def synthesize_tx(w_a, w_r, projector, s, z, alpha):
     """The two transmit vectors for symbol ``s`` and noise draw ``z``.
 
@@ -413,11 +428,13 @@ def probe_amplitude(scenario, bob, probe, w_a) -> complex:
 
 
 def an_leak_row(probe, alice, projector) -> np.ndarray:
-    """Probe steering row propagated through the noise projector, h(phi)^H P."""
+    """Probe steering row propagated through the noise projector, h(phi)^H P,
+    a vector-matrix product in the projector's precision rounded to complex:
+    an_projector_extended's gives the textbook row to within an ulp or so."""
     from dmirs.arrays import steering_vector
 
     h_ae = steering_vector(alice, probe.phi)
-    return h_ae.conj() @ projector
+    return (h_ae.conj() @ projector).astype(complex)
 
 
 def probe_signal(scenario, bob, budget, w_a, include_irs=True):
@@ -445,6 +462,8 @@ def leak_sinr(scenario, signal_mw, row):
 # Unit roundoff of IEEE double arithmetic: a correctly rounded operation is
 # off by at most UNIT_ROUNDOFF of its exact result.
 UNIT_ROUNDOFF = 2.0**-53
+# Unit roundoff of np.longdouble, the precision an_projector_extended works in
+EXTENDED_ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2.0
 # Assumed bound on math.erfc's error, in units in the last place.  The BER
 # bounds below lean on Q being decreasing, which computed values honour only
 # to within this error.
@@ -458,28 +477,54 @@ def gamma_n(n):
 
 
 def leak_row_tol(na):
-    """Bound on each entry's difference between two evaluations of a leak row
-    h(phi)^H P from the same steering vector and projector, as probe_block's
-    row-by-row np.vecdot and an_leak_row's vector-matrix product evaluate it.
+    """Bound on each entry's difference between a leak row in closed form,
+    as secrecy._leak_rows evaluates it for probe_block and the heatmap, and
+    the textbook row h(phi)^H P that an_leak_row takes through
+    an_projector_extended, for steering vectors h and w_a of na entries.
 
-    Entry j is sum_k conj(h_k) P[k, j].  Its real and imaginary parts are
-    each a sum of 2*na real products (|Re a Re b| + |Im a Im b| <= |a||b|,
-    and likewise for the cross terms), each rounded once or, under a fused
-    multiply-add, not at all, and added in any order.  So each part is off
-    by at most gamma_n(2*na) * S_j, S_j = sum_k |h_k| |P[k, j]|, and the
-    complex entry by sqrt(2) * gamma_n(2*na) * S_j.  With |h_k| = 1/sqrt(na)
-    and P = (I - w_a w_a^H)/sqrt(na - 1), whose entries have magnitude (1 -
-    1/na)/sqrt(na - 1) on the diagonal and 1/(na*sqrt(na - 1)) off it, S_j =
-    2*sqrt(na - 1)/na**1.5.  That is below r = 2/sqrt(na*(na - 1)) by the
-    factor (na - 1)/na, a margin far wider than the few ulps by which the
-    stored magnitudes can exceed the exact ones.  Two evaluations differ by
-    at most the sum of their bounds:
+    Write u = UNIT_ROUNDOFF, v = EXTENDED_ROUNDOFF, gamma_n and gamma_v for
+    the compounded errors in each precision, and Q = sqrt(na*(na - 1)).
+    Both routes start from the same stored h and w_a, whose entries have
+    magnitude 1/sqrt(na) to a few ulps; the exact row from them is x_j =
+    (conj(h_j) - d*conj(w_j))/sqrt(na - 1), d = <h, w_a>, with |d| <= 1.
+    A complex product's parts each sum two real products, |Re a Re b| +
+    |Im a Im b| <= |a||b| and likewise for the cross terms, so a product
+    rounded in any order is off by sqrt(2)*gamma_n(2)*|a||b|, and a dot
+    product of na terms by sqrt(2)*gamma_n(2*na) times sum |a_k||b_k|.
 
-        e = 2 * sqrt(2) * gamma_n(2*na) * r,  about 4*sqrt(2) eps,
+    Closed form: d is such a dot product, off by sqrt(2)*gamma_n(2*na);
+    d*conj(w_j) adds sqrt(2)*gamma_n(2)/sqrt(na); the subtraction rounds
+    once (u of a value below 2/sqrt(na)) and the scaling by sqrt(na - 1),
+    a square root, its reciprocal and a product, three times.  So
 
-    and the rows by at most sqrt(na) * e in norm, of order eps * sqrt(na).
+        |closed - x_j| <= (sqrt(2)*gamma_n(2*na) + 2*sqrt(2)*u + 8*u) / Q.
+
+    Textbook row: -w_a w_a^H's entries are off by sqrt(2)*gamma_v(2)/na,
+    the diagonal's 1 added by v, the scaling by gamma_v(3) of entries whose
+    magnitudes sum to 2 in each column against |h_k| = 1/sqrt(na); the
+    product sums na terms of those magnitudes, sqrt(2)*gamma_v(2*na) each
+    part, and the conversion to complex rounds once, u of |x_j| <= 2/Q:
+
+        |textbook - x_j| <= (2*u + 2*sqrt(2)*gamma_v(2*na) + 10*v) / Q.
+
+    Their sum, with the constants rounded up and a factor 1 + 1e-9 for the
+    second-order terms (products of two roundoffs, or of one and the ulps
+    by which a stored |h_k| can exceed 1/sqrt(na)), is
+
+        e = (1 + 1e-9) * (sqrt(2)*(gamma_n(2*na) + 2*gamma_v(2*na)) + 13*u + 10*v) / Q,
+
+    about (2*sqrt(2)*na + 13)*u / Q: 6.6 eps at na = 2, falling to sqrt(2)
+    eps at large na, and the rows differ by at most sqrt(na) * e in norm.
+    Where v is far below u (v = u/2048 for x87 extended precision), e stays
+    below 4*sqrt(2)*gamma_n(2*na) / Q, the bound on two evaluations of h^H P
+    through one stored projector that the heatmap's rows were held to when
+    it built one; a textbook row in double precision would carry that much
+    rounding of its own, which with the closed form's exceeds it at na <= 4.
     """
-    return 2.0 * math.sqrt(2.0) * gamma_n(2 * na) * 2.0 / math.sqrt(na * (na - 1))
+    u, v = UNIT_ROUNDOFF, EXTENDED_ROUNDOFF
+    gamma_v = 2 * na * v / (1.0 - 2 * na * v)
+    terms = math.sqrt(2.0) * (gamma_n(2 * na) + 2.0 * gamma_v) + 13.0 * u + 10.0 * v
+    return (1.0 + 1e-9) * terms / math.sqrt(na * (na - 1))
 
 
 def expected_leak_numpy(na, offset):
@@ -608,7 +653,8 @@ def scalar_metrics(scenario, probe, include_irs=True):
     from dmirs.geometry import link_budget
     from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, snr_bob
 
-    bob, w_a, projector = probe_setup(scenario)
+    bob, w_a = probe_setup(scenario)
+    projector = an_projector_extended(w_a)
     if include_irs:
         gamma_b = snr_bob(scenario, bob)
     else:
@@ -691,7 +737,7 @@ def eve_reference(scenario, include_irs=True):
     from dmirs.secrecy import probe_setup
 
     expected = scalar_metrics(scenario, scenario.eve, include_irs)
-    _, _, projector = probe_setup(scenario)
+    projector = an_projector_extended(probe_setup(scenario)[1])
     eve = link_budget(scenario, scenario.eve)
     na = scenario.na
     row = an_leak_row(eve, scenario.alice_array(), projector)
@@ -725,7 +771,9 @@ def heatmap_per_cell(scenario, grid):
 
     Returns {"sinr_db": (lo, hi), "ber": (lo, hi)}, arrays in grid order.
     Each cell calls probe_signal, which run_heatmap must match bit for bit,
-    and an_leak_row, which its leak row matches to leak_row_tol; the SINR
+    and takes its phi's an_leak_row through an_projector_extended, which
+    its leak row matches to leak_row_tol (a leak row depends on phi alone,
+    so it is taken once per phi); the SINR
     bounds are leak_sinr_bounds, and the BER bounds _ber_bounds of them or,
     in instantaneous mode, _mc_ber_bounds with the cell's (seed, flat index)
     seed, and the sinr_db bounds _db_bound of the SINR bounds.
@@ -737,18 +785,19 @@ def heatmap_per_cell(scenario, grid):
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
 
-    bob, w_a, projector = probe_setup(scenario)
+    bob, w_a = probe_setup(scenario)
     check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
     alice = scenario.alice_array()
+    projector = an_projector_extended(w_a)
     mc = scenario.an_mode == "instantaneous"
 
     bounds = np.empty((4, n_phi * n_theta))  # sinr_db lo, hi, ber lo, hi
     index = 0
     for phi in phi_deg.tolist():
+        leak = an_leak_row(LinkBudget(math.radians(phi), bob.theta, bob.l_direct, bob.l_reflect), alice, projector)
         for theta in theta_deg.tolist():
             cell = LinkBudget(math.radians(phi), math.radians(theta), bob.l_direct, bob.l_reflect)
             signal = probe_signal(scenario, bob, cell, w_a)
-            leak = an_leak_row(cell, alice, projector)
             gamma_lo, gamma_hi = leak_sinr_bounds(scenario, signal, leak)
             if mc:
                 ber = _mc_ber_bounds(scenario, signal, leak, np.random.SeedSequence([scenario.seed, index]))

@@ -248,7 +248,7 @@ def test_artificial_noise_statistics():
             assert mc_power == pytest.approx(float(np.linalg.norm(row) ** 2), rel=0.02)
 
         # mean radiated power of the noisy beam stays at one symbol's worth
-        _, w_a, _ = probe_setup(scenario)
+        _, w_a = probe_setup(scenario)
         z = complex_normal(rng, (100_000, scenario.na))
         noisy = math.sqrt(0.6) * w_a[None, :] + math.sqrt(0.4) * (
             z @ projector.T

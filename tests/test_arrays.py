@@ -144,7 +144,7 @@ class TestAssembleChannel:
         scenario = Scenario()
         bob_budget = link_budget(scenario, scenario.bob)
         budget = link_budget(scenario, Position(30.0, 20.0))
-        _, w_a, _ = probe_setup(scenario)
+        _, w_a = probe_setup(scenario)
         phi_ar = angle_of(scenario.alice, scenario.irs)
         direct, reflect = channel_rows(budget, bob_budget, phi_ar, scenario.na, scenario.nr, budget.theta)
         dense = direct @ w_a + reflect @ irs_beam(scenario)

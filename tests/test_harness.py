@@ -29,7 +29,7 @@ from dmirs.scenario import (
 )
 from dmirs.secrecy import probe_setup, secrecy_metrics
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from oracles import heatmap_per_cell, rate_reference, result_rows, sinr_eve_scalar
+from oracles import an_projector_extended, heatmap_per_cell, rate_reference, result_rows, sinr_eve_scalar
 
 # nested far beyond the JSON decoder's recursion limit
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
@@ -245,7 +245,8 @@ class TestRunHeatmap:
     def test_cells_match_probe_sinr_route(self):
         scenario = Scenario()
         result = run_heatmap(scenario, grid=(7, 7))
-        bob_budget, w_a, projector = probe_setup(scenario)
+        bob_budget, w_a = probe_setup(scenario)
+        projector = an_projector_extended(w_a)
         for row in result_rows(result)[::5]:
             cell = replace(
                 bob_budget,
@@ -280,7 +281,8 @@ class TestRunHeatmap:
     @staticmethod
     def _assert_matches_per_cell_loop(scenario, grid):
         # the signal is the scalar route's bit for bit and the leak row within its
-        # rounding bound (tests/oracles.py::leak_row_tol); the bounds carry that through
+        # rounding bound against the textbook row (tests/oracles.py::leak_row_tol); the
+        # bounds carry that through
         result = run_heatmap(scenario, grid)
         for column, (lo, hi) in heatmap_per_cell(scenario, grid).items():
             values = result.values[column]
@@ -373,6 +375,23 @@ class TestRunHeatmap:
             assert counts["probe_block"] == math.ceil(cells / block)
             built[cells] = len(records)
         assert (built[20] - built[9]) / (20 - 9) == 0
+
+    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
+    def test_builds_no_projector_and_only_the_pinned_calls_per_cell(self, an_mode, monkeypatch):
+        """No noise projector at all: the leak rows are closed form.  Between a
+        3x3 and a 4x5 grid, each cell makes the calls the benchmark pins: three
+        steering vectors and five element_cycles rows (two in probe_block, one
+        in each steering vector)."""
+        scenario = Scenario(an_mode=an_mode, mc_samples=5)
+        counts = count_calls(monkeypatch, ("an_projector", "steering_vector", "element_cycles"))
+        seen = {}
+        for grid in ((3, 3), (4, 5)):
+            counts.update(dict.fromkeys(counts, 0))
+            run_heatmap(scenario, grid)
+            seen[grid[0] * grid[1]] = dict(counts)
+        assert seen[9]["an_projector"] == seen[20]["an_projector"] == 0
+        per_cell = {name: (seen[20][name] - seen[9][name]) / (20 - 9) for name in counts}
+        assert per_cell == {"an_projector": 0, "steering_vector": 3, "element_cycles": 5}
 
 
 class TestRunSweepNr:

@@ -29,6 +29,7 @@ from dmirs.sweeps import HEATMAP_BLOCK_VALUES
 from dmirs.transmitter import complex_normal
 from oracles import (
     an_leak_row,
+    an_projector_extended,
     benchmark_no_irs,
     bob_snr_oracle,
     cascaded_gain_bruteforce,
@@ -56,9 +57,9 @@ EVE = Position(30.0, 20.0)
 
 def probe_inputs(scenario, probe):
     """The intended receiver's and a probe's link budgets, with the scenario's
-    direct beam and noise projector."""
-    bob_budget, w_a, projector = probe_setup(scenario)
-    return bob_budget, link_budget(scenario, probe), w_a, projector
+    direct beam and its textbook noise projector."""
+    bob_budget, w_a = probe_setup(scenario)
+    return bob_budget, link_budget(scenario, probe), w_a, an_projector_extended(w_a)
 
 
 class TestProbeSetup:
@@ -67,7 +68,7 @@ class TestProbeSetup:
         steer = secrecy.steering_vector
         monkeypatch.setattr(secrecy, "steering_vector", lambda spec, phi: calls.append(phi) or steer(spec, phi))
         scenario = Scenario()
-        bob, w_a, _ = probe_setup(scenario)
+        bob, w_a = probe_setup(scenario)
         assert calls == [bob.phi]
         assert w_a.tolist() == steer(scenario.alice_array(), bob.phi).tolist()
 
@@ -210,7 +211,7 @@ class TestSnrBob:
         budget = link_budget(scenario, scenario.bob)
         phi_ar = angle_of(scenario.alice, scenario.irs)
         direct, reflect = channel_rows(budget, budget, phi_ar, scenario.na, scenario.nr, budget.theta)
-        _, w_a, _ = probe_setup(scenario)
+        _, w_a = probe_setup(scenario)
         amp = direct @ w_a + reflect @ irs_beam(scenario)
         via_channel = scenario.alpha * scenario.pt_mw * abs(amp) ** 2 / scenario.noise_mw
         assert snr_bob(scenario, budget) == pytest.approx(via_channel, rel=1e-12)
@@ -323,13 +324,15 @@ class TestProbeBlock:
     @example((Scenario(na=64, nr=500, irs_spacing_wavelengths=0.7), [(0.0, 0.0), (math.pi, math.pi), (1.0, 2.0)]))
     def test_signal_is_scalar_route_and_leak_within_its_rounding_bound(self, inputs):
         """The signal is probe_signal's, bit for bit; each leak row entry is
-        an_leak_row's to leak_row_tol, and the SINR inside leak_sinr_bounds."""
+        the textbook row's (an_leak_row through an_projector_extended) to
+        leak_row_tol, and the SINR inside leak_sinr_bounds."""
         scenario, angles = inputs
-        bob, w_a, projector = probe_setup(scenario)
-        signal, gammas, rows = probe_block(scenario, bob, w_a, projector, iter(angles), len(angles))
+        bob, w_a = probe_setup(scenario)
+        signal, gammas, rows = probe_block(scenario, bob, w_a, iter(angles), len(angles))
         cells = [LinkBudget(phi, theta, bob.l_direct, bob.l_reflect) for phi, theta in angles]
         assert signal.tolist() == [probe_signal(scenario, bob, cell, w_a) for cell in cells]
         alice = scenario.alice_array()
+        projector = an_projector_extended(w_a)
         expected_rows = np.array([an_leak_row(cell, alice, projector) for cell in cells])
         assert np.abs(rows - expected_rows).max() <= leak_row_tol(scenario.na)
         for s, gamma, row in zip(signal.tolist(), gammas.tolist(), expected_rows):
@@ -338,10 +341,13 @@ class TestProbeBlock:
 
     @pytest.mark.parametrize("na", [2, 3, 16, 1024])
     def test_leak_bound_is_a_few_eps_an_entry(self, na):
-        # 2 * sqrt(2) * gamma_n(2 na) * 2 / sqrt(na (na - 1)): 4 sqrt(2) eps * sqrt(na / (na - 1)),
-        # so the rows' norms may differ by about 6 eps * sqrt(na), no more
+        # about (2 sqrt(2) na + 13) u / sqrt(na (na - 1)): from 6.6 eps at na = 2 down to
+        # sqrt(2) eps, within the 4 sqrt(2) gamma_n(2 na) / sqrt(na (na - 1)) bound on two
+        # evaluations through one projector (4 sqrt(2) to 8 eps), so the rows' norms may
+        # differ by a few eps * sqrt(na), no more
         eps = np.finfo(float).eps
-        assert 4.0 * math.sqrt(2.0) * eps < leak_row_tol(na) <= 8.0 * eps * (1.0 + 1e-12)
+        one_projector = 4.0 * math.sqrt(2.0) * gamma_n(2 * na) / math.sqrt(na * (na - 1))
+        assert math.sqrt(2.0) * eps < leak_row_tol(na) <= one_projector <= 8.0 * eps * (1.0 + 1e-12)
 
     # the IRS phase sums are one row-wise reduction per block; nr = 500 is past numpy's
     # 128-element pairwise-sum block
@@ -349,11 +355,11 @@ class TestProbeBlock:
     def test_block_split_changes_no_bit(self, nr):
         """Each probe's values are the same whether it is evaluated alone or in a block."""
         scenario = Scenario(na=37, nr=nr, alice_spacing_wavelengths=0.8)
-        bob, w_a, projector = probe_setup(scenario)
+        bob, w_a = probe_setup(scenario)
         angles = [(0.1 * k, 3.0 - 0.1 * k) for k in range(30)] + [END_FIRE]
-        whole = probe_block(scenario, bob, w_a, projector, iter(angles), len(angles))
+        whole = probe_block(scenario, bob, w_a, iter(angles), len(angles))
         for slot, pair in enumerate(angles):
-            alone = probe_block(scenario, bob, w_a, projector, iter([pair]), 1)
+            alone = probe_block(scenario, bob, w_a, iter([pair]), 1)
             for block_values, values in zip(whole, alone):
                 assert block_values[slot].tolist() == values[0].tolist()
 
@@ -475,8 +481,8 @@ class TestSecrecyRates:
         probes = probe_row(scenario, probe, more_x)
         scenes = [replace(scenario, eve=p) for p in probes]
         gamma_b, gamma_e, _ = rated_snrs(lambda: secrecy_rates(scenes, [scenario.pt_dbm], block), include_irs=False)
-        bob, w_a, projector = probe_setup(scenario)
-        alice = scenario.alice_array()
+        bob, w_a = probe_setup(scenario)
+        alice, projector = scenario.alice_array(), an_projector_extended(w_a)
         for slot, p in enumerate(probes):
             budget = link_budget(scenario, p)
             signal = probe_signal(scenario, bob, budget, w_a, include_irs=False)

@@ -16,6 +16,10 @@ costs its record memory and its builder's work.
 A parameter of a function defined in src/dmirs/ that every call there
 supplies as one and the same literal has one value in use: it belongs in
 the body as a constant.
+Every parameter of every function and method defined in src/dmirs/ is read
+in its body: an argument nothing reads (kept "for compatibility") still has
+every caller build and pass it.  Lambdas are left out: one in a dispatch
+table takes the signature its siblings share.
 No public top-level function is a generator: a generator's body runs only
 as its caller iterates it, so a span timed around the call (as
 bench/tracer.py times them) books that work to whoever iterates.
@@ -48,6 +52,9 @@ ALLOWED_UNREAD = {}
 
 # "function.parameter": why every call in the package passes it the same literal
 ALLOWED_ONE_VALUE = {}
+
+# "function.parameter": why the function's body never reads it
+ALLOWED_UNREAD_PARAMETERS = {}
 
 
 def _modules():
@@ -243,6 +250,48 @@ def test_no_parameter_has_one_literal_value_in_every_call():
 def test_one_value_allow_list_names_only_one_value_parameters():
     assert set(ALLOWED_ONE_VALUE) <= set(_one_value_parameters())
     assert all(reason.strip() for reason in ALLOWED_ONE_VALUE.values())
+
+
+def _parameters_unread(tree):
+    """The "function.parameter" names of the parameters of each function and
+    method defined in ``tree`` that its own body never loads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        parameters = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        loaded = {
+            sub.id
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unread += [f"{node.name}.{a.arg}" for a in parameters if a.arg not in loaded]
+    return unread
+
+
+def _unread_parameters():
+    return sorted(q for tree in _modules().values() for q in _parameters_unread(tree))
+
+
+def test_every_parameter_is_read_by_its_function():
+    unread = [q for q in _unread_parameters() if q not in ALLOWED_UNREAD_PARAMETERS]
+    assert not unread, f"never read by their own function (delete them): {unread}"
+
+
+def test_unread_parameter_allow_list_names_only_unread_parameters():
+    assert set(ALLOWED_UNREAD_PARAMETERS) <= set(_unread_parameters())
+    assert all(reason.strip() for reason in ALLOWED_UNREAD_PARAMETERS.values())
+
+
+def test_parameter_scan_counts_only_loads_in_the_functions_own_body():
+    tree = ast.parse(
+        "def a(x, projector, *rest, key=0, **extra):\n    return x, rest, key, extra\n"
+        "def b(x, y=lambda z: z):\n    return x\n"
+        "class C:\n    def m(self, n):\n        return n\n"
+    )
+    assert sorted(_parameters_unread(tree)) == ["a.projector", "b.y", "m.self"]
 
 
 def _is_generator(node):

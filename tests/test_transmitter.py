@@ -25,19 +25,19 @@ class TestPrecoders:
     def test_direct_beam_matched_to_receiver(self, scene):
         scenario, budget = scene
         alice = scenario.alice_array()
-        _, w_a, _ = probe_setup(scenario)
+        _, w_a = probe_setup(scenario)
         h_ab = steering_vector(alice, budget.phi)
         assert np.vdot(h_ab, w_a) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_norms(self, scene):
         scenario, _ = scene
-        _, w_a, _ = probe_setup(scenario)
+        _, w_a = probe_setup(scenario)
         assert np.linalg.norm(w_a) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(irs_beam(scenario)) == pytest.approx(1.0, abs=1e-12)
 
     def test_baseline_beams_point_at_known_angles(self, scene):
         scenario, _ = scene
-        _, w_a, _ = probe_setup(scenario)
+        _, w_a = probe_setup(scenario)
         np.testing.assert_allclose(w_a, steering_vector(ArraySpec(16, 0.5), 0.0), atol=0)
         np.testing.assert_allclose(
             irs_beam(scenario), steering_vector(ArraySpec(16, 0.5), 0.6435011087932844), atol=1e-15
@@ -152,8 +152,8 @@ class TestSynthesizeTx:
     def _parts(self, scene):
         """The scene's direct beam and IRS beam, and its noise projector."""
         scenario, _ = scene
-        _, w_a, projector = probe_setup(scenario)
-        return scenario, (w_a, irs_beam(scenario)), projector
+        _, w_a = probe_setup(scenario)
+        return scenario, (w_a, irs_beam(scenario)), an_projector(w_a)
 
     def test_full_power_to_symbol(self, scene):
         scenario, (w_a, w_r), projector = self._parts(scene)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmirs import sweeps
-from dmirs.scenario import Scenario
+from dmirs.scenario import MAX_NA, Scenario
 from dmirs.sweeps import CSV_CHUNK_ROWS, SweepResult, run_heatmap, run_sweep_nr, write_csv
 from oracles import write_csv_per_row
 
@@ -160,6 +160,19 @@ def test_long_theta_grids_keep_under_64_bytes_per_cell():
     # buffer that grew with the row or the map would cost 4096 bytes a cell here.
     per_cell = _bytes_per_cell(Scenario(na=256), (2, 1000), (2, 3000))
     assert per_cell < 64, f"{per_cell:.1f} traced bytes per cell"
+
+
+def test_heatmap_at_the_largest_na_holds_no_projector():
+    # an na x na noise projector at MAX_NA holds 16 MiB; a 4x4 map's one block
+    # (three na-long rows for each of 16 cells) and its CSV hold about 1 MiB
+    scenario = Scenario(na=MAX_NA)
+    tracemalloc.start()
+    try:
+        _traced_peak(lambda: run_heatmap(scenario, grid=(2, 2)))  # warm caches and imports
+        peak = _traced_peak(lambda: run_heatmap(scenario, grid=(4, 4)))
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 def test_rate_sweep_and_csv_keep_under_400_bytes_per_axis_value(monkeypatch):
