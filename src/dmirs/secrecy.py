@@ -35,9 +35,10 @@ off the identity, so a probe's leak row is h^H P = (h^H - d w_a^H)/sqrt(na
   * the rate sweeps: each scene's na-by-na projector row, held per scene
     and column by the benchmark's work-count pins; so the sweeps and
     secrecy_metrics differ only in A, by round-off.
-Rates are log2(1+gamma) bits per channel use, taken as log1p(gamma)/ln 2 so
-that a small gamma keeps its relative precision, the secrecy rate the
-clamped difference.
+Squares are plain (a*a, re^2 + im^2, and A = np.vecdot(row, row).real), each
+within a few unit roundoffs of exact.  Rates are log2(1+gamma) bits per
+channel use, as log1p(gamma)/ln 2 so that a small gamma keeps its relative
+precision, the secrecy rate the clamped difference.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ def probe_block(scenario, bob: LinkBudget, w_a, angles, count):
     Per block, one exponential and one row-wise sum give the IRS phase sums
     and np.vecdot <g_t, g_t> and the direct terms d, all row by row, so no
     value depends on the block split; _leak_rows takes each d to its leak
-    row.  Amplitudes and signals are bit for bit oracles.probe_amplitude's;
-    the leak rows agree with the textbook h^H P to oracles.leak_row_tol, a
-    few eps an entry, and the SINRs to that bound carried through.
+    row.  Amplitudes are bit for bit oracles.probe_amplitude's, the leak
+    rows the textbook h^H P's to oracles.leak_row_tol, a few eps an entry;
+    signals and A are their plain squares, within a few u of exact.
     """
     alice, irs = scenario.alice_array(), scenario.irs_array()
     phi_ar = angle_of(scenario.alice, scenario.irs)
@@ -158,8 +159,8 @@ def probe_block(scenario, bob: LinkBudget, w_a, angles, count):
     d = np.vecdot(rows, w_a)
     amplitudes = math.sqrt(bob.l_direct) * d + math.sqrt(bob.l_reflect) * reflect * norms
     rows = _leak_rows(leak, d[:, np.newaxis], w_a, out=rows)
-    signal = scenario.alpha * scenario.pt_mw * _amplitude_power(amplitudes)
-    return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, _leak_power(rows)), rows
+    signal = scenario.alpha * scenario.pt_mw * (amplitudes.real**2 + amplitudes.imag**2)
+    return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, np.vecdot(rows, rows).real), rows
 
 
 def _leak_rows(h, d, w_a, out=None):
@@ -169,19 +170,6 @@ def _leak_rows(h, d, w_a, out=None):
     out = np.multiply(d, w_a.conj(), out=out)
     np.subtract(np.conjugate(h, out=h), out, out=out)
     return np.divide(out, math.sqrt(len(w_a) - 1), out=out)
-
-
-def _amplitude_power(amplitudes):
-    """Each complex amplitude's |a|^2, bit for bit abs(a) ** 2: hypot, then pow(x, 2)."""
-    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
-
-
-def _leak_power(leak_rows):
-    """Each leak row's squared norm A, bit for bit np.linalg.norm(row) ** 2:
-    the sum of the real and imaginary dot products, square-rooted and
-    squared again by pow(x, 2)."""
-    re, im = leak_rows.real, leak_rows.imag
-    return np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2.0)
 
 
 def _expected_leak(na, offset):
@@ -294,7 +282,7 @@ def _scene_terms(batch):
     The terms are (2, len(batch)) arrays, [0] the proposed column and [1]
     the no-IRS one: alpha, the noise power in mW, the intended receiver's
     squared amplitude, and the eve's |amplitude|^2 (_eve_amplitude) and
-    leak-row squared norm A (_leak_power).  Each (column, scene) pair makes
+    leak-row squared norm A (a plain sum of squares).  Each (column, scene) pair makes
     its own two LinkBudget records and noise projector; a no-IRS pair's eve
     amplitude has no reflect term, and its receiver's squared amplitude is
     the direct gain alone.  The steering rows of every pair toward both receivers,
@@ -321,7 +309,7 @@ def _scene_terms(batch):
     rows = steering_rows(alices * 2, np.stack(columns[:2], axis=-1).reshape(-1, 2))
     for w_a, h_e_conj in zip(rows[:, 0], rows[:, 1].conj()):
         np.matmul(h_e_conj, an_projector(w_a), out=w_a)
-    return alpha, noise_mw, bob_power, power, _leak_power(rows[:, 0]).reshape(power.shape)
+    return alpha, noise_mw, bob_power, power, np.vecdot(rows[:, 0], rows[:, 0]).real.reshape(power.shape)
 
 
 def mc_mean_ber(scenario, signal_mw: float, leak_row: np.ndarray, seed) -> float:

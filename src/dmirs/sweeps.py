@@ -84,11 +84,10 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     is the expected-noise SINR in dB; ber is its QPSK error rate, or a
     Monte-Carlo average over noise draws when the scenario requests
     instantaneous noise.  Cells reach probe_block a block at a time as
-    (phi, theta) pairs.  Each cell's signal power is bit for bit the scalar
-    per-probe route's; its closed-form leak row agrees with the textbook
-    h^H P to a few eps an entry (see probe_block), so sinr_db and ber agree
-    to that bound carried through, and np.log10 may differ from math.log10
-    by an ulp.  The values are the same, bit for bit, for every block size.
+    (phi, theta) pairs.  Against the scalar per-probe route, a cell's amplitude
+    is exact and its signal and leak row within a few eps (see probe_block);
+    sinr_db and ber carry those bounds, np.log10 perhaps an ulp off
+    math.log10.  The values are the same, bit for bit, for every block size.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:

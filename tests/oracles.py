@@ -8,7 +8,8 @@ expectations are not circular.  Only the scalar probe route
 `heatmap_per_cell`, `eve_reference` and `rate_reference` call the package
 under test: they evaluate one probe at a time in Python floats, the
 reference for `probe_block`, the heatmap's probe route (its amplitudes bit
-for bit, its leak rows to the rounding bound `leak_row_tol` derives), and,
+for bit, its signal powers to `SIGNAL_TOL` and its leak rows to
+`leak_row_tol`, the rounding bounds derived below), and,
 at stated tolerances, for the closed forms of `secrecy_metrics` and the
 rate sweeps.  `irs_beam` also calls it, for the matched IRS beam w_r, the
 steering vector toward the IRS that `probe_amplitude` builds as g_t.
@@ -476,6 +477,26 @@ def gamma_n(n):
     return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
 
+# Bound on the relative difference between probe_block's signal power and
+# probe_signal's for one amplitude a = x + iy, bit for bit probe_amplitude's
+# on both.  probe_block squares it as x*x + y*y: two non-negative rounded
+# products and their rounded sum, within gamma_n(2) of |a|^2.  probe_signal
+# takes abs(a) ** 2: libm's hypot, then pow(h, 2), each within an ulp (2u
+# relative, two roundings' worth), hypot's error doubled by the square, so
+# six roundings' worth.  Both scale by the same computed alpha*Pt, one
+# rounding each.  Compounded, the two differ by at most gamma_n(10), 5 eps,
+# of probe_signal's value, for amplitudes whose squares stay normal.
+SIGNAL_TOL = gamma_n(10)
+
+
+def _signal_bounds(signal_mw):
+    """The least and greatest signal power probe_block can give a probe to
+    which probe_signal gives ``signal_mw``: SIGNAL_TOL either side, taken as
+    gamma_n(12), two roundings more for the ends' own 1 -/+ g and product."""
+    g = gamma_n(12)
+    return signal_mw * (1.0 - g), signal_mw * (1.0 + g)
+
+
 def leak_row_tol(na):
     """Bound on each entry's difference between a leak row in closed form,
     as secrecy._leak_rows evaluates it for probe_block and the heatmap, and
@@ -538,33 +559,40 @@ def expected_leak_numpy(na, offset):
 
 def leak_sinr_bounds(scenario, signal_mw, row):
     """The least and greatest expected-noise SINR that probe_block can give
-    a probe with signal power ``signal_mw`` whose reference leak row (from
-    an_leak_row) is ``row``: the SINR of any leak row within leak_row_tol
-    of ``row`` in each entry, evaluated as probe_block evaluates it.
+    a probe to which probe_signal gives signal power ``signal_mw`` and
+    whose reference leak row (from an_leak_row) is ``row``: the SINR of any
+    signal within _signal_bounds and any leak row within leak_row_tol of
+    ``row`` in each entry, evaluated as probe_block evaluates it.
 
     The rows differ by at most E = sqrt(na) * leak_row_tol(na) in norm, so
     their exact norms a (probe_block's row) and b (``row``) do too.  Each
-    route's A, the squared norm, sums 2*na rounded squares (gamma_n(2*na)),
-    then takes a square root and pow(x, 2), within an ulp each, so it is
-    off by at most g0 = gamma_n(2*na + 4) of a^2 or b^2.  From the reference
-    A_ref, b lies in [sqrt(A_ref/(1 + g0)), sqrt(A_ref/(1 - g0))], so
-    probe_block's A lies in
+    route's A, the squared norm, is a plain sum of the row's 2*na rounded
+    squares, in an order of its own: every term passes through at most
+    2*na roundings (its square and at most 2*na - 1 additions), all terms
+    are non-negative, so A is off by at most g0 = gamma_n(2*na) of a^2 or
+    b^2.  From the reference A_ref, b lies in [sqrt(A_ref/(1 + g0)),
+    sqrt(A_ref/(1 - g0))], so probe_block's A lies in
 
         [(sqrt(A_ref/(1 + g0)) - E)^2 * (1 - g0), (sqrt(A_ref/(1 - g0)) + E)^2 * (1 + g0)],
 
     the first bracket clamped at 0.  The two ends below take g = gamma_n(2*na
-    + 10), six roundings more, for their own evaluation.  The SINR
-    signal / ((1 - alpha) * Pt * A + noise) is decreasing in A, and each of
-    its correctly rounded operations is monotone, so the same expression at
-    the two ends of A bounds probe_block's SINR, bit for bit.
+    + 6), six roundings more, for their own evaluation: 1 +/- g, the
+    quotient and the square root move the root by at most 2u against the
+    3u that g's excess takes off it; the sum with E (doubled by the
+    square), the square, 1 -/+ g and the product by at most 5u against 6u.
+    The SINR signal / ((1 - alpha) * Pt * A + noise) is increasing in the
+    signal and decreasing in A, and each of its correctly rounded
+    operations is monotone, so the same expression at the ends of both
+    bounds probe_block's computed SINR.
     """
     na = scenario.na
     big_e = math.sqrt(na) * leak_row_tol(na)
-    g = gamma_n(2 * na + 10)
-    a_ref = float(np.linalg.norm(row) ** 2)
-    a_lo = max(0.0, math.sqrt(a_ref / (1.0 + g)) - big_e) ** 2 * (1.0 - g)
-    a_hi = (math.sqrt(a_ref / (1.0 - g)) + big_e) ** 2 * (1.0 + g)
-    return _sinr(scenario, signal_mw, a_hi), _sinr(scenario, signal_mw, a_lo)
+    g = gamma_n(2 * na + 6)
+    a_ref = float((row.real**2 + row.imag**2).sum())
+    lo = max(0.0, math.sqrt(a_ref / (1.0 + g)) - big_e)
+    hi = math.sqrt(a_ref / (1.0 - g)) + big_e
+    s_lo, s_hi = _signal_bounds(signal_mw)
+    return _sinr(scenario, s_lo, hi * hi * (1.0 + g)), _sinr(scenario, s_hi, lo * lo * (1.0 - g))
 
 
 def _ber_bounds(gamma_lo, gamma_hi):
@@ -608,7 +636,7 @@ def _mc_ber_bounds(scenario, signal_mw, row, seed):
     magnitude m_k, g = gamma_n(6) covering the two hypot ulps and the ends'
     own four roundings.  Squaring, the SINR and Q are monotone, as in
     leak_sinr_bounds and _ber_bounds, and so is the mean, a pairwise sum of
-    the same length and a division.
+    the same length and a division; the signal ranges over _signal_bounds.
     """
     na = scenario.na
     e = leak_row_tol(na)
@@ -620,7 +648,8 @@ def _mc_ber_bounds(scenario, signal_mw, row, seed):
     g = gamma_n(6)
     leak_lo = np.maximum(0.0, mags * (1.0 - g) - eps) * (1.0 - g)
     leak_hi = (mags * (1.0 + g) + eps) * (1.0 + g)
-    lo, hi = _ber_bounds(_sinr(scenario, signal_mw, leak_hi**2), _sinr(scenario, signal_mw, leak_lo**2))
+    s_lo, s_hi = _signal_bounds(signal_mw)
+    lo, hi = _ber_bounds(_sinr(scenario, s_lo, leak_hi**2), _sinr(scenario, s_hi, leak_lo**2))
     return float(lo.mean()), float(hi.mean())
 
 
@@ -770,11 +799,11 @@ def heatmap_per_cell(scenario, grid):
     """Bounds on the heatmap's sinr_db and ber columns, one scalar pipeline per cell.
 
     Returns {"sinr_db": (lo, hi), "ber": (lo, hi)}, arrays in grid order.
-    Each cell calls probe_signal, which run_heatmap must match bit for bit,
-    and takes its phi's an_leak_row through an_projector_extended, which
-    its leak row matches to leak_row_tol (a leak row depends on phi alone,
-    so it is taken once per phi); the SINR
-    bounds are leak_sinr_bounds, and the BER bounds _ber_bounds of them or,
+    Each cell calls probe_signal, which run_heatmap's signal matches to
+    SIGNAL_TOL, and takes its phi's an_leak_row through an_projector_extended,
+    which its leak row matches to leak_row_tol (a leak row depends on phi
+    alone, so it is taken once per phi); the SINR bounds are
+    leak_sinr_bounds, and the BER bounds _ber_bounds of them or,
     in instantaneous mode, _mc_ber_bounds with the cell's (seed, flat index)
     seed, and the sinr_db bounds _db_bound of the SINR bounds.
     """

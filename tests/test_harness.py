@@ -280,9 +280,9 @@ class TestRunHeatmap:
 
     @staticmethod
     def _assert_matches_per_cell_loop(scenario, grid):
-        # the signal is the scalar route's bit for bit and the leak row within its
-        # rounding bound against the textbook row (tests/oracles.py::leak_row_tol); the
-        # bounds carry that through
+        # the signal is within its rounding bound of the scalar route's
+        # (tests/oracles.py::SIGNAL_TOL) and the leak row within its rounding bound against
+        # the textbook row (leak_row_tol); the bounds carry both through
         result = run_heatmap(scenario, grid)
         for column, (lo, hi) in heatmap_per_cell(scenario, grid).items():
             values = result.values[column]

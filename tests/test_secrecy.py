@@ -28,6 +28,7 @@ from dmirs.secrecy import (
 from dmirs.sweeps import HEATMAP_BLOCK_VALUES
 from dmirs.transmitter import complex_normal
 from oracles import (
+    SIGNAL_TOL,
     an_leak_row,
     an_projector_extended,
     benchmark_no_irs,
@@ -322,21 +323,28 @@ class TestProbeBlock:
         (Scenario(na=2, nr=1, alice_spacing_wavelengths=0.9, irs_spacing_wavelengths=1.2), [END_FIRE, END_FIRE[::-1]])
     )
     @example((Scenario(na=64, nr=500, irs_spacing_wavelengths=0.7), [(0.0, 0.0), (math.pi, math.pi), (1.0, 2.0)]))
+    # x*x + y*y and abs(x + iy) ** 2 differ here by 1.4 u, as at about 1 probe in 2,000
+    @example((Scenario(na=16), [(0.8, 0.6)]))
     def test_signal_is_scalar_route_and_leak_within_its_rounding_bound(self, inputs):
-        """The signal is probe_signal's, bit for bit; each leak row entry is
-        the textbook row's (an_leak_row through an_projector_extended) to
+        """The signal is alpha*Pt*(x*x + y*y) of probe_amplitude's x + iy,
+        bit for bit, and probe_signal's to SIGNAL_TOL; each leak row entry
+        is the textbook row's (an_leak_row through an_projector_extended) to
         leak_row_tol, and the SINR inside leak_sinr_bounds."""
         scenario, angles = inputs
         bob, w_a = probe_setup(scenario)
         signal, gammas, rows = probe_block(scenario, bob, w_a, iter(angles), len(angles))
         cells = [LinkBudget(phi, theta, bob.l_direct, bob.l_reflect) for phi, theta in angles]
-        assert signal.tolist() == [probe_signal(scenario, bob, cell, w_a) for cell in cells]
+        amplitudes = [probe_amplitude(scenario, bob, cell, w_a) for cell in cells]
+        power = scenario.alpha * scenario.pt_mw
+        assert signal.tolist() == [power * (a.real * a.real + a.imag * a.imag) for a in amplitudes]
+        expected = [probe_signal(scenario, bob, cell, w_a) for cell in cells]
+        assert all(abs(s - e) <= SIGNAL_TOL * e for s, e in zip(signal.tolist(), expected))
         alice = scenario.alice_array()
         projector = an_projector_extended(w_a)
         expected_rows = np.array([an_leak_row(cell, alice, projector) for cell in cells])
         assert np.abs(rows - expected_rows).max() <= leak_row_tol(scenario.na)
-        for s, gamma, row in zip(signal.tolist(), gammas.tolist(), expected_rows):
-            lo, hi = leak_sinr_bounds(scenario, s, row)
+        for e, gamma, row in zip(expected, gammas.tolist(), expected_rows):
+            lo, hi = leak_sinr_bounds(scenario, e, row)
             assert lo <= gamma <= hi
 
     @pytest.mark.parametrize("na", [2, 3, 16, 1024])
