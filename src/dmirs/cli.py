@@ -19,7 +19,8 @@ one that --seed replaces is not range-checked.
 A start:stop:step range or a comma list may hold at most
 MAX_RANGE_VALUES values, a heatmap grid at most MAX_GRID_CELLS cells and a
 rate sweep at most MAX_GRID_CELLS rows (axis values times --pt values);
-larger requests exit 2 before anything is allocated.
+larger requests exit 2 before anything is allocated.  A config file
+longer than MAX_CONFIG_BYTES (or endless) exits 2, read one chunk past it.
 
 `main(argv)` may be called any number of times in one process.  It builds
 the argument parser on its first call and reuses it: parsing never changes
@@ -50,6 +51,7 @@ from .sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
 
 MAX_RANGE_VALUES = 10_000
 MAX_GRID_CELLS = 1_000_000
+MAX_CONFIG_BYTES = 1 << 20
 
 
 def _parse_values(spec: str, kind: str):
@@ -122,13 +124,17 @@ def _load_scenario(args, **flags) -> Scenario:
         fd = os.open(args.config, os.O_RDONLY)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}") from None
+    raw = b""
     try:  # the bytes and error messages of open(args.config, "rb").read(), without its file object
-        raw = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+        while len(raw) <= MAX_CONFIG_BYTES and (chunk := os.read(fd, 1 << 16)):
+            raw += chunk
     except IsADirectoryError as exc:
         exc.filename = args.config  # open() names the file; os.read does not
         raise
     finally:
         os.close(fd)
+    if len(raw) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config file {args.config} holds more than {MAX_CONFIG_BYTES} bytes")
     scenario = _parse_config_bytes(raw)
     overrides = {}
     env_seed = os.environ.get("DMIRS_SEED")

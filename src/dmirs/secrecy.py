@@ -16,7 +16,7 @@ from the tuned one, and additionally absorbs artificial noise:
 
 where A is the squared norm of the probe's steering row through the noise
 projector (``expected`` mode) or the squared magnitude of one projected
-noise draw (``instantaneous`` mode), as the scenario's an_mode says.
+noise draw (``instantaneous``), by an_mode, which no other module acts on.
 
 Both arrays are centred uniform linear arrays, so both inner products are
 real Dirichlet kernels: d = <h(phi), w_a> is the transmitter's kernel in
@@ -30,8 +30,8 @@ off the identity, so a probe's leak row is h^H P = (h^H - d w_a^H)/sqrt(na
   * metrics, expected: A as a sum of non-negative terms (_expected_leak),
     precise near the receiver's ray, on plain floats, so such a process
     never imports numpy (np is numerics.LazyNumpy until an array call);
-  * metrics, instantaneous, and the heatmap (probe_block): the closed-form
-    row (_leak_rows), O(na) a probe and no projector;
+  * metrics, instantaneous, and the heatmap (probe_grid's probe_block):
+    the closed-form row (_leak_rows), O(na) a probe and no projector;
   * the rate sweeps: each scene's na-by-na projector row, held per scene
     and column by the benchmark's work-count pins; so the sweeps and
     secrecy_metrics differ only in A, by round-off.
@@ -163,6 +163,36 @@ def probe_block(scenario, bob: LinkBudget, w_a, angles, count):
     return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, np.vecdot(rows, rows).real), rows
 
 
+def probe_grid(scenario, phis, thetas, block):
+    """sinr_db and ber of each probe (phi, theta) of ``phis`` by ``thetas``
+    (radians) in grid order, with the intended receiver's path gains (its SNR
+    checked first), ``block`` probes per probe_block pass; no value depends on
+    the split.  ber is ber_from_snrs', or in instantaneous mode mc_mean_ber's,
+    its draws seeded by (scenario seed, grid index), never by shared state.
+    """
+    bob = link_budget(scenario, scenario.bob)
+    w_a = steering_vector(scenario.alice_array(), bob.phi)
+    # probes keep the receiver's path losses, so no probe's SINR exceeds the receiver's SNR
+    check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
+    n_cells = len(phis) * len(thetas)
+    sinr_db, ber = np.empty(n_cells), np.empty(n_cells)
+    angles = itertools.product(phis, thetas)  # (phi, theta) in grid order
+    for start in range(0, n_cells, block):
+        stop = min(start + block, n_cells)
+        signal, gammas, rows = probe_block(scenario, bob, w_a, itertools.islice(angles, stop - start), stop - start)
+        with np.errstate(divide="ignore"):  # log10(0) = -inf dB
+            sinr_db[start:stop] = 10.0 * np.log10(gammas)
+        if scenario.an_mode == "instantaneous":
+            seeds = (np.random.SeedSequence([scenario.seed, index]) for index in range(start, stop))
+            ber[start:stop] = np.fromiter(
+                map(mc_mean_ber, itertools.repeat(scenario), signal.tolist(), rows, seeds), float, stop - start
+            )
+        else:
+            ber[start:stop] = ber_from_snrs(gammas)
+        del signal, gammas, rows  # free this block's arrays before the next is built
+    return sinr_db, ber
+
+
 def _leak_rows(h, d, w_a, out=None):
     """Leak rows h^H P = (h^H - d w_a^H)/sqrt(na - 1) of the steering rows
     ``h`` (last axis) with their d = <h, w_a>, O(na) a row and no projector.
@@ -191,13 +221,6 @@ def _expected_leak(na, offset):
 def _sinr(alpha, noise_mw, pt_mw, signal_mw, an_power):
     """signal / (leaked noise + thermal noise) at ``pt_mw``; elementwise over arrays."""
     return signal_mw / ((1.0 - alpha) * pt_mw * an_power + noise_mw)
-
-
-def probe_setup(scenario):
-    """The intended receiver's budget and the direct beam w_a, the steering
-    vector toward that receiver, which the noise avoids."""
-    bob = link_budget(scenario, scenario.bob)
-    return bob, steering_vector(scenario.alice_array(), bob.phi)
 
 
 def secrecy_metrics(scenario, probe) -> SecrecyMetrics:

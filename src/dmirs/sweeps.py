@@ -2,15 +2,11 @@
 
 Every sweep walks an ordered grid from immutable inputs and lists its rows
 lexicographically by grid index, so the output is identical however cells
-are scheduled.  The heatmap hands secrecy.probe_block a block of cells'
-(phi, theta) pairs at a time from a generator, builds no record per cell,
-takes dB and BER over the block's arrays and frees them before the next
-block; a cell's values do not depend on how the grid splits into blocks.
-Randomized cells derive their generator seed from (scenario seed, cell
-index), never from shared state.  A rate sweep fills one Scenario per axis
-value and rates them all, with and without the IRS, in one
-secrecy.secrecy_rates call (_rate_sweep), which evaluates both columns of a
-block of scenes in one array pass; it computes no BER.
+are scheduled.  Each hands its physics to one secrecy call with a block
+size that bounds its array passes: the heatmap its angle axes to
+secrecy.probe_grid, and a rate sweep one Scenario per axis value to
+secrecy.secrecy_rates (_rate_sweep), which rates them all, with and without
+the IRS, and computes no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -19,7 +15,6 @@ Python object per cell.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -29,7 +24,7 @@ from . import __version__
 from .geometry import Position, distance
 from .numerics import LazyNumpy
 from .scenario import Scenario, brief_repr, fill_scenario, scenario_to_dict
-from .secrecy import ber_from_snrs, check_snr, mc_mean_ber, probe_block, probe_setup, secrecy_rates, snr_bob
+from .secrecy import probe_grid, secrecy_rates
 # not called here; bench/tests/test_bench.py reads it as dmirs.sweeps.secrecy_metrics
 from .secrecy import secrecy_metrics
 
@@ -83,46 +78,19 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     receiver's two path gains, so only angular selectivity varies.  sinr_db
     is the expected-noise SINR in dB; ber is its QPSK error rate, or a
     Monte-Carlo average over noise draws when the scenario requests
-    instantaneous noise.  Cells reach probe_block a block at a time as
-    (phi, theta) pairs.  Against the scalar per-probe route, a cell's amplitude
-    is exact and its signal and leak row within a few eps (see probe_block);
-    sinr_db and ber carry those bounds, np.log10 perhaps an ulp off
-    math.log10.  The values are the same, bit for bit, for every block size.
+    instantaneous noise.  One secrecy.probe_grid call evaluates the cells,
+    _heatmap_block_cells of them per pass.  Against the scalar per-probe
+    route, a cell's amplitude is exact and its signal and leak row within a
+    few eps (see probe_block); sinr_db and ber carry those bounds, np.log10
+    perhaps an ulp off math.log10.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:
         raise ValueError(f"heatmap grid must be at least 2x2, got {grid!r}")
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
-
-    bob, w_a = probe_setup(scenario)
-    # cells keep the receiver's path losses, so no cell's SINR exceeds the receiver's SNR
-    check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
-
-    n_cells = n_phi * n_theta
-    sinr_db = np.empty(n_cells)
-    ber = np.empty(n_cells)
-    block = _heatmap_block_cells(scenario)
-    phi_rad = [math.radians(p) for p in phi_deg.tolist()]
-    theta_rad = [math.radians(t) for t in theta_deg.tolist()]
-    angles = itertools.product(phi_rad, theta_rad)  # (phi, theta) in grid order
-    for start in range(0, n_cells, block):
-        stop = min(start + block, n_cells)
-        signal, gammas, rows = probe_block(scenario, bob, w_a, itertools.islice(angles, stop - start), stop - start)
-        with np.errstate(divide="ignore"):  # log10(0) = -inf dB
-            sinr_db[start:stop] = 10.0 * np.log10(gammas)
-        if scenario.an_mode == "instantaneous":
-            seeds = (np.random.SeedSequence([scenario.seed, index]) for index in range(start, stop))
-            ber[start:stop] = np.fromiter(
-                map(mc_mean_ber, itertools.repeat(scenario), signal.tolist(), rows, seeds), float, stop - start
-            )
-        else:
-            ber[start:stop] = ber_from_snrs(gammas)
-        del signal, gammas, rows  # free this block's arrays before the next is built
-    meta = _metadata(
-        scenario,
-        note="heatmap probes keep the intended receiver's path distances; only angles vary",
-    )
+    phis, thetas = ([math.radians(a) for a in axis.tolist()] for axis in (phi_deg, theta_deg))
+    sinr_db, ber = probe_grid(scenario, phis, thetas, _heatmap_block_cells(scenario))
     return SweepResult(
         columns=HEATMAP_COLUMNS,
         values={
@@ -131,7 +99,9 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
             "sinr_db": sinr_db,
             "ber": ber,
         },
-        metadata=meta,
+        metadata=_metadata(
+            scenario, note="heatmap probes keep the intended receiver's path distances; only angles vary"
+        ),
     )
 
 

@@ -12,7 +12,9 @@ for bit, its signal powers to `SIGNAL_TOL` and its leak rows to
 `leak_row_tol`, the rounding bounds derived below), and,
 at stated tolerances, for the closed forms of `secrecy_metrics` and the
 rate sweeps.  `irs_beam` also calls it, for the matched IRS beam w_r, the
-steering vector toward the IRS that `probe_amplitude` builds as g_t.
+steering vector toward the IRS that `probe_amplitude` builds as g_t, and
+`probe_setup`, for the intended receiver's record and the direct beam w_a,
+the set-up `secrecy.probe_grid` makes once per grid.
 `path_loss`, `combined_path_loss` and `link_budget_composed` are the
 per-quantity helpers `geometry.link_budget` once composed, the bitwise
 reference for its one pass per hop; the last calls the package's
@@ -141,6 +143,16 @@ def cascaded_gain_closed(theta_e, theta_b, n_r, spacing_wavelengths=0.5):
     with np.errstate(invalid="ignore"):  # 0/0 at r = 0, replaced by the limit
         kernel = np.where(r == 0.0, n_r, np.sin(n_r * np.pi * r) / np.sin(np.pi * r))
     return np.where(np.fmod(k * (n_r - 1), 2.0), -kernel, kernel)[()]  # odd k*(n_r-1) flips the sign
+
+
+def probe_setup(scenario):
+    """The intended receiver's LinkBudget and the direct beam w_a, the
+    steering vector toward that receiver, which the artificial noise avoids."""
+    from dmirs.arrays import steering_vector
+    from dmirs.geometry import link_budget
+
+    bob = link_budget(scenario, scenario.bob)
+    return bob, steering_vector(scenario.alice_array(), bob.phi)
 
 
 def irs_beam(scenario):
@@ -680,7 +692,7 @@ def scalar_metrics(scenario, probe, include_irs=True):
     unchanged, so nothing depends on the IRS element count.
     """
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import SecrecyMetrics, check_snr, probe_setup, rate_bits, snr_bob
+    from dmirs.secrecy import SecrecyMetrics, check_snr, rate_bits, snr_bob
 
     bob, w_a = probe_setup(scenario)
     projector = an_projector_extended(w_a)
@@ -763,7 +775,6 @@ def eve_reference(scenario, include_irs=True):
     is not cancelled, more where it sits far below its scale.
     """
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import probe_setup
 
     expected = scalar_metrics(scenario, scenario.eve, include_irs)
     projector = an_projector_extended(probe_setup(scenario)[1])
@@ -808,7 +819,7 @@ def heatmap_per_cell(scenario, grid):
     seed, and the sinr_db bounds _db_bound of the SINR bounds.
     """
     from dmirs.geometry import LinkBudget
-    from dmirs.secrecy import check_snr, probe_setup, snr_bob
+    from dmirs.secrecy import check_snr, snr_bob
 
     n_phi, n_theta = grid
     phi_deg = np.linspace(0.0, 180.0, n_phi)

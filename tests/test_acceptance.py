@@ -23,14 +23,10 @@ from dmirs import cli, secrecy
 from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import Position, link_budget
 from dmirs.scenario import Scenario
-from dmirs.secrecy import (
-    probe_setup,
-    secrecy_metrics,
-    snr_bob,
-)
+from dmirs.secrecy import secrecy_metrics, snr_bob
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr
 from dmirs.transmitter import an_projector, complex_normal
-from oracles import an_leak_row, benchmark_no_irs, cascaded_gain_bruteforce, q_via_integration
+from oracles import an_leak_row, benchmark_no_irs, cascaded_gain_bruteforce, probe_setup, q_via_integration
 
 
 @contextlib.contextmanager

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dmirs.arrays import ArraySpec, element_cycles, steering_vector
 from dmirs.geometry import Position, angle_of, link_budget
 from dmirs.scenario import Scenario
-from dmirs.secrecy import probe_setup
 from oracles import (
     cascade_matrix,
     cascaded_gain_closed,
@@ -18,6 +17,7 @@ from oracles import (
     irs_phase_matrix,
     matvec_triple_loop,
     probe_amplitude,
+    probe_setup,
     steering_oracle,
 )
 

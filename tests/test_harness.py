@@ -27,9 +27,16 @@ from dmirs.scenario import (
     parse_config,
     serialize_config,
 )
-from dmirs.secrecy import probe_setup, secrecy_metrics
+from dmirs.secrecy import secrecy_metrics
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr, write_csv
-from oracles import an_projector_extended, heatmap_per_cell, rate_reference, result_rows, sinr_eve_scalar
+from oracles import (
+    an_projector_extended,
+    heatmap_per_cell,
+    probe_setup,
+    rate_reference,
+    result_rows,
+    sinr_eve_scalar,
+)
 
 # nested far beyond the JSON decoder's recursion limit
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
@@ -1119,6 +1126,26 @@ class TestCli:
                 captured = capsys.readouterr()
                 assert captured.err == (message and message + "\n")
                 assert captured.out.startswith("gamma_b=") == (code == 0)
+
+    def test_config_at_the_size_bound_parses(self, tmp_path, capsys):
+        assert cli.MAX_CONFIG_BYTES == 1 << 20
+        path = tmp_path / "at.json"
+        path.write_bytes(b"{}".ljust(cli.MAX_CONFIG_BYTES))
+        assert cli.main(["metrics", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("gamma_b=")
+
+    @pytest.mark.parametrize("source", ["one byte past the bound", "/dev/zero"])
+    def test_config_past_the_size_bound_exits_2_naming_it(self, source, tmp_path, capsys):
+        path = source
+        if source.startswith("one"):
+            path = str(tmp_path / "past.json")
+            Path(path).write_bytes(b"{}".ljust(cli.MAX_CONFIG_BYTES + 1))
+        elif not os.path.exists(path):
+            pytest.skip(f"no {path} to read without end")
+        assert cli.main(["metrics", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"dmirs: error: config file {path} holds more than 1048576 bytes\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
     @pytest.mark.parametrize("route", ["config", "env", "flag"])

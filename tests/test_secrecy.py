@@ -19,7 +19,7 @@ from dmirs.secrecy import (
     check_snr,
     mc_mean_ber,
     probe_block,
-    probe_setup,
+    probe_grid,
     rate_bits,
     secrecy_metrics,
     secrecy_rates,
@@ -46,6 +46,7 @@ from oracles import (
     leak_sinr_bounds,
     mc_mean_ber_per_sample,
     probe_amplitude,
+    probe_setup,
     probe_signal,
     q_via_integration,
     qpsk_ber_scalar,
@@ -63,15 +64,28 @@ def probe_inputs(scenario, probe):
     return bob_budget, link_budget(scenario, probe), w_a, an_projector_extended(w_a)
 
 
-class TestProbeSetup:
-    def test_builds_one_steering_vector(self, monkeypatch):
-        calls = []
-        steer = secrecy.steering_vector
-        monkeypatch.setattr(secrecy, "steering_vector", lambda spec, phi: calls.append(phi) or steer(spec, phi))
+class TestProbeGrid:
+    def test_sets_up_the_receiver_once_per_grid(self, monkeypatch):
+        """One link_budget and one steering vector toward the intended
+        receiver per grid, then only each probe's three pinned steering
+        vectors (probe_block), here on a 2x3 grid in one block."""
         scenario = Scenario()
-        bob, w_a = probe_setup(scenario)
-        assert calls == [bob.phi]
-        assert w_a.tolist() == steer(scenario.alice_array(), bob.phi).tolist()
+        alice = scenario.alice_array()
+        budgets, steers = [], []
+        budget, steer = secrecy.link_budget, secrecy.steering_vector
+        monkeypatch.setattr(
+            secrecy, "link_budget", lambda scene, receiver: budgets.append(receiver) or budget(scene, receiver)
+        )
+        monkeypatch.setattr(
+            secrecy, "steering_vector", lambda spec, phi: steers.append((spec, phi)) or steer(spec, phi)
+        )
+        phis, thetas = [0.2, 1.1], [0.3, 1.4, 2.9]
+        sinr_db, ber = probe_grid(scenario, phis, thetas, 6)
+        phi_b, phi_ar = link_budget(scenario, scenario.bob).phi, angle_of(scenario.alice, scenario.irs)
+        assert budgets == [scenario.bob]
+        cells = [(alice, angle) for phi in phis for _ in thetas for angle in (phi, phi, phi_ar)]
+        assert steers == [(alice, phi_b)] + cells
+        assert sinr_db.shape == ber.shape == (6,)
 
 
 class TestCascadedGainBruteforce:

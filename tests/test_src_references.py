@@ -20,6 +20,9 @@ Every parameter of every function and method defined in src/dmirs/ is read
 in its body: an argument nothing reads (kept "for compatibility") still has
 every caller build and pass it.  Lambdas are left out: one in a dispatch
 table takes the signature its siblings share.
+Only secrecy acts on the noise mode: outside it, no code compares an
+.an_mode (one of secrecy.AN_MODES' strings) with anything, but for
+Scenario.__post_init__, which checks that it is one of them.
 No public top-level function is a generator: a generator's body runs only
 as its caller iterates it, so a span timed around the call (as
 bench/tracer.py times them) books that work to whoever iterates.
@@ -324,6 +327,44 @@ def test_generator_scan_reads_only_a_functions_own_body():
         "def c():\n    def inner():\n        yield 1\n    return (x for x in inner())\n"
     )
     assert [_is_generator(node) for node in tree.body] == [True, True, False]
+
+
+def _an_mode_comparisons(module, tree):
+    """"module:line" of each comparison in ``tree`` with an ``.an_mode``
+    operand, except in secrecy and in scenario's __post_init__ (Scenario's
+    validation)."""
+    if module == "secrecy":
+        return []
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if module == "scenario" and isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            continue
+        if isinstance(node, ast.Compare) and any(
+            isinstance(operand, ast.Attribute) and operand.attr == "an_mode"
+            for operand in (node.left, *node.comparators)
+        ):
+            found.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return [f"{module}:{line}" for line in sorted(found)]
+
+
+def test_only_secrecy_acts_on_the_noise_mode():
+    found = [q for module, tree in _modules().items() for q in _an_mode_comparisons(module, tree)]
+    assert not found, f"compare an an_mode outside secrecy (hand the mode to a secrecy function): {found}"
+
+
+def test_noise_mode_scan_flags_comparisons_outside_secrecy_and_validation():
+    tree = ast.parse(
+        "def run(scenario):\n"
+        "    if scenario.an_mode == 'instantaneous':\n        pass\n"
+        "    return [m for m in MODES if 'expected' != m.an_mode]\n"
+        "class Scenario:\n    def __post_init__(self):\n        assert self.an_mode in AN_MODES\n"
+        "    def mode(self):\n        return self.an_mode not in ('expected',)\n"
+    )
+    assert _an_mode_comparisons("sweeps", tree) == ["sweeps:2", "sweeps:4", "sweeps:7", "sweeps:9"]
+    assert _an_mode_comparisons("scenario", tree) == ["scenario:2", "scenario:4", "scenario:9"]
+    assert _an_mode_comparisons("secrecy", tree) == []
 
 
 def _unused_imports(tree):

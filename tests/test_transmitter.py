@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import link_budget
 from dmirs.scenario import Scenario
-from dmirs.secrecy import probe_setup
 from dmirs.transmitter import an_projector, complex_normal
-from oracles import an_projector_eye_minus_outer, complex_normal_two_draws, irs_beam, synthesize_tx
+from oracles import an_projector_eye_minus_outer, complex_normal_two_draws, irs_beam, probe_setup, synthesize_tx
 
 
 @pytest.fixture
