@@ -179,7 +179,8 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
-    result = args.run(scenario, *_sweep_values(args, args.axis))
+    run = run_sweep_nr if args.axis == "nr" else run_sweep_dab
+    result = run(scenario, *_sweep_values(args, args.axis))
     _write_result(result, args.out)
     return 0
 
@@ -208,16 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     heatmap.add_argument("--seed", type=int)
     heatmap.set_defaults(func=_cmd_heatmap)
 
-    for command, axis, run, summary, axis_help in (
-        ("sweep-nr", "nr", run_sweep_nr, "secrecy rate vs IRS element count, CSV", "element counts"),
-        ("sweep-dab", "dab", run_sweep_dab, "secrecy rate vs receiver distance, CSV", "distances in m"),
+    for command, axis, summary, axis_help in (
+        ("sweep-nr", "nr", "secrecy rate vs IRS element count, CSV", "element counts"),
+        ("sweep-dab", "dab", "secrecy rate vs receiver distance, CSV", "distances in m"),
     ):
         sweep = sub.add_parser(command, help=summary)
         sweep.add_argument("--config", required=True)
         sweep.add_argument(f"--{axis}", required=True, help=f"{axis_help}, start:stop:step or list")
         sweep.add_argument("--pt", required=True, help="transmit powers in dBm, start:stop:step or list")
         sweep.add_argument("--out", required=True)
-        sweep.set_defaults(func=_cmd_sweep, axis=axis, run=run)
+        sweep.set_defaults(func=_cmd_sweep, axis=axis)
 
     return parser
 

@@ -38,7 +38,9 @@ off the identity, so a probe's leak row is h^H P = (h^H - d w_a^H)/sqrt(na
 Squares are plain (a*a, re^2 + im^2, and A = np.vecdot(row, row).real), each
 within a few unit roundoffs of exact.  Rates are log2(1+gamma) bits per
 channel use, as log1p(gamma)/ln 2 so that a small gamma keeps its relative
-precision, the secrecy rate the clamped difference.
+precision, the secrecy rate the clamped difference.  probe_grid and
+secrecy_rates size their own array passes from na (and nr), at most
+BLOCK_VALUES complex values a pass.
 """
 
 from __future__ import annotations
@@ -128,26 +130,34 @@ def snr_bob(scenario, bob: LinkBudget) -> float:
     return scenario.alpha * scenario.pt_mw * power / scenario.noise_mw
 
 
-def probe_block(scenario, bob: LinkBudget, w_a, angles, count):
-    """Signal powers in mW, expected-noise SINRs and noise-leak rows of ``count`` probes.
+# Complex values one array pass holds (1 MiB), whatever the grid or sweep
+# size: a heatmap cell holds three na-long steering rows and its nr-long IRS
+# cycle row with that row's exponential (probe_grid), and a rate-sweep scene
+# two na-long steering rows for each of its two columns (secrecy_rates).
+BLOCK_VALUES = 65536
 
-    ``angles`` yields the probes' (phi, theta) pairs; each probe has the
-    path gains of ``bob``, to which the IRS is tuned.  A probe holds only its
-    pinned calls: two steering vectors toward phi (direct term, leak row),
-    g_t toward the IRS, and its IRS elements' cycles less the tuned ones.
-    Per block, one exponential and one row-wise sum give the IRS phase sums
-    and np.vecdot <g_t, g_t> and the direct terms d, all row by row, so no
-    value depends on the block split; _leak_rows takes each d to its leak
-    row.  Amplitudes are bit for bit oracles.probe_amplitude's, the leak
-    rows the textbook h^H P's to oracles.leak_row_tol, a few eps an entry;
-    signals and A are their plain squares, within a few u of exact.
+
+def probe_block(scenario, bob: LinkBudget, w_a, angles):
+    """Signal powers in mW, expected-noise SINRs and noise-leak rows of the
+    probes whose (phi, theta) pairs the sequence ``angles`` lists.
+
+    Each probe has the path gains of ``bob``, to which the IRS is tuned.  A
+    probe holds only its pinned calls: two steering vectors toward phi
+    (direct term, leak row), g_t toward the IRS, and its IRS elements'
+    cycles less the tuned ones.  Per block, one exponential and one row-wise
+    sum give the IRS phase sums and np.vecdot <g_t, g_t> and the direct
+    terms d, all row by row, so no value depends on the block split;
+    _leak_rows takes each d to its leak row.  Amplitudes are bit for bit
+    oracles.probe_amplitude's, the leak rows the textbook h^H P's to
+    oracles.leak_row_tol, a few eps an entry; signals and A are their plain
+    squares, within a few u of exact.
     """
     alice, irs = scenario.alice_array(), scenario.irs_array()
     phi_ar = angle_of(scenario.alice, scenario.irs)
-    rows = np.empty((count, scenario.na), complex)
-    leak = np.empty((count, scenario.na), complex)
-    g_t = np.empty((count, scenario.na), complex)
-    cycles = np.empty((count, scenario.nr))
+    rows = np.empty((len(angles), scenario.na), complex)
+    leak = np.empty_like(rows)
+    g_t = np.empty_like(rows)
+    cycles = np.empty((len(angles), scenario.nr))
     for slot, (phi, theta) in enumerate(angles):
         rows[slot] = steering_vector(alice, phi)
         leak[slot] = steering_vector(alice, phi)
@@ -163,12 +173,13 @@ def probe_block(scenario, bob: LinkBudget, w_a, angles, count):
     return signal, _sinr(scenario.alpha, scenario.noise_mw, scenario.pt_mw, signal, np.vecdot(rows, rows).real), rows
 
 
-def probe_grid(scenario, phis, thetas, block):
+def probe_grid(scenario, phis, thetas):
     """sinr_db and ber of each probe (phi, theta) of ``phis`` by ``thetas``
     (radians) in grid order, with the intended receiver's path gains (its SNR
-    checked first), ``block`` probes per probe_block pass; no value depends on
-    the split.  ber is ber_from_snrs', or in instantaneous mode mc_mean_ber's,
-    its draws seeded by (scenario seed, grid index), never by shared state.
+    checked first), as many probes per probe_block pass as BLOCK_VALUES holds;
+    no value depends on the split.  ber is ber_from_snrs', or in
+    instantaneous mode mc_mean_ber's, its draws seeded by (scenario seed,
+    grid index), never by shared state.
     """
     bob = link_budget(scenario, scenario.bob)
     w_a = steering_vector(scenario.alice_array(), bob.phi)
@@ -176,10 +187,11 @@ def probe_grid(scenario, phis, thetas, block):
     check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
     n_cells = len(phis) * len(thetas)
     sinr_db, ber = np.empty(n_cells), np.empty(n_cells)
-    angles = itertools.product(phis, thetas)  # (phi, theta) in grid order
+    cells = itertools.product(phis, thetas)  # (phi, theta) in grid order
+    block = max(1, BLOCK_VALUES // (3 * scenario.na + 2 * scenario.nr))
     for start in range(0, n_cells, block):
         stop = min(start + block, n_cells)
-        signal, gammas, rows = probe_block(scenario, bob, w_a, itertools.islice(angles, stop - start), stop - start)
+        signal, gammas, rows = probe_block(scenario, bob, w_a, list(itertools.islice(cells, block)))
         with np.errstate(divide="ignore"):  # log10(0) = -inf dB
             sinr_db[start:stop] = 10.0 * np.log10(gammas)
         if scenario.an_mode == "instantaneous":
@@ -250,16 +262,17 @@ def secrecy_metrics(scenario, probe) -> SecrecyMetrics:
     return SecrecyMetrics(gamma_b, gamma_e, rate_b, rate_e, max(0.0, rate_b - rate_e), ber_b, ber_probe)
 
 
-def secrecy_rates(scenes, pt_dbm_values, block):
+def secrecy_rates(scenes, pt_dbm_values):
     """Expected-noise secrecy rates of each scene at its own eve, with and
     without the IRS: a (2, n_scenes, n_powers) array, [0] the proposed
     column and [1] the no-IRS benchmark's, one rate per transmit power in dBm.
 
-    Scenes, all of one na, are taken ``block`` (at least 1) at a time; each
-    block's (column, scene) pairs are evaluated in closed form together
-    (_scene_terms), and the SNRs of every (column, scene, power) triple,
-    their check and the rates [log2(1+gamma_b) - log2(1+gamma_e)]^+ are one
-    array pass per block (_snrs), whatever the scene's pt_dbm and an_mode.
+    Scenes, all of the first one's na, are taken as many at a time as
+    BLOCK_VALUES holds; each block's (column, scene) pairs are evaluated in
+    closed form together (_scene_terms), and the SNRs of every (column,
+    scene, power) triple, their check and the rates [log2(1+gamma_b) -
+    log2(1+gamma_e)]^+ are one array pass per block (_snrs), whatever the
+    scene's pt_dbm and an_mode.
     Against secrecy_metrics(replace(scene, pt_dbm=pt, an_mode="expected"),
     scene.eve), gamma_b is the same expression, bit for bit, and the eve's
     amplitude the same _eve_amplitude; gamma_e differs by round-off in A,
@@ -275,6 +288,9 @@ def secrecy_rates(scenes, pt_dbm_values, block):
     """
     pt_mw = np.array([dbm_to_mw(pt) for pt in pt_dbm_values])
     scenes, blocks, overflow = iter(scenes), [np.empty((2, 0, len(pt_mw)))], None
+    first = list(itertools.islice(scenes, 1))
+    block = max(1, BLOCK_VALUES // (4 * first[0].na)) if first else 1
+    scenes = itertools.chain(first, scenes)
     while batch := list(itertools.islice(scenes, block)):
         terms = _scene_terms(batch)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the mask

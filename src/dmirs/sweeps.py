@@ -2,11 +2,11 @@
 
 Every sweep walks an ordered grid from immutable inputs and lists its rows
 lexicographically by grid index, so the output is identical however cells
-are scheduled.  Each hands its physics to one secrecy call with a block
-size that bounds its array passes: the heatmap its angle axes to
-secrecy.probe_grid, and a rate sweep one Scenario per axis value to
-secrecy.secrecy_rates (_rate_sweep), which rates them all, with and without
-the IRS, and computes no BER.
+are scheduled.  Each hands its physics to one secrecy call, which sizes its
+own array passes: the heatmap its angle axes to secrecy.probe_grid, and a
+rate sweep one Scenario per axis value to secrecy.secrecy_rates
+(_rate_sweep), which rates them all, with and without the IRS, and computes
+no BER.
 
 A result holds one read-only numpy array per column (8 bytes a cell), and
 the CSV writer formats CSV_CHUNK_ROWS rows at a time, so neither keeps a
@@ -30,33 +30,22 @@ from .secrecy import secrecy_metrics
 
 np = LazyNumpy(globals())  # numpy itself from the first array call on
 
-HEATMAP_COLUMNS = ("phi_deg", "theta_deg", "sinr_db", "ber")
-NR_SWEEP_COLUMNS = ("nr", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
-DAB_SWEEP_COLUMNS = ("dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
 # Rows formatted and written per sink.write call: bounds the writer's
 # working set (a few hundred KiB) whatever the grid size.
 CSV_CHUNK_ROWS = 4096
-# Complex values one array pass holds (1 MiB), whatever the grid or sweep
-# size: a heatmap cell holds the three steering rows of its pinned calls and
-# its IRS cycle row with that row's exponential (_heatmap_block_cells), and a
-# rate sweep evaluates max(1, HEATMAP_BLOCK_VALUES // (4 * na)) scenes per
-# pass, two steering rows for each of its two columns.
-HEATMAP_BLOCK_VALUES = 65536
 
 
 @dataclass(frozen=True)
 class SweepResult:
     """Ordered sweep output: metadata and ``values``, one read-only 1-D
-    array per column, all of one length, each in grid order."""
+    array per column, all of one length, each in grid order; the columns
+    are the keys of ``values``, in their order."""
 
-    columns: tuple
     values: dict
     metadata: dict
 
     def __post_init__(self):
-        if set(self.values) != set(self.columns):
-            raise ValueError(f"value columns {sorted(self.values)} do not match {self.columns}")
-        shapes = [self.values[name].shape for name in self.columns]
+        shapes = [column.shape for column in self.values.values()]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"need at least one column, all 1-D of one length; got shapes {shapes}")
         for column in self.values.values():
@@ -78,11 +67,10 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     receiver's two path gains, so only angular selectivity varies.  sinr_db
     is the expected-noise SINR in dB; ber is its QPSK error rate, or a
     Monte-Carlo average over noise draws when the scenario requests
-    instantaneous noise.  One secrecy.probe_grid call evaluates the cells,
-    _heatmap_block_cells of them per pass.  Against the scalar per-probe
-    route, a cell's amplitude is exact and its signal and leak row within a
-    few eps (see probe_block); sinr_db and ber carry those bounds, np.log10
-    perhaps an ulp off math.log10.
+    instantaneous noise.  One secrecy.probe_grid call evaluates the cells.
+    Against the scalar per-probe route, a cell's amplitude is exact and its
+    signal and leak row within a few eps (see probe_block); sinr_db and ber
+    carry those bounds, np.log10 perhaps an ulp off math.log10.
     """
     n_phi, n_theta = grid
     if n_phi < 2 or n_theta < 2:
@@ -90,9 +78,8 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     phi_deg = np.linspace(0.0, 180.0, n_phi)
     theta_deg = np.linspace(0.0, 180.0, n_theta)
     phis, thetas = ([math.radians(a) for a in axis.tolist()] for axis in (phi_deg, theta_deg))
-    sinr_db, ber = probe_grid(scenario, phis, thetas, _heatmap_block_cells(scenario))
+    sinr_db, ber = probe_grid(scenario, phis, thetas)
     return SweepResult(
-        columns=HEATMAP_COLUMNS,
         values={
             "phi_deg": np.repeat(phi_deg, n_theta),
             "theta_deg": np.tile(theta_deg, n_phi),
@@ -105,12 +92,6 @@ def run_heatmap(scenario: Scenario, grid=(181, 181)) -> SweepResult:
     )
 
 
-def _heatmap_block_cells(scenario: Scenario) -> int:
-    """Cells per probe_block pass: each holds three na-long complex rows
-    (direct term, leak row, g_t) and its nr-long IRS cycle row and phases."""
-    return max(1, HEATMAP_BLOCK_VALUES // (3 * scenario.na + 2 * scenario.nr))
-
-
 def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:
     """Secrecy rate against IRS element count, with and without the IRS.
 
@@ -120,7 +101,7 @@ def run_sweep_nr(scenario: Scenario, nr_values, pt_dbm_values) -> SweepResult:
     if bad:
         raise ValueError(f"nr values must be integers, got {brief_repr(bad[0])}")
     nr_values = [int(v) for v in nr_values]
-    return _rate_sweep(scenario, "nr", NR_SWEEP_COLUMNS, nr_values, pt_dbm_values, lambda nr: {"nr": nr})
+    return _rate_sweep(scenario, "nr", nr_values, pt_dbm_values, lambda nr: {"nr": nr})
 
 
 def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
@@ -140,41 +121,40 @@ def run_sweep_dab(scenario: Scenario, dab_values, pt_dbm_values) -> SweepResult:
     ux = (scenario.bob.x - scenario.alice.x) / d_ab
     uy = (scenario.bob.y - scenario.alice.y) / d_ab
     return _rate_sweep(
-        scenario, "dab", DAB_SWEEP_COLUMNS, dab_values, pt_dbm_values,
+        scenario, "dab_m", dab_values, pt_dbm_values,
         lambda dab: {"bob": Position(scenario.alice.x + dab * ux, scenario.alice.y + dab * uy)},
     )
 
 
-def _rate_sweep(scenario, name, columns, axis_values, pt_dbm_values, change) -> SweepResult:
+def _rate_sweep(scenario, axis, axis_values, pt_dbm_values, change) -> SweepResult:
     """Proposed and no-IRS secrecy rates at the eavesdropper, one row per (axis value, pt).
 
-    The powers are read as floats and both lists checked to be non-empty;
-    ``change`` maps an axis value to its change of the scenario.  The fields
-    of ``scenario`` (its field dict) are the base of every scene.  Each pt is
-    validated once, as a scene of that dict with its pt_dbm; then each axis
-    value makes one scene of the dict with its change applied by
-    scenario.fill_scenario, the fill path parse_config and the command-line
-    overrides share: the Scenario dataclasses.replace would build, validated
-    by one __post_init__, without the frozen constructor.  One secrecy_rates
-    call rates the scenes, a block of max(1, HEATMAP_BLOCK_VALUES // (4 *
-    na)) scenes, both columns, per array pass.
+    ``axis`` names the first column, and ``change`` maps an axis value to
+    its change of the scenario.  The powers are read as floats and both
+    lists checked to be non-empty.  The fields of ``scenario`` (its field
+    dict) are the base of every scene.  Each pt is validated once, as a
+    scene of that dict with its pt_dbm; then each axis value makes one scene
+    of the dict with its change applied by scenario.fill_scenario, the fill
+    path parse_config and the command-line overrides share: the Scenario
+    dataclasses.replace would build, validated by one __post_init__, without
+    the frozen constructor.  One secrecy_rates call rates the scenes.
     Rates use the expected-noise model whatever the scenario's an_mode, so
     the curves are deterministic; no BER is computed.  The preamble echoes
     ``scenario``.
     """
     pt_values = [float(v) for v in pt_dbm_values]
     if not axis_values or not pt_values:
-        raise ValueError(f"{name} and pt sweeps need at least one value each")
+        flag = axis.partition("_")[0]  # nr or dab, as the command line names the axis
+        raise ValueError(f"{flag} and pt sweeps need at least one value each")
     base = vars(scenario)
     for pt in pt_values:
         fill_scenario(base, {"pt_dbm": pt})  # rejects a power no scenario may hold, before any row
-    block = max(1, HEATMAP_BLOCK_VALUES // (4 * scenario.na))
-    rates = secrecy_rates((fill_scenario(base, change(v)) for v in axis_values), pt_values, block)
+    rates = secrecy_rates((fill_scenario(base, change(v)) for v in axis_values), pt_values)
     # the axis column is built after the rates: a scenario rejects an out-of-range nr first
     axis_column = np.repeat(np.array(axis_values), len(pt_values))
     pt_column = np.tile(np.array(pt_values), len(axis_values))
+    columns = (axis, "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
     return SweepResult(
-        columns=columns,
         values=dict(zip(columns, (axis_column, pt_column, *rates.reshape(2, -1)))),
         metadata=_metadata(scenario),
     )
@@ -198,12 +178,12 @@ def write_csv(result: SweepResult, sink) -> int:
         lines.append(f"# {key} = {meta[key]}")
     if "scenario" in meta:
         lines.append(f"# scenario = {json.dumps(meta['scenario'], sort_keys=True)}")
-    lines.append(",".join(result.columns))
+    lines.append(",".join(result.values))
     head = ("\n".join(lines) + "\n").encode("utf-8")
     sink.write(head)
     written = len(head)
 
-    columns = [result.values[c] for c in result.columns]
+    columns = list(result.values.values())
     row_format = ",".join(
         "%d" if np.issubdtype(c.dtype, np.integer) else "%.9g" for c in columns
     ) + "\n"

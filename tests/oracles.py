@@ -379,8 +379,8 @@ def mc_mean_ber_per_sample(scenario, signal_mw, leak_row, seed):
 
 def result_rows(result):
     """A sweep result as one {column: value} dict per grid cell, in grid order."""
-    columns = [result.values[c].tolist() for c in result.columns]
-    return [dict(zip(result.columns, row)) for row in zip(*columns)]
+    columns = [column.tolist() for column in result.values.values()]
+    return [dict(zip(result.values, row)) for row in zip(*columns)]
 
 
 def _format_value(value) -> str:
@@ -405,10 +405,10 @@ def write_csv_per_row(result, sink) -> int:
         lines.append(f"# {key} = {meta[key]}")
     if "scenario" in meta:
         lines.append(f"# scenario = {json.dumps(meta['scenario'], sort_keys=True)}")
-    lines.append(",".join(result.columns))
-    n_rows = len(result.values[result.columns[0]])
-    for i in range(n_rows):
-        lines.append(",".join(_format_value(result.values[c][i]) for c in result.columns))
+    lines.append(",".join(result.values))
+    columns = list(result.values.values())
+    for i in range(len(columns[0])):
+        lines.append(",".join(_format_value(column[i]) for column in columns))
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     sink.write(payload)
     return len(payload)

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 import os
@@ -239,10 +240,10 @@ class TestParseConfig:
 class TestRunHeatmap:
     def test_row_count_and_lexicographic_order(self):
         result = run_heatmap(Scenario(), grid=(7, 5))
-        assert all(len(result.values[c]) == 35 for c in result.columns)
+        assert all(len(column) == 35 for column in result.values.values())
         coords = list(zip(result.values["phi_deg"], result.values["theta_deg"]))
         assert coords == sorted(coords)
-        assert result.columns == ("phi_deg", "theta_deg", "sinr_db", "ber")
+        assert list(result.values) == ["phi_deg", "theta_deg", "sinr_db", "ber"]
 
     def test_minimum_sits_at_receiver_cell_on_coarse_grid(self):
         result = run_heatmap(Scenario(), grid=(19, 19))  # includes 0 and 90 degrees
@@ -296,7 +297,7 @@ class TestRunHeatmap:
             outside = np.flatnonzero(~((lo <= values) & (values <= hi)))
             assert outside.size == 0, f"{column} cell {outside[:1]} outside its bounds"
 
-    # a block is sweeps._heatmap_block_cells cells (21 at na = 1024 and nr = 7), so at
+    # a block is heatmap_block_cells cells (21 at na = 1024 and nr = 7), so at
     # large na the longer grids end mid-block after full ones; the examples make sure
     # both modes do
     @settings(max_examples=40, deadline=None)
@@ -363,12 +364,12 @@ class TestRunHeatmap:
         self, an_mode, block_cells, monkeypatch
     ):
         """Between a 3x3 and a 4x5 grid, no LinkBudget is built per cell, and
-        probe_block runs once per block of sweeps._heatmap_block_cells cells,
-        not once per cell."""
+        probe_block runs once per block of heatmap_block_cells cells, not
+        once per cell."""
         scenario = Scenario(an_mode=an_mode, mc_samples=5)
         if block_cells is not None:
             set_heatmap_block_cells(monkeypatch, scenario, block_cells)
-        block = sweeps._heatmap_block_cells(scenario)
+        block = heatmap_block_cells(scenario)
         counts = count_calls(monkeypatch, ("probe_block",))
         records = []
         init = geometry.LinkBudget.__init__
@@ -404,8 +405,8 @@ class TestRunHeatmap:
 class TestRunSweepNr:
     def test_shape_and_columns(self):
         result = run_sweep_nr(Scenario(), [10, 20], [10.0, 15.0])
-        assert all(len(result.values[c]) == 4 for c in result.columns)
-        assert result.columns == ("nr", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits")
+        assert all(len(column) == 4 for column in result.values.values())
+        assert list(result.values) == ["nr", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits"]
         assert result.values["nr"].dtype.kind == "i"
         assert [(r["nr"], r["pt_dbm"]) for r in result_rows(result)] == [
             (10, 10.0), (10, 15.0), (20, 10.0), (20, 15.0)
@@ -439,7 +440,8 @@ class TestRunSweepNr:
 class TestRunSweepDab:
     def test_example_grid_size(self):
         result = run_sweep_dab(Scenario(), list(range(10, 51, 5)), [10.0, 15.0])
-        assert all(len(result.values[c]) == 18 for c in result.columns)
+        assert all(len(column) == 18 for column in result.values.values())
+        assert list(result.values) == ["dab_m", "pt_dbm", "rs_proposed_bits", "rs_benchmark_bits"]
 
     def test_receiver_moves_along_the_original_ray(self):
         scenario = Scenario()
@@ -469,11 +471,16 @@ class TestRunSweepDab:
             run_sweep_dab(Scenario(), [10.0, value, 20.0], [10.0])
 
 
+def heatmap_block_cells(scenario):
+    """Cells of ``scenario`` per probe_block pass: secrecy.BLOCK_VALUES over
+    three na-long rows and two nr-long rows a cell, at least one."""
+    return max(1, secrecy.BLOCK_VALUES // (3 * scenario.na + 2 * scenario.nr))
+
+
 def set_heatmap_block_cells(monkeypatch, scenario, cells):
-    """Sizes HEATMAP_BLOCK_VALUES so that run_heatmap takes ``cells`` cells of
-    ``scenario`` per block: three na-long rows and two nr-long rows a cell."""
-    monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", cells * (3 * scenario.na + 2 * scenario.nr))
-    assert sweeps._heatmap_block_cells(scenario) == cells
+    """Sizes secrecy.BLOCK_VALUES so that run_heatmap takes ``cells`` cells of
+    ``scenario`` per block."""
+    monkeypatch.setattr(secrecy, "BLOCK_VALUES", cells * (3 * scenario.na + 2 * scenario.nr))
 
 
 def count_calls(monkeypatch, names):
@@ -621,9 +628,9 @@ class TestRateSweepFaults:
     """The fault a sweep reports does not depend on how its columns stream
     through secrecy_rates in blocks."""
 
-    @pytest.fixture(params=[1, sweeps.HEATMAP_BLOCK_VALUES], ids=["one-scene-blocks", "default-blocks"])
+    @pytest.fixture(params=[1, secrecy.BLOCK_VALUES], ids=["one-scene-blocks", "default-blocks"])
     def blocks(self, request, monkeypatch):
-        monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", request.param)
+        monkeypatch.setattr(secrecy, "BLOCK_VALUES", request.param)
 
     @pytest.mark.parametrize("run, axis", [(run_sweep_nr, [1]), (run_sweep_dab, [20.0])])
     def test_overflow_in_the_no_irs_column_alone_names_its_power(self, run, axis, blocks):
@@ -950,6 +957,38 @@ class TestCli:
         # 1.0000000003 lies 4e-11 past the stop: inside an absolute slack of 1e-9, but 0.4 of a step
         assert cli._parse_values("1:1.00000000026:1e-10", "dab") == [1.0, 1.0000000001, 1.0000000002]
 
+    def test_sweeps_are_called_by_name_not_through_parser_defaults(self, config_file, tmp_path, monkeypatch):
+        """The cached parser holds no public function of another package
+        module, so a wrapper bound over cli's name for a sweep, as a tracer
+        binds one, sees each call of that sweep."""
+        assert cli.main(["metrics", "--config", config_file]) == 0  # builds and caches the parser
+        for command, parser in cli._parser().commands.items():
+            bound = [
+                value for value in parser._defaults.values()
+                if inspect.isfunction(value) and value.__module__.startswith("dmirs.")
+                and value.__module__ != cli.__name__ and not value.__name__.startswith("_")
+            ]
+            assert bound == [], command
+        calls = dict.fromkeys(("run_sweep_nr", "run_sweep_dab"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(cli, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["sweep-nr", "--config", config_file, "--nr", "10,20", "--pt", "10", "--out", out]) == 0
+        assert calls == {"run_sweep_nr": 1, "run_sweep_dab": 0}
+        assert cli.main(["sweep-dab", "--config", config_file, "--dab", "10,20", "--pt", "10", "--out", out]) == 0
+        assert calls == {"run_sweep_nr": 1, "run_sweep_dab": 1}
+
+    @pytest.mark.parametrize("command, axis", [("sweep-nr", "nr"), ("sweep-dab", "dab")])
+    def test_an_empty_value_list_exits_2_naming_its_axis(self, command, axis, config_file, tmp_path, capsys):
+        argv = [command, "--config", config_file, f"--{axis}", ",", "--pt", "10", "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"dmirs: error: {axis} and pt sweeps need at least one value each\n"
+
     @pytest.mark.parametrize("command, axis", [("sweep-nr", "nr"), ("sweep-dab", "dab")])
     def test_sweep_size_bounds_exit_2_before_the_sweep_runs(
         self, command, axis, config_file, tmp_path, monkeypatch, capsys
@@ -972,7 +1011,7 @@ class TestCli:
         def must_not_run(*args, **kwargs):
             raise AssertionError(f"{run} called for an over-long sweep")
 
-        monkeypatch.setitem(cli._parser().commands[command]._defaults, "run", must_not_run)  # what _cmd_sweep calls
+        monkeypatch.setattr(cli, run, must_not_run)
         for values, pts, message in (
             ("10:30:10", "1,2,3", f"3 {axis} values by 3 pt values make more than 6 sweep rows"),
             ("10,20,30,40,50", "1", f"{axis} list '10,20,30,40,50' has more than 4 values"),

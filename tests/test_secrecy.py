@@ -25,7 +25,6 @@ from dmirs.secrecy import (
     secrecy_rates,
     snr_bob,
 )
-from dmirs.sweeps import HEATMAP_BLOCK_VALUES
 from dmirs.transmitter import complex_normal
 from oracles import (
     SIGNAL_TOL,
@@ -80,7 +79,7 @@ class TestProbeGrid:
             secrecy, "steering_vector", lambda spec, phi: steers.append((spec, phi)) or steer(spec, phi)
         )
         phis, thetas = [0.2, 1.1], [0.3, 1.4, 2.9]
-        sinr_db, ber = probe_grid(scenario, phis, thetas, 6)
+        sinr_db, ber = probe_grid(scenario, phis, thetas)
         phi_b, phi_ar = link_budget(scenario, scenario.bob).phi, angle_of(scenario.alice, scenario.irs)
         assert budgets == [scenario.bob]
         cells = [(alice, angle) for phi in phis for _ in thetas for angle in (phi, phi, phi_ar)]
@@ -346,7 +345,7 @@ class TestProbeBlock:
         leak_row_tol, and the SINR inside leak_sinr_bounds."""
         scenario, angles = inputs
         bob, w_a = probe_setup(scenario)
-        signal, gammas, rows = probe_block(scenario, bob, w_a, iter(angles), len(angles))
+        signal, gammas, rows = probe_block(scenario, bob, w_a, angles)
         cells = [LinkBudget(phi, theta, bob.l_direct, bob.l_reflect) for phi, theta in angles]
         amplitudes = [probe_amplitude(scenario, bob, cell, w_a) for cell in cells]
         power = scenario.alpha * scenario.pt_mw
@@ -379,9 +378,9 @@ class TestProbeBlock:
         scenario = Scenario(na=37, nr=nr, alice_spacing_wavelengths=0.8)
         bob, w_a = probe_setup(scenario)
         angles = [(0.1 * k, 3.0 - 0.1 * k) for k in range(30)] + [END_FIRE]
-        whole = probe_block(scenario, bob, w_a, iter(angles), len(angles))
+        whole = probe_block(scenario, bob, w_a, angles)
         for slot, pair in enumerate(angles):
-            alone = probe_block(scenario, bob, w_a, iter([pair]), 1)
+            alone = probe_block(scenario, bob, w_a, [pair])
             for block_values, values in zip(whole, alone):
                 assert block_values[slot].tolist() == values[0].tolist()
 
@@ -434,10 +433,18 @@ def rated_snrs(run, include_irs):
     return gamma_b, gamma_e, value
 
 
+def rates_in_blocks(scenes, pts, block):
+    """secrecy_rates of ``scenes``, all of one na, taken ``block`` at a time:
+    secrecy.BLOCK_VALUES sized to ``block`` scenes of four na-long rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secrecy, "BLOCK_VALUES", block * 4 * scenes[0].na)
+        return secrecy_rates(iter(scenes), pts)
+
+
 def assert_rates_match_scalar_route(scenes, pts, include_irs, block):
     """secrecy_rates at every (scene, power) against oracles.rate_reference:
     gamma_b exactly, gamma_e and the rate within the stated tolerances."""
-    gamma_b, gamma_e, rates = rated_snrs(lambda: secrecy_rates(iter(scenes), pts, block), include_irs)
+    gamma_b, gamma_e, rates = rated_snrs(lambda: rates_in_blocks(scenes, pts, block), include_irs)
     assert rates.shape == (2, len(scenes), len(pts)) and gamma_b.shape == rates.shape[1:]
     rates = rates[0 if include_irs else 1]
     for slot, scene in enumerate(scenes):
@@ -471,6 +478,13 @@ def edge_rate_scenes(draw):
     return scenes, draw(st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=3)), draw(st.integers(1, 4))
 
 
+BAD_SCENES = [
+    # its receiver's path gain underflows when the scene is set up
+    (lambda: Scenario(bob=Position(1e200, 0.0)), GeometryError, "falls below the normal float range"),
+    (lambda: Scenario(nr=0), ConfigError, "nr must be at least 1, got 0"),  # raised while taking the scene
+]
+
+
 class TestSecrecyRates:
     @pytest.mark.parametrize("include_irs", [True, False])
     @settings(max_examples=40, deadline=None)
@@ -502,7 +516,7 @@ class TestSecrecyRates:
         scenario, probe = inputs
         probes = probe_row(scenario, probe, more_x)
         scenes = [replace(scenario, eve=p) for p in probes]
-        gamma_b, gamma_e, _ = rated_snrs(lambda: secrecy_rates(scenes, [scenario.pt_dbm], block), include_irs=False)
+        gamma_b, gamma_e, _ = rated_snrs(lambda: rates_in_blocks(scenes, [scenario.pt_dbm], block), include_irs=False)
         bob, w_a = probe_setup(scenario)
         alice, projector = scenario.alice_array(), an_projector_extended(w_a)
         for slot, p in enumerate(probes):
@@ -525,22 +539,15 @@ class TestSecrecyRates:
     )
     def test_overflowing_snr_names_the_power_that_caused_it(self, scene, pts, message):
         with pytest.raises(ValueError, match=message):
-            secrecy_rates([scene], pts, 1)
+            secrecy_rates([scene], pts)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 4])
-    @pytest.mark.parametrize(
-        "third, error, message",
-        [
-            # its receiver's path gain underflows when the scene is set up
-            (lambda: Scenario(bob=Position(1e200, 0.0)), GeometryError, "falls below the normal float range"),
-            (lambda: Scenario(nr=0), ConfigError, "nr must be at least 1, got 0"),  # raised while taking the scene
-        ],
-        ids=["set-up", "taking"],
-    )
-    def test_a_bad_scene_wins_over_an_earlier_overflow(self, block, third, error, message):
+    @pytest.mark.parametrize("third, error, message", BAD_SCENES, ids=["set-up", "taking"])
+    def test_a_bad_scene_wins_over_an_earlier_overflow(self, monkeypatch, block, third, error, message):
         """A bad third scene's fault is raised whether or not the first scene
         overflows, however the scenes split into blocks, the bad scene's own
         included; an overflow alone is raised after the last scene."""
+        monkeypatch.setattr(secrecy, "BLOCK_VALUES", block * 4 * Scenario().na)
 
         def scenes(first):
             yield first
@@ -549,18 +556,50 @@ class TestSecrecyRates:
             yield Scenario(nr=30)
 
         pts = [10.0, 3060.0]
-        assert secrecy_rates([Scenario(nr=n) for n in (10, 20, 30)], pts, block).shape == (2, 3, 2)  # no overflow
+        assert secrecy_rates([Scenario(nr=n) for n in (10, 20, 30)], pts).shape == (2, 3, 2)  # no overflow
         for first in (Scenario(nr=10), Scenario(noise_dbm=-40.0)):
             with pytest.raises(error, match=message):
-                secrecy_rates(scenes(first), pts, block)
+                secrecy_rates(scenes(first), pts)
         with pytest.raises(ValueError, match="pt_dbm = 3060.0 and noise_dbm = -40.0 give an SNR"):
-            secrecy_rates([Scenario(noise_dbm=-40.0), Scenario(nr=20), Scenario(nr=30)], pts, block)
+            secrecy_rates([Scenario(noise_dbm=-40.0), Scenario(nr=20), Scenario(nr=30)], pts)
 
-    @pytest.mark.parametrize("block", [1, HEATMAP_BLOCK_VALUES // (4 * Scenario().na)], ids=["one-scene", "default"])
+    @pytest.mark.parametrize("first, error, message", BAD_SCENES, ids=["set-up", "taking"])
+    def test_a_bad_first_scene_is_raised_as_any_other(self, first, error, message):
+        """The first scene, whose na sizes the passes, is taken and set up as
+        every other scene is, so its fault is the one raised."""
+        with pytest.raises(error, match=message) as info:
+            secrecy_rates((scene() for scene in (first, lambda: Scenario(nr=20))), [10.0])
+        assert type(info.value) is error
+
+    def test_a_pass_takes_its_scenes_before_it_sets_any_up(self, monkeypatch):
+        """Taking the first scene early changes no fault: with two scenes a
+        pass, the second's fault in taking still wins over the first's in
+        set-up, and with one scene a pass the first's wins."""
+
+        def scenes():
+            yield BAD_SCENES[0][0]()
+            yield BAD_SCENES[1][0]()
+
+        for block, (_, error, message) in ((1, BAD_SCENES[0]), (2, BAD_SCENES[1])):
+            monkeypatch.setattr(secrecy, "BLOCK_VALUES", block * 4 * Scenario().na)
+            with pytest.raises(error, match=message):
+                secrecy_rates(scenes(), [10.0])
+
+    @pytest.mark.parametrize("scenes_a_pass", [1, None], ids=["one-scene", "default"])
     @pytest.mark.parametrize("empty", [list, iter])
-    def test_no_scenes_give_an_empty_array(self, block, empty):
-        rates = secrecy_rates(empty([]), [10.0, 15.0, 20.0], block)
+    def test_no_scenes_give_an_empty_array(self, monkeypatch, scenes_a_pass, empty):
+        if scenes_a_pass is not None:
+            monkeypatch.setattr(secrecy, "BLOCK_VALUES", scenes_a_pass * 4 * Scenario().na)
+        rates = secrecy_rates(empty([]), [10.0, 15.0, 20.0])
         assert rates.shape == (2, 0, 3) and rates.dtype == np.float64
+
+    def test_one_scene_a_pass_gives_the_default_bits(self, monkeypatch):
+        scenes = [Scenario(nr=10 * (k + 1), eve=Position(-5.0 + k, 3.0)) for k in range(7)]
+        pts = [10.0, 15.0, 30.0]
+        default = secrecy_rates(scenes, pts)
+        assert secrecy.BLOCK_VALUES // (4 * Scenario().na) >= len(scenes)  # the default takes them in one pass
+        monkeypatch.setattr(secrecy, "BLOCK_VALUES", 4 * Scenario().na)
+        assert secrecy_rates(iter(scenes), pts).tolist() == default.tolist()
 
     @pytest.mark.parametrize("n_scenes, block, blocks", [(1, 1, 1), (5, 2, 3), (4, 4, 1), (3, 8, 1)])
     def test_each_block_is_one_steering_and_one_snr_pass(self, monkeypatch, n_scenes, block, blocks):
@@ -579,7 +618,8 @@ class TestSecrecyRates:
 
         for name in calls:
             monkeypatch.setattr(secrecy, name, counted(name))
-        rates = secrecy_rates([Scenario(nr=10 * (k + 1)) for k in range(n_scenes)], [10.0, 15.0], block)
+        monkeypatch.setattr(secrecy, "BLOCK_VALUES", block * 4 * Scenario().na)
+        rates = secrecy_rates([Scenario(nr=10 * (k + 1)) for k in range(n_scenes)], [10.0, 15.0])
         assert rates.shape == (2, n_scenes, 2)
         assert calls == {"steering_rows": blocks, "_snrs": blocks}
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmirs import sweeps
+from dmirs import secrecy, sweeps
 from dmirs.scenario import MAX_NA, Scenario
 from dmirs.sweeps import CSV_CHUNK_ROWS, SweepResult, run_heatmap, run_sweep_nr, write_csv
 from oracles import write_csv_per_row
@@ -30,7 +30,7 @@ METADATA = {"artifact": "dmirs 0.1.0", "seed": 3, "note": "x = 1", "scenario": {
 
 
 def _result(columns: dict) -> SweepResult:
-    return SweepResult(columns=tuple(columns), values=columns, metadata=METADATA)
+    return SweepResult(values=columns, metadata=METADATA)
 
 
 def _bytes(writer, result):
@@ -74,24 +74,27 @@ def test_every_special_float_survives_each_chunk_boundary(n):
 
 
 def test_zero_rows_write_preamble_and_header_only():
-    result = SweepResult(columns=("a",), values={"a": np.empty(0)}, metadata=METADATA)
+    result = SweepResult(values={"a": np.empty(0)}, metadata=METADATA)
     assert _bytes(write_csv, result) == _bytes(write_csv_per_row, result)
 
 
 def test_result_columns_are_read_only_and_sized_to_the_grid():
     result = run_heatmap(Scenario(), grid=(3, 4))
-    for name in result.columns:
-        assert result.values[name].shape == (12,)
+    for column in result.values.values():
+        assert column.shape == (12,)
         with pytest.raises(ValueError):
-            result.values[name][0] = 1.0
+            column[0] = 1.0
     with pytest.raises(ValueError, match=r"one length; got shapes \[\(6,\), \(5,\)\]"):
-        SweepResult(columns=("x", "y"), values={"x": np.zeros(6), "y": np.zeros(5)}, metadata={})
+        SweepResult(values={"x": np.zeros(6), "y": np.zeros(5)}, metadata={})
     with pytest.raises(ValueError, match=r"all 1-D of one length; got shapes \[\(2, 3\)\]"):
-        SweepResult(columns=("x",), values={"x": np.zeros((2, 3))}, metadata={})
+        SweepResult(values={"x": np.zeros((2, 3))}, metadata={})
     with pytest.raises(ValueError, match=r"need at least one column.*got shapes \[\]"):
-        SweepResult(columns=(), values={}, metadata={})
-    with pytest.raises(ValueError, match="do not match"):
-        SweepResult(columns=("x", "y"), values={"x": np.zeros(1)}, metadata={})
+        SweepResult(values={}, metadata={})
+
+
+def test_columns_are_written_in_the_order_of_values():
+    result = _result({"b": np.arange(2), "a": np.array([0.5, 1.5])})
+    assert _bytes(write_csv, result).splitlines()[-3:] == [b"b,a", b"0,0.5", b"1,1.5"]
 
 
 def test_heatmap_axis_columns_are_the_grid_in_row_major_order():
@@ -149,7 +152,7 @@ def test_heatmap_and_csv_keep_under_64_bytes_per_cell(monkeypatch):
     # is evaluated, the larger map while its CSV is written, so the marginal above
     # mixes two peaks.  With small blocks and chunks both maps span many of each,
     # and the marginal must hold the four 8-byte result columns.
-    monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 1024)
+    monkeypatch.setattr(secrecy, "BLOCK_VALUES", 1024)
     monkeypatch.setattr(sweeps, "CSV_CHUNK_ROWS", 64)
     per_cell = _bytes_per_cell(Scenario(), (31, 31), (61, 61))
     assert 30 <= per_cell < 64, f"{per_cell:.1f} traced bytes per cell past one block"
@@ -183,6 +186,6 @@ def test_rate_sweep_and_csv_keep_under_400_bytes_per_axis_value(monkeypatch):
     assert per_value < 400, f"{per_value:.1f} traced bytes per axis value"
     # At na = 16 both sweeps fit in one production block; with 32-scene blocks
     # they span several, and the rows of one block are all the pass holds.
-    monkeypatch.setattr(sweeps, "HEATMAP_BLOCK_VALUES", 1024)
+    monkeypatch.setattr(secrecy, "BLOCK_VALUES", 1024)
     per_value = _bytes_per_axis_value(Scenario(), 200, 600)
     assert per_value < 400, f"{per_value:.1f} traced bytes per axis value past one block"
