@@ -148,8 +148,8 @@ def probe_block(scenario, bob: LinkBudget, w_a, angles):
     sum give the IRS phase sums and np.vecdot <g_t, g_t> and the direct
     terms d, all row by row, so no value depends on the block split;
     _leak_rows takes each d to its leak row.  Amplitudes are bit for bit
-    oracles.probe_amplitude's, the leak rows the textbook h^H P's to
-    oracles.leak_row_tol, a few eps an entry; signals and A are their plain
+    oracles.probe_amplitude's, the leak rows the exact textbook h^H P's to
+    oracles.leak_row_bound, a few eps an entry; signals and A are their plain
     squares, within a few u of exact.
     """
     alice, irs = scenario.alice_array(), scenario.irs_array()
@@ -223,7 +223,7 @@ def _expected_leak(na, offset):
     * sin^2(m*y): non-negative terms, so A keeps its relative precision near
     the receiver's ray, where 1 - d^2 computed from d would keep only an ulp
     of 1.  Reducing ``offset`` by its nearest integer changes no sin^2(m*y).
-    math.fsum sums them, correctly rounded (tests/oracles.py::expected_leak_numpy: numpy's dot).
+    math.fsum sums them, correctly rounded (tests/oracles.py::expected_leak_range: the exact sum).
     """
     y = math.pi * (offset - round(offset))
     terms = ((na - m) * (s * s) for m in range(1, na) for s in [math.sin(m * y)])

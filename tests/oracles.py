@@ -1,26 +1,19 @@
 """Independent reference implementations used to derive expected values.
 
 Each oracle recomputes a quantity from first principles (numeric
-integration, naive loops, explicit per-symbol formulas) so test
-expectations are not circular.  Only the scalar probe route
-(`irs_phase_diagonal`, `probe_amplitude`, `an_leak_row`, `probe_signal`,
-`leak_sinr`, `sinr_eve_scalar`, `scalar_metrics`, `benchmark_no_irs`),
-`heatmap_per_cell`, `eve_reference` and `rate_reference` call the package
-under test: they evaluate one probe at a time in Python floats, the
-reference for `probe_block`, the heatmap's probe route (its amplitudes bit
-for bit, its signal powers to `SIGNAL_TOL` and its leak rows to
-`leak_row_tol`, the rounding bounds derived below), and,
-at stated tolerances, for the closed forms of `secrecy_metrics` and the
-rate sweeps.  `irs_beam` also calls it, for the matched IRS beam w_r, the
-steering vector toward the IRS that `probe_amplitude` builds as g_t, and
-`probe_setup`, for the intended receiver's record and the direct beam w_a,
-the set-up `secrecy.probe_grid` makes once per grid.
-`path_loss`, `combined_path_loss` and `link_budget_composed` are the
-per-quantity helpers `geometry.link_budget` once composed, the bitwise
-reference for its one pass per hop; the last calls the package's
-`distance` and `angle_of`.  `cascaded_gain_closed` is the array form of
-the package's scalar Dirichlet kernel, `secrecy._dirichlet`, checked
-against the brute-force double sum.
+integration, naive loops, explicit per-symbol formulas, exact arithmetic)
+so test expectations are not circular.  The exact oracle (from DIGITS on)
+works in 50-digit mpmath from the stored doubles that the checked step
+reads, so each route's bound is its own rounding alone.  The scalar probe
+route (`irs_phase_diagonal` to `benchmark_no_irs`) evaluates one probe at
+a time in Python floats, its leak row the exact oracle's; it, `irs_beam`
+(the matched IRS beam w_r), `probe_setup` (the receiver's record and the
+direct beam w_a) and the exact oracle's entry points call the package
+under test.  `path_loss`, `combined_path_loss` and `link_budget_composed`
+are the per-quantity helpers `geometry.link_budget` once composed, its
+bitwise reference.  `cascaded_gain_closed` is the array form of the
+scalar Dirichlet kernel `secrecy._dirichlet`, checked against the
+brute-force double sum.
 """
 
 import cmath
@@ -28,6 +21,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -167,21 +161,6 @@ def an_projector_eye_minus_outer(h):
     """The noise projector in its textbook form, (I - h h^H) / ||I - h h^H||_F."""
     p = np.eye(len(h)) - np.outer(h, h.conj())
     return p / np.linalg.norm(p)
-
-
-def an_projector_extended(w_a):
-    """The textbook noise projector (I - w_a w_a^H)/sqrt(na - 1) of the
-    stored direct beam ``w_a``, built in extended precision (np.clongdouble,
-    unit roundoff EXTENDED_ROUNDOFF): -w_a w_a^H, 1 added to its diagonal,
-    divided by sqrt(na - 1), the Frobenius norm of I - w_a w_a^H for a
-    unit-norm w_a.  Normalising by a computed Frobenius norm would add the
-    rounding of a sum of na^2 terms, which no bound of a few eps covers at
-    large na."""
-    w = np.asarray(w_a, dtype=np.clongdouble)
-    p = np.multiply.outer(w, -w.conj())
-    p.flat[:: len(w) + 1] += 1
-    p /= np.sqrt(np.longdouble(len(w) - 1))
-    return p
 
 
 def synthesize_tx(w_a, w_r, projector, s, z, alpha):
@@ -440,14 +419,12 @@ def probe_amplitude(scenario, bob, probe, w_a) -> complex:
     return complex(direct + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, g_t))
 
 
-def an_leak_row(probe, alice, projector) -> np.ndarray:
-    """Probe steering row propagated through the noise projector, h(phi)^H P,
-    a vector-matrix product in the projector's precision rounded to complex:
-    an_projector_extended's gives the textbook row to within an ulp or so."""
+def an_leak_row(probe, alice, w_a) -> np.ndarray:
+    """Probe steering row propagated through the noise projector of ``w_a``,
+    h(phi)^H P: exact_leak_rows' row of the package's steering vector toward phi."""
     from dmirs.arrays import steering_vector
 
-    h_ae = steering_vector(alice, probe.phi)
-    return (h_ae.conj() @ projector).astype(complex)
+    return exact_leak_rows(steering_vector(alice, probe.phi), w_a)[0]
 
 
 def probe_signal(scenario, bob, budget, w_a, include_irs=True):
@@ -463,148 +440,200 @@ def probe_signal(scenario, bob, budget, w_a, include_irs=True):
     return scenario.alpha * scenario.pt_mw * abs(amplitude) ** 2
 
 
-def _sinr(scenario, signal_mw, an_power):
+def receiver_snr(scenario, bob, include_irs=True):
+    """The intended receiver's SNR as every route takes it: snr_bob, or alpha*Pt*l_direct/noise without the IRS."""
+    from dmirs.secrecy import snr_bob
+
+    if include_irs:
+        return snr_bob(scenario, bob)
+    return scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+
+
+def sinr(scenario, signal_mw, an_power):
+    """signal / ((1 - alpha) * Pt * A + noise), in the package's operation order."""
     return signal_mw / ((1.0 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
 
 
-def leak_sinr(scenario, signal_mw, row):
-    """Expected-noise SINR from the probe's signal power and its noise leak row."""
-    return _sinr(scenario, signal_mw, float(np.linalg.norm(row) ** 2))
-
-
-# Unit roundoff of IEEE double arithmetic: a correctly rounded operation is
-# off by at most UNIT_ROUNDOFF of its exact result.
-UNIT_ROUNDOFF = 2.0**-53
-# Unit roundoff of np.longdouble, the precision an_projector_extended works in
-EXTENDED_ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2.0
-# Assumed bound on math.erfc's error, in units in the last place.  The BER
-# bounds below lean on Q being decreasing, which computed values honour only
-# to within this error.
-ERFC_ULPS = 5
+# The exact oracle.  Each entry point works inside a local mpmath.workdps,
+# leaving the global precision alone, and returns values rounded once or a
+# range's ends rounded outward; a range is the route's own rounding alone.
+DIGITS = 50
+UNIT_ROUNDOFF = 2.0**-53  # a correctly rounded operation's most relative error
+# Assumed bound on the error of log1p, log10 and erfc in ulps (sin and hypot
+# are taken within one); computed Q is decreasing only to within it.
+LIBM_ULPS = 5
+# secrecy._dirichlet's rounding at a stored offset, in units of n*u: its
+# arguments' 3 and 2 roundings move the sines by 3*pi/2 and pi (the second
+# relative to |sin(pi*r)| >= 2|r|), the sines' ulps and the quotient by 5.
+DIRICHLET_UNITS = 13
 
 
 def gamma_n(n):
-    """n*u/(1 - n*u): the relative error of n roundings compounded (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1)."""
-    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+    """n*u/(1 - n*u) rounded up (n*u and 1 - n*u are exact): the relative error of n
+    roundings compounded (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1)."""
+    return math.nextafter(n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF), math.inf)
 
 
-# Bound on the relative difference between probe_block's signal power and
-# probe_signal's for one amplitude a = x + iy, bit for bit probe_amplitude's
-# on both.  probe_block squares it as x*x + y*y: two non-negative rounded
-# products and their rounded sum, within gamma_n(2) of |a|^2.  probe_signal
-# takes abs(a) ** 2: libm's hypot, then pow(h, 2), each within an ulp (2u
-# relative, two roundings' worth), hypot's error doubled by the square, so
-# six roundings' worth.  Both scale by the same computed alpha*Pt, one
-# rounding each.  Compounded, the two differ by at most gamma_n(10), 5 eps,
-# of probe_signal's value, for amplitudes whose squares stay normal.
-SIGNAL_TOL = gamma_n(10)
+def _outward(lo, hi):
+    """Doubles at or below the exact ``lo`` and at or above ``hi``: each rounded, then moved out by an ulp."""
+    return math.nextafter(float(lo), -math.inf), math.nextafter(float(hi), math.inf)
 
 
-def _signal_bounds(signal_mw):
-    """The least and greatest signal power probe_block can give a probe to
-    which probe_signal gives ``signal_mw``: SIGNAL_TOL either side, taken as
-    gamma_n(12), two roundings more for the ends' own 1 -/+ g and product."""
-    g = gamma_n(12)
-    return signal_mw * (1.0 - g), signal_mw * (1.0 + g)
+def _power_range(root, t, big_e, g):
+    """(root^2, lo, hi), bounds on a square taken within ``g`` of a root in [root/(1 + t) - E, root/(1 - t) + E]."""
+    return root**2, *_outward(max(0, root / (1 + t) - big_e) ** 2 * (1 - g), (root / (1 - t) + big_e) ** 2 * (1 + g))
 
 
-def leak_row_tol(na):
-    """Bound on each entry's difference between a leak row in closed form,
-    as secrecy._leak_rows evaluates it for probe_block and the heatmap, and
-    the textbook row h(phi)^H P that an_leak_row takes through
-    an_projector_extended, for steering vectors h and w_a of na entries.
-
-    Write u = UNIT_ROUNDOFF, v = EXTENDED_ROUNDOFF, gamma_n and gamma_v for
-    the compounded errors in each precision, and Q = sqrt(na*(na - 1)).
-    Both routes start from the same stored h and w_a, whose entries have
-    magnitude 1/sqrt(na) to a few ulps; the exact row from them is x_j =
-    (conj(h_j) - d*conj(w_j))/sqrt(na - 1), d = <h, w_a>, with |d| <= 1.
-    A complex product's parts each sum two real products, |Re a Re b| +
-    |Im a Im b| <= |a||b| and likewise for the cross terms, so a product
-    rounded in any order is off by sqrt(2)*gamma_n(2)*|a||b|, and a dot
-    product of na terms by sqrt(2)*gamma_n(2*na) times sum |a_k||b_k|.
-
-    Closed form: d is such a dot product, off by sqrt(2)*gamma_n(2*na);
-    d*conj(w_j) adds sqrt(2)*gamma_n(2)/sqrt(na); the subtraction rounds
-    once (u of a value below 2/sqrt(na)) and the scaling by sqrt(na - 1),
-    a square root, its reciprocal and a product, three times.  So
-
-        |closed - x_j| <= (sqrt(2)*gamma_n(2*na) + 2*sqrt(2)*u + 8*u) / Q.
-
-    Textbook row: -w_a w_a^H's entries are off by sqrt(2)*gamma_v(2)/na,
-    the diagonal's 1 added by v, the scaling by gamma_v(3) of entries whose
-    magnitudes sum to 2 in each column against |h_k| = 1/sqrt(na); the
-    product sums na terms of those magnitudes, sqrt(2)*gamma_v(2*na) each
-    part, and the conversion to complex rounds once, u of |x_j| <= 2/Q:
-
-        |textbook - x_j| <= (2*u + 2*sqrt(2)*gamma_v(2*na) + 10*v) / Q.
-
-    Their sum, with the constants rounded up and a factor 1 + 1e-9 for the
-    second-order terms (products of two roundoffs, or of one and the ulps
-    by which a stored |h_k| can exceed 1/sqrt(na)), is
-
-        e = (1 + 1e-9) * (sqrt(2)*(gamma_n(2*na) + 2*gamma_v(2*na)) + 13*u + 10*v) / Q,
-
-    about (2*sqrt(2)*na + 13)*u / Q: 6.6 eps at na = 2, falling to sqrt(2)
-    eps at large na, and the rows differ by at most sqrt(na) * e in norm.
-    Where v is far below u (v = u/2048 for x87 extended precision), e stays
-    below 4*sqrt(2)*gamma_n(2*na) / Q, the bound on two evaluations of h^H P
-    through one stored projector that the heatmap's rows were held to when
-    it built one; a textbook row in double precision would carry that much
-    rounding of its own, which with the closed form's exceeds it at na <= 4.
-    """
-    u, v = UNIT_ROUNDOFF, EXTENDED_ROUNDOFF
-    gamma_v = 2 * na * v / (1.0 - 2 * na * v)
-    terms = math.sqrt(2.0) * (gamma_n(2 * na) + 2.0 * gamma_v) + 13.0 * u + 10.0 * v
-    return (1.0 + 1e-9) * terms / math.sqrt(na * (na - 1))
+def mp_dirichlet(offset, n):
+    """sin(n*pi*x)/sin(pi*x) at the exact offset x in the caller's mpmath context, the real
+    Dirichlet kernel of n centred elements, signed as secrecy._dirichlet, its limit +-n at a whole x."""
+    k = int(mpmath.nint(offset))
+    r = offset - k
+    kernel = mpmath.sin(n * mpmath.pi * r) / mpmath.sin(mpmath.pi * r) if r else mpmath.mpf(n)
+    return -kernel if k * (n - 1) % 2 else kernel
 
 
-def expected_leak_numpy(na, offset):
-    """secrecy._expected_leak's A = (1 - d^2)/(na - 1) in numpy: the same
-    non-negative terms (na - m) * sin^2(m*y), m = 1..na-1, taken by np.sin
-    on the offset less its nearest integer and added by np.dot."""
-    m = np.arange(1, na)
-    s = np.sin(m * (math.pi * (offset - round(offset))))
-    return 4.0 * float(np.dot(na - m, s * s)) / (na * na * (na - 1))
+def mp_leak_row(h, w, d=None):
+    """(conj(h) - d*conj(w))/sqrt(na - 1) of vectors of doubles or mpmath numbers, in the caller's
+    context: with d = <h, w>, the default, the textbook leak row h^H (I - w w^H)/sqrt(na - 1)."""
+    h, w = ([mpmath.mpc(x) for x in np.asarray(v).tolist()] for v in (h, w))
+    if d is None:
+        d = mpmath.fdot(w, h, conjugate=True)
+    scale = mpmath.sqrt(len(w) - 1)
+    return [(mpmath.conj(hj) - d * mpmath.conj(wj)) / scale for hj, wj in zip(h, w)]
 
 
-def leak_sinr_bounds(scenario, signal_mw, row):
-    """The least and greatest expected-noise SINR that probe_block can give
-    a probe to which probe_signal gives signal power ``signal_mw`` and
-    whose reference leak row (from an_leak_row) is ``row``: the SINR of any
-    signal within _signal_bounds and any leak row within leak_row_tol of
-    ``row`` in each entry, evaluated as probe_block evaluates it.
+def leak_row_bound(na):
+    """Bound on each entry's difference between probe_block's closed-form
+    leak row (secrecy._leak_rows) and exact_leak_rows' row x of the same
+    stored h and w_a, entries of magnitude 1/sqrt(na) to a few ulps.  A
+    complex product is off by sqrt(2)*gamma_n(2)*|a||b|, a dot product of
+    na terms, as d = <h, w_a> is (|d| <= 1), by sqrt(2)*gamma_n(2*na) * sum
+    |a_k||b_k|; d*conj(w_j) adds sqrt(2)*gamma_n(2)/sqrt(na), and the
+    subtraction, the scaling by sqrt(na - 1) (three roundings) and x's
+    rounding u*|x_j| <= 2u/Q each, Q = sqrt(na*(na - 1)).  With a factor
+    for second-order terms: 6.5 eps at na = 2, sqrt(2) eps at large na."""
+    q = math.sqrt(na * (na - 1))
+    return (1.0 + 1e-9) * (math.sqrt(2.0) * (gamma_n(2 * na) + 2.0 * UNIT_ROUNDOFF) + 10.0 * UNIT_ROUNDOFF) / q
 
-    The rows differ by at most E = sqrt(na) * leak_row_tol(na) in norm, so
-    their exact norms a (probe_block's row) and b (``row``) do too.  Each
-    route's A, the squared norm, is a plain sum of the row's 2*na rounded
-    squares, in an order of its own: every term passes through at most
-    2*na roundings (its square and at most 2*na - 1 additions), all terms
-    are non-negative, so A is off by at most g0 = gamma_n(2*na) of a^2 or
-    b^2.  From the reference A_ref, b lies in [sqrt(A_ref/(1 + g0)),
-    sqrt(A_ref/(1 - g0))], so probe_block's A lies in
 
-        [(sqrt(A_ref/(1 + g0)) - E)^2 * (1 - g0), (sqrt(A_ref/(1 - g0)) + E)^2 * (1 + g0)],
+def exact_leak_rows(h, w_a):
+    """(rows, lo, hi): the textbook leak rows x of the stored steering rows
+    ``h`` (last axis) through the stored ``w_a``'s projector, each part
+    rounded once, and bounds on probe_block's A = np.vecdot(row, row).real:
+    its row within leak_row_bound of x in each entry, so its norm within
+    sqrt(na)*leak_row_bound of |x|, and A a sum of 2*na rounded squares."""
+    big_e, g = math.sqrt(len(w_a)) * leak_row_bound(len(w_a)), gamma_n(2 * len(w_a))
+    with mpmath.workdps(DIGITS):
+        rows = [mp_leak_row(row, w_a) for row in np.reshape(h, (-1, len(w_a)))]
+        ends = [_power_range(mpmath.norm(x), 0, big_e, g)[1:] for x in rows]
+        return np.array(rows, dtype=complex).reshape(np.shape(h)), *map(np.array, zip(*ends))
 
-    the first bracket clamped at 0.  The two ends below take g = gamma_n(2*na
-    + 6), six roundings more, for their own evaluation: 1 +/- g, the
-    quotient and the square root move the root by at most 2u against the
-    3u that g's excess takes off it; the sum with E (doubled by the
-    square), the square, 1 -/+ g and the product by at most 5u against 6u.
-    The SINR signal / ((1 - alpha) * Pt * A + noise) is increasing in the
-    signal and decreasing in A, and each of its correctly rounded
-    operations is monotone, so the same expression at the ends of both
-    bounds probe_block's computed SINR.
-    """
+
+def signal_range(scenario, amplitude, delta=0, k=3):
+    """Bounds on alpha*Pt*a^2 taken by k roundings, for every a within ``delta`` of
+    |``amplitude``|: by default probe_block's alpha*Pt*(x*x + y*y) of the stored x + iy.
+    alpha*Pt is as every route rounds it; an underflow after it is within the outward ulp."""
+    with mpmath.workdps(DIGITS):
+        scale = mpmath.sqrt(scenario.alpha * scenario.pt_mw)
+        lo, hi = _power_range(scale * abs(mpmath.mpc(amplitude)), 0, scale * delta, gamma_n(k))[1:]
+        return max(0.0, lo), hi
+
+
+def expected_leak_range(na, offset):
+    """(A, lo, hi): secrecy._expected_leak's sum 4/(na^2*(na - 1)) * sum_m (na -
+    m)*sin^2(x_m) at ``offset``, exact at the arguments x_m = fl(m*fl(pi*r))
+    its sines read (r, the offset less its nearest integer, is exact), and
+    bounds on its value: each sine within an ulp, the square, product, fsum
+    and division by the exact na^2*(na - 1) once each, so gamma_n(8) of A."""
+    y = math.pi * (offset - round(offset))
+    with mpmath.workdps(DIGITS):
+        an_power = 4 * mpmath.fsum((na - m) * mpmath.sin(m * y) ** 2 for m in range(1, na)) / (na * na * (na - 1))
+        return an_power, *_outward(an_power * (1 - gamma_n(8)), an_power * (1 + gamma_n(8)))
+
+
+def _instantaneous_leak_range(scenario, w_a, h, offset):
+    """(A, lo, hi) of secrecy_metrics' one noise draw: A = |x . z|^2 of the
+    stored draw z and x = (conj(h) - d*conj(w_a))/sqrt(na - 1), d =
+    mp_dirichlet/na at the stored offset.  The route's d is within
+    (DIRICHLET_UNITS + 1)*u, so with leak_row_bound's arithmetic each entry
+    is within e = (DIRICHLET_UNITS + 10)*u/Q; np.dot adds sqrt(2)*gamma_n(2*na)
+    * sum |row_j||z_j|, and abs (hypot) and the square round three times."""
+    from dmirs.transmitter import complex_normal
+
     na = scenario.na
-    big_e = math.sqrt(na) * leak_row_tol(na)
-    g = gamma_n(2 * na + 6)
-    a_ref = float((row.real**2 + row.imag**2).sum())
-    lo = max(0.0, math.sqrt(a_ref / (1.0 + g)) - big_e)
-    hi = math.sqrt(a_ref / (1.0 - g)) + big_e
-    s_lo, s_hi = _signal_bounds(signal_mw)
-    return _sinr(scenario, s_lo, hi * hi * (1.0 + g)), _sinr(scenario, s_hi, lo * lo * (1.0 - g))
+    z = [mpmath.mpc(x) for x in complex_normal(np.random.default_rng(scenario.seed), (na,)).tolist()]
+    x = mp_leak_row(h, w_a, mp_dirichlet(mpmath.mpf(offset), na) / na)
+    e, dot_g = (DIRICHLET_UNITS + 10) * UNIT_ROUNDOFF / math.sqrt(na * (na - 1)), math.sqrt(2.0) * gamma_n(2 * na)
+    big_e = (1 + 1e-9) * mpmath.fsum((e + dot_g * (abs(xj) + e)) * abs(zj) for xj, zj in zip(x, z))
+    return _power_range(abs(mpmath.fdot(x, z)), 0, big_e, gamma_n(3))
+
+
+def _projector_leak_range(scenario, w_a, h, offset):
+    """(A, lo, hi) of secrecy_rates' leak: A = |x|^2 of the textbook row x,
+    bounding the route's A of conj(h) @ an_projector(w_a).  The projector's
+    entries are off by sqrt(2)*gamma_n(2)/na + u[k = j]; its Frobenius norm
+    sums na^2 squares, adds two sums, takes a root and moves by at most the
+    entries' errors' norm, so it is within t = gamma_n(na^2 + 4)/2 +
+    (sqrt(2)*gamma_n(2) + sqrt(na)*u)/sqrt(na - 1) of sqrt(na - 1),
+    relative.  The division and the product by conj(h) (sum_k |h_k||P_kj|
+    <= 2/Q) leave row_j within (sqrt(2)*(gamma_n(2) + 2*gamma_n(2*na)) +
+    3u)/Q of x_j/(1 + t_0), |t_0| <= t."""
+    na, u = scenario.na, UNIT_ROUNDOFF
+    t = (1 + 1e-9) * (gamma_n(na * na + 4) / 2 + (math.sqrt(2.0) * gamma_n(2) + math.sqrt(na) * u) / math.sqrt(na - 1))
+    big_e = (1 + 1e-9) * (math.sqrt(2.0) * (gamma_n(2) + 2 * gamma_n(2 * na)) + 3 * u) / math.sqrt(na - 1)
+    return _power_range(mpmath.norm(mp_leak_row(h, w_a)), t, big_e, gamma_n(2 * na))
+
+
+def _eve_ranges(scenario, include_irs, leak_range):
+    """((gamma_b, gamma_e, rate_s), gamma_e's (lo, hi), rate_s's (lo, hi)) at
+    ``scenario``'s eve, for a route whose A ``leak_range`` bounds from the
+    rows steering_rows stores toward the receiver and the eve: gamma_b as
+    every route takes it, gamma_e and rate_s exact, rounded once.
+
+    The amplitude a = sqrt(l_d)*d + sqrt(l_r)*gain is exact at the stored
+    link budgets and offsets; the route's kernels are within
+    DIRICHLET_UNITS*n*u, and d's division, the roots, the products and the
+    sum add 4u of T = sqrt(l_d) + sqrt(l_r)*nr.  The SINR is sinr's
+    expression of monotone correctly rounded operations, so sinr at the
+    ranges' ends bounds it.  Each rate is within mu + 3u (mu = 2*LIBM_ULPS*u: log1p,
+    the stored ln 2, the division) and the difference rounds once, so rate_s is
+    within (mu + 5u)*(rb + re(hi)) of [rb - re(hi), rb - re(lo)], clamped at 0."""
+    from dmirs.arrays import steering_rows
+    from dmirs.geometry import link_budget
+
+    bob, eve = link_budget(scenario, scenario.bob), link_budget(scenario, scenario.eve)
+    w_a, h = steering_rows([scenario.alice_array()], np.array([[bob.phi, eve.phi]]))[0]
+    gamma_b = receiver_snr(scenario, bob, include_irs)
+    offset = scenario.alice_spacing_wavelengths * (math.cos(eve.phi) - math.cos(bob.phi))
+    with mpmath.workdps(DIGITS):
+        amplitude = terms = mpmath.sqrt(eve.l_direct)
+        amplitude *= mp_dirichlet(mpmath.mpf(offset), scenario.na) / scenario.na
+        if include_irs:
+            offset_r = scenario.irs_spacing_wavelengths * (math.cos(eve.theta) - math.cos(bob.theta))
+            amplitude += mpmath.sqrt(eve.l_reflect) * mp_dirichlet(mpmath.mpf(offset_r), scenario.nr)
+            terms += mpmath.sqrt(eve.l_reflect) * scenario.nr
+        s_lo, s_hi = signal_range(scenario, amplitude, (1 + 1e-9) * (DIRICHLET_UNITS + 4) * UNIT_ROUNDOFF * terms, 2)
+        an_power, a_lo, a_hi = leak_range(scenario, w_a, h, offset)
+        leaked = (1 - mpmath.mpf(scenario.alpha)) * scenario.pt_mw * an_power
+        gamma = amplitude**2 * scenario.alpha * scenario.pt_mw / (leaked + scenario.noise_mw)
+        gammas = sinr(scenario, s_lo, a_hi), sinr(scenario, s_hi, a_lo)
+        rate_b, rate_e, re_lo, re_hi = (mpmath.log1p(g) / mpmath.log(2) for g in (gamma_b, gamma, *gammas))
+        s = (2 * LIBM_ULPS + 5) * UNIT_ROUNDOFF * (rate_b + re_hi)
+        rates = _outward(max(0, rate_b - re_hi - s), max(0, rate_b - re_lo + s))
+        return (gamma_b, float(gamma), float(max(0, rate_b - rate_e))), gammas, rates
+
+
+def eve_reference(scenario, include_irs=True):
+    """_eve_ranges at ``scenario``'s eve for secrecy_metrics in its an_mode."""
+    if scenario.an_mode == "instantaneous":
+        return _eve_ranges(scenario, include_irs, _instantaneous_leak_range)
+    return _eve_ranges(scenario, include_irs, lambda scene, w_a, h, offset: expected_leak_range(scene.na, offset))
+
+
+def rate_reference(scenario, include_irs=True):
+    """_eve_ranges at a rate sweep's row (scenario's eve and pt_dbm) for secrecy_rates."""
+    return _eve_ranges(scenario, include_irs, _projector_leak_range)
 
 
 def _ber_bounds(gamma_lo, gamma_hi):
@@ -613,67 +642,25 @@ def _ber_bounds(gamma_lo, gamma_hi):
 
     Q(sqrt(gamma)) is decreasing and every operation before erfc is
     correctly rounded, so monotone; erfc's computed values may break
-    monotonicity by its error, ERFC_ULPS ulps, at either end, so both ends
+    monotonicity by its error, LIBM_ULPS ulps, at either end, so both ends
     widen by twice that: relative for normal BERs, and by as many of the
     smallest subnormal steps for BERs that erfc takes below the normal range.
     """
-    rel, tiny = 2.0 * ERFC_ULPS * 2.0 * UNIT_ROUNDOFF, 2.0 * ERFC_ULPS * math.ulp(0.0)
+    rel, tiny = 2.0 * LIBM_ULPS * 2.0 * UNIT_ROUNDOFF, 2.0 * LIBM_ULPS * math.ulp(0.0)
     lo = np.array([qpsk_ber_scalar(g) for g in np.atleast_1d(gamma_hi).tolist()]) * (1.0 - rel) - tiny
     hi = np.array([qpsk_ber_scalar(g) for g in np.atleast_1d(gamma_lo).tolist()]) * (1.0 + rel) + tiny
     return lo, hi
 
 
-def _db_bound(gamma, side):
-    """10 * math.log10(gamma), -inf at 0, moved by 1e-14 of itself to ``side``
-    (-1 or 1), since np.log10 and math.log10 may differ by an ulp."""
-    if gamma == 0.0:
-        return -math.inf
-    db = 10.0 * math.log10(gamma)
-    return db + side * 1e-14 * abs(db)
-
-
-def _mc_ber_bounds(scenario, signal_mw, row, seed):
-    """Bounds on mc_mean_ber(scenario, signal_mw, x, seed) over every leak
-    row x within leak_row_tol of ``row`` in each entry.
-
-    Draw k leaks through L_k = z_k . x, a product of the same kind as the
-    rows' entries: against z_k . row it differs by at most |z_k| . e
-    exactly and by each evaluation's rounding, sqrt(2) * gamma_n(2*na) *
-    |z_k| . |x| (|x_j| <= |row_j| + e), so by eps_k = e * sum|z_k| +
-    sqrt(2) * gamma_n(2*na) * |z_k| . (2|row| + e) (its own evaluation,
-    sums of non-negative terms, is off by at most gamma_n(na + 2) of itself,
-    covered by the factor 1 + gamma_n(na + 4)).  mc_mean_ber takes |L_k|
-    by hypot, within an ulp; so its |L_k| lies in [(m_k * (1 - g) - eps_k)
-    * (1 - g), (m_k * (1 + g) + eps_k) * (1 + g)] for the reference's
-    magnitude m_k, g = gamma_n(6) covering the two hypot ulps and the ends'
-    own four roundings.  Squaring, the SINR and Q are monotone, as in
-    leak_sinr_bounds and _ber_bounds, and so is the mean, a pairwise sum of
-    the same length and a division; the signal ranges over _signal_bounds.
-    """
-    na = scenario.na
-    e = leak_row_tol(na)
-    draws = complex_normal_two_draws(np.random.default_rng(seed), (scenario.mc_samples, na))
-    mags = np.abs(draws @ row)
-    size = np.abs(draws)
-    eps = e * size.sum(axis=1) + math.sqrt(2.0) * gamma_n(2 * na) * (size @ (2.0 * np.abs(row) + e))
-    eps *= 1.0 + gamma_n(na + 4)
-    g = gamma_n(6)
-    leak_lo = np.maximum(0.0, mags * (1.0 - g) - eps) * (1.0 - g)
-    leak_hi = (mags * (1.0 + g) + eps) * (1.0 + g)
-    s_lo, s_hi = _signal_bounds(signal_mw)
-    lo, hi = _ber_bounds(_sinr(scenario, s_lo, leak_hi**2), _sinr(scenario, s_hi, leak_lo**2))
-    return float(lo.mean()), float(hi.mean())
-
-
-def sinr_eve_scalar(scenario, bob, budget, w_a, projector, include_irs=True):
-    """Probe SINR from probe_signal and the leak row: leak_sinr in expected
-    mode, or one complex_normal_two_draws draw from the scenario seed."""
+def sinr_eve_scalar(scenario, bob, budget, w_a, include_irs=True):
+    """Probe SINR from probe_signal and the exact leak row: its squared norm in
+    expected mode, or one complex_normal_two_draws draw from the scenario seed."""
     signal = probe_signal(scenario, bob, budget, w_a, include_irs)
-    row = an_leak_row(budget, scenario.alice_array(), projector)
+    row = an_leak_row(budget, scenario.alice_array(), w_a)
     if scenario.an_mode == "expected":
-        return leak_sinr(scenario, signal, row)
+        return sinr(scenario, signal, float(np.linalg.norm(row) ** 2))
     z = complex_normal_two_draws(np.random.default_rng(scenario.seed), (scenario.na,))
-    return _sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
+    return sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
 
 
 def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
@@ -685,22 +672,18 @@ def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
 
 def scalar_metrics(scenario, probe, include_irs=True):
     """secrecy_metrics as one scalar pipeline: gamma_b from snr_bob, gamma_e
-    from sinr_eve_scalar (the projector's leak row), BERs from qpsk_ber_scalar.
+    from sinr_eve_scalar (the exact leak row), BERs from qpsk_ber_scalar.
 
     Without the IRS, the intended receiver keeps only the direct beam and
     the probe's numerator only the direct term; the artificial noise is
     unchanged, so nothing depends on the IRS element count.
     """
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import SecrecyMetrics, check_snr, rate_bits, snr_bob
+    from dmirs.secrecy import SecrecyMetrics, check_snr, rate_bits
 
     bob, w_a = probe_setup(scenario)
-    projector = an_projector_extended(w_a)
-    if include_irs:
-        gamma_b = snr_bob(scenario, bob)
-    else:
-        gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
-    gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), w_a, projector, include_irs)
+    gamma_b = receiver_snr(scenario, bob, include_irs)
+    gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), w_a, include_irs)
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     return SecrecyMetrics(
         gamma_b=gamma_b,
@@ -718,131 +701,47 @@ def benchmark_no_irs(scenario, probe):
     return scalar_metrics(scenario, probe, include_irs=False)
 
 
-# Tolerances of the closed-form routes against the scalar route (eve_reference)
-SINR_TOL = 1e-12  # rounding per unit of a sum's term magnitudes
-RATE_TOL_BITS = 1e-12
-
-
-def eve_reference(scenario, include_irs=True):
-    """scalar_metrics at ``scenario``'s eve, in its an_mode, with the
-    tolerances (gamma_e_tol, rate_tol) that the closed-form routes
-    (secrecy_metrics, secrecy_rates) are held to.
-
-    Every route computes gamma_e = alpha*Pt*|a|^2 / D, D = noise +
-    (1-alpha)*Pt*A, with a = sqrt(l_d)*d + sqrt(l_r)*gain.
-
-    The amplitude.  d = <h_e, w_a> sums na terms of magnitude 1/na, so sum
-    |terms| = 1; gain sums nr unit-magnitude phase terms (the scalar route
-    literally, the closed form as a Dirichlet kernel), so sum |terms| = nr.
-    Rounding, including the phases' own, which grow to pi*spacing*n, is
-    relative to those magnitude sums, not to |d| or |gain|, which cancel in
-    sidelobes: each route's a is off by at most delta*(sqrt(l_d) +
-    sqrt(l_r)*nr), where the phases dominate delta at about pi*spacing*nr
-    unit roundoffs (3e-13 at nr = 500 and spacing 1.7).  So the numerators
-    differ by at most (2*delta + delta^2)*alpha*Pt*(sqrt(l_d) +
-    sqrt(l_r)*nr)^2, and 2*delta + delta^2 <= SINR_TOL.
-
-    The leak A.  The scalar route's leak row is h_e^H P, each entry a sum
-    of terms of magnitude r = 2/sqrt(na*(na-1)) in all, which also bounds
-    the entry; the closed form's (h_e^H - d*w_a^H)/sqrt(na-1) has the same.
-    So the routes' rows differ by at most e = 2*delta*r <= SINR_TOL*r an
-    entry, and in norm by at most E = sqrt(na)*SINR_TOL*r =
-    2*SINR_TOL/sqrt(na-1).  In expected mode A is the row's squared norm,
-    and | |a|^2 - |b|^2 | <= (2|a| + |a - b|)*|a - b|, so the routes' A
-    differ by at most 2*sqrt(A)*E + E^2.  The closed form sums A's
-    expansion (4/na^2)*sum (na-m)*sin^2(m*y)/(na-1): non-negative terms,
-    each off by phase rounding (sin(m*y) by at most delta, inside E by
-    Cauchy-Schwarz) and by a few ulp of itself, so add SINR_TOL*A:
-
-        dA = 2*sqrt(A)*E + E^2 + SINR_TOL*A,
-
-    which stays a small fraction of A unless A is itself within E^2 of
-    zero, so near the intended receiver's ray the tolerance stays tight.
-    In instantaneous mode A = |row . z|^2 with the one draw z, and row . z
-    sums terms of magnitude r*|z_k| at most, so it differs by at most e_z
-    = SINR_TOL*r*sum|z_k| and A by dA = 2*|row . z|*e_z + e_z^2.
-
-    Together, with D_min = noise + (1-alpha)*Pt*max(0, A - dA),
-
-        gamma_e_tol = (SINR_TOL*alpha*Pt*(sqrt(l_d) + sqrt(l_r)*nr)^2
-                       + gamma_e*(1-alpha)*Pt*dA) / D_min
-
-    bounds |d gamma_e| (sqrt(l_r)*nr dropped without the IRS).  gamma_b is
-    one expression on every route and must agree exactly.  The rate moves
-    by d log2(1+gamma_e) <= |d gamma_e| / ((1 + min gamma_e) * ln 2), plus
-    the last bits of log2, so rate_tol = RATE_TOL_BITS + gamma_e_tol / ((1
-    + max(0, gamma_e - gamma_e_tol)) * ln 2): RATE_TOL_BITS where gamma_e
-    is not cancelled, more where it sits far below its scale.
-    """
-    from dmirs.geometry import link_budget
-
-    expected = scalar_metrics(scenario, scenario.eve, include_irs)
-    projector = an_projector_extended(probe_setup(scenario)[1])
-    eve = link_budget(scenario, scenario.eve)
-    na = scenario.na
-    row = an_leak_row(eve, scenario.alice_array(), projector)
-    if scenario.an_mode == "expected":
-        an_power = float(np.linalg.norm(row) ** 2)
-        row_tol = 2.0 * SINR_TOL / math.sqrt(na - 1)
-        an_tol = 2.0 * math.sqrt(an_power) * row_tol + row_tol**2 + SINR_TOL * an_power
-    else:
-        z = complex_normal_two_draws(np.random.default_rng(scenario.seed), (na,))
-        leak = abs(np.dot(row, z))
-        e_z = SINR_TOL * 2.0 / math.sqrt(na * (na - 1)) * float(np.abs(z).sum())
-        an_power, an_tol = leak**2, 2.0 * leak * e_z + e_z**2
-    terms = math.sqrt(eve.l_direct) + (math.sqrt(eve.l_reflect) * scenario.nr if include_irs else 0.0)
-    pt, alpha = scenario.pt_mw, scenario.alpha
-    d_min = scenario.noise_mw + (1.0 - alpha) * pt * max(0.0, an_power - an_tol)
-    gamma_e_tol = (SINR_TOL * alpha * pt * terms**2 + expected.gamma_e * (1.0 - alpha) * pt * an_tol) / d_min
-    rate_tol = RATE_TOL_BITS + gamma_e_tol / ((1.0 + max(0.0, expected.gamma_e - gamma_e_tol)) * math.log(2.0))
-    return expected, gamma_e_tol, rate_tol
-
-
-def rate_reference(scenario, include_irs=True):
-    """eve_reference in expected mode, whatever ``scenario``'s an_mode: the
-    reference of a rate sweep's row at ``scenario``'s eve and pt_dbm."""
-    from dataclasses import replace
-
-    return eve_reference(replace(scenario, an_mode="expected"), include_irs)
-
-
 def heatmap_per_cell(scenario, grid):
     """Bounds on the heatmap's sinr_db and ber columns, one scalar pipeline per cell.
 
     Returns {"sinr_db": (lo, hi), "ber": (lo, hi)}, arrays in grid order.
-    Each cell calls probe_signal, which run_heatmap's signal matches to
-    SIGNAL_TOL, and takes its phi's an_leak_row through an_projector_extended,
-    which its leak row matches to leak_row_tol (a leak row depends on phi
-    alone, so it is taken once per phi); the SINR bounds are
-    leak_sinr_bounds, and the BER bounds _ber_bounds of them or,
-    in instantaneous mode, _mc_ber_bounds with the cell's (seed, flat index)
-    seed, and the sinr_db bounds _db_bound of the SINR bounds.
+    Each phi's exact_leak_rows are taken once, each cell's signal_range of
+    probe_amplitude's amplitude (run_heatmap's); the SINR bounds are sinr
+    at both ranges' ends, as in _eve_ranges, sinr_db's 10*log10 of them
+    widened by log10's and the product's rounding, the BER bounds
+    _ber_bounds', in instantaneous mode meaned over the draws (seeded by the
+    scenario seed and flat index): z_k . row differs from z_k . r in double,
+    r the exact row's double, by e*sum|z_k| (e = leak_row_bound) and the two
+    evaluations' sqrt(2)*gamma_n(2*na) * |z_k| . (2|r| + e), whose own
+    evaluation 1 + gamma_n(na + 4) covers; hypot and the ends take gamma_n(6).
     """
+    from dmirs.arrays import steering_vector
     from dmirs.geometry import LinkBudget
     from dmirs.secrecy import check_snr, snr_bob
 
-    n_phi, n_theta = grid
-    phi_deg = np.linspace(0.0, 180.0, n_phi)
-    theta_deg = np.linspace(0.0, 180.0, n_theta)
-
     bob, w_a = probe_setup(scenario)
     check_snr(scenario.pt_dbm, scenario.noise_dbm, snr_bob(scenario, bob))
-    alice = scenario.alice_array()
-    projector = an_projector_extended(w_a)
-    mc = scenario.an_mode == "instantaneous"
-
-    bounds = np.empty((4, n_phi * n_theta))  # sinr_db lo, hi, ber lo, hi
-    index = 0
-    for phi in phi_deg.tolist():
-        leak = an_leak_row(LinkBudget(math.radians(phi), bob.theta, bob.l_direct, bob.l_reflect), alice, projector)
-        for theta in theta_deg.tolist():
-            cell = LinkBudget(math.radians(phi), math.radians(theta), bob.l_direct, bob.l_reflect)
-            signal = probe_signal(scenario, bob, cell, w_a)
-            gamma_lo, gamma_hi = leak_sinr_bounds(scenario, signal, leak)
-            if mc:
-                ber = _mc_ber_bounds(scenario, signal, leak, np.random.SeedSequence([scenario.seed, index]))
-            else:
-                ber = [float(b[0]) for b in _ber_bounds(gamma_lo, gamma_hi)]
-            bounds[:, index] = [_db_bound(gamma_lo, -1), _db_bound(gamma_hi, 1), *ber]
-            index += 1
-    return {"sinr_db": (bounds[0], bounds[1]), "ber": (bounds[2], bounds[3])}
+    alice, na = scenario.alice_array(), scenario.na
+    e, g, dot_g, sum_g = leak_row_bound(na), gamma_n(6), math.sqrt(2.0) * gamma_n(2 * na), 1.0 + gamma_n(na + 4)
+    widen = (2 * LIBM_ULPS + 2) * UNIT_ROUNDOFF  # log10, the product and second-order terms
+    bounds = []  # per cell: sinr_db lo, hi, ber lo, hi
+    with mpmath.workdps(DIGITS):
+        for phi in np.linspace(0.0, 180.0, grid[0]).tolist():
+            row, (a_lo,), (a_hi,) = exact_leak_rows(steering_vector(alice, math.radians(phi)), w_a)
+            for theta in np.linspace(0.0, 180.0, grid[1]).tolist():
+                cell = LinkBudget(math.radians(phi), math.radians(theta), bob.l_direct, bob.l_reflect)
+                s_lo, s_hi = signal_range(scenario, probe_amplitude(scenario, bob, cell, w_a))
+                gamma_lo, gamma_hi = sinr(scenario, s_lo, a_hi), sinr(scenario, s_hi, a_lo)
+                db_lo, db_hi = (10 * mpmath.log10(gamma) for gamma in (gamma_lo, gamma_hi))
+                if scenario.an_mode == "instantaneous":  # the BER is each draw's, meaned
+                    seed = np.random.SeedSequence([scenario.seed, len(bounds)])
+                    draws = complex_normal_two_draws(np.random.default_rng(seed), (scenario.mc_samples, na))
+                    mags, size = np.abs(draws @ row), np.abs(draws)
+                    eps = (e * size.sum(axis=1) + dot_g * (size @ (2.0 * np.abs(row) + e))) * sum_g
+                    leak_lo = np.maximum(0.0, mags * (1.0 - g) - eps) * (1.0 - g)
+                    leak_hi = (mags * (1.0 + g) + eps) * (1.0 + g)
+                    gamma_lo, gamma_hi = sinr(scenario, s_lo, leak_hi**2), sinr(scenario, s_hi, leak_lo**2)
+                ber = [b.mean() for b in _ber_bounds(gamma_lo, gamma_hi)]
+                bounds.append((*_outward(db_lo - widen * abs(db_lo), db_hi + widen * abs(db_hi)), *ber))
+    db_lo, db_hi, ber_lo, ber_hi = np.array(bounds).T
+    return {"sinr_db": (db_lo, db_hi), "ber": (ber_lo, ber_hi)}

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmirs import secrecy
-from dmirs.arrays import ArraySpec
+from dmirs.arrays import ArraySpec, steering_vector
 from dmirs.geometry import PATH_LOSS_RULES, GeometryError, LinkBudget, Position, angle_of, link_budget
 from dmirs.scenario import MAX_NA, MAX_NR, MAX_SPACING_WAVELENGTHS, ConfigError, Scenario
 from dmirs.secrecy import (
@@ -27,9 +27,7 @@ from dmirs.secrecy import (
 )
 from dmirs.transmitter import complex_normal
 from oracles import (
-    SIGNAL_TOL,
     an_leak_row,
-    an_projector_extended,
     benchmark_no_irs,
     bob_snr_oracle,
     cascaded_gain_bruteforce,
@@ -37,12 +35,10 @@ from oracles import (
     channel_rows,
     eve_reference,
     eve_sinr_oracle,
-    expected_leak_numpy,
-    gamma_n,
+    exact_leak_rows,
+    expected_leak_range,
     irs_beam,
-    leak_row_tol,
-    leak_sinr,
-    leak_sinr_bounds,
+    leak_row_bound,
     mc_mean_ber_per_sample,
     probe_amplitude,
     probe_setup,
@@ -51,6 +47,8 @@ from oracles import (
     qpsk_ber_scalar,
     rate_reference,
     secrecy_rate,
+    signal_range,
+    sinr,
 )
 
 EVE = Position(30.0, 20.0)
@@ -58,9 +56,10 @@ EVE = Position(30.0, 20.0)
 
 def probe_inputs(scenario, probe):
     """The intended receiver's and a probe's link budgets, with the scenario's
-    direct beam and its textbook noise projector."""
+    direct beam and the probe's exact noise leak row."""
     bob_budget, w_a = probe_setup(scenario)
-    return bob_budget, link_budget(scenario, probe), w_a, an_projector_extended(w_a)
+    probe_budget = link_budget(scenario, probe)
+    return bob_budget, probe_budget, w_a, an_leak_row(probe_budget, scenario.alice_array(), w_a)
 
 
 class TestProbeGrid:
@@ -261,8 +260,7 @@ class TestSinrEve:
 
     def test_expected_an_power_matches_monte_carlo(self):
         scenario = Scenario()
-        _, probe_budget, _, projector = probe_inputs(scenario, EVE)
-        row = an_leak_row(probe_budget, scenario.alice_array(), projector)
+        row = probe_inputs(scenario, EVE)[3]
         z = complex_normal(np.random.default_rng(9), (100_000, 16))
         mc = float(np.mean(np.abs(z @ row) ** 2))
         assert mc == pytest.approx(float(np.linalg.norm(row) ** 2), rel=0.02)
@@ -340,9 +338,10 @@ class TestProbeBlock:
     @example((Scenario(na=16), [(0.8, 0.6)]))
     def test_signal_is_scalar_route_and_leak_within_its_rounding_bound(self, inputs):
         """The signal is alpha*Pt*(x*x + y*y) of probe_amplitude's x + iy,
-        bit for bit, and probe_signal's to SIGNAL_TOL; each leak row entry
-        is the textbook row's (an_leak_row through an_projector_extended) to
-        leak_row_tol, and the SINR inside leak_sinr_bounds."""
+        bit for bit, and inside signal_range, its own rounding of the exact
+        square; each leak row entry is the exact row's (exact_leak_rows of the
+        same stored steering row and w_a) to leak_row_bound, and the SINR
+        is inside sinr at the ends of signal_range and of exact_leak_rows' leak range."""
         scenario, angles = inputs
         bob, w_a = probe_setup(scenario)
         signal, gammas, rows = probe_block(scenario, bob, w_a, angles)
@@ -350,25 +349,28 @@ class TestProbeBlock:
         amplitudes = [probe_amplitude(scenario, bob, cell, w_a) for cell in cells]
         power = scenario.alpha * scenario.pt_mw
         assert signal.tolist() == [power * (a.real * a.real + a.imag * a.imag) for a in amplitudes]
-        expected = [probe_signal(scenario, bob, cell, w_a) for cell in cells]
-        assert all(abs(s - e) <= SIGNAL_TOL * e for s, e in zip(signal.tolist(), expected))
-        alice = scenario.alice_array()
-        projector = an_projector_extended(w_a)
-        expected_rows = np.array([an_leak_row(cell, alice, projector) for cell in cells])
-        assert np.abs(rows - expected_rows).max() <= leak_row_tol(scenario.na)
-        for e, gamma, row in zip(expected, gammas.tolist(), expected_rows):
-            lo, hi = leak_sinr_bounds(scenario, e, row)
-            assert lo <= gamma <= hi
+        h = np.array([steering_vector(scenario.alice_array(), phi) for phi, _ in angles])
+        exact_rows, *leak = exact_leak_rows(h, w_a)
+        assert np.abs(rows - exact_rows).max() <= leak_row_bound(scenario.na)
+        for s, gamma, amplitude, a_lo, a_hi in zip(signal.tolist(), gammas.tolist(), amplitudes, *leak):
+            s_lo, s_hi = signal_range(scenario, amplitude)
+            assert s_lo <= s <= s_hi
+            assert sinr(scenario, s_lo, a_hi) <= gamma <= sinr(scenario, s_hi, a_lo)
+
+    # leak_row_tol, the bound on the closed form against a textbook row built in
+    # extended precision that leak_row_bound replaced, at each na: (1 + 1e-9) *
+    # (sqrt(2) * (gamma_n(2 na) + 2 gamma_v(2 na)) + 13 u + 10 v) / sqrt(na (na - 1)),
+    # gamma_v(n) = n v/(1 - n v), v = 2**-64 (x87 extended precision), evaluated in double
+    OLD_LEAK_ROW_TOL = {2: 1.465466313683148e-15, 3: 9.74410076130416e-16, 16: 4.178325768320257e-16,
+                        1024: 3.1588942351364864e-16}
 
     @pytest.mark.parametrize("na", [2, 3, 16, 1024])
     def test_leak_bound_is_a_few_eps_an_entry(self, na):
-        # about (2 sqrt(2) na + 13) u / sqrt(na (na - 1)): from 6.6 eps at na = 2 down to
-        # sqrt(2) eps, within the 4 sqrt(2) gamma_n(2 na) / sqrt(na (na - 1)) bound on two
-        # evaluations through one projector (4 sqrt(2) to 8 eps), so the rows' norms may
+        # about (2 sqrt(2) na + 13) u / sqrt(na (na - 1)): from 6.5 eps at na = 2 down to
+        # sqrt(2) eps, and never above the bound it replaced, so the rows' norms may
         # differ by a few eps * sqrt(na), no more
         eps = np.finfo(float).eps
-        one_projector = 4.0 * math.sqrt(2.0) * gamma_n(2 * na) / math.sqrt(na * (na - 1))
-        assert math.sqrt(2.0) * eps < leak_row_tol(na) <= one_projector <= 8.0 * eps * (1.0 + 1e-12)
+        assert math.sqrt(2.0) * eps < leak_row_bound(na) <= self.OLD_LEAK_ROW_TOL[na] <= 8.0 * eps
 
     # the IRS phase sums are one row-wise reduction per block; nr = 500 is past numpy's
     # 128-element pairwise-sum block
@@ -407,8 +409,8 @@ class TestSinrEveRoute:
     def test_matches_scalar_oracle_route(self, an_mode, inputs):
         scenario, probe = inputs
         scenario = replace(scenario, an_mode=an_mode, eve=probe)
-        expected, gamma_e_tol, _ = eve_reference(scenario)
-        assert abs(secrecy_metrics(scenario, probe).gamma_e - expected.gamma_e) <= gamma_e_tol
+        _, (lo, hi), _ = eve_reference(scenario)
+        assert lo <= secrecy_metrics(scenario, probe).gamma_e <= hi
 
 
 def probe_row(scenario, probe, more_x):
@@ -443,16 +445,16 @@ def rates_in_blocks(scenes, pts, block):
 
 def assert_rates_match_scalar_route(scenes, pts, include_irs, block):
     """secrecy_rates at every (scene, power) against oracles.rate_reference:
-    gamma_b exactly, gamma_e and the rate within the stated tolerances."""
+    gamma_b exactly, gamma_e and the rate within the route's rounding."""
     gamma_b, gamma_e, rates = rated_snrs(lambda: rates_in_blocks(scenes, pts, block), include_irs)
     assert rates.shape == (2, len(scenes), len(pts)) and gamma_b.shape == rates.shape[1:]
     rates = rates[0 if include_irs else 1]
     for slot, scene in enumerate(scenes):
         for column, pt in enumerate(pts):
-            expected, gamma_e_tol, rate_tol = rate_reference(replace(scene, pt_dbm=pt), include_irs)
-            assert gamma_b[slot, column] == expected.gamma_b
-            assert abs(gamma_e[slot, column] - expected.gamma_e) <= gamma_e_tol
-            assert abs(rates[slot, column] - expected.rate_s) <= rate_tol
+            (expected_b, _, _), (lo, hi), (rate_lo, rate_hi) = rate_reference(replace(scene, pt_dbm=pt), include_irs)
+            assert gamma_b[slot, column] == expected_b
+            assert lo <= gamma_e[slot, column] <= hi
+            assert rate_lo <= rates[slot, column] <= rate_hi
 
 
 @st.composite
@@ -513,18 +515,18 @@ class TestSecrecyRates:
     @settings(max_examples=60, deadline=None)
     @given(probe_scenes(), st.lists(st.floats(-100.0, 100.0), max_size=7), st.integers(1, 4))
     def test_no_irs_sinrs_match_scalar_signal_and_leak_sinr(self, inputs, more_x, block):
+        """The no-IRS column's gamma_b is the direct gain's expression, bit for
+        bit, and its gamma_e within the route's rounding of the exact signal
+        and leak, whatever the block split."""
         scenario, probe = inputs
         probes = probe_row(scenario, probe, more_x)
         scenes = [replace(scenario, eve=p) for p in probes]
         gamma_b, gamma_e, _ = rated_snrs(lambda: rates_in_blocks(scenes, [scenario.pt_dbm], block), include_irs=False)
-        bob, w_a = probe_setup(scenario)
-        alice, projector = scenario.alice_array(), an_projector_extended(w_a)
-        for slot, p in enumerate(probes):
-            budget = link_budget(scenario, p)
-            signal = probe_signal(scenario, bob, budget, w_a, include_irs=False)
+        bob = link_budget(scenario, scenario.bob)
+        for slot, scene in enumerate(scenes):
             assert gamma_b[slot, 0] == scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
-            _, gamma_e_tol, _ = rate_reference(scenes[slot], include_irs=False)
-            assert abs(gamma_e[slot, 0] - leak_sinr(scenario, signal, an_leak_row(budget, alice, projector))) <= gamma_e_tol
+            _, (lo, hi), _ = rate_reference(scene, include_irs=False)
+            assert lo <= gamma_e[slot, 0] <= hi
 
     @pytest.mark.parametrize(
         "scene, pts, message",
@@ -701,30 +703,33 @@ class TestSecrecyMetrics:
     @example(Scenario(na=3, nr=1, bob=Position(17.0, 9.0), eve=Position(17.0 * 2.3, 9.0 * 2.3), pt_dbm=60.0))
     def test_closed_form_matches_scalar_route_at_the_edges(self, scenario):
         """gamma_b and ber_b exactly, gamma_e and rate_s within eve_reference's
-        tolerances, and ber_probe the one BER route's at gamma_e."""
+        ranges, and ber_probe the one BER route's at gamma_e."""
         metrics = secrecy_metrics(scenario, scenario.eve)
-        expected, gamma_e_tol, rate_tol = eve_reference(scenario)
-        assert (metrics.gamma_b, metrics.rate_b, metrics.ber_b) == (expected.gamma_b, expected.rate_b, expected.ber_b)
-        assert abs(metrics.gamma_e - expected.gamma_e) <= gamma_e_tol
-        assert abs(metrics.rate_s - expected.rate_s) <= rate_tol
+        (gamma_b, _, _), (lo, hi), (rate_lo, rate_hi) = eve_reference(scenario)
+        assert (metrics.gamma_b, metrics.rate_b) == (gamma_b, rate_bits(gamma_b))
+        assert metrics.ber_b == qpsk_ber_scalar(gamma_b)
+        assert lo <= metrics.gamma_e <= hi
+        assert rate_lo <= metrics.rate_s <= rate_hi
         assert metrics.ber_probe == qpsk_ber_scalar(metrics.gamma_e)
 
     def test_leak_keeps_its_precision_near_the_receivers_ray(self):
         """5e-10 rad off the receiver's ray, d = <h, w_a> rounds to 1 + 2**-52,
         so 1 - d^2 from d is round-off, yet A = 9.8e-19 sets gamma_e at 260 dB
-        of Pt over noise.  The references are a 60-digit mpmath evaluation
+        of Pt over noise.  The constants are a 60-digit mpmath evaluation
         from the same positions; the float angles' rounding moves gamma_e by
-        about 2e-6 of itself.  eve_reference's tolerance stays well under 1%
-        of gamma_e here."""
+        about 2e-6 of itself.  eve_reference, from the stored angles,
+        reproduces them, and its range stays well under 1% of gamma_e here."""
         scenario = Scenario(
             na=3, nr=1, bob=Position(0.0, 20.0), eve=Position(-1.6405e-08, 30.0), pt_dbm=60.0, noise_dbm=-200.0
         )
         metrics = secrecy_metrics(scenario, scenario.eve)
         assert metrics.gamma_e == pytest.approx(3.33994046743178e15, rel=1e-5)
         assert metrics.rate_s == pytest.approx(26.191373434767, abs=1e-4)
-        expected, gamma_e_tol, _ = eve_reference(scenario)
-        assert gamma_e_tol < 1e-2 * expected.gamma_e
-        assert abs(metrics.gamma_e - expected.gamma_e) <= gamma_e_tol
+        (_, gamma_e, rate_s), (lo, hi), _ = eve_reference(scenario)
+        assert gamma_e == pytest.approx(3.33994046743178e15, rel=1e-5)
+        assert rate_s == pytest.approx(26.191373434767, abs=1e-4)
+        assert hi - lo < 1e-2 * gamma_e
+        assert lo <= metrics.gamma_e <= hi
 
     @pytest.mark.parametrize("na, small", [(3, 2.0**-30), (16, -(2.0**-40))])
     def test_leak_at_a_grating_lobe_equals_the_leak_as_far_off_the_main_lobe(self, na, small):
@@ -750,32 +755,26 @@ class TestSecrecyMetrics:
     @example(16, (0, 1e-140))
     @example(MAX_NA, (-3, 2.0**-30))
     @example(3, (0, 2.0 * MAX_SPACING_WAVELENGTHS - 2.0**-20))
-    def test_float_leak_matches_the_numpy_sum(self, na, point):
-        """_expected_leak's math.fsum against expected_leak_numpy's np.dot of
-        the same terms.  With u = 2**-53 and each side's sine within an ulp
-        (2u relative) of the sine of the same float m*y, a term (na - m)*s*s
-        is within 6u of its exact value: 4u from the squared sine, u from
-        each product.  fsum rounds the sum of the terms once (u); np.dot adds
-        na - 1 non-negative terms, so in any order it is within
-        gamma_n(na - 2) of their sum.  Scaling by 4 is exact and the final
-        division rounds once on each side.  So the two agree within
-        gamma_n(8) + gamma_n(na + 5) of the reference, about (na + 13)u;
-        where numpy's sin is math's, the sines add nothing.  Offsets
-        nearer an integer than 1e-140 are left out: there the terms
-        (na - m)*sin^2(m*y) fall below the normal range on both sides."""
+    def test_float_leak_matches_the_exact_sum(self, na, point):
+        """_expected_leak's math.fsum within its own rounding of the exact sum
+        of the same terms (oracles.expected_leak_range derives the range), a
+        few u of A however near the receiver's ray.  Offsets nearer an integer
+        than 1e-140 are left out: there the terms (na - m)*sin^2(m*y) fall
+        below the normal range."""
         k, near = point
         offset = k + near
-        got, want = secrecy._expected_leak(na, offset), expected_leak_numpy(na, offset)
+        got = secrecy._expected_leak(na, offset)
+        _, lo, hi = expected_leak_range(na, offset)
         assert type(got) is float
-        assert abs(got - want) <= (gamma_n(8) + gamma_n(na + 5)) * want
+        assert lo <= got <= hi
 
     @given(st.integers(2, MAX_NA), st.integers(-2 * MAX_SPACING_WAVELENGTHS, 2 * MAX_SPACING_WAVELENGTHS))
     @example(MAX_NA, 0)
     @example(MAX_NA, -2 * MAX_SPACING_WAVELENGTHS)
     def test_float_leak_is_zero_at_whole_offsets(self, na, k):
         """On the receiver's ray and at each grating point every sin(m*y) is
-        sin(0) = 0, so A is exactly 0.0 on both routes."""
-        assert secrecy._expected_leak(na, float(k)) == expected_leak_numpy(na, float(k)) == 0.0
+        sin(0) = 0, so A is exactly 0.0, as the exact oracle's."""
+        assert secrecy._expected_leak(na, float(k)) == expected_leak_range(na, float(k))[0] == 0.0
 
     def test_probe_at_receiver_gives_zero_secrecy_rate(self):
         metrics = secrecy_metrics(Scenario(), Position(20.0, 0.0))
@@ -852,9 +851,8 @@ def mc_ber(scenario, probe, samples, seed):
     the probe's own path gains: its signal power and leak row from the
     scalar probe route."""
     scenario = replace(scenario, mc_samples=samples)
-    bob_budget, probe_budget, w_a, projector = probe_inputs(scenario, probe)
-    signal = probe_signal(scenario, bob_budget, probe_budget, w_a)
-    return mc_mean_ber(scenario, signal, an_leak_row(probe_budget, scenario.alice_array(), projector), seed)
+    bob_budget, probe_budget, w_a, row = probe_inputs(scenario, probe)
+    return mc_mean_ber(scenario, probe_signal(scenario, bob_budget, probe_budget, w_a), row, seed)
 
 
 class TestMcBer:
@@ -879,11 +877,10 @@ class TestMcBer:
         long_run = float(np.mean(runs))
 
         # spread of single-draw BERs, estimated from an auxiliary stream
-        bob_budget, probe_budget, w_a, projector = probe_inputs(scenario, probe)
+        bob_budget, probe_budget, w_a, row = probe_inputs(scenario, probe)
         signal = scenario.alpha * scenario.pt_mw * abs(
             probe_amplitude(scenario, bob_budget, probe_budget, w_a)
         ) ** 2
-        row = an_leak_row(probe_budget, scenario.alice_array(), projector)
         z = complex_normal(np.random.default_rng(3), (10_000, 16))
         an_power = np.abs(z @ row) ** 2
         gammas = signal / ((1 - scenario.alpha) * scenario.pt_mw * an_power + scenario.noise_mw)
