@@ -6,7 +6,9 @@ so test expectations are not circular.  The exact oracle (from DIGITS on)
 works in 50-digit mpmath from the stored doubles that the checked step
 reads, so each route's bound is its own rounding alone.  The scalar probe
 route (`irs_phase_diagonal` to `benchmark_no_irs`) evaluates one probe at
-a time in Python floats, its leak row the exact oracle's; it, `irs_beam`
+a time in Python floats, its leak row the exact oracle's; `_eve_ranges`
+holds the closed forms to it within MODEL_TOL, their array model's check,
+as well as to their own rounding.  It, `irs_beam`
 (the matched IRS beam w_r), `probe_setup` (the receiver's record and the
 direct beam w_a) and the exact oracle's entry points call the package
 under test.  `path_loss`, `combined_path_loss` and `link_budget_composed`
@@ -404,18 +406,20 @@ def irs_phase_diagonal(irs, theta: float, theta_b: float) -> np.ndarray:
     return np.exp(-2j * np.pi * (element_cycles(irs, theta) - element_cycles(irs, theta_b)))
 
 
-def probe_amplitude(scenario, bob, probe, w_a) -> complex:
+def probe_amplitude(scenario, bob, probe, w_a, include_irs=True) -> complex:
     """Coherent amplitude reaching ``probe`` over the direct beam ``w_a`` and the IRS
     beam, the steering vector g_t toward the IRS, with the IRS tuned to ``bob``:
-    sqrt(l_direct) * <h(phi), w_a> + sqrt(l_reflect) * phase_sum * <g_t, g_t>."""
+    sqrt(l_direct) * <h(phi), w_a> + sqrt(l_reflect) * phase_sum * <g_t, g_t>,
+    or without the IRS its direct term alone."""
     from dmirs.arrays import steering_vector
     from dmirs.geometry import angle_of
 
     alice = scenario.alice_array()
-    h_ae = steering_vector(alice, probe.phi)
+    direct = math.sqrt(probe.l_direct) * np.vdot(steering_vector(alice, probe.phi), w_a)
+    if not include_irs:
+        return complex(direct)
     g_t = steering_vector(alice, angle_of(scenario.alice, scenario.irs))
     phase_sum = irs_phase_diagonal(scenario.irs_array(), probe.theta, bob.theta).sum()
-    direct = math.sqrt(probe.l_direct) * np.vdot(h_ae, w_a)
     return complex(direct + math.sqrt(probe.l_reflect) * phase_sum * np.vdot(g_t, g_t))
 
 
@@ -428,25 +432,8 @@ def an_leak_row(probe, alice, w_a) -> np.ndarray:
 
 
 def probe_signal(scenario, bob, budget, w_a, include_irs=True):
-    """Signal power reaching the probe in mW: alpha * Pt * |probe amplitude|^2,
-    the amplitude from probe_amplitude or, without the IRS, its direct term
-    sqrt(l_direct) * <h(phi), w_a> alone."""
-    from dmirs.arrays import steering_vector
-
-    if include_irs:
-        amplitude = probe_amplitude(scenario, bob, budget, w_a)
-    else:
-        amplitude = complex(math.sqrt(budget.l_direct) * np.vdot(steering_vector(scenario.alice_array(), budget.phi), w_a))
-    return scenario.alpha * scenario.pt_mw * abs(amplitude) ** 2
-
-
-def receiver_snr(scenario, bob, include_irs=True):
-    """The intended receiver's SNR as every route takes it: snr_bob, or alpha*Pt*l_direct/noise without the IRS."""
-    from dmirs.secrecy import snr_bob
-
-    if include_irs:
-        return snr_bob(scenario, bob)
-    return scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
+    """Signal power reaching the probe in mW: alpha * Pt * |probe_amplitude|^2."""
+    return scenario.alpha * scenario.pt_mw * abs(probe_amplitude(scenario, bob, budget, w_a, include_irs)) ** 2
 
 
 def sinr(scenario, signal_mw, an_power):
@@ -559,10 +546,8 @@ def _instantaneous_leak_range(scenario, w_a, h, offset):
     (DIRICHLET_UNITS + 1)*u, so with leak_row_bound's arithmetic each entry
     is within e = (DIRICHLET_UNITS + 10)*u/Q; np.dot adds sqrt(2)*gamma_n(2*na)
     * sum |row_j||z_j|, and abs (hypot) and the square round three times."""
-    from dmirs.transmitter import complex_normal
-
     na = scenario.na
-    z = [mpmath.mpc(x) for x in complex_normal(np.random.default_rng(scenario.seed), (na,)).tolist()]
+    z = [mpmath.mpc(x) for x in complex_normal_two_draws(np.random.default_rng(scenario.seed), (na,)).tolist()]
     x = mp_leak_row(h, w_a, mp_dirichlet(mpmath.mpf(offset), na) / na)
     e, dot_g = (DIRICHLET_UNITS + 10) * UNIT_ROUNDOFF / math.sqrt(na * (na - 1)), math.sqrt(2.0) * gamma_n(2 * na)
     big_e = (1 + 1e-9) * mpmath.fsum((e + dot_g * (abs(xj) + e)) * abs(zj) for xj, zj in zip(x, z))
@@ -585,11 +570,19 @@ def _projector_leak_range(scenario, w_a, h, offset):
     return _power_range(mpmath.norm(mp_leak_row(h, w_a)), t, big_e, gamma_n(2 * na))
 
 
-def _eve_ranges(scenario, include_irs, leak_range):
+# The vector route (scalar_metrics) reads steering vectors and IRS phases
+# whose rounding moves its amplitude and leak row by about pi*spacing*n ulps
+# of their scales (under 1e-12 at n = 500 and spacing 1.7), so a thousand
+# times that holds the closed forms to the array model, not to its rounding.
+MODEL_TOL = 1e-9
+
+
+def _eve_ranges(scenario, include_irs, leak_range=None):
     """((gamma_b, gamma_e, rate_s), gamma_e's (lo, hi), rate_s's (lo, hi)) at
     ``scenario``'s eve, for a route whose A ``leak_range`` bounds from the
-    rows steering_rows stores toward the receiver and the eve: gamma_b as
-    every route takes it, gamma_e and rate_s exact, rounded once.
+    rows steering_rows stores toward the receiver and the eve, by default
+    expected_leak_range's: gamma_b as every route takes it, gamma_e and
+    rate_s exact, rounded once.
 
     The amplitude a = sqrt(l_d)*d + sqrt(l_r)*gain is exact at the stored
     link budgets and offsets; the route's kernels are within
@@ -598,13 +591,18 @@ def _eve_ranges(scenario, include_irs, leak_range):
     expression of monotone correctly rounded operations, so sinr at the
     ranges' ends bounds it.  Each rate is within mu + 3u (mu = 2*LIBM_ULPS*u: log1p,
     the stored ln 2, the division) and the difference rounds once, so rate_s is
-    within (mu + 5u)*(rb + re(hi)) of [rb - re(hi), rb - re(lo)], clamped at 0."""
+    within (mu + 5u)*(rb + re(hi)) of [rb - re(hi), rb - re(lo)], clamped at 0.
+
+    The exact amplitude and expected-noise A are also held to scalar_metrics',
+    from steering vectors, IRS phases and the textbook leak row: its gamma_e
+    lies within sinr at the ends of signal_range for amplitudes within
+    MODEL_TOL*T and of A for row norms within MODEL_TOL*2/sqrt(na - 1)."""
     from dmirs.arrays import steering_rows
     from dmirs.geometry import link_budget
 
+    reference = scalar_metrics(scenario, scenario.eve, include_irs)
     bob, eve = link_budget(scenario, scenario.bob), link_budget(scenario, scenario.eve)
     w_a, h = steering_rows([scenario.alice_array()], np.array([[bob.phi, eve.phi]]))[0]
-    gamma_b = receiver_snr(scenario, bob, include_irs)
     offset = scenario.alice_spacing_wavelengths * (math.cos(eve.phi) - math.cos(bob.phi))
     with mpmath.workdps(DIGITS):
         amplitude = terms = mpmath.sqrt(eve.l_direct)
@@ -614,21 +612,23 @@ def _eve_ranges(scenario, include_irs, leak_range):
             amplitude += mpmath.sqrt(eve.l_reflect) * mp_dirichlet(mpmath.mpf(offset_r), scenario.nr)
             terms += mpmath.sqrt(eve.l_reflect) * scenario.nr
         s_lo, s_hi = signal_range(scenario, amplitude, (1 + 1e-9) * (DIRICHLET_UNITS + 4) * UNIT_ROUNDOFF * terms, 2)
-        an_power, a_lo, a_hi = leak_range(scenario, w_a, h, offset)
+        expected = expected_leak_range(scenario.na, offset)
+        an_power, a_lo, a_hi = leak_range(scenario, w_a, h, offset) if leak_range else expected
+        m_lo, m_hi = signal_range(scenario, amplitude, MODEL_TOL * terms)
+        l_lo, l_hi = _power_range(mpmath.sqrt(expected[0]), 0, MODEL_TOL * 2 / math.sqrt(scenario.na - 1), 0)[1:]
+        assert sinr(scenario, m_lo, l_hi) <= reference.gamma_e <= sinr(scenario, m_hi, l_lo), "off the array model"
         leaked = (1 - mpmath.mpf(scenario.alpha)) * scenario.pt_mw * an_power
         gamma = amplitude**2 * scenario.alpha * scenario.pt_mw / (leaked + scenario.noise_mw)
         gammas = sinr(scenario, s_lo, a_hi), sinr(scenario, s_hi, a_lo)
-        rate_b, rate_e, re_lo, re_hi = (mpmath.log1p(g) / mpmath.log(2) for g in (gamma_b, gamma, *gammas))
+        rate_b, rate_e, re_lo, re_hi = (mpmath.log1p(g) / mpmath.log(2) for g in (reference.gamma_b, gamma, *gammas))
         s = (2 * LIBM_ULPS + 5) * UNIT_ROUNDOFF * (rate_b + re_hi)
         rates = _outward(max(0, rate_b - re_hi - s), max(0, rate_b - re_lo + s))
-        return (gamma_b, float(gamma), float(max(0, rate_b - rate_e))), gammas, rates
+        return (reference.gamma_b, float(gamma), float(max(0, rate_b - rate_e))), gammas, rates
 
 
 def eve_reference(scenario, include_irs=True):
     """_eve_ranges at ``scenario``'s eve for secrecy_metrics in its an_mode."""
-    if scenario.an_mode == "instantaneous":
-        return _eve_ranges(scenario, include_irs, _instantaneous_leak_range)
-    return _eve_ranges(scenario, include_irs, lambda scene, w_a, h, offset: expected_leak_range(scene.na, offset))
+    return _eve_ranges(scenario, include_irs, _instantaneous_leak_range if scenario.an_mode == "instantaneous" else None)
 
 
 def rate_reference(scenario, include_irs=True):
@@ -653,14 +653,10 @@ def _ber_bounds(gamma_lo, gamma_hi):
 
 
 def sinr_eve_scalar(scenario, bob, budget, w_a, include_irs=True):
-    """Probe SINR from probe_signal and the exact leak row: its squared norm in
-    expected mode, or one complex_normal_two_draws draw from the scenario seed."""
+    """Expected-noise probe SINR from probe_signal and the exact leak row's squared norm."""
     signal = probe_signal(scenario, bob, budget, w_a, include_irs)
     row = an_leak_row(budget, scenario.alice_array(), w_a)
-    if scenario.an_mode == "expected":
-        return sinr(scenario, signal, float(np.linalg.norm(row) ** 2))
-    z = complex_normal_two_draws(np.random.default_rng(scenario.seed), (scenario.na,))
-    return sinr(scenario, signal, abs(np.dot(row, z)) ** 2)
+    return sinr(scenario, signal, float(np.linalg.norm(row) ** 2))
 
 
 def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
@@ -671,18 +667,22 @@ def secrecy_rate(gamma_b: float, gamma_e: float) -> float:
 
 
 def scalar_metrics(scenario, probe, include_irs=True):
-    """secrecy_metrics as one scalar pipeline: gamma_b from snr_bob, gamma_e
-    from sinr_eve_scalar (the exact leak row), BERs from qpsk_ber_scalar.
+    """secrecy_metrics in expected mode, whatever the scenario's an_mode, as
+    one scalar pipeline: gamma_b from snr_bob, gamma_e from sinr_eve_scalar
+    (the exact leak row), BERs from qpsk_ber_scalar.
 
     Without the IRS, the intended receiver keeps only the direct beam and
     the probe's numerator only the direct term; the artificial noise is
     unchanged, so nothing depends on the IRS element count.
     """
     from dmirs.geometry import link_budget
-    from dmirs.secrecy import SecrecyMetrics, check_snr, rate_bits
+    from dmirs.secrecy import SecrecyMetrics, check_snr, rate_bits, snr_bob
 
     bob, w_a = probe_setup(scenario)
-    gamma_b = receiver_snr(scenario, bob, include_irs)
+    if include_irs:
+        gamma_b = snr_bob(scenario, bob)
+    else:
+        gamma_b = scenario.alpha * scenario.pt_mw * bob.l_direct / scenario.noise_mw
     gamma_e = sinr_eve_scalar(scenario, bob, link_budget(scenario, probe), w_a, include_irs)
     check_snr(scenario.pt_dbm, scenario.noise_dbm, gamma_b, gamma_e)
     return SecrecyMetrics(

@@ -445,7 +445,8 @@ def rates_in_blocks(scenes, pts, block):
 
 def assert_rates_match_scalar_route(scenes, pts, include_irs, block):
     """secrecy_rates at every (scene, power) against oracles.rate_reference:
-    gamma_b exactly, gamma_e and the rate within the route's rounding."""
+    gamma_b exactly, gamma_e and the rate within the route's rounding of the
+    exact values, which rate_reference holds to the scalar route's."""
     gamma_b, gamma_e, rates = rated_snrs(lambda: rates_in_blocks(scenes, pts, block), include_irs)
     assert rates.shape == (2, len(scenes), len(pts)) and gamma_b.shape == rates.shape[1:]
     rates = rates[0 if include_irs else 1]
