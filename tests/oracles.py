@@ -1,8 +1,8 @@
 """Independent reference implementations used to derive expected values.
 
-Each oracle recomputes a quantity from first principles (numeric
-integration, naive loops, explicit per-symbol formulas, exact arithmetic)
-so test expectations are not circular.  The exact oracle (from DIGITS on)
+Each oracle recomputes a quantity from first principles (naive loops,
+explicit per-symbol formulas, exact arithmetic) so test expectations are
+not circular.  The exact oracle (from DIGITS on)
 works in 50-digit mpmath from the stored doubles that the checked step
 reads, so each route's bound is its own rounding alone.  The scalar probe
 route (`irs_phase_diagonal` to `benchmark_no_irs`) evaluates one probe at
@@ -25,13 +25,6 @@ import sys
 
 import mpmath
 import numpy as np
-from scipy import integrate
-
-
-def q_via_integration(u: float) -> float:
-    """Standard-normal tail probability by adaptive quadrature on [0, u]."""
-    body, _ = integrate.quad(lambda t: math.exp(-t * t / 2.0), 0.0, u, epsabs=1e-14, epsrel=1e-13)
-    return 0.5 - body / math.sqrt(2.0 * math.pi)
 
 
 def matvec_triple_loop(m, v):
@@ -453,6 +446,12 @@ LIBM_ULPS = 5
 # arguments' 3 and 2 roundings move the sines by 3*pi/2 and pi (the second
 # relative to |sin(pi*r)| >= 2|r|), the sines' ulps and the quotient by 5.
 DIRICHLET_UNITS = 13
+
+
+def q_exact(u: float) -> float:
+    """The standard-normal tail probability Q(u) = erfc(u/sqrt 2)/2, rounded once."""
+    with mpmath.workdps(DIGITS):
+        return float(mpmath.erfc(mpmath.mpf(u) / mpmath.sqrt(2)) / 2)
 
 
 def gamma_n(n):

@@ -26,7 +26,7 @@ from dmirs.scenario import Scenario
 from dmirs.secrecy import secrecy_metrics, snr_bob
 from dmirs.sweeps import run_heatmap, run_sweep_dab, run_sweep_nr
 from dmirs.transmitter import an_projector, complex_normal
-from oracles import an_leak_row, benchmark_no_irs, cascaded_gain_bruteforce, q_via_integration
+from oracles import an_leak_row, benchmark_no_irs, cascaded_gain_bruteforce, q_exact
 
 
 @contextlib.contextmanager
@@ -252,12 +252,12 @@ def test_artificial_noise_statistics():
         assert float(np.mean(np.sum(np.abs(noisy) ** 2, axis=1))) == pytest.approx(1.0, rel=0.015)
 
 
-def test_q_function_against_integration_oracle():
-    with criterion("normal tail probability matches numeric integration to 1e-10"):
+def test_q_function_against_exact_oracle():
+    with criterion("normal tail probability matches the exact erfc form to 1e-10"):
         from dmirs.numerics import q_function
 
         for u in np.arange(-8.0, 8.0 + 1e-9, 0.01):
-            assert abs(q_function(float(u)) - q_via_integration(float(u))) <= 1e-10
+            assert abs(q_function(float(u)) - q_exact(float(u))) <= 1e-10
 
 
 def test_sweep_csv_byte_determinism(tmp_path):

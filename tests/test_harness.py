@@ -14,9 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmirs import arrays, cli, geometry, secrecy, sweeps, transmitter
+from dmirs import cli, secrecy
 from dmirs import scenario as scenario_module
-from dmirs.arrays import ArraySpec
 from dmirs.geometry import PATH_LOSS_RULES, GeometryError, Position
 from dmirs.scenario import (
     MAX_MC_SAMPLES,
@@ -294,7 +293,7 @@ class TestRunHeatmap:
             outside = np.flatnonzero(~((lo <= values) & (values <= hi)))
             assert outside.size == 0, f"{column} cell {outside[:1]} outside its bounds"
 
-    # a block is heatmap_block_cells cells (21 at na = 1024 and nr = 7), so at
+    # a block is BLOCK_VALUES // (3 na + 2 nr) cells (21 at na = 1024 and nr = 7), so at
     # large na the longer grids end mid-block after full ones; the examples make sure
     # both modes do
     @settings(max_examples=40, deadline=None)
@@ -340,63 +339,6 @@ class TestRunHeatmap:
             set_heatmap_block_cells(monkeypatch, scenario, block_cells)
             results.append({c: v.tolist() for c, v in run_heatmap(scenario, (5, 5)).values.items()})
         assert all(r == results[0] for r in results[1:])
-
-    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
-    def test_array_specs_are_built_once_per_run_not_per_cell(self, an_mode, monkeypatch):
-        built = []
-        post_init = ArraySpec.__post_init__
-        monkeypatch.setattr(ArraySpec, "__post_init__", lambda spec: built.append(1) or post_init(spec))
-        scenario = Scenario(an_mode=an_mode, mc_samples=5)
-        counts = []
-        for grid in ((2, 2), (6, 7)):
-            scenario_module._array_spec.cache_clear()
-            built.clear()
-            run_heatmap(scenario, grid=grid)
-            counts.append(len(built))
-        assert counts[0] == counts[1] <= 2
-
-    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
-    @pytest.mark.parametrize("block_cells", [None, 4], ids=["production-blocks", "4-cell-blocks"])
-    def test_cells_build_no_records_and_reach_probe_block_a_block_at_a_time(
-        self, an_mode, block_cells, monkeypatch
-    ):
-        """Between a 3x3 and a 4x5 grid, no LinkBudget is built per cell, and
-        probe_block runs once per block of heatmap_block_cells cells, not
-        once per cell."""
-        scenario = Scenario(an_mode=an_mode, mc_samples=5)
-        if block_cells is not None:
-            set_heatmap_block_cells(monkeypatch, scenario, block_cells)
-        block = heatmap_block_cells(scenario)
-        counts = count_calls(monkeypatch, ("probe_block",))
-        records = []
-        init = geometry.LinkBudget.__init__
-        monkeypatch.setattr(geometry.LinkBudget, "__init__", lambda self, *a: records.append(1) or init(self, *a))
-        built = {}
-        for grid in ((3, 3), (4, 5)):
-            cells = grid[0] * grid[1]
-            counts["probe_block"] = 0
-            records.clear()
-            run_heatmap(scenario, grid)
-            assert counts["probe_block"] == math.ceil(cells / block)
-            built[cells] = len(records)
-        assert (built[20] - built[9]) / (20 - 9) == 0
-
-    @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
-    def test_builds_no_projector_and_only_the_pinned_calls_per_cell(self, an_mode, monkeypatch):
-        """No noise projector at all: the leak rows are closed form.  Between a
-        3x3 and a 4x5 grid, each cell makes the calls the benchmark pins: three
-        steering vectors and five element_cycles rows (two in probe_block, one
-        in each steering vector)."""
-        scenario = Scenario(an_mode=an_mode, mc_samples=5)
-        counts = count_calls(monkeypatch, ("an_projector", "steering_vector", "element_cycles"))
-        seen = {}
-        for grid in ((3, 3), (4, 5)):
-            counts.update(dict.fromkeys(counts, 0))
-            run_heatmap(scenario, grid)
-            seen[grid[0] * grid[1]] = dict(counts)
-        assert seen[9]["an_projector"] == seen[20]["an_projector"] == 0
-        per_cell = {name: (seen[20][name] - seen[9][name]) / (20 - 9) for name in counts}
-        assert per_cell == {"an_projector": 0, "steering_vector": 3, "element_cycles": 5}
 
 
 class TestRunSweepNr:
@@ -468,34 +410,10 @@ class TestRunSweepDab:
             run_sweep_dab(Scenario(), [10.0, value, 20.0], [10.0])
 
 
-def heatmap_block_cells(scenario):
-    """Cells of ``scenario`` per probe_block pass: secrecy.BLOCK_VALUES over
-    three na-long rows and two nr-long rows a cell, at least one."""
-    return max(1, secrecy.BLOCK_VALUES // (3 * scenario.na + 2 * scenario.nr))
-
-
 def set_heatmap_block_cells(monkeypatch, scenario, cells):
     """Sizes secrecy.BLOCK_VALUES so that run_heatmap takes ``cells`` cells of
     ``scenario`` per block."""
     monkeypatch.setattr(secrecy, "BLOCK_VALUES", cells * (3 * scenario.na + 2 * scenario.nr))
-
-
-def count_calls(monkeypatch, names):
-    """Calls of each package function in ``names``, counted under every
-    module name bound to it, as a dict that updates while the test runs."""
-    counts = dict.fromkeys(names, 0)
-    modules = (arrays, geometry, transmitter, secrecy, sweeps, scenario_module, cli)
-    for name in names:
-        original = next(getattr(m, name) for m in modules if hasattr(m, name))
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return counts
 
 
 @st.composite
@@ -534,33 +452,21 @@ class TestRateSweepRows:
                     assert lo <= row[column] <= hi
 
     @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
-    def test_per_axis_value_only_link_budgets_and_projectors(self, run, monkeypatch):
-        """Per axis value, whatever the sweep's size and powers: one validated
-        Scenario, equal to what dataclasses.replace builds, one receiver and
-        one eve LinkBudget and one noise projector per column, and none of the
-        heatmap's steering vectors or element cycles.  Each pt is
-        validated once, as one Scenario."""
+    def test_each_pt_and_axis_value_is_one_scene_as_replace_builds_it(self, run, monkeypatch):
+        """Whatever the sweep's size and powers, each pt is validated once, as
+        one Scenario, then each axis value as one validated Scenario, equal to
+        what dataclasses.replace builds."""
         scenario = Scenario()
         # the default transmitter sits at the origin and the receiver on the +x axis
         change = (lambda v: {"nr": v}) if run is run_sweep_nr else (lambda v: {"bob": Position(v, 0.0)})
-        counts = count_calls(
-            monkeypatch, ("link_budget", "an_projector", "steering_vector", "element_cycles")
-        )
         validate, built = Scenario.__post_init__, []
         monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(self) or validate(self))
         for size in (1, 3, 50):
             for pts in ([10.0], [10.0, 15.0, 15.0, 30.0]):
-                counts.update(dict.fromkeys(counts, 0))
                 built.clear()
                 axis = list(range(10, 10 + size))
                 run(scenario, axis, pts)
                 scenes = built[:]  # replace below validates too
-                assert counts == {
-                    "link_budget": 4 * size,
-                    "an_projector": 2 * size,
-                    "steering_vector": 0,
-                    "element_cycles": 0,
-                }
                 assert scenes == [replace(scenario, pt_dbm=pt) for pt in pts] + [
                     replace(scenario, **change(v)) for v in axis
                 ]
@@ -578,40 +484,6 @@ class TestRateSweepRows:
         with pytest.raises(error) as info:
             run(scenario, axis, [10.0])
         assert type(info.value) is error and str(info.value) == message
-
-    @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
-    def test_one_secrecy_rates_call_per_sweep_whatever_its_size(self, run, monkeypatch):
-        results = []
-        rates = sweeps.secrecy_rates
-        monkeypatch.setattr(sweeps, "secrecy_rates", lambda *args: results.append(rates(*args)) or results[-1])
-        for axis, pts in (([10], [10.0]), ([10, 20, 30], [10.0, 15.0, 15.0, 30.0]), (list(range(10, 60)), [10.0])):
-            results.clear()
-            run(Scenario(), axis, pts)
-            assert [r.shape for r in results] == [(2, len(axis), len(pts))]
-
-
-class TestMetricsWork:
-    @pytest.mark.parametrize("an_mode, steering_rows", [("expected", 0), ("instantaneous", 1)])
-    def test_builds_no_steering_vector_or_projector(self, an_mode, steering_rows, config_file, monkeypatch):
-        """metrics makes the receiver's and the probe's LinkBudget and, for its one
-        noise draw, one block of steering rows: no steering vector, projector,
-        probe block or element cycles, at any probe."""
-        counts = count_calls(
-            monkeypatch,
-            ("link_budget", "steering_vector", "steering_rows", "an_projector", "probe_block", "element_cycles"),
-        )
-        for eve in ([], ["--eve=-5,3"], ["--eve=20,0"]):
-            counts.update(dict.fromkeys(counts, 0))
-            assert cli.main(["metrics", "--config", config_file, "--an-mode", an_mode, *eve]) == 0
-            assert counts == {
-                "link_budget": 2,
-                "steering_vector": 0,
-                "steering_rows": steering_rows,
-                "an_projector": 0,
-                "probe_block": 0,
-                "element_cycles": 0,
-            }
-
 
 # alpha = 1 leaves no noise in the probe's SINR; at nr = 1 the IRS path cancels part
 # of the direct one at this eve, so without the IRS the probe's SNR is the largest
@@ -954,10 +826,10 @@ class TestCli:
         # 1.0000000003 lies 4e-11 past the stop: inside an absolute slack of 1e-9, but 0.4 of a step
         assert cli._parse_values("1:1.00000000026:1e-10", "dab") == [1.0, 1.0000000001, 1.0000000002]
 
-    def test_sweeps_are_called_by_name_not_through_parser_defaults(self, config_file, tmp_path, monkeypatch):
+    def test_no_parser_default_holds_a_package_function(self, config_file):
         """The cached parser holds no public function of another package
         module, so a wrapper bound over cli's name for a sweep, as a tracer
-        binds one, sees each call of that sweep."""
+        binds one, sees each call of that sweep (tests/test_work_counts.py)."""
         assert cli.main(["metrics", "--config", config_file]) == 0  # builds and caches the parser
         for command, parser in cli._parser().commands.items():
             bound = [
@@ -966,19 +838,6 @@ class TestCli:
                 and value.__module__ != cli.__name__ and not value.__name__.startswith("_")
             ]
             assert bound == [], command
-        calls = dict.fromkeys(("run_sweep_nr", "run_sweep_dab"), 0)
-        for name in calls:
-
-            def counted(*args, _name=name, _original=getattr(cli, name)):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(cli, name, counted)
-        out = str(tmp_path / "o.csv")
-        assert cli.main(["sweep-nr", "--config", config_file, "--nr", "10,20", "--pt", "10", "--out", out]) == 0
-        assert calls == {"run_sweep_nr": 1, "run_sweep_dab": 0}
-        assert cli.main(["sweep-dab", "--config", config_file, "--dab", "10,20", "--pt", "10", "--out", out]) == 0
-        assert calls == {"run_sweep_nr": 1, "run_sweep_dab": 1}
 
     @pytest.mark.parametrize("command, axis", [("sweep-nr", "nr"), ("sweep-dab", "dab")])
     def test_an_empty_value_list_exits_2_naming_its_axis(self, command, axis, config_file, tmp_path, capsys):
@@ -1039,7 +898,7 @@ class TestCli:
 
         monkeypatch.setattr(cli, "secrecy_metrics", must_not_run)
         monkeypatch.setattr(cli, "run_heatmap", must_not_run)
-        monkeypatch.setattr(sweeps, "secrecy_metrics", must_not_run)
+        monkeypatch.setattr(secrecy, "_scene_terms", must_not_run)  # a rate sweep's first evaluation
         huge = tmp_path / "huge.json"
         huge.write_text('{"na": 10000000}')
         out = str(tmp_path / "o.csv")

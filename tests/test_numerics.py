@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dmirs.numerics import dbm_to_mw, q_function
-from oracles import q_via_integration
+from oracles import q_exact
 
 
 class TestQFunction:
@@ -18,13 +18,13 @@ class TestQFunction:
         assert q_function(-u) == pytest.approx(1.0 - q_function(u), abs=1e-12)
 
     def test_five_percent_point(self):
-        expected = q_via_integration(1.6448536)
+        expected = q_exact(1.6448536)
         assert expected == pytest.approx(0.0500000, abs=1e-6)
         assert q_function(1.6448536) == pytest.approx(expected, abs=1e-10)
 
-    def test_matches_integration_oracle_on_grid(self):
+    def test_matches_exact_oracle_on_grid(self):
         for u in np.linspace(-8.0, 8.0, 81):
-            assert q_function(float(u)) == pytest.approx(q_via_integration(float(u)), abs=1e-10)
+            assert q_function(float(u)) == pytest.approx(q_exact(float(u)), abs=1e-10)
 
     def test_strictly_decreasing(self):
         grid = np.linspace(-8.0, 8.0, 401)
