@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmirs import cli, secrecy, sweeps
+from dmirs import cli, secrecy
 from dmirs import scenario as scenario_module
 from dmirs.geometry import PATH_LOSS_RULES, GeometryError, Position
 from dmirs.scenario import (
@@ -484,25 +484,6 @@ class TestRateSweepRows:
         with pytest.raises(error) as info:
             run(scenario, axis, [10.0])
         assert type(info.value) is error and str(info.value) == message
-
-    @pytest.mark.parametrize("run", [run_sweep_nr, run_sweep_dab])
-    def test_rates_hold_both_columns_for_each_axis_value_and_pt(self, run, monkeypatch):
-        """Whatever the sweep's size, the rates it writes come as both columns
-        by every axis value by every pt (how often, tests/test_work_counts.py)."""
-        shapes = set()
-        rates = sweeps.secrecy_rates
-
-        def seen(*args):
-            result = rates(*args)
-            shapes.add(result.shape)
-            return result
-
-        monkeypatch.setattr(sweeps, "secrecy_rates", seen)
-        for axis, pts in (([10], [10.0]), ([10, 20, 30], [10.0, 15.0, 15.0, 30.0]), (list(range(10, 60)), [10.0])):
-            shapes.clear()
-            run(Scenario(), axis, pts)
-            assert shapes == {(2, len(axis), len(pts))}
-
 
 # alpha = 1 leaves no noise in the probe's SINR; at nr = 1 the IRS path cancels part
 # of the direct one at this eve, so without the IRS the probe's SNR is the largest

@@ -119,7 +119,9 @@ def config(tmp_path):
 
 
 @pytest.mark.parametrize("an_mode", ["expected", "instantaneous"])
-@pytest.mark.parametrize("block_cells", [None, 4], ids=["production-blocks", "4-cell-blocks"])
+@pytest.mark.parametrize(
+    "block_cells", [None, 4, 1], ids=["production-blocks", "4-cell-blocks", "1-cell-blocks"]
+)
 def test_heatmap_cells(an_mode, block_cells, tmp_path, monkeypatch):
     config = tmp_path / "scenario.json"
     config.write_text(f'{{"an_mode": "{an_mode}"}}')
